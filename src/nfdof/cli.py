@@ -28,6 +28,8 @@ from .svd_oracle import effective_dof, svd_report
 
 SWEEPABLE = ("theta_T", "theta_R", "x0", "y0", "L_T", "L_R", "frequency")
 ANGLE_KEYS = ("theta_T", "theta_R")
+# CCDF error estimate above which ``stats`` warns on stderr
+QUADRATURE_WARN_ABS = 1e-9
 
 
 class UsageError(Exception):
@@ -273,13 +275,19 @@ def cmd_stats(cfg: RunConfig, args):
     mc_samples = int(section.get("mc_samples", 100_000))
     grid = np.linspace(0.0, 2.0 * scen_cfg.C, grid_points)
     curve = stats.ccdf(scen_cfg, grid, mc_samples=mc_samples, seed=cfg.seed)
+    if curve.abs_error_estimate > QUADRATURE_WARN_ABS:
+        print(f"warning: deconditioning error estimate {curve.abs_error_estimate:.2e} "
+              f"exceeds {QUADRATURE_WARN_ABS:g}", file=sys.stderr)
     rows = []
     for i, g in enumerate(curve.grid):
         mc = curve.mc_ccdf[i] if curve.mc_ccdf is not None else float("nan")
         rows.append([g, curve.pdf[i], curve.ccdf[i], mc,
                      curve.mc_samples, curve.seed])
     _emit(["mu_th", "pdf", "ccdf_analytic", "ccdf_mc", "mc_samples", "seed"],
-          rows, args, _manifest(cfg, "stats", {"scenario": asdict(scen_cfg)}))
+          rows, args, _manifest(cfg, "stats", {
+              "scenario": asdict(scen_cfg),
+              "quadrature": {"nodes": curve.quadrature_nodes,
+                             "abs_error_estimate": curve.abs_error_estimate}}))
     return 0
 
 

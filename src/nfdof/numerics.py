@@ -1,11 +1,11 @@
 """Special functions, quadrature, and reproducible random streams.
 
-Everything downstream (kernel evaluation, distribution integrals, Monte
-Carlo) funnels through the three entry points here so that accuracy and
-reproducibility are controlled in one place:
+Kernel evaluation and Monte Carlo funnel through the entry points here
+so that accuracy and reproducibility are controlled in one place:
 
 * ``erfi``   -- imaginary error function on the complex plane,
-* ``integrate`` -- adaptive 1D quadrature with an error report,
+* ``integrate`` -- adaptive 1D quadrature with an error report, the
+  reference the test oracles check fixed-node rules against,
 * ``sample_stream`` -- counter-based uniform random generator.
 """
 

@@ -17,24 +17,41 @@ branch.  With a = arctan(L_R / 2 x0):
   mu = C (1 + sin(theta_T -/+ a)) on branch-local coordinates,
 * full visibility (width pi - 2a): mu = 2 C sin(a) cos(theta_T).
 
-Analytic PDFs/CCDFs below are cross-validated against Monte Carlo driven
-by the same branch structure; a vectorized evaluator mirrors the exact
-per-link engine (and is tested against it) so that 1e6-sample runs stay
-fast.
+For a threshold mu the conditional laws switch on and off at two axis
+distances with closed forms (h = L_R / 2):
+
+    omega(mu) = h sqrt((2C - mu) / mu)              (= x_max_of_rho)
+    psi(mu)   = h sqrt((2C - mu)(2C + mu)) / mu
+
+Under full visibility mu is always exceeded for x0 < omega and never for
+x0 > psi; on an endpoint branch it is exceeded only for x0 < omega.  The
+always-exceeded part is the closed-form disk CDF.  Each remaining
+integral, clipped to R, is one fixed 48-node Gauss-Legendre rule in a
+variable that makes the square-root behaviour at psi and R and the scale
+h next to x0 = 0 smooth, and the whole threshold grid is one
+(grid x nodes) numpy evaluation.  Halving the rule gives the error
+estimate carried by ``DistributionCurve``.  The conditional-on-x0
+scenario evaluates the same per-x0 laws at its fixed x0.  The per-point
+adaptive quadrature with explicit breakpoints at omega and psi lives in
+``tests/deconditioning_oracle.py`` as the reference.
+
+Monte Carlo driven by the same branch structure cross-validates the
+analytic curves; a vectorized evaluator mirrors the exact per-link
+engine (and is tested against it) so that 1e6-sample runs stay fast.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .constants import wavelength_from_frequency
-from .numerics import integrate, sample_stream
+from .numerics import sample_stream
 
 __all__ = [
     "PARTIAL_R_PLUS", "PARTIAL_R_MINUS", "FULL_VISIBILITY", "CONDITIONAL_ON_X0",
     "ScenarioConfig", "DistributionCurve",
-    "pdf_x0", "x_max_of_rho", "pdf_rho_minus",
+    "pdf_x0", "x_max_of_rho", "pdf", "pdf_rho_minus",
     "pdf_m_partial_rplus", "pdf_m_partial_rminus",
     "pdf_m_full_conditional", "pdf_m_full", "pdf_m_conditional",
     "pov", "ccdf", "monte_carlo", "excess_dof_branches",
@@ -82,12 +99,18 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class DistributionCurve:
+    """Analytic PDF/CCDF on a threshold grid, an optional Monte Carlo
+    CCDF, and the deconditioning rule's node count and error estimate
+    (0 and 0.0 for the closed-form conditional scenario)."""
+
     grid: np.ndarray
     pdf: np.ndarray
     ccdf: np.ndarray
     mc_ccdf: Optional[np.ndarray] = None
     mc_samples: int = 0
     seed: int = 0
+    quadrature_nodes: int = 0
+    abs_error_estimate: float = 0.0
 
 
 def _half_angle(x0, L_R):
@@ -110,29 +133,170 @@ def x_max_of_rho(rho, L_R):
     return float(L_R / (2.0 * t))
 
 
+# ---------------------------------------------------------------------------
+# Array-valued deconditioning core
+# ---------------------------------------------------------------------------
+
+_NODES = 48
+# A second square-root point closer to the interval end than this share
+# of the interval (in the sinh variable) is treated as coinciding with it;
+# grading the nodes further costs the fixed rule more accuracy elsewhere
+# than the unresolved sliver is worth (checked against 30-digit quadrature).
+_COINCIDENT = 1e-8
+
+
+def _gauss_rule(n):
+    """n-point Gauss-Legendre nodes and weights on (0, 1)."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (t + 1.0), 0.5 * w
+
+
+_RULES = {n: _gauss_rule(n) for n in (_NODES, _NODES // 2)}
+
+
+def _asinh_gap(a, b, h):
+    """asinh(b / h) - asinh(a / h) for 0 <= a <= b, exact as a -> b."""
+    return np.arcsinh((b - a) * (b + a) / (b * np.hypot(h, a) + a * np.hypot(h, b)))
+
+
+def _support_edges(mu, C, h):
+    """Axis distances omega(mu) < psi(mu), for 0 < mu < 2C, that bound
+    the conditional laws: mu < 2C sin^2(a) iff x0 < omega, and
+    mu < 2C sin(a) iff x0 < psi (h = L_R / 2, a = arctan(h / x0))."""
+    omega = h * np.sqrt((2.0 * C - mu) / mu)
+    psi = h * np.sqrt((2.0 * C - mu) * (2.0 * C + mu)) / mu
+    return omega, psi
+
+
+def _disk_cdf(x, R):
+    """P[x0 <= x] under ``pdf_x0``, written with R - x and atan2 so it
+    keeps full accuracy as x -> R."""
+    q = np.sqrt((R - x) * (R + x))
+    return (2.0 / np.pi) * (x * q / (R * R) + np.arctan2(x, q))
+
+
+def _full_law(mu, x, psi, psi_gap, C, h):
+    """Full-visibility conditional PDF and CCDF of mu at axis distance x,
+    for omega(mu) <= x < psi(mu), given psi_gap = psi - x.
+
+    theta_T spans a width 2 arctan(x / h), and with z = mu / (2 C sin a)
+    the root sqrt(1 - z^2) = mu sqrt(psi_gap (psi + x)) / (2 C h) stays
+    accurate as x -> psi."""
+    half_width = np.arctan2(x, h)
+    root = mu * np.sqrt(psi_gap * (psi + x)) / (2.0 * C * h)
+    z = mu * np.hypot(x, h) / (2.0 * C * h)
+    pdf = z / (half_width * mu * root)
+    return pdf, np.arctan2(root, z) / half_width
+
+
+def _partial_law(mu, x, omega, omega_gap, C, h):
+    """Conditional PDF and CCDF of mu on one endpoint branch at axis
+    distance x < omega(mu), given omega_gap = omega - x.  The CCDF is
+    (a(x) - a(omega)) / a(x), with the difference of arctangents taken
+    in one piece."""
+    a = np.arctan2(h, x)
+    pdf = 1.0 / (2.0 * a * np.sqrt(mu * (2.0 * C - mu)))
+    return pdf, np.arctan2(h * omega_gap, x * omega + h * h) / a
+
+
+def _deconditioned(mu, R, C, h, scenario, nodes):
+    """PDF and CCDF of mu (0 < mu < 2C) marginalized over the disk
+    placement, as one (grid x nodes) evaluation of a fixed rule.
+
+    Each integral runs over [lo, hi] with a square-root point at hi (psi
+    or R) and possibly a second one at hi + delta.  Nodes sit at
+    x = h sinh(s): the sinh variable resolves a(x) = arctan(h / x) on its
+    scale h next to x = 0 and is logarithmic beyond it.  In s the rule
+    places s_hi - s = L (sinh(T v) / sinh T)^2 for Gauss-Legendre v, with
+    sinh^2 T = L / delta, which makes both sqrt(s_hi - s) and
+    sqrt(s_hi + delta - s) smooth in v (and reduces to L v^2 when the
+    second point is far).  The gaps from x to R, psi and omega are formed
+    from hi - x without cancellation."""
+    v, w = _RULES[nodes]
+    omega, psi = _support_edges(mu, C, h)
+    if scenario == FULL_VISIBILITY:
+        lo, hi = np.minimum(omega, R), np.minimum(psi, R)
+        head = _disk_cdf(lo, R)        # mu always exceeded for x0 < omega
+        delta = _asinh_gap(hi, np.maximum(psi, R), h)
+    else:
+        lo, hi = np.zeros_like(mu), np.minimum(omega, R)
+        head = 0.0
+        delta = np.where(omega < R, _asinh_gap(hi, R, h), np.inf)
+    span = _asinh_gap(lo, hi, h)
+    T = np.arcsinh(np.sqrt(span / np.maximum(delta, _COINCIDENT * span)))
+    T = np.maximum(T, 1e-8)[:, None]   # T -> 0 is the v^2 limit; keeps 0/0 out
+    shape = np.sinh(T * v) / np.sinh(T)
+    d = span[:, None] * shape ** 2                       # s_hi - s
+    dd = 2.0 * span[:, None] * shape * T * np.cosh(T * v) / np.sinh(T)
+    s = np.arcsinh(hi / h)[:, None] - d
+    x = h * np.sinh(s)
+    drop = 2.0 * h * np.cosh(s + 0.5 * d) * np.sinh(0.5 * d)   # hi - x
+    r_gap = (R - hi)[:, None] + drop
+    dens = (4.0 * h / (np.pi * R * R)) * np.sqrt(r_gap * (R + x)) * np.cosh(s) * dd * w
+    mu = mu[:, None]
+    if scenario == FULL_VISIBILITY:
+        pdf, cc = _full_law(mu, x, psi[:, None], (psi - hi)[:, None] + drop, C, h)
+    else:
+        pdf, cc = _partial_law(mu, x, omega[:, None],
+                               (omega - hi)[:, None] + drop, C, h)
+    return np.sum(pdf * dens, axis=1), head + np.sum(cc * dens, axis=1)
+
+
+def _at_x0(mu, x0, C, h):
+    """Per-branch conditional laws at a fixed x0 (0 < mu < 2C): the
+    partial-branch and full-visibility (PDF, CCDF) pairs, masked to
+    their supports."""
+    omega, psi = _support_edges(mu, C, h)
+    in_partial = x0 < omega
+    in_full = (omega < x0) & (x0 < psi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pdf_p, cc_p = _partial_law(mu, x0, omega, omega - x0, C, h)
+        pdf_f, cc_f = _full_law(mu, x0, psi, psi - x0, C, h)
+    return (np.where(in_partial, pdf_p, 0.0), np.where(in_partial, cc_p, 0.0),
+            np.where(in_full, pdf_f, 0.0),
+            np.where(x0 <= omega, 1.0, np.where(in_full, cc_f, 0.0)))
+
+
+def _curve(cfg: ScenarioConfig, mu, nodes=_NODES):
+    """(PDF, CCDF) of the scenario on an array of thresholds."""
+    mu = np.asarray(mu, dtype=float)
+    C, h = cfg.C, cfg.L_R / 2.0
+    inside = (mu > 0.0) & (mu < 2.0 * C)
+    pdf = np.zeros(mu.shape)
+    cc = np.where(mu <= 0.0, 1.0, 0.0)
+    m = mu[inside]
+    if cfg.scenario == CONDITIONAL_ON_X0:
+        v_partial, v_full, v_total = _mixture_weights(cfg.x0, cfg.L_R)
+        pdf_p, cc_p, pdf_f, cc_f = _at_x0(m, cfg.x0, C, h)
+        pdf[inside] = (2.0 * v_partial * pdf_p + v_full * pdf_f) / v_total
+        cc[inside] = (2.0 * v_partial * cc_p + v_full * cc_f) / v_total
+    else:
+        pdf[inside], cc[inside] = _deconditioned(m, cfg.R, C, h,
+                                                 cfg.scenario, nodes)
+    return pdf, cc
+
+
+def pdf(cfg: ScenarioConfig, mu):
+    """Density of mu under the scenario, for a scalar or array of mu."""
+    return _curve(cfg, mu)[0]
+
+
+def _scalar_pdf(cfg, mu, **changes):
+    return float(pdf(replace(cfg, **changes), mu))
+
+
 def pdf_rho_minus(rho, cfg: ScenarioConfig):
     """Density of the varying endpoint slope on a partial branch,
     marginalized over the disk placement (the other endpoint slope is
     pinned at -1 there)."""
     if not (-1.0 < rho < 1.0):
         return 0.0
-    hi = min(x_max_of_rho(rho, cfg.L_R), cfg.R)
-    if hi <= 0.0:
-        return 0.0
-
-    def f(x):
-        return pdf_x0(x, cfg.R) / (2.0 * _half_angle(x, cfg.L_R))
-
-    val = integrate(f, 0.0, hi, rel_tol=1e-8).value
-    return float(val / np.sqrt(1.0 - rho * rho))
+    return cfg.C * pdf_m_partial_rplus(cfg.C * (1.0 + rho), cfg)
 
 
 def pdf_m_partial_rplus(mu, cfg: ScenarioConfig):
     """Density of mu when the + receive endpoint is visible."""
-    C = cfg.C
-    if not (0.0 < mu < 2.0 * C):
-        return 0.0
-    return pdf_rho_minus(mu / C - 1.0, cfg) / C
+    return _scalar_pdf(cfg, mu, scenario=PARTIAL_R_PLUS, x0=None)
 
 
 def pdf_m_partial_rminus(mu, cfg: ScenarioConfig):
@@ -141,41 +305,17 @@ def pdf_m_partial_rminus(mu, cfg: ScenarioConfig):
     return pdf_m_partial_rplus(mu, cfg)
 
 
-def _full_support(x0, cfg):
-    a = _half_angle(x0, cfg.L_R)
-    C = cfg.C
-    return 2.0 * C * np.sin(a) ** 2, 2.0 * C * np.sin(a)
-
-
 def pdf_m_full_conditional(mu, x0, cfg: ScenarioConfig):
     """Density of mu under full visibility at fixed axis distance x0
     (arcsine law of 2 C sin(a) cos(theta_T))."""
-    lo, hi = _full_support(x0, cfg)
-    if not (lo < mu < hi):
+    if not (0.0 < mu < 2.0 * cfg.C):
         return 0.0
-    a = _half_angle(x0, cfg.L_R)
-    Ca = cfg.C * np.sin(a)
-    W = np.pi - 2.0 * a
-    return float(1.0 / (W * Ca * np.sqrt(1.0 - (mu / (2.0 * Ca)) ** 2)))
+    return float(_at_x0(np.array([mu]), x0, cfg.C, cfg.L_R / 2.0)[2][0])
 
 
 def pdf_m_full(mu, cfg: ScenarioConfig):
     """Density of mu under full visibility, marginalized over x0."""
-    C = cfg.C
-    if not (0.0 < mu < 2.0 * C):
-        return 0.0
-    # axis distances whose conditional support contains mu
-    omega = np.sqrt(cfg.L_R ** 2 * (2.0 * C - mu) / (4.0 * mu))
-    psi = cfg.L_R / (2.0 * np.tan(np.arcsin(mu / (2.0 * C))))
-    lo = min(omega, cfg.R)
-    hi = min(psi, cfg.R)
-    if lo >= hi:
-        return 0.0
-
-    def f(x):
-        return pdf_m_full_conditional(mu, x, cfg) * pdf_x0(x, cfg.R)
-
-    return float(integrate(f, lo, hi, rel_tol=1e-8).value)
+    return _scalar_pdf(cfg, mu, scenario=FULL_VISIBILITY, x0=None)
 
 
 def pov(x0, L_R):
@@ -198,67 +338,7 @@ def _mixture_weights(x0, L_R):
 def pdf_m_conditional(mu, x0, cfg: ScenarioConfig):
     """Density of mu at fixed x0, conditioned on any visibility: mixture
     of the two endpoint branches and the full-visibility branch."""
-    C = cfg.C
-    a = _half_angle(x0, cfg.L_R)
-    v_partial, v_full, v_total = _mixture_weights(x0, cfg.L_R)
-    boundary = 2.0 * C * np.sin(a) ** 2
-    dens = 0.0
-    if 0.0 < mu < boundary:
-        # endpoint branch: mu = C (1 + sin(.)), uniform angle of width 2a
-        dens += (2.0 * v_partial / v_total) / (
-            2.0 * a * C * np.sqrt(1.0 - (mu / C - 1.0) ** 2))
-    dens += (v_full / v_total) * pdf_m_full_conditional(mu, x0, cfg)
-    return float(dens)
-
-
-def _ccdf_partial_given_x0(mu, x0, cfg):
-    C = cfg.C
-    a = _half_angle(x0, cfg.L_R)
-    if mu <= 0.0:
-        return 1.0
-    if mu >= 2.0 * C * np.sin(a) ** 2:
-        return 0.0
-    val = ((2.0 * a - np.pi / 2.0) - np.arcsin(mu / C - 1.0)) / (2.0 * a)
-    return float(min(max(val, 0.0), 1.0))
-
-
-def _ccdf_full_given_x0(mu, x0, cfg):
-    lo, hi = _full_support(x0, cfg)
-    if mu <= lo:
-        return 1.0
-    if mu >= hi:
-        return 0.0
-    a = _half_angle(x0, cfg.L_R)
-    Ca = cfg.C * np.sin(a)
-    return float(2.0 * np.arccos(mu / (2.0 * Ca)) / (np.pi - 2.0 * a))
-
-
-def _ccdf_conditional(mu, x0, cfg):
-    v_partial, v_full, v_total = _mixture_weights(x0, cfg.L_R)
-    return (2.0 * v_partial * _ccdf_partial_given_x0(mu, x0, cfg)
-            + v_full * _ccdf_full_given_x0(mu, x0, cfg)) / v_total
-
-
-def _ccdf_analytic(mu, cfg: ScenarioConfig):
-    if cfg.scenario == CONDITIONAL_ON_X0:
-        return _ccdf_conditional(mu, cfg.x0, cfg)
-    if cfg.scenario == FULL_VISIBILITY:
-        cond = _ccdf_full_given_x0
-    else:
-        cond = _ccdf_partial_given_x0
-
-    def f(x):
-        return cond(mu, x, cfg) * pdf_x0(x, cfg.R)
-
-    return float(integrate(f, 0.0, cfg.R, rel_tol=1e-8).value)
-
-
-def _pdf_scenario(mu, cfg: ScenarioConfig):
-    if cfg.scenario == CONDITIONAL_ON_X0:
-        return pdf_m_conditional(mu, cfg.x0, cfg)
-    if cfg.scenario == FULL_VISIBILITY:
-        return pdf_m_full(mu, cfg)
-    return pdf_m_partial_rplus(mu, cfg)
+    return _scalar_pdf(cfg, mu, scenario=CONDITIONAL_ON_X0, x0=x0)
 
 
 def branch_interval(x0, L_R, scenario):
@@ -340,16 +420,24 @@ def visibility_fraction(x0, L_R, n, seed=0):
 
 def ccdf(cfg: ScenarioConfig, grid, mc_samples=0, seed=0) -> DistributionCurve:
     """Analytic PDF/CCDF of mu on ``grid`` plus an optional Monte Carlo
-    overlay with ``mc_samples`` draws."""
+    overlay with ``mc_samples`` draws.
+
+    Deconditioned scenarios also carry the quadrature node count and an
+    error estimate: the largest CCDF change over the grid when the rule
+    is halved.  The conditional scenario is closed form (0 nodes)."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty threshold grid")
     if np.any(np.diff(grid) < 0):
         raise ValueError("grid must be ascending")
-    pdf = np.array([_pdf_scenario(g, cfg) for g in grid])
-    cc = np.array([_ccdf_analytic(g, cfg) for g in grid])
+    pdf_, cc = _curve(cfg, grid)
+    nodes, err = 0, 0.0
+    if cfg.scenario != CONDITIONAL_ON_X0:
+        nodes = _NODES
+        err = float(np.max(np.abs(cc - _curve(cfg, grid, _NODES // 2)[1])))
     mc = None
     if mc_samples:
         mc = empirical_ccdf(monte_carlo(cfg, mc_samples, seed=seed), grid)
-    return DistributionCurve(grid=grid, pdf=pdf, ccdf=cc, mc_ccdf=mc,
-                             mc_samples=int(mc_samples), seed=int(seed))
+    return DistributionCurve(grid=grid, pdf=pdf_, ccdf=cc, mc_ccdf=mc,
+                             mc_samples=int(mc_samples), seed=int(seed),
+                             quadrature_nodes=nodes, abs_error_estimate=err)

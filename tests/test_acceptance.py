@@ -237,7 +237,7 @@ def test_criterion_8_statistics_cross_validation():
         curve = stats.ccdf(cfg, grid, mc_samples=1_000_000, seed=i)
         worst_sup = max(worst_sup,
                         float(np.max(np.abs(curve.ccdf - curve.mc_ccdf))))
-        norm = integrate(lambda m: stats._pdf_scenario(m, cfg), 1e-9,
+        norm = integrate(lambda m: float(stats.pdf(cfg, m)), 1e-9,
                          2 * cfg.C, rel_tol=1e-6).value
         worst_norm = max(worst_norm, abs(norm - 1.0))
     spot = stats.ccdf(stats.ScenarioConfig(

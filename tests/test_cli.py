@@ -162,6 +162,32 @@ class TestStatsCommand:
         last = lines[-1].split(",")
         assert float(last[2]) == pytest.approx(0.0, abs=1e-9)
 
+    def test_manifest_records_quadrature(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({
+            "stats": {"R": 200.0, "scenario": "partial-r-plus",
+                      "grid_points": 21, "mc_samples": 20000}}))
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "stats", "--config", str(cfgfile),
+                           "--out", str(out))
+        assert code == 0 and err == ""
+        quad = json.loads((tmp_path / "s.csv.manifest.json").read_text())["quadrature"]
+        assert quad["nodes"] == 48
+        assert 0.0 <= quad["abs_error_estimate"] <= 1e-9
+
+    def test_warns_on_large_error_estimate(self, tmp_path, capsys, monkeypatch):
+        from dataclasses import replace
+        from nfdof import statistics as stats
+        real = stats.ccdf
+        monkeypatch.setattr(stats, "ccdf", lambda *a, **k: replace(
+            real(*a, **k), abs_error_estimate=2e-9))
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({
+            "stats": {"grid_points": 5, "mc_samples": 20000}}))
+        code, _, err = run(capsys, "stats", "--config", str(cfgfile))
+        assert code == 0
+        assert "error estimate 2.00e-09" in err
+
     def test_bad_scenario_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps({"stats": {"scenario": "bogus"}}))

@@ -1,6 +1,8 @@
 """Analytic mode-count distributions against the Monte Carlo and the
 per-link engine."""
 
+import deconditioning_oracle as oracle
+import mpmath
 import numpy as np
 import pytest
 
@@ -249,3 +251,89 @@ class TestMonteCarlo:
     def test_empirical_ccdf_basics(self):
         vals = empirical_ccdf([1.0, 2.0, 3.0, 4.0], [0.0, 2.5, 10.0])
         assert vals == pytest.approx([1.0, 0.5, 0.0])
+
+
+def _mu_at_omega(c, x):
+    """Threshold whose always-exceeded edge omega(mu) sits at x."""
+    h = c.L_R / 2.0
+    return 2.0 * c.C * h * h / (x * x + h * h)
+
+
+def _mu_at_psi(c, x):
+    """Threshold whose never-exceeded edge psi(mu) sits at x."""
+    h = c.L_R / 2.0
+    return 2.0 * c.C * h / np.hypot(x, h)
+
+
+class TestDeconditioningCore:
+    """The fixed-rule array core against per-point adaptive quadrature
+    split at the support edges, and against 30-digit quadrature next to
+    coincident edges."""
+
+    def test_full_support_far_inside_disk(self):
+        # the support [0, psi] is tiny next to R: an unsplit adaptive
+        # integral over [0, R] returned 0 here
+        c = cfg(R=100.0, L_R=1.0)
+        got = ccdf(c, np.array([36.8])).ccdf[0]
+        assert got == pytest.approx(oracle.ccdf(c, 36.8), abs=1e-9)
+        assert got == pytest.approx(2.37270824192e-3, abs=1e-9)
+
+    @pytest.mark.parametrize("scenario", [FULL_VISIBILITY, PARTIAL_R_PLUS])
+    @pytest.mark.parametrize("R", [5.0, 20.0, 100.0, 200.0])
+    @pytest.mark.parametrize("L_R", [1.0, 3.0, 5.0])
+    def test_matches_adaptive_oracle(self, scenario, R, L_R):
+        c = cfg(R=R, L_R=L_R, scenario=scenario)
+        grid = np.linspace(0.0, 2 * c.C, 201)
+        curve = ccdf(c, grid)
+        want_cc = np.array([oracle.ccdf(c, m) for m in grid])
+        want_pdf = np.array([oracle.pdf(c, m) for m in grid])
+        assert np.max(np.abs(curve.ccdf - want_cc)) <= 1e-9
+        assert curve.pdf == pytest.approx(want_pdf, rel=1e-8, abs=0.0)
+        assert stats.pdf(c, grid) == pytest.approx(curve.pdf, rel=0.0, abs=0.0)
+
+    def test_conditional_matches_closed_forms(self):
+        c = cfg(scenario=CONDITIONAL_ON_X0, x0=10.0)
+        grid = np.linspace(0.0, 2 * c.C, 201)
+        curve = ccdf(c, grid)
+        assert curve.ccdf == pytest.approx(
+            [oracle.ccdf(c, m) for m in grid], abs=1e-12)
+        assert curve.pdf == pytest.approx(
+            [oracle.pdf(c, m) for m in grid], rel=1e-10)
+
+    @pytest.mark.parametrize("scenario, edge", [
+        (FULL_VISIBILITY, "omega"), (FULL_VISIBILITY, "psi"),
+        (PARTIAL_R_PLUS, "omega")])
+    @pytest.mark.parametrize("R, L_R", [(20.0, 5.0), (200.0, 1.0), (5.0, 3.0)])
+    @pytest.mark.parametrize("share", [1 + 1e-6, 1 - 1e-6, 1 - 1e-15])
+    def test_near_coincident_edges(self, scenario, edge, R, L_R, share):
+        c = cfg(R=R, L_R=L_R, scenario=scenario)
+        mu = (_mu_at_omega if edge == "omega" else _mu_at_psi)(c, R * share)
+        curve = ccdf(c, np.array([mu]))
+        want_pdf, want_cc = oracle.mp_pdf(c, mu), oracle.mp_ccdf(c, mu)
+        assert curve.ccdf[0] == pytest.approx(want_cc, abs=1e-9)
+        # below 1e-18 the full-visibility density at omega -> R scales as
+        # (R - omega)^1.5, so one rounding of omega moves it by ~10%
+        assert curve.pdf[0] == pytest.approx(want_pdf, rel=1e-6, abs=1e-18)
+
+    def test_disk_cdf_stable_at_rim(self):
+        R = 20.0
+        for share in (0.5, 1 - 1e-6, 1 - 1e-15, 1.0):
+            x = R * share
+            with mpmath.workdps(30):
+                t = mpmath.mpf(x) / R
+                want = 2 / mpmath.pi * (t * mpmath.sqrt(1 - t * t) + mpmath.asin(t))
+            assert stats._disk_cdf(x, R) == pytest.approx(float(want), abs=1e-15)
+
+    def test_quadrature_diagnostics(self):
+        curve = ccdf(cfg(R=200.0, L_R=1.0), np.linspace(0.0, 40.0, 201))
+        assert curve.quadrature_nodes == 48
+        assert 0.0 <= curve.abs_error_estimate <= 1e-9
+        closed = ccdf(cfg(scenario=CONDITIONAL_ON_X0, x0=10.0), [1.0, 2.0])
+        assert (closed.quadrature_nodes, closed.abs_error_estimate) == (0, 0.0)
+
+    def test_pdf_shapes(self):
+        c = cfg()
+        assert stats.pdf(c, 10.0).shape == ()
+        assert stats.pdf(c, [0.0, 10.0, 40.0]).shape == (3,)
+        assert float(stats.pdf(c, 10.0)) == pdf_m_full(10.0, c)
+        assert stats.pdf(c, [-1.0, 0.0, 40.0, 41.0]).tolist() == [0.0] * 4
