@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the transmit rotation for a fixed link and tabulate visibility
-status, effective lengths, mode counts, and the SVD cross-check.
+status, mode counts, and the SVD cross-check.
 
 Useful for exploring how the four visibility regimes partition the
 rotation circle and how the analytic count tracks the singular spectrum.
+The table comes from the same sweep and SVD-compare loops as
+``nfdof sweep`` and ``nfdof svd-compare``.
 
 Usage:
     python3 scripts/visibility_study.py [--x0 10] [--y0 0] [--l-r 5]
@@ -15,9 +17,8 @@ import sys
 
 import numpy as np
 
-from nfdof.dof_core import dof
-from nfdof.geometry import make_link
-from nfdof.svd_oracle import effective_dof, svd_report
+from nfdof.figures import svd_compare_rows, sweep_rows
+from nfdof.svd_oracle import DEFAULT_SUM_RULE_FRACTION
 
 
 def main(argv=None):
@@ -33,26 +34,20 @@ def main(argv=None):
                         help="add the singular-spectrum mode count")
     args = parser.parse_args(argv)
 
-    cols = f"{'theta_T':>9}{'status':>15}{'endpoint':>9}{'l_T':>8}" \
-           f"{'l_R':>8}{'m_real':>9}{'m_int':>6}"
+    link = {"L_T": args.l_t, "L_R": args.l_r, "theta_R": args.theta_r,
+            "x0": args.x0, "y0": args.y0, "frequency": args.frequency_hz}
+    values = np.linspace(-np.pi, np.pi, args.steps)
+    _, rows = sweep_rows(link, "theta_T", values)
+    cols = f"{'theta_T':>9}{'status':>15}{'m_real':>9}{'m_int':>6}"
     if args.svd:
+        _, svd = svd_compare_rows(link, "theta_T", values, None,
+                                  DEFAULT_SUM_RULE_FRACTION)
         cols += f"{'svd':>5}"
     print(cols)
-    for thT in np.linspace(-np.pi, np.pi, args.steps):
-        lk = make_link(args.l_t, args.l_r, float(thT), args.theta_r,
-                       args.x0, args.y0, frequency=args.frequency_hz)
-        res = dof(lk)
-        vis = res.visibility
-        m_int = "-" if res.m_int is None else res.m_int
-        m_real = "nan" if np.isnan(res.m_real) else f"{res.m_real:.3f}"
-        row = f"{thT:>9.3f}{vis.status:>15}" \
-              f"{vis.visible_endpoint or '-':>9}{vis.l_T:>8.3f}" \
-              f"{vis.l_R:>8.3f}{m_real:>9}{m_int!s:>6}"
+    for i, (thT, m_real, m_int, status) in enumerate(rows):
+        row = f"{thT:>9.3f}{status:>15}{m_real:>9.3f}{m_int:>6}"
         if args.svd:
-            if res.m_int:
-                row += f"{effective_dof(svd_report(lk)):>5}"
-            else:
-                row += f"{'-':>5}"
+            row += f"{svd[i][2]:>5}"
         print(row)
     return 0
 

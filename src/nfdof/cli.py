@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,14 +21,13 @@ import numpy as np
 from . import __version__
 from . import statistics as stats
 from .dof_core import dof
-from .figures import FIGURE_IDS, figure_params, figure_rows
-from .geometry import classify_visibility, make_link
-from .kernel import kernel_farfield, kernel_scan
-from .svd_oracle import effective_dof, svd_report
+from .figures import (FIGURE_IDS, curve_rows, figure_params, figure_rows,
+                      kernel_scan_rows, link_params, svd_compare_rows, sweep_rows)
+from .geometry import make_link
 
 SWEEPABLE = ("theta_T", "theta_R", "x0", "y0", "L_T", "L_R", "frequency")
 ANGLE_KEYS = ("theta_T", "theta_R")
-# CCDF error estimate above which ``stats`` warns on stderr
+# CCDF error estimate above which ``stats`` and the curve figures warn
 QUADRATURE_WARN_ABS = 1e-9
 
 
@@ -90,16 +89,6 @@ def _apply_flags(cfg: RunConfig, args):
             cfg.sweep["start"] = math.radians(cfg.sweep["start"])
             cfg.sweep["stop"] = math.radians(cfg.sweep["stop"])
     return cfg
-
-
-def _link_from(cfg: RunConfig, **overrides):
-    params = {
-        "L_T": cfg.L_T_m, "L_R": cfg.L_R_m,
-        "theta_T": cfg.theta_T, "theta_R": cfg.theta_R,
-        "x0": cfg.x0_m, "y0": cfg.y0_m, "frequency": cfg.frequency_hz,
-    }
-    params.update(overrides)
-    return make_link(**params)
 
 
 def _fmt(x):
@@ -174,8 +163,7 @@ def _manifest(cfg: RunConfig, command, extra=None):
 
 
 def cmd_dof(cfg: RunConfig, args):
-    link = _link_from(cfg)
-    res = dof(link)
+    res = dof(make_link(**link_params(vars(cfg))))
     vis = res.visibility
     report = {
         "status": vis.status,
@@ -201,61 +189,35 @@ def _sweep_values(cfg: RunConfig):
     steps = int(sweep.get("steps", 0))
     if steps < 1:
         raise UsageError("sweep needs at least one step")
-    values = np.linspace(float(sweep["start"]), float(sweep["stop"]), steps)
-    key = {"theta_T": "theta_T", "theta_R": "theta_R", "x0": "x0",
-           "y0": "y0", "L_T": "L_T", "L_R": "L_R",
-           "frequency": "frequency"}[param]
-    return param, key, values
+    return param, np.linspace(float(sweep["start"]), float(sweep["stop"]), steps)
 
 
 def cmd_sweep(cfg: RunConfig, args):
-    param, key, values = _sweep_values(cfg)
-    rows = []
-    for v in values:
-        res = dof(_link_from(cfg, **{key: float(v)}))
-        m_int = 0 if res.m_int is None else res.m_int
-        rows.append([v, res.m_real, m_int, res.visibility.status])
-    _emit([param, "m_real", "m_int", "status"], rows, args,
-          _manifest(cfg, "sweep"))
+    header, rows = sweep_rows(link_params(vars(cfg)), *_sweep_values(cfg))
+    _emit(header, rows, args, _manifest(cfg, "sweep"))
     return 0
 
 
 def cmd_svd_compare(cfg: RunConfig, args):
-    param, key, values = _sweep_values(cfg)
-    threshold = cfg.svd_threshold
-    rows = []
-    max_diff = 0
-    for v in values:
-        link = _link_from(cfg, **{key: float(v)})
-        res = dof(link)
-        if res.m_int is None or res.m_int == 0:
-            m_int, ed = 0, 0
-        else:
-            m_int = res.m_int
-            ed = effective_dof(svd_report(link, spacing=cfg.svd_spacing), threshold)
-        diff = abs(m_int - ed)
-        max_diff = max(max_diff, diff)
-        rows.append([v, m_int, ed, diff])
-    rows.append(["max", "", "", max_diff])
-    _emit([param, "m_int", "effective_dof", "abs_diff"], rows, args,
-          _manifest(cfg, "svd-compare", {"threshold": threshold}))
+    header, rows = svd_compare_rows(link_params(vars(cfg)), *_sweep_values(cfg),
+                                    cfg.svd_spacing, cfg.svd_threshold)
+    _emit(header, rows, args,
+          _manifest(cfg, "svd-compare", {"threshold": cfg.svd_threshold}))
     return 0
 
 
 def cmd_kernel_scan(cfg: RunConfig, args):
-    link = _link_from(cfg)
-    rep = classify_visibility(link)
-    scan = kernel_scan(link, zeta_ref=cfg.zeta_ref, n_samples=cfg.n_samples,
-                       report=rep)
-    minima = set(scan.minima_locations)
-    rows = []
-    for s in scan.samples:
-        ff = kernel_farfield(s.zeta, cfg.zeta_ref, link, rep)
-        rows.append([s.zeta, s.value.real, s.value.imag, s.magnitude,
-                     abs(ff), int(s.zeta in minima)])
-    _emit(["zeta", "re", "im", "magnitude", "magnitude_farfield", "is_minimum"],
-          rows, args, _manifest(cfg, "kernel-scan"))
+    header, rows = kernel_scan_rows(link_params(vars(cfg)), cfg.zeta_ref,
+                                    cfg.n_samples)
+    _emit(header, rows, args, _manifest(cfg, "kernel-scan"))
     return 0
+
+
+def _warn_quadrature(quadrature):
+    estimate = quadrature["abs_error_estimate"]
+    if estimate > QUADRATURE_WARN_ABS:
+        print(f"warning: deconditioning error estimate {estimate:.2e} "
+              f"exceeds {QUADRATURE_WARN_ABS:g}", file=sys.stderr)
 
 
 def cmd_stats(cfg: RunConfig, args):
@@ -273,21 +235,13 @@ def cmd_stats(cfg: RunConfig, args):
     if grid_points < 2:
         raise UsageError("stats needs a grid with at least two points")
     mc_samples = int(section.get("mc_samples", 100_000))
-    grid = np.linspace(0.0, 2.0 * scen_cfg.C, grid_points)
-    curve = stats.ccdf(scen_cfg, grid, mc_samples=mc_samples, seed=cfg.seed)
-    if curve.abs_error_estimate > QUADRATURE_WARN_ABS:
-        print(f"warning: deconditioning error estimate {curve.abs_error_estimate:.2e} "
-              f"exceeds {QUADRATURE_WARN_ABS:g}", file=sys.stderr)
-    rows = []
-    for i, g in enumerate(curve.grid):
-        mc = curve.mc_ccdf[i] if curve.mc_ccdf is not None else float("nan")
-        rows.append([g, curve.pdf[i], curve.ccdf[i], mc,
-                     curve.mc_samples, curve.seed])
-    _emit(["mu_th", "pdf", "ccdf_analytic", "ccdf_mc", "mc_samples", "seed"],
-          rows, args, _manifest(cfg, "stats", {
-              "scenario": asdict(scen_cfg),
-              "quadrature": {"nodes": curve.quadrature_nodes,
-                             "abs_error_estimate": curve.abs_error_estimate}}))
+    header, rows, quadrature = curve_rows(scen_cfg, grid_points, mc_samples,
+                                          cfg.seed)
+    _warn_quadrature(quadrature)
+    _emit(header + ["mc_samples", "seed"],
+          [row + [mc_samples, int(cfg.seed)] for row in rows], args,
+          _manifest(cfg, "stats", {"scenario": asdict(scen_cfg),
+                                   "quadrature": quadrature}))
     return 0
 
 
@@ -295,9 +249,12 @@ def cmd_figure(cfg: RunConfig, args):
     fig_id = args.id
     if fig_id not in FIGURE_IDS:
         raise UsageError(f"unknown figure id {fig_id!r}; choose from {FIGURE_IDS}")
-    header, rows = figure_rows(fig_id, seed=cfg.seed)
+    header, rows, extra = figure_rows(fig_id, seed=cfg.seed)
+    if "quadrature" in extra:
+        _warn_quadrature(extra["quadrature"])
     manifest = _manifest(cfg, f"figure {fig_id}",
-                         {"figure": fig_id, "bindings": figure_params(fig_id)})
+                         {"figure": fig_id, "bindings": figure_params(fig_id),
+                          **extra})
     _emit(header, rows, args, manifest)
     return 0
 

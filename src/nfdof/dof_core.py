@@ -115,9 +115,10 @@ def boundary_angles(link: LinkGeometry, report: VisibilityReport):
     return a_plus, a_minus, a_zero, rho_c
 
 
-def mode_indices(link: LinkGeometry, report: VisibilityReport):
-    """Mode indices at the effective receive endpoints."""
-    a_plus, a_minus, _, rho_c = boundary_angles(link, report)
+def mode_indices(link: LinkGeometry, report: VisibilityReport, angles=None):
+    """Mode indices at the effective receive endpoints.  ``angles`` is a
+    ``boundary_angles`` result to reuse instead of recomputing it."""
+    a_plus, a_minus, _, rho_c = angles or boundary_angles(link, report)
     thT = link.tx.rotation
     scale = report.l_T / link.wavelength
     m_plus = scale * (np.sin(thT - a_plus) - rho_c)
@@ -141,11 +142,8 @@ def dof(link: LinkGeometry, report: Optional[VisibilityReport] = None) -> DofRes
         return DofResult(0.0, 0, nan, nan, nan, nan, nan, nan, report, warnings)
     if report.status == geometry.TOUCHING:
         return DofResult(nan, None, nan, nan, nan, nan, nan, nan, report, warnings)
-    a_plus, a_minus, a_zero, rho_c = boundary_angles(link, report)
-    thT = link.tx.rotation
-    scale = report.l_T / link.wavelength
-    m_plus = float(scale * (np.sin(thT - a_plus) - rho_c))
-    m_minus = float(scale * (np.sin(thT - a_minus) - rho_c))
+    angles = a_plus, a_minus, a_zero, rho_c = boundary_angles(link, report)
+    m_plus, m_minus = mode_indices(link, report, angles)
     m_real = abs(m_plus - m_minus) + 1.0
     m_int = int(round(m_real))
     return DofResult(m_real, m_int, m_plus, m_minus, a_plus, a_minus, a_zero,

@@ -12,14 +12,22 @@ import numpy as np
 
 from . import statistics as stats
 from .dof_core import dof
-from .geometry import make_link
-from .kernel import kernel_exact, kernel_farfield, kernel_scan
+from .geometry import classify_visibility, make_link
+from .kernel import kernel_farfield, kernel_scan
 from .svd_oracle import effective_dof, svd_report
 
-__all__ = ["FIGURE_IDS", "figure_rows", "figure_params"]
+__all__ = [
+    "FIGURE_IDS", "figure_rows", "figure_params", "link_params",
+    "sweep_rows", "svd_compare_rows", "kernel_scan_rows", "curve_rows",
+]
 
 _F = 30e9
 _LAM = 0.01
+
+# (binding name as in the CLI's RunConfig, make_link keyword)
+_LINK_KEYS = (("L_T_m", "L_T"), ("L_R_m", "L_R"), ("theta_T", "theta_T"),
+              ("theta_R", "theta_R"), ("x0_m", "x0"), ("y0_m", "y0"),
+              ("frequency_hz", "frequency"))
 
 # kernel-comparison configurations: (L_T, L_R, theta_T, theta_R, x0, y0)
 _KERNEL_CONFIGS = {
@@ -91,134 +99,136 @@ def figure_params(fig_id):
     raise KeyError(f"unknown figure id {fig_id!r}")
 
 
-def figure_rows(fig_id, seed=0):
-    """(header, rows) of the data file behind the recipe."""
-    if fig_id in _KERNEL_CONFIGS:
-        return _kernel_rows(fig_id)
-    if fig_id == "fig4":
-        return _dof_sweep_rows()
-    if fig_id == "fig5":
-        return _spectrum_rows()
-    if fig_id in _FIG7_GEOMETRIES:
-        return _svd_compare_rows(fig_id)
-    if fig_id == "fig8":
-        return _range_study_rows()
-    if fig_id in ("fig9a", "fig9b"):
-        return _scenario_ccdf_rows(fig_id, seed)
-    if fig_id == "fig10":
-        return _conditional_ccdf_rows(seed)
-    if fig_id == "fig11":
-        return _pov_rows()
-    raise KeyError(f"unknown figure id {fig_id!r}")
+def link_params(bindings):
+    """``make_link`` keywords from bindings named like the CLI's
+    ``RunConfig`` fields; absent bindings (a swept one) are left out."""
+    return {kw: bindings[name] for name, kw in _LINK_KEYS if name in bindings}
 
 
-def _kernel_rows(fig_id):
-    L_T, L_R, thT, thR, x0, y0 = _KERNEL_CONFIGS[fig_id]
-    link = make_link(L_T, L_R, thT, thR, x0, y0, frequency=_F)
-    scan = kernel_scan(link, zeta_ref=0.0, n_samples=1024)
-    from .geometry import classify_visibility
-    rep = classify_visibility(link)
+def _swept(link, key, values):
+    """(value, link, dof result) along a sweep of ``make_link`` keyword
+    ``key``, the other keywords fixed by ``link``."""
+    for v in values:
+        lk = make_link(**{**link, key: float(v)})
+        yield v, lk, dof(lk)
+
+
+def sweep_rows(link, key, values):
+    """(header, rows) of a DoF sweep; ``m_int`` is 0 where it is None."""
+    rows = [[v, res.m_real, 0 if res.m_int is None else res.m_int,
+             res.visibility.status] for v, _, res in _swept(link, key, values)]
+    return [key, "m_real", "m_int", "status"], rows
+
+
+def svd_compare_rows(link, key, values, spacing, threshold):
+    """(header, rows) of the mode count against the SVD count along a
+    sweep, closed by a ``max`` row; links without modes count 0 for both."""
+    rows = []
+    for v, lk, res in _swept(link, key, values):
+        m_int, ed = 0, 0
+        if res.m_int:
+            m_int = res.m_int
+            ed = effective_dof(svd_report(lk, spacing=spacing,
+                                          report=res.visibility), threshold)
+        rows.append([v, m_int, ed, abs(m_int - ed)])
+    rows.append(["max", "", "", max(row[3] for row in rows)])
+    return [key, "m_int", "effective_dof", "abs_diff"], rows
+
+
+def kernel_scan_rows(link, zeta_ref, n_samples):
+    """(header, rows) of the exact and far-field kernel across the
+    effective receive aperture, with its significant minima flagged."""
+    lk = make_link(**link)
+    rep = classify_visibility(lk)
+    scan = kernel_scan(lk, zeta_ref=zeta_ref, n_samples=n_samples, report=rep)
     minima = set(scan.minima_locations)
-    rows = []
-    for s in scan.samples:
-        ff = kernel_farfield(s.zeta, 0.0, link, rep)
-        rows.append([s.zeta, s.magnitude, abs(ff), int(s.zeta in minima)])
-    return ["zeta", "magnitude_exact", "magnitude_farfield", "is_minimum"], rows
+    rows = [[s.zeta, s.value.real, s.value.imag, s.magnitude,
+             abs(kernel_farfield(s.zeta, zeta_ref, lk, rep)),
+             int(s.zeta in minima)] for s in scan.samples]
+    return ["zeta", "re", "im", "magnitude", "magnitude_farfield",
+            "is_minimum"], rows
 
 
-def _dof_sweep_rows():
-    rows = []
-    for thR in np.linspace(-np.pi, np.pi, 721):
-        link = make_link(0.2, 5.0, np.pi / 2, thR, -5.0, 5.0, frequency=_F)
-        res = dof(link)
-        rows.append([thR, res.m_real, res.m_int, res.visibility.status])
-    return ["theta_R", "m_real", "m_int", "status"], rows
+def curve_rows(cfg, grid_points, mc_samples, seed):
+    """(header, rows, quadrature record) of the analytic and Monte Carlo
+    CCDF of ``cfg`` on ``grid_points`` thresholds across [0, 2C]; the
+    Monte Carlo column is NaN without samples."""
+    grid = np.linspace(0.0, 2.0 * cfg.C, grid_points)
+    curve = stats.ccdf(cfg, grid, mc_samples=mc_samples, seed=seed)
+    mc = curve.mc_ccdf if curve.mc_ccdf is not None else [float("nan")] * grid.size
+    rows = [list(r) for r in zip(curve.grid, curve.pdf, curve.ccdf, mc)]
+    quadrature = {"nodes": curve.quadrature_nodes,
+                  "abs_error_estimate": curve.abs_error_estimate}
+    return ["mu_th", "pdf", "ccdf_analytic", "ccdf_mc"], rows, quadrature
 
 
-def _spectrum_rows():
-    p = figure_params("fig5")
-    link = make_link(p["L_T_m"], p["L_R_m"], p["theta_T"], p["theta_R"],
-                     p["x0_m"], p["y0_m"], frequency=_F)
-    rep = svd_report(link, spacing=p["spacing"])
-    rows = []
-    for j, (s, npow, cum) in enumerate(zip(rep.singular_values,
-                                           rep.normalized_powers,
-                                           rep.cumulative_fraction), start=1):
-        rows.append([j, s, npow, cum])
+def figure_rows(fig_id, seed=0):
+    """(header, rows, manifest additions) of the data file behind the
+    recipe: its ``figure_params`` bindings passed to the shared loops."""
+    p = figure_params(fig_id)
+    link, extra = link_params(p), {}
+    if fig_id in _KERNEL_CONFIGS:
+        _, rows = kernel_scan_rows(link, p["zeta_ref"], p["n_samples"])
+        header = ["zeta", "magnitude_exact", "magnitude_farfield", "is_minimum"]
+        rows = [[r[0], r[3], r[4], r[5]] for r in rows]
+    elif fig_id == "fig4":
+        header, rows = sweep_rows(link, "theta_R", _grid(p["theta_R_sweep"]))
+    elif fig_id == "fig5":
+        header, rows = _spectrum_rows(link, p["spacing"])
+    elif fig_id in _FIG7_GEOMETRIES:
+        header, rows = svd_compare_rows(link, "theta_R",
+                                        _grid(p["theta_R_sweep"]),
+                                        p["spacing"], p["threshold"])
+    elif fig_id == "fig8":
+        rows = []
+        for ratio in p["x0_over_LR"]:
+            header, block = sweep_rows({**link, "x0": ratio * p["L_R_m"]}, "theta_R",
+                                       _grid(p["theta_R_sweep"]))
+            rows += [[ratio] + r for r in block]
+        header = ["x0_over_LR"] + header
+    elif fig_id in ("fig9a", "fig9b"):
+        header, rows, extra = _curve_family(["R"], [
+            ((R,), {"R": R, "L_R": p["L_R_m"], "scenario": p["scenario"]})
+            for R in p["radii"]], p, seed)
+    elif fig_id == "fig10":
+        header, rows, extra = _curve_family(["x0", "L_R"], [
+            ((x0, L_R), {"R": 20.0, "L_R": L_R, "x0": x0,
+                         "scenario": stats.CONDITIONAL_ON_X0})
+            for x0, L_R in p["cases"]], p, seed)
+    else:  # fig11
+        header, rows = _pov_rows(p)
+    return header, rows, extra
+
+
+def _grid(spec):
+    lo, hi, n = spec
+    return np.linspace(lo, hi, int(n))
+
+
+def _curve_family(case_header, cases, p, seed):
+    """Curves of several (case values, scenario keywords) pairs stacked
+    with the case values in front, and one quadrature record holding the
+    largest error estimate."""
+    rows, estimates = [], []
+    for case, scenario in cases:
+        cfg = stats.ScenarioConfig(L_T=p["L_T_m"], frequency=p["frequency_hz"],
+                                   **scenario)
+        header, block, quadrature = curve_rows(cfg, p["grid_points"],
+                                               p["mc_samples"], seed)
+        rows += [list(case) + r for r in block]
+        estimates.append(quadrature["abs_error_estimate"])
+    return case_header + header, rows, {"quadrature": {
+        "nodes": quadrature["nodes"], "abs_error_estimate": max(estimates)}}
+
+
+def _spectrum_rows(link, spacing):
+    rep = svd_report(make_link(**link), spacing=spacing)
+    rows = [[j, *r] for j, r in enumerate(zip(
+        rep.singular_values, rep.normalized_powers, rep.cumulative_fraction), start=1)]
     return ["index", "singular_value", "normalized_power", "cumulative_fraction"], rows
 
 
-def _svd_compare_rows(fig_id):
-    p = figure_params(fig_id)
-    lo, hi, n = p["theta_R_sweep"]
-    rows = []
-    max_diff = 0
-    for thR in np.linspace(lo, hi, int(n)):
-        link = make_link(p["L_T_m"], p["L_R_m"], p["theta_T"], thR,
-                         p["x0_m"], p["y0_m"], frequency=_F)
-        res = dof(link)
-        if res.m_int is None or res.m_int == 0:
-            m_int, ed = 0, 0
-        else:
-            m_int = res.m_int
-            ed = effective_dof(svd_report(link, spacing=p["spacing"]),
-                               p["threshold"])
-        diff = abs(m_int - ed)
-        max_diff = max(max_diff, diff)
-        rows.append([thR, m_int, ed, diff])
-    rows.append(["max", "", "", max_diff])
-    return ["theta_R", "m_int", "effective_dof", "abs_diff"], rows
-
-
-def _range_study_rows():
-    p = figure_params("fig8")
-    lo, hi, n = p["theta_R_sweep"]
-    rows = []
-    for ratio in p["x0_over_LR"]:
-        x0 = ratio * p["L_R_m"]
-        for thR in np.linspace(lo, hi, int(n)):
-            link = make_link(p["L_T_m"], p["L_R_m"], p["theta_T"], thR,
-                             x0, 0.0, frequency=_F)
-            res = dof(link)
-            m_int = 0 if res.m_int is None else res.m_int
-            rows.append([ratio, thR, res.m_real, m_int, res.visibility.status])
-    return ["x0_over_LR", "theta_R", "m_real", "m_int", "status"], rows
-
-
-def _scenario_ccdf_rows(fig_id, seed):
-    p = figure_params(fig_id)
-    rows = []
-    for R in p["radii"]:
-        cfg = stats.ScenarioConfig(R=R, L_T=p["L_T_m"], L_R=p["L_R_m"],
-                                   frequency=p["frequency_hz"],
-                                   scenario=p["scenario"])
-        grid = np.linspace(0.0, 2.0 * cfg.C, p["grid_points"])
-        curve = stats.ccdf(cfg, grid, mc_samples=p["mc_samples"], seed=seed)
-        for g, d, c, m in zip(curve.grid, curve.pdf, curve.ccdf, curve.mc_ccdf):
-            rows.append([R, g, d, c, m])
-    return ["R", "mu_th", "pdf", "ccdf_analytic", "ccdf_mc"], rows
-
-
-def _conditional_ccdf_rows(seed):
-    p = figure_params("fig10")
-    rows = []
-    for x0, L_R in p["cases"]:
-        cfg = stats.ScenarioConfig(R=20.0, L_T=p["L_T_m"], L_R=L_R,
-                                   frequency=p["frequency_hz"],
-                                   scenario=stats.CONDITIONAL_ON_X0, x0=x0)
-        grid = np.linspace(0.0, 2.0 * cfg.C, p["grid_points"])
-        curve = stats.ccdf(cfg, grid, mc_samples=p["mc_samples"], seed=seed)
-        for g, d, c, m in zip(curve.grid, curve.pdf, curve.ccdf, curve.mc_ccdf):
-            rows.append([x0, L_R, g, d, c, m])
-    return ["x0", "L_R", "mu_th", "pdf", "ccdf_analytic", "ccdf_mc"], rows
-
-
-def _pov_rows():
-    p = figure_params("fig11")
-    x_lo, x_hi, x_n = p["x0_grid"]
-    l_lo, l_hi, l_n = p["L_R_grid"]
-    rows = []
-    for x0 in np.linspace(x_lo, x_hi, int(x_n)):
-        for L_R in np.linspace(l_lo, l_hi, int(l_n)):
-            rows.append([x0, L_R, stats.pov(x0, L_R)])
+def _pov_rows(p):
+    rows = [[x0, L_R, stats.pov(x0, L_R)]
+            for x0 in _grid(p["x0_grid"]) for L_R in _grid(p["L_R_grid"])]
     return ["x0", "L_R", "pov"], rows

@@ -71,10 +71,8 @@ def channel_matrix(link: LinkGeometry, report: Optional[VisibilityReport] = None
         raise ValueError("empty effective segment")
     tx_s = _grid(report.eta_c, report.l_T, spacing)
     rx_s = _grid(report.zeta_c, report.l_R, spacing)
-    tx_dir = np.array([-np.sin(link.tx.rotation), np.cos(link.tx.rotation)])
-    rx_dir = np.array([-np.sin(link.rx.rotation), np.cos(link.rx.rotation)])
-    tx_pts = tx_s[:, None] * tx_dir[None, :]
-    rx_pts = np.asarray(link.rx.center)[None, :] + rx_s[:, None] * rx_dir[None, :]
+    tx_pts = point_on(link.tx, tx_s[:, None])
+    rx_pts = point_on(link.rx, rx_s[:, None])
     diff = rx_pts[:, None, :] - tx_pts[None, :, :]
     r = np.sqrt(np.sum(diff * diff, axis=2))
     if np.any(r == 0.0):

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from nfdof.cli import main
+from nfdof.cli import RunConfig, main
+from nfdof.figures import figure_params
 
 
 def run(capsys, *argv):
@@ -210,6 +211,70 @@ class TestFigureCommand:
     def test_unknown_id_exit_2(self, capsys):
         code, _, err = run(capsys, "figure", "--id", "fig99")
         assert code == 2
+
+    def test_curve_manifest_records_quadrature(self, tmp_path, capsys):
+        out = tmp_path / "fig9b.csv"
+        code, _, err = run(capsys, "figure", "--id", "fig9b", "--out", str(out))
+        assert code == 0 and err == ""
+        manifest = json.loads((tmp_path / "fig9b.csv.manifest.json").read_text())
+        assert manifest["quadrature"]["nodes"] == 48
+        assert 0.0 <= manifest["quadrature"]["abs_error_estimate"] <= 1e-9
+
+    def test_curve_figure_warns_on_large_error_estimate(self, capsys, monkeypatch):
+        from dataclasses import replace
+        from nfdof import statistics as stats
+        real = stats.ccdf
+        monkeypatch.setattr(stats, "ccdf", lambda *a, **k: replace(
+            real(*a, **k), abs_error_estimate=2e-9))
+        code, _, err = run(capsys, "figure", "--id", "fig10")
+        assert code == 0
+        assert "error estimate 2.00e-09" in err
+
+
+def _bindings_config(tmp_path, fig_id, **fields):
+    """Config file holding a recipe's RunConfig-named bindings, its
+    theta_R sweep as the sweep section, and ``fields`` on top."""
+    bindings = figure_params(fig_id)
+    cfg = {k: v for k, v in bindings.items() if k in RunConfig.__dataclass_fields__}
+    if "theta_R_sweep" in bindings:
+        lo, hi, n = bindings["theta_R_sweep"]
+        cfg["sweep"] = {"parameter": "theta_R", "start": lo, "stop": hi, "steps": n}
+    cfg.update(fields)
+    path = tmp_path / f"{fig_id}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _data_rows(out):
+    return [line.split(",") for line in out.strip().split("\n")[1:]]
+
+
+class TestFigureParity:
+    """Commands given a recipe's bindings reproduce its data rows."""
+
+    def test_sweep_reproduces_fig4(self, tmp_path, capsys):
+        _, fig, _ = run(capsys, "figure", "--id", "fig4")
+        code, out, _ = run(capsys, "sweep", "--config",
+                           _bindings_config(tmp_path, "fig4"))
+        assert code == 0
+        assert _data_rows(out) == _data_rows(fig)
+
+    def test_kernel_scan_reproduces_fig3a(self, tmp_path, capsys):
+        _, fig, _ = run(capsys, "figure", "--id", "fig3a")
+        code, out, _ = run(capsys, "kernel-scan", "--config",
+                           _bindings_config(tmp_path, "fig3a"))
+        assert code == 0
+        assert [[r[0], r[3], r[4], r[5]] for r in _data_rows(out)] == _data_rows(fig)
+
+    def test_sweep_reproduces_fig8_block(self, tmp_path, capsys):
+        _, fig, _ = run(capsys, "figure", "--id", "fig8")
+        p = figure_params("fig8")
+        ratio = p["x0_over_LR"][1]
+        code, out, _ = run(capsys, "sweep", "--config", _bindings_config(
+            tmp_path, "fig8", x0_m=ratio * p["L_R_m"]))
+        assert code == 0
+        block = [r[1:] for r in _data_rows(fig) if float(r[0]) == ratio]
+        assert _data_rows(out) == block
 
 
 class TestReproducibility:

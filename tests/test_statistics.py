@@ -311,6 +311,7 @@ class TestDeconditioningCore:
         curve = ccdf(c, np.array([mu]))
         want_pdf, want_cc = oracle.mp_pdf(c, mu), oracle.mp_ccdf(c, mu)
         assert curve.ccdf[0] == pytest.approx(want_cc, abs=1e-9)
+        assert curve.abs_error_estimate <= 1e-9
         # below 1e-18 the full-visibility density at omega -> R scales as
         # (R - omega)^1.5, so one rounding of omega moves it by ~10%
         assert curve.pdf[0] == pytest.approx(want_pdf, rel=1e-6, abs=1e-18)
