@@ -40,8 +40,8 @@ def main(argv=None):
     _, rows = sweep_rows(link, "theta_T", values)
     cols = f"{'theta_T':>9}{'status':>15}{'m_real':>9}{'m_int':>6}"
     if args.svd:
-        _, svd = svd_compare_rows(link, "theta_T", values, None,
-                                  DEFAULT_SUM_RULE_FRACTION)
+        _, svd, _ = svd_compare_rows(link, "theta_T", values, None,
+                                     DEFAULT_SUM_RULE_FRACTION)
         cols += f"{'svd':>5}"
     print(cols)
     for i, (thT, m_real, m_int, status) in enumerate(rows):

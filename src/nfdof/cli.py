@@ -199,17 +199,19 @@ def cmd_sweep(cfg: RunConfig, args):
 
 
 def cmd_svd_compare(cfg: RunConfig, args):
-    header, rows = svd_compare_rows(link_params(vars(cfg)), *_sweep_values(cfg),
-                                    cfg.svd_spacing, cfg.svd_threshold)
+    header, rows, svd_grid = svd_compare_rows(
+        link_params(vars(cfg)), *_sweep_values(cfg), cfg.svd_spacing,
+        cfg.svd_threshold)
     _emit(header, rows, args,
-          _manifest(cfg, "svd-compare", {"threshold": cfg.svd_threshold}))
+          _manifest(cfg, "svd-compare", {"threshold": cfg.svd_threshold,
+                                         "svd_grid": svd_grid}))
     return 0
 
 
 def cmd_kernel_scan(cfg: RunConfig, args):
-    header, rows = kernel_scan_rows(link_params(vars(cfg)), cfg.zeta_ref,
-                                    cfg.n_samples)
-    _emit(header, rows, args, _manifest(cfg, "kernel-scan"))
+    header, rows, kernel = kernel_scan_rows(link_params(vars(cfg)), cfg.zeta_ref,
+                                            cfg.n_samples)
+    _emit(header, rows, args, _manifest(cfg, "kernel-scan", {"kernel": kernel}))
     return 0
 
 

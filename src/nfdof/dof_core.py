@@ -37,7 +37,8 @@ AMPLITUDE_DISTANCE_FACTOR = 1.2
 @dataclass(frozen=True)
 class TaylorCoefficients:
     """Quadratic expansion of the point-to-point distance in the transmit
-    coordinate: r(eta) ~ r0 + rho * eta + rho_tilde * eta**2."""
+    coordinate: r(eta) ~ r0 + rho * eta + rho_tilde * eta**2.  Fields are
+    arrays of the receive offsets' shape when those come as an array."""
 
     rho: float        # first-order slope, equals sin(theta_T - a)
     rho_tilde: float  # half the second derivative, 1/m, >= 0
@@ -80,21 +81,23 @@ def exact_distance(link: LinkGeometry, eta, zeta, eta_c=0.0, zeta_c=0.0):
 
 def taylor_coeffs(link: LinkGeometry, zeta, report: VisibilityReport) -> TaylorCoefficients:
     """Distance-expansion coefficients at receive offset ``zeta``
-    (measured from the effective receive center)."""
+    (measured from the effective receive center), scalar or array."""
     _require_visible(report)
+    zeta = np.asarray(zeta, dtype=float)
     tx_center = point_on(link.tx, report.eta_c)
-    q = point_on(link.rx, report.zeta_c + zeta)
-    d = q - tx_center
-    r0 = float(np.hypot(d[0], d[1]))
-    if r0 == 0.0:
+    q = point_on(link.rx, (report.zeta_c + zeta)[..., None])
+    dx, dy = q[..., 0] - tx_center[0], q[..., 1] - tx_center[1]
+    r0 = np.hypot(dx, dy)
+    if np.any(r0 == 0.0):
         raise ValueError("degenerate geometry: coincident points")
-    a = float(np.arctan2(d[1], d[0]))
+    a = np.arctan2(dy, dx)
     thT = link.tx.rotation
-    rho = float(np.sin(thT - a))
-    n = np.array([np.cos(thT), np.sin(thT)])
-    rho_tilde = float((d @ n) ** 2 / (2.0 * r0 ** 3))
-    gamma = float(np.tan(a))
-    return TaylorCoefficients(rho=rho, rho_tilde=rho_tilde, gamma=gamma, a=a, r0=r0)
+    rho = np.sin(thT - a)
+    rho_tilde = (dx * np.cos(thT) + dy * np.sin(thT)) ** 2 / (2.0 * r0 ** 3)
+    co = (rho, rho_tilde, np.tan(a), a, r0)
+    if zeta.ndim == 0:
+        co = tuple(float(c) for c in co)
+    return TaylorCoefficients(*co)
 
 
 def boundary_angles(link: LinkGeometry, report: VisibilityReport):

@@ -8,13 +8,16 @@ clockwise-positive plots have their receive rotation negated here (the
 physical configuration, and hence all magnitudes, are identical).
 """
 
+import math
+
 import numpy as np
 
 from . import statistics as stats
 from .dof_core import dof
 from .geometry import classify_visibility, make_link
 from .kernel import kernel_farfield, kernel_scan
-from .svd_oracle import effective_dof, svd_report
+from .svd_oracle import (channel_matrix, effective_dof, gram_powers,
+                         singular_spectrum)
 
 __all__ = [
     "FIGURE_IDS", "figure_rows", "figure_params", "link_params",
@@ -121,32 +124,41 @@ def sweep_rows(link, key, values):
 
 
 def svd_compare_rows(link, key, values, spacing, threshold):
-    """(header, rows) of the mode count against the SVD count along a
-    sweep, closed by a ``max`` row; links without modes count 0 for both."""
-    rows = []
+    """(header, rows, grid record) of the mode count against the sum-rule
+    count of the channel matrix along a sweep, closed by a ``max`` row;
+    links without modes count 0 for both.  The record holds the shape of
+    the largest matrix decomposed (0 x 0 without any)."""
+    rows, shape = [], (0, 0)
     for v, lk, res in _swept(link, key, values):
         m_int, ed = 0, 0
         if res.m_int:
             m_int = res.m_int
-            ed = effective_dof(svd_report(lk, spacing=spacing,
-                                          report=res.visibility), threshold)
+            cm = channel_matrix(lk, report=res.visibility, spacing=spacing)
+            shape = max(shape, cm.entries.shape, key=math.prod)
+            ed = effective_dof(gram_powers(cm), threshold)
         rows.append([v, m_int, ed, abs(m_int - ed)])
     rows.append(["max", "", "", max(row[3] for row in rows)])
-    return [key, "m_int", "effective_dof", "abs_diff"], rows
+    return ([key, "m_int", "effective_dof", "abs_diff"], rows,
+            _grid_record(shape))
 
 
 def kernel_scan_rows(link, zeta_ref, n_samples):
-    """(header, rows) of the exact and far-field kernel across the
-    effective receive aperture, with its significant minima flagged."""
+    """(header, rows, kernel record) of the exact and far-field kernel
+    across the effective receive aperture, with its significant minima
+    flagged; the record counts the samples and the sinc-limit ones."""
     lk = make_link(**link)
     rep = classify_visibility(lk)
     scan = kernel_scan(lk, zeta_ref=zeta_ref, n_samples=n_samples, report=rep)
-    minima = set(scan.minima_locations)
-    rows = [[s.zeta, s.value.real, s.value.imag, s.magnitude,
-             abs(kernel_farfield(s.zeta, zeta_ref, lk, rep)),
-             int(s.zeta in minima)] for s in scan.samples]
+    far = np.abs(kernel_farfield(scan.zeta, zeta_ref, lk, rep))
+    is_min = np.zeros(scan.zeta.size, dtype=int)
+    is_min[scan.minima] = 1
+    v = scan.values
+    rows = [list(r) for r in zip(scan.zeta.tolist(), v.real.tolist(),
+                                 v.imag.tolist(), np.abs(v).tolist(),
+                                 far.tolist(), is_min.tolist())]
+    record = {"samples": scan.zeta.size, "sinc_fallback": scan.sinc_fallback}
     return ["zeta", "re", "im", "magnitude", "magnitude_farfield",
-            "is_minimum"], rows
+            "is_minimum"], rows, record
 
 
 def curve_rows(cfg, grid_points, mc_samples, seed):
@@ -168,17 +180,20 @@ def figure_rows(fig_id, seed=0):
     p = figure_params(fig_id)
     link, extra = link_params(p), {}
     if fig_id in _KERNEL_CONFIGS:
-        _, rows = kernel_scan_rows(link, p["zeta_ref"], p["n_samples"])
+        _, rows, kernel = kernel_scan_rows(link, p["zeta_ref"], p["n_samples"])
         header = ["zeta", "magnitude_exact", "magnitude_farfield", "is_minimum"]
         rows = [[r[0], r[3], r[4], r[5]] for r in rows]
+        extra = {"kernel": kernel}
     elif fig_id == "fig4":
         header, rows = sweep_rows(link, "theta_R", _grid(p["theta_R_sweep"]))
     elif fig_id == "fig5":
-        header, rows = _spectrum_rows(link, p["spacing"])
+        header, rows, svd_grid = _spectrum_rows(link, p["spacing"])
+        extra = {"svd_grid": svd_grid}
     elif fig_id in _FIG7_GEOMETRIES:
-        header, rows = svd_compare_rows(link, "theta_R",
-                                        _grid(p["theta_R_sweep"]),
-                                        p["spacing"], p["threshold"])
+        header, rows, svd_grid = svd_compare_rows(
+            link, "theta_R", _grid(p["theta_R_sweep"]), p["spacing"],
+            p["threshold"])
+        extra = {"svd_grid": svd_grid}
     elif fig_id == "fig8":
         rows = []
         for ratio in p["x0_over_LR"]:
@@ -221,11 +236,17 @@ def _curve_family(case_header, cases, p, seed):
         "nodes": quadrature["nodes"], "abs_error_estimate": max(estimates)}}
 
 
+def _grid_record(shape):
+    return {"rows": shape[0], "cols": shape[1]}
+
+
 def _spectrum_rows(link, spacing):
-    rep = svd_report(make_link(**link), spacing=spacing)
+    cm = channel_matrix(make_link(**link), spacing=spacing)
+    rep = singular_spectrum(cm)
     rows = [[j, *r] for j, r in enumerate(zip(
         rep.singular_values, rep.normalized_powers, rep.cumulative_fraction), start=1)]
-    return ["index", "singular_value", "normalized_power", "cumulative_fraction"], rows
+    return (["index", "singular_value", "normalized_power", "cumulative_fraction"],
+            rows, _grid_record(cm.entries.shape))
 
 
 def _pov_rows(p):

@@ -3,6 +3,8 @@
 Kernel evaluation and Monte Carlo funnel through the entry points here
 so that accuracy and reproducibility are controlled in one place:
 
+* ``faddeeva`` -- scaled complementary error function, array-valued,
+  the building block of the aperture kernel's closed form,
 * ``erfi``   -- imaginary error function on the complex plane,
 * ``integrate`` -- adaptive 1D quadrature with an error report, the
   reference the test oracles check fixed-node rules against,
@@ -16,11 +18,11 @@ import mpmath
 from scipy import integrate as _sp_integrate
 from scipy import special as _sp_special
 
-__all__ = ["QuadratureResult", "erfi", "integrate", "sample_stream"]
+__all__ = ["QuadratureResult", "faddeeva", "erfi", "integrate", "sample_stream"]
 
-# erfi arguments beyond this radius are refused outright: the kernel
-# closed form never needs them and silently returning garbage would be
-# worse than an error.
+# erfi arguments beyond this radius are refused outright: erfi grows as
+# exp(|z|^2) off the real line, and silently returning garbage would be
+# worse than an error.  (The kernel uses the bounded ``faddeeva`` form.)
 ERFI_MAX_ABS = 50.0
 
 # When the Faddeeva-based evaluation suffers catastrophic cancellation
@@ -40,11 +42,24 @@ class QuadratureResult:
     converged: bool = True
 
 
+def faddeeva(z):
+    """Faddeeva function w(z) = exp(-z^2) erfc(-i z), elementwise.
+
+    |w(z)| <= 1 on the closed upper half-plane, where the aperture kernel
+    evaluates it; there it stays finite for every finite argument, so no
+    radius is refused.  Raises ``ValueError`` for non-finite input.
+    """
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("faddeeva: non-finite input")
+    return _sp_special.wofz(z)
+
+
 def erfi(z):
     """Imaginary error function Erfi(z) = -i erf(i z) for complex z.
 
     Accurate to better than 1e-10 relative error for |z| <= 5 and well
-    behaved on the rays used by the quadratic-phase kernel closed form.
+    behaved on the exp(3i pi/4) ray inside the supported radius.
     Raises ``ValueError`` for non-finite input or |z| > 50 and
     ``OverflowError`` when the result magnitude exceeds double range.
     """

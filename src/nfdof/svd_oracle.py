@@ -1,10 +1,20 @@
-"""Independent mode count from the SVD of the discretized channel matrix.
+"""Independent mode count from the singular spectrum of the discretized
+channel matrix.
 
 The effective segments of both arrays are sampled on uniform grids, the
 free-space Green's function (exact distances, no expansion) fills the
-channel matrix, and the number of effective modes is read off the
+channel matrix H, and the number of effective modes is read off the
 singular-value sum rule: the smallest number of leading modes holding a
-given fraction of the total singular power.
+given fraction of the total singular power ||H||_F^2.
+
+Two decompositions serve two kinds of caller.  A count needs only the
+total and the leading powers, so ``gram_powers`` takes the powers from
+the eigenvalues of the smaller Gram matrix (H^H H or H H^H), which costs
+a third of an SVD.  Squaring the condition number leaves the tail of
+those powers at rounding level (below ~1e-7 of the first one they may be
+off by orders of magnitude), so every caller that reports the spectrum
+itself uses ``singular_spectrum``, the SVD, which is also the tests'
+oracle for the count.
 """
 
 from dataclasses import dataclass
@@ -16,9 +26,9 @@ from .dof_core import _require_visible
 from .geometry import LinkGeometry, VisibilityReport, classify_visibility, point_on
 
 __all__ = [
-    "ChannelMatrix", "SvdReport",
-    "green", "channel_matrix", "singular_spectrum", "effective_dof",
-    "svd_report",
+    "ChannelMatrix", "SvdReport", "ModePowers",
+    "green", "channel_matrix", "singular_spectrum", "gram_powers",
+    "effective_dof", "svd_report",
 ]
 
 DEFAULT_SUM_RULE_FRACTION = 0.96
@@ -37,6 +47,12 @@ class SvdReport:
     singular_values: np.ndarray
     normalized_powers: np.ndarray     # |s_j|^2 / |s_1|^2
     cumulative_fraction: np.ndarray   # running share of sum |s_j|^2
+
+
+@dataclass(frozen=True)
+class ModePowers:
+    normalized_powers: np.ndarray     # |s_j|^2 / |s_1|^2, leading ones exact
+    cumulative_fraction: np.ndarray   # running share of ||H||_F^2
 
 
 def green(point_t, point_r, k):
@@ -73,12 +89,21 @@ def channel_matrix(link: LinkGeometry, report: Optional[VisibilityReport] = None
     rx_s = _grid(report.zeta_c, report.l_R, spacing)
     tx_pts = point_on(link.tx, tx_s[:, None])
     rx_pts = point_on(link.rx, rx_s[:, None])
-    diff = rx_pts[:, None, :] - tx_pts[None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=2))
+    # r = sqrt(dx^2 + dy^2) and H = exp(-j k r) / (4 pi r), evaluated in
+    # place: the same roundings with fewer full-size temporaries
+    r = rx_pts[:, 0, None] - tx_pts[None, :, 0]
+    dy = rx_pts[:, 1, None] - tx_pts[None, :, 1]
+    r *= r
+    dy *= dy
+    r += dy
+    np.sqrt(r, out=r)
     if np.any(r == 0.0):
         raise ValueError("channel_matrix: coincident sample points")
     k = 2.0 * np.pi / link.wavelength
-    H = np.exp(-1j * k * r) / (4.0 * np.pi * r)
+    H = -1j * k * r
+    np.exp(H, out=H)
+    r *= 4.0 * np.pi
+    H /= r
     return ChannelMatrix(entries=H, tx_points=tx_s, rx_points=rx_s,
                          spacing=float(spacing))
 
@@ -98,9 +123,24 @@ def singular_spectrum(matrix: ChannelMatrix) -> SvdReport:
     )
 
 
-def effective_dof(report: SvdReport, fraction=DEFAULT_SUM_RULE_FRACTION):
+def gram_powers(matrix: ChannelMatrix) -> ModePowers:
+    """Descending singular powers from the eigenvalues of the smaller Gram
+    matrix, as shares of its trace ||H||_F^2; enough for the sum-rule
+    count, not for the spectrum's tail (see the module docstring)."""
+    H = matrix.entries
+    if H.size == 0:
+        raise ValueError("gram_powers: empty matrix")
+    G = H.conj().T @ H if H.shape[0] >= H.shape[1] else H @ H.conj().T
+    # rounding can leave the smallest eigenvalues slightly negative
+    p = np.maximum(np.linalg.eigvalsh(G)[::-1], 0.0)
+    return ModePowers(normalized_powers=p / p[0],
+                      cumulative_fraction=np.cumsum(p) / np.trace(G).real)
+
+
+def effective_dof(report, fraction=DEFAULT_SUM_RULE_FRACTION):
     """Smallest k whose leading-k cumulative singular power reaches
-    ``fraction`` of the sum rule."""
+    ``fraction`` of the sum rule; ``report`` is an ``SvdReport`` or a
+    ``ModePowers``."""
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must be in (0, 1)")
     return int(np.searchsorted(report.cumulative_fraction, fraction) + 1)

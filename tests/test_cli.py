@@ -135,6 +135,22 @@ class TestSvdCompareCommand:
         max_diff = int(lines[-1].split(",")[-1])
         assert max_diff <= 1
 
+    def test_manifest_records_largest_grid(self, tmp_path, capsys):
+        """The default link at theta_T = 0 is the largest matrix; facing
+        away (theta_T = pi) it has no modes and no matrix."""
+        for start, grid in ((0.0, {"rows": 2001, "cols": 81}),
+                            (math.pi, {"rows": 0, "cols": 0})):
+            cfgfile = tmp_path / "run.json"
+            cfgfile.write_text(json.dumps({
+                "sweep": {"parameter": "theta_T", "start": start,
+                          "stop": math.pi, "steps": 2}}))
+            out = tmp_path / "svd.csv"
+            code, _, _ = run(capsys, "svd-compare", "--config", str(cfgfile),
+                             "--out", str(out))
+            assert code == 0
+            manifest = json.loads((tmp_path / "svd.csv.manifest.json").read_text())
+            assert manifest["svd_grid"] == grid
+
 
 class TestKernelScanCommand:
     def test_columns_and_minima(self, capsys):
@@ -145,6 +161,33 @@ class TestKernelScanCommand:
         assert len(lines) == 1025
         n_minima = sum(int(l.split(",")[-1]) for l in lines[1:])
         assert n_minima == 8
+
+    @pytest.mark.parametrize("flags", [
+        ("--theta-t", "0.3"),
+        ("--theta-r", "3.0"),
+        ("--theta-t", "0.3", "--theta-r", "3.0", "--y0", "1"),
+        ("--x0", "100"),
+        ("--l-t", "2", "--x0", "10"),
+    ])
+    def test_rotated_and_distant_links_scan(self, capsys, flags):
+        """Links whose error-function arguments once exceeded |z| = 50."""
+        code, out, err = run(capsys, "kernel-scan", *flags)
+        assert code == 0, err
+        assert len(out.strip().split("\n")) == 1025
+
+    def test_manifest_records_kernel(self, tmp_path, capsys):
+        """With an odd sample count the centre sample is the reference
+        point itself, the one sample taken in the sinc limit."""
+        for n_samples, sinc in ((1024, 0), (257, 1)):
+            cfgfile = tmp_path / "run.json"
+            cfgfile.write_text(json.dumps({"n_samples": n_samples}))
+            out = tmp_path / "k.csv"
+            code, _, _ = run(capsys, "kernel-scan", "--config", str(cfgfile),
+                             "--out", str(out))
+            assert code == 0
+            manifest = json.loads((tmp_path / "k.csv.manifest.json").read_text())
+            assert manifest["kernel"] == {"samples": n_samples,
+                                          "sinc_fallback": sinc}
 
 
 class TestStatsCommand:
@@ -211,6 +254,17 @@ class TestFigureCommand:
     def test_unknown_id_exit_2(self, capsys):
         code, _, err = run(capsys, "figure", "--id", "fig99")
         assert code == 2
+
+    def test_kernel_and_spectrum_manifests(self, tmp_path, capsys):
+        for fig_id, key, record in (
+                ("fig3a", "kernel", {"samples": 1024, "sinc_fallback": 0}),
+                ("fig5", "svd_grid", {"rows": 1001, "cols": 41})):
+            out = tmp_path / f"{fig_id}.csv"
+            code, _, _ = run(capsys, "figure", "--id", fig_id, "--out", str(out))
+            assert code == 0
+            manifest = json.loads(
+                (tmp_path / f"{fig_id}.csv.manifest.json").read_text())
+            assert manifest[key] == record
 
     def test_curve_manifest_records_quadrature(self, tmp_path, capsys):
         out = tmp_path / "fig9b.csv"

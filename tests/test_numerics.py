@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sp_stats
 
-from nfdof.numerics import erfi, integrate, sample_stream
+from nfdof.numerics import erfi, faddeeva, integrate, sample_stream
 
 
 def erfi_series_oracle(z, terms=120, dps=50):
@@ -47,7 +47,7 @@ class TestErfi:
         assert worst <= 1e-10
 
     def test_kernel_ray_large_arguments(self):
-        # the closed-form kernel evaluates erfi on the exp(3i pi/4) ray
+        # finite and bounded on the exp(3i pi/4) ray inside the radius
         for x in (10.0, 30.0, 46.0):
             val = erfi(np.exp(3j * np.pi / 4) * x)
             assert np.isfinite(val.real) and np.isfinite(val.imag)
@@ -80,6 +80,28 @@ class TestErfi:
     def test_overflow_reported(self):
         with pytest.raises(OverflowError):
             erfi(30.0)
+
+
+class TestFaddeeva:
+    def test_against_mpmath_upper_half_plane(self):
+        """Elementwise, including the far arguments of the kernel's
+        far field where erfi itself would overflow."""
+        rng = np.random.default_rng(4)
+        radii = 10.0 ** rng.uniform(-3, 9, 200)
+        angles = rng.uniform(0.0, np.pi, 200)
+        z = radii * np.exp(1j * angles)
+        got = faddeeva(z)
+        assert got.shape == z.shape
+        with mpmath.workdps(30):
+            for zi, wi in zip(z, got):
+                zz = mpmath.mpc(zi.real, zi.imag)
+                ref = complex(mpmath.exp(-zz * zz) * mpmath.erfc(-1j * zz))
+                assert abs(wi - ref) <= 1e-13 * abs(ref)
+                assert abs(wi) <= 1.0
+
+    def test_non_finite_input(self):
+        with pytest.raises(ValueError):
+            faddeeva(np.array([1.0, float("nan")]))
 
 
 class TestIntegrate:

@@ -7,8 +7,10 @@ import pytest
 
 from nfdof.dof_core import dof
 from nfdof.geometry import classify_visibility, make_link
+from nfdof.geometry import FULL, PARTIAL_RX, PARTIAL_TX
 from nfdof.svd_oracle import (
-    channel_matrix, effective_dof, green, singular_spectrum, svd_report,
+    channel_matrix, effective_dof, gram_powers, green, singular_spectrum,
+    svd_report,
 )
 
 F = 30e9
@@ -165,3 +167,51 @@ class TestEffectiveDof:
             res = dof(lk)
             ed = effective_dof(svd_report(lk))
             assert abs(ed - res.m_int) <= 1, (thT, thR, ed, res.m_int)
+
+
+def seeded_links(n, seed=31):
+    """Visible links with the receiver facing the transmitter, L_T 0.2 or
+    0.5 m, centre distance between 1.2 (L_T + L_R) and 20 m."""
+    rng = np.random.default_rng(seed)
+    links = []
+    while len(links) < n:
+        L_T = (0.2, 0.5)[len(links) % 2]
+        L_R = rng.uniform(1.0, 5.0)
+        d = rng.uniform(1.2 * (L_T + L_R), 20.0)
+        phi = rng.uniform(-np.pi, np.pi)
+        lk = make_link(L_T, L_R, rng.uniform(-np.pi, np.pi), phi + np.pi,
+                       d * np.cos(phi), d * np.sin(phi), frequency=F)
+        if classify_visibility(lk).status in (FULL, PARTIAL_RX, PARTIAL_TX):
+            links.append(lk)
+    return links
+
+
+class TestGramPowers:
+    """The sum-rule count from Gram eigenvalues against the SVD oracle."""
+
+    def test_count_and_leading_powers_match_svd(self):
+        reference = make_link(0.2, 5.0, np.pi / 2, -np.deg2rad(53), -5.0, 5.0,
+                              frequency=F)
+        cases = [(reference, LAMBDA / 2)] + [(lk, None) for lk in seeded_links(30)]
+        for lk, spacing in cases:
+            cm = channel_matrix(lk, spacing=spacing)
+            svd, gram = singular_spectrum(cm), gram_powers(cm)
+            for fraction in (0.96, 0.99):
+                assert effective_dof(gram, fraction) == effective_dof(svd, fraction)
+            lead = effective_dof(svd) + 2
+            assert gram.normalized_powers[:lead] == pytest.approx(
+                svd.normalized_powers[:lead], abs=1e-10)
+            assert gram.cumulative_fraction[:lead] == pytest.approx(
+                svd.cumulative_fraction[:lead], abs=1e-10)
+
+    def test_wide_matrix_uses_the_smaller_gram(self):
+        # more transmit than receive samples: H H^H is the smaller Gram
+        lk = make_link(0.5, 0.3, 0.0, np.pi, 3.0, 0.0, frequency=F)
+        cm = channel_matrix(lk)
+        assert cm.entries.shape[0] < cm.entries.shape[1]
+        gram = gram_powers(cm)
+        assert gram.normalized_powers.size == cm.entries.shape[0]
+        svd = singular_spectrum(cm)
+        assert effective_dof(gram) == effective_dof(svd)
+        assert gram.normalized_powers[:5] == pytest.approx(
+            svd.normalized_powers[:5], abs=1e-10)
