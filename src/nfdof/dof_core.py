@@ -24,7 +24,7 @@ from .geometry import LinkGeometry, VisibilityReport, classify_visibility, point
 
 __all__ = [
     "TaylorCoefficients", "DofResult",
-    "exact_distance", "taylor_coeffs", "boundary_angles", "mode_indices",
+    "exact_distance", "taylor_coeffs", "boundary_angles",
     "dof", "dof_full_visibility_closed_form", "fraunhofer_distance",
     "minima_lattice_count",
 ]
@@ -118,17 +118,6 @@ def boundary_angles(link: LinkGeometry, report: VisibilityReport):
     return a_plus, a_minus, a_zero, rho_c
 
 
-def mode_indices(link: LinkGeometry, report: VisibilityReport, angles=None):
-    """Mode indices at the effective receive endpoints.  ``angles`` is a
-    ``boundary_angles`` result to reuse instead of recomputing it."""
-    a_plus, a_minus, _, rho_c = angles or boundary_angles(link, report)
-    thT = link.tx.rotation
-    scale = report.l_T / link.wavelength
-    m_plus = scale * (np.sin(thT - a_plus) - rho_c)
-    m_minus = scale * (np.sin(thT - a_minus) - rho_c)
-    return float(m_plus), float(m_minus)
-
-
 def dof(link: LinkGeometry, report: Optional[VisibilityReport] = None) -> DofResult:
     """Full DoF evaluation: visibility -> boundary angles -> mode count."""
     if report is None:
@@ -145,8 +134,10 @@ def dof(link: LinkGeometry, report: Optional[VisibilityReport] = None) -> DofRes
         return DofResult(0.0, 0, nan, nan, nan, nan, nan, nan, report, warnings)
     if report.status == geometry.TOUCHING:
         return DofResult(nan, None, nan, nan, nan, nan, nan, nan, report, warnings)
-    angles = a_plus, a_minus, a_zero, rho_c = boundary_angles(link, report)
-    m_plus, m_minus = mode_indices(link, report, angles)
+    a_plus, a_minus, a_zero, rho_c = boundary_angles(link, report)
+    thT, scale = link.tx.rotation, report.l_T / link.wavelength
+    m_plus = float(scale * (np.sin(thT - a_plus) - rho_c))
+    m_minus = float(scale * (np.sin(thT - a_minus) - rho_c))
     m_real = abs(m_plus - m_minus) + 1.0
     m_int = int(round(m_real))
     return DofResult(m_real, m_int, m_plus, m_minus, a_plus, a_minus, a_zero,

@@ -9,20 +9,42 @@ Conventions
 * Each array radiates/receives only into the half-plane on the side of
   its unit normal ``n = (cos(theta), sin(theta))``.
 * The transmit array is centered at the origin; the receive array center
-  is at ``(x0, y0)``.
+  is at ``c = (x0, y0)``.
 
 Visibility between the two segments is classified as full, partial (one
 endpoint of one array visible), touching (the segments intersect), or
-none.  For partial cases the visible sub-segment is reported through its
+none.  The classification reads only four signed endpoint distances.
+With ``a = n_T . c``, ``b = -n_R . c`` and ``s = sin(theta_T - theta_R)``,
+
+    d(R+/-) = a +/- (L_R / 2) s    receive endpoint ahead of the transmit line
+    d(T+/-) = b -/+ (L_T / 2) s    transmit endpoint ahead of the receive line
+
+* touching: each line meets the other segment, d(T+) d(T-) <= 0 and
+  d(R+) d(R-) <= 0;
+* partial-tx: the receive line crosses the transmit segment,
+  d(T+) d(T-) < 0, and a > 0; the endpoint with d(T+/-) > 0 is visible
+  (partial-rx is the mirror case, with b > 0);
+* full: a > 0 and b > 0; anything else is no visibility.
+
+Parallel lines give d(T+) = d(T-) and d(R+) = d(R-), so they need no
+branch of their own.  Every sign comes from one predicate: a distance
+within ``8 * 2**-52 * (|x0| + |y0| + (L_T + L_R) / 2)`` of zero, the
+rounding level of its terms, counts as zero, so a decision never rests
+on rounding noise.  When all four distances are zero the segments are
+collinear, and they touch if they overlap (``d0 <= (L_T + L_R) / 2``)
+and see nothing otherwise.
+
+For partial cases the visible sub-segment is reported through its
 effective length and its signed center offset along the array, measured
-in the same ``s`` coordinate as above.  All signed quantities follow the
-parametric convention: ``zeta_i``/``eta_i`` are the coordinates of the
-line intersection point on the receive/transmit array, so the visible
-receive interval is ``[-L_R/2, zeta_i]`` when the ``R-`` endpoint is
-visible and ``[zeta_i, L_R/2]`` when ``R+`` is visible.
+in the same ``s`` coordinate as above.  ``zeta_i``/``eta_i`` are the
+coordinates of the line intersection point on the receive/transmit
+array, so the visible receive interval is ``[-L_R/2, zeta_i]`` when the
+``R-`` endpoint is visible and ``[zeta_i, L_R/2]`` when ``R+`` is
+visible.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -31,9 +53,8 @@ from .constants import wavelength_from_frequency
 
 __all__ = [
     "FULL", "NO_VISIBILITY", "PARTIAL_TX", "PARTIAL_RX", "TOUCHING",
-    "ArrayGeometry", "LinkGeometry", "IntersectionParams", "VisibilityReport",
-    "wrap_angle", "cross2", "endpoints", "direction", "normal",
-    "intersection_params", "intersection_point", "classify_visibility",
+    "ArrayGeometry", "LinkGeometry", "VisibilityReport",
+    "wrap_angle", "endpoints", "direction", "normal", "classify_visibility",
     "make_link",
 ]
 
@@ -43,8 +64,9 @@ PARTIAL_TX = "partial-tx"
 PARTIAL_RX = "partial-rx"
 TOUCHING = "touching"
 
-# below this, sin(theta_T - theta_R) is treated as zero (parallel lines)
-EPS_ANGLE = 1e-12
+# half-width of the zero band of a signed distance, per metre of
+# |x0| + |y0| + (L_T + L_R) / 2: eight units of rounding
+_ZERO_BAND = 8 * 2.0 ** -52
 
 
 def wrap_angle(theta):
@@ -53,11 +75,6 @@ def wrap_angle(theta):
     if w == -np.pi:
         w = np.pi
     return float(w)
-
-
-def cross2(u, v):
-    """z-component of the cross product of two 2D vectors."""
-    return u[0] * v[1] - u[1] * v[0]
 
 
 @dataclass(frozen=True)
@@ -131,21 +148,6 @@ def make_link(L_T, L_R, theta_T, theta_R, x0, y0, wavelength=None, frequency=Non
 
 
 @dataclass(frozen=True)
-class IntersectionParams:
-    """Line-line intersection parameters along each array.
-
-    ``beta_P`` parameterizes the transmit line from the - endpoint
-    (``beta_P = 0``) to the + endpoint (``beta_P = 1``); ``delta_P``
-    does the same for the receive line.  ``parallel`` marks the
-    degenerate case in which both are meaningless.
-    """
-
-    beta_P: float
-    delta_P: float
-    parallel: bool
-
-
-@dataclass(frozen=True)
 class VisibilityReport:
     """Visibility classification plus the effective array segments."""
 
@@ -157,37 +159,6 @@ class VisibilityReport:
     zeta_c: float = 0.0
     eta_i: Optional[float] = None
     zeta_i: Optional[float] = None
-    intersection: Optional[Tuple[float, float]] = None
-    params: Optional[IntersectionParams] = None
-
-
-def intersection_params(link: LinkGeometry) -> IntersectionParams:
-    """beta_P / delta_P of the supporting-line intersection."""
-    thT, thR = link.tx.rotation, link.rx.rotation
-    x0, y0 = link.rx.center
-    sd = np.sin(thT - thR)
-    if abs(sd) < EPS_ANGLE:
-        return IntersectionParams(np.inf, np.inf, True)
-    delta_P = 0.5 - (x0 * np.cos(thT) + y0 * np.sin(thT)) / (link.rx.length * sd)
-    beta_P = 0.5 - (x0 * np.cos(thR) + y0 * np.sin(thR)) / (link.tx.length * sd)
-    return IntersectionParams(float(beta_P), float(delta_P), False)
-
-
-def intersection_point(link: LinkGeometry, params: Optional[IntersectionParams] = None):
-    """Intersection point P of the two supporting lines.
-
-    Returns ``(P, zeta_i, eta_i)`` where ``zeta_i`` / ``eta_i`` are the
-    signed coordinates of P along the receive / transmit array (positive
-    toward the + endpoint).  Raises for parallel lines.
-    """
-    if params is None:
-        params = intersection_params(link)
-    if params.parallel:
-        raise ValueError("intersection_point: lines are parallel")
-    zeta_i = (params.delta_P - 0.5) * link.rx.length
-    eta_i = (params.beta_P - 0.5) * link.tx.length
-    P = point_on(link.rx, zeta_i)
-    return (float(P[0]), float(P[1])), float(zeta_i), float(eta_i)
 
 
 def _partial_segment(L, s_i, plus_visible):
@@ -202,68 +173,44 @@ def _partial_segment(L, s_i, plus_visible):
 
 
 def classify_visibility(link: LinkGeometry) -> VisibilityReport:
-    """Classify mutual visibility and compute the effective segments.
-
-    The decision tree follows the half-plane/line-intersection procedure:
-    intersecting segments are "touching"; when the intersection misses
-    both segments the link is fully visible iff each array's counterpart
-    center lies in its radiating half-plane; when the intersection lies
-    inside exactly one segment, that array is partially visible and the
-    sign of two auxiliary cross products picks the visible endpoint.  A
-    partial branch in which neither endpoint check passes means the
-    candidate endpoint is behind the other array's radiating side, i.e.
-    no visibility.
-    """
+    """Classify mutual visibility and compute the effective segments from
+    the signs of the four endpoint distances (see the module docstring)."""
     thT, thR = link.tx.rotation, link.rx.rotation
     LT, LR = link.tx.length, link.rx.length
     x0, y0 = link.rx.center
-    c = np.array([x0, y0])
+    sd = math.sin(thT - thR)
+    a = x0 * math.cos(thT) + y0 * math.sin(thT)
+    b = -(x0 * math.cos(thR) + y0 * math.sin(thR))
+    tol = _ZERO_BAND * (abs(x0) + abs(y0) + 0.5 * (LT + LR))
 
-    params = intersection_params(link)
-    # array vectors (from + endpoint to - endpoint, scaled by length)
-    t = np.array([LT * np.sin(thT), -LT * np.cos(thT)])
-    r = np.array([LR * np.sin(thR), -LR * np.cos(thR)])
-    t_x_c = cross2(t, c)
-    r_x_mc = cross2(r, -c)
+    def sign(d):
+        return (d > tol) - (d < -tol)
 
-    if params.parallel:
-        P = zeta_i = eta_i = None
-    else:
-        P, zeta_i, eta_i = intersection_point(link, params)
-
-    def report(status, endpoint=None, l_T=0.0, l_R=0.0, eta_c=0.0, zeta_c=0.0):
-        return VisibilityReport(
-            status=status, visible_endpoint=endpoint,
-            l_T=l_T, l_R=l_R, eta_c=eta_c, zeta_c=zeta_c,
-            eta_i=eta_i, zeta_i=zeta_i, intersection=P, params=params,
-        )
-
-    bP, dP = params.beta_P, params.delta_P
-    if not params.parallel and 0.0 <= bP <= 1.0 and 0.0 <= dP <= 1.0:
-        return report(TOUCHING)
-
-    if not params.parallel and 0.0 < bP < 1.0:
-        # the receive line crosses the transmit segment: partial Tx
-        Tp, Tm = endpoints(link.tx)
-        if t_x_c > 0 and cross2(r, Tm - c) > 0:
-            l_T, eta_c = _partial_segment(LT, eta_i, plus_visible=False)
-            return report(PARTIAL_TX, "T-", l_T=l_T, l_R=LR, eta_c=eta_c)
-        if t_x_c > 0 and cross2(r, Tp - c) > 0:
-            l_T, eta_c = _partial_segment(LT, eta_i, plus_visible=True)
-            return report(PARTIAL_TX, "T+", l_T=l_T, l_R=LR, eta_c=eta_c)
-        return report(NO_VISIBILITY)
-
-    if not params.parallel and 0.0 < dP < 1.0:
-        # the transmit line crosses the receive segment: partial Rx
-        Rp, Rm = endpoints(link.rx)
-        if r_x_mc > 0 and cross2(t, Rm) > 0:
-            l_R, zeta_c = _partial_segment(LR, zeta_i, plus_visible=False)
-            return report(PARTIAL_RX, "R-", l_T=LT, l_R=l_R, zeta_c=zeta_c)
-        if r_x_mc > 0 and cross2(t, Rp) > 0:
-            l_R, zeta_c = _partial_segment(LR, zeta_i, plus_visible=True)
-            return report(PARTIAL_RX, "R+", l_T=LT, l_R=l_R, zeta_c=zeta_c)
-        return report(NO_VISIBILITY)
-
-    if t_x_c > 0 and r_x_mc > 0:
-        return report(FULL, l_T=LT, l_R=LR)
-    return report(NO_VISIBILITY)
+    r_plus, r_minus = sign(a + 0.5 * LR * sd), sign(a - 0.5 * LR * sd)
+    t_plus, t_minus = sign(b - 0.5 * LT * sd), sign(b + 0.5 * LT * sd)
+    if r_plus == r_minus == t_plus == t_minus == 0:
+        overlap = math.hypot(x0, y0) <= 0.5 * (LT + LR)
+        return VisibilityReport(TOUCHING if overlap else NO_VISIBILITY)
+    crosses_tx, crosses_rx = t_plus * t_minus, r_plus * r_minus
+    if crosses_tx <= 0 and crosses_rx <= 0:
+        return VisibilityReport(TOUCHING)
+    if crosses_tx < 0 or crosses_rx < 0:
+        # one line crosses the other segment (sd != 0 here); the crossing
+        # coordinates go through the line parameter 0.5 + q (0 at the -
+        # endpoint, 1 at the + one), the rounding the CLI outputs carry
+        eta_i = ((0.5 + b / (LT * sd)) - 0.5) * LT
+        zeta_i = ((0.5 - a / (LR * sd)) - 0.5) * LR
+        if crosses_tx < 0 and sign(a) > 0:
+            l_T, eta_c = _partial_segment(LT, eta_i, t_plus > 0)
+            return VisibilityReport(PARTIAL_TX, "T+" if t_plus > 0 else "T-",
+                                    l_T=l_T, l_R=LR, eta_c=eta_c,
+                                    eta_i=eta_i, zeta_i=zeta_i)
+        if crosses_rx < 0 and sign(b) > 0:
+            l_R, zeta_c = _partial_segment(LR, zeta_i, r_plus > 0)
+            return VisibilityReport(PARTIAL_RX, "R+" if r_plus > 0 else "R-",
+                                    l_T=LT, l_R=l_R, zeta_c=zeta_c,
+                                    eta_i=eta_i, zeta_i=zeta_i)
+        return VisibilityReport(NO_VISIBILITY)
+    if sign(a) > 0 and sign(b) > 0:
+        return VisibilityReport(FULL, l_T=LT, l_R=LR)
+    return VisibilityReport(NO_VISIBILITY)

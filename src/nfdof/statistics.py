@@ -20,7 +20,7 @@ branch.  With a = arctan(L_R / 2 x0):
 For a threshold mu the conditional laws switch on and off at two axis
 distances with closed forms (h = L_R / 2):
 
-    omega(mu) = h sqrt((2C - mu) / mu)              (= x_max_of_rho)
+    omega(mu) = h sqrt((2C - mu) / mu)
     psi(mu)   = h sqrt((2C - mu)(2C + mu)) / mu
 
 Under full visibility mu is always exceeded for x0 < omega and never for
@@ -52,7 +52,7 @@ from .numerics import sample_stream
 __all__ = [
     "PARTIAL_R_PLUS", "PARTIAL_R_MINUS", "FULL_VISIBILITY", "CONDITIONAL_ON_X0",
     "ScenarioConfig", "DistributionCurve",
-    "pdf_x0", "x_max_of_rho", "pdf", "pdf_rho_minus",
+    "pdf_x0", "pdf", "pdf_rho_minus",
     "pdf_m_partial_rplus", "pdf_m_partial_rminus",
     "pdf_m_full_conditional", "pdf_m_full", "pdf_m_conditional",
     "pov", "ccdf", "monte_carlo", "excess_dof_branches",
@@ -124,15 +124,6 @@ def pdf_x0(x0, R):
     if not (0.0 <= x0 <= R):
         raise ValueError("x0 must lie in [0, R]")
     return float(4.0 * np.sqrt(R * R - x0 * x0) / (np.pi * R * R))
-
-
-def x_max_of_rho(rho, L_R):
-    """Largest axis distance at which a partial branch can produce slope
-    difference rho: L_R / (2 tan((arcsin rho + pi/2) / 2))."""
-    t = np.tan((np.arcsin(rho) + np.pi / 2.0) / 2.0)
-    if t <= 0.0:
-        return np.inf
-    return float(L_R / (2.0 * t))
 
 
 # ---------------------------------------------------------------------------

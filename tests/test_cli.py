@@ -109,6 +109,19 @@ class TestSweepCommand:
         assert len(lines) == 6
         assert lines[3].split(",")[0] == "0"
 
+    def test_x0_sweep_through_collinear_overlap(self, tmp_path, capsys):
+        """At x0 = 0 the default link's arrays lie on one line and overlap."""
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({
+            "sweep": {"parameter": "x0", "start": -10, "stop": 10, "steps": 5}}))
+        code, out, _ = run(capsys, "sweep", "--config", str(cfgfile))
+        lines = out.strip().split("\n")
+        assert code == 0
+        assert lines[0] == "x0,m_real,m_int,status"
+        assert lines[3] == "0,nan,0,touching"
+        assert lines[1].endswith(",no-visibility")
+        assert lines[5].endswith(",11,full")
+
     def test_unknown_parameter_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps({

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from nfdof import geometry
 from nfdof.dof_core import (
     boundary_angles, dof, dof_full_visibility_closed_form, exact_distance,
-    fraunhofer_distance, minima_lattice_count, mode_indices, taylor_coeffs,
+    fraunhofer_distance, minima_lattice_count, taylor_coeffs,
 )
 from nfdof.geometry import classify_visibility, make_link
 
@@ -100,10 +100,9 @@ class TestBoundaryAngles:
 
 class TestModeIndices:
     def test_paraxial(self):
-        lk = link()
-        m_plus, m_minus = mode_indices(lk, classify_visibility(lk))
-        assert m_plus == pytest.approx(+4.85071250072666, rel=1e-12)
-        assert m_minus == pytest.approx(-4.85071250072666, rel=1e-12)
+        res = dof(link())
+        assert res.m_plus == pytest.approx(+4.85071250072666, rel=1e-12)
+        assert res.m_minus == pytest.approx(-4.85071250072666, rel=1e-12)
 
 
 class TestDof:
