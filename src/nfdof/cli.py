@@ -27,6 +27,8 @@ from .geometry import make_link
 
 SWEEPABLE = ("theta_T", "theta_R", "x0", "y0", "L_T", "L_R", "frequency")
 ANGLE_KEYS = ("theta_T", "theta_R")
+FLOAT_FLAGS = ("--frequency-hz", "--l-t", "--l-r", "--x0", "--y0", "--theta-t",
+               "--theta-r")
 # CCDF error estimate above which ``stats`` and the curve figures warn
 QUADRATURE_WARN_ABS = 1e-9
 
@@ -282,21 +284,35 @@ def _build_parser():
         p.add_argument("--seed", type=int)
         p.add_argument("--deg", action="store_true",
                        help="interpret angle inputs in degrees")
-        p.add_argument("--frequency-hz", type=float)
-        p.add_argument("--l-t", type=float)
-        p.add_argument("--l-r", type=float)
-        p.add_argument("--x0", type=float)
-        p.add_argument("--y0", type=float)
-        p.add_argument("--theta-t", type=float)
-        p.add_argument("--theta-r", type=float)
+        for flag in FLOAT_FLAGS:
+            p.add_argument(flag, type=float)
         if name == "figure":
             p.add_argument("--id", required=True)
     return parser
 
 
+def _join_float_values(argv):
+    """``--x0 -1e-3`` as ``--x0=-1e-3``: argparse takes a token that starts
+    with '-' and is not a plain decimal (an exponent, ``-inf``) for an
+    option, so a float flag's value is attached to the flag instead."""
+    out = []
+    for token in argv:
+        if out and out[-1] in FLOAT_FLAGS and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_float_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         cfg = _load_config(args.config) if args.config else RunConfig()
         cfg = _apply_flags(cfg, args)

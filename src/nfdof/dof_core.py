@@ -11,6 +11,14 @@ effective endpoints gives ``m_plus`` and ``m_minus`` and
 
 All angles ``a`` are measured from the effective transmit center to the
 receive point, quadrant-correct.
+
+``dof_arrays`` evaluates the count for every link of a ``LinkArrays`` at
+once: ``classify_arrays`` for the visibility, then the boundary angles,
+``rho_c``, ``m_plus``/``m_minus``, ``m_real`` and ``m_int`` as numpy
+expressions over the whole arrays.  A sweep is one call.  The scalar
+``dof`` runs the same mode-span expressions on one link, after the
+scalar ``classify_visibility``, so the count has one path and every
+link's numbers are bitwise those of the sweep.
 """
 
 import math
@@ -20,12 +28,13 @@ from typing import List, Optional
 import numpy as np
 
 from . import geometry
-from .geometry import LinkGeometry, VisibilityReport, classify_visibility, point_on
+from .geometry import (LinkArrays, LinkGeometry, VisibilityArrays, VisibilityReport,
+                       classify_arrays, classify_visibility, point_on)
 
 __all__ = [
-    "TaylorCoefficients", "DofResult",
-    "exact_distance", "taylor_coeffs", "boundary_angles",
-    "dof", "dof_full_visibility_closed_form", "fraunhofer_distance",
+    "TaylorCoefficients", "DofResult", "DofArrays",
+    "exact_distance", "taylor_coeffs", "dof", "dof_arrays",
+    "dof_full_visibility_closed_form", "fraunhofer_distance",
     "minima_lattice_count",
 ]
 
@@ -100,28 +109,49 @@ def taylor_coeffs(link: LinkGeometry, zeta, report: VisibilityReport) -> TaylorC
     return TaylorCoefficients(*co)
 
 
-def boundary_angles(link: LinkGeometry, report: VisibilityReport):
-    """Angles from the effective transmit center to the effective receive
-    endpoints and center: (a_plus, a_minus, a_zero, rho_c)."""
-    _require_visible(report)
-    tx_center = point_on(link.tx, report.eta_c)
+@dataclass(frozen=True)
+class DofArrays:
+    """``dof`` over ``LinkArrays``: the links, their visibility and the
+    ``DofResult`` fields as arrays.  ``m_int`` holds Python ints (an
+    object array) and is 0 where a ``DofResult`` holds None (touching
+    links)."""
+
+    links: LinkArrays
+    visibility: VisibilityArrays
+    m_real: np.ndarray
+    m_int: np.ndarray
+    m_plus: np.ndarray
+    m_minus: np.ndarray
+    a_plus: np.ndarray
+    a_minus: np.ndarray
+    a_zero: np.ndarray
+    rho_c: np.ndarray
+
+
+def _mode_span(thT, thR, x0, y0, wavelength, l_T, l_R, eta_c, zeta_c):
+    """(a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real) of visible
+    links, from scalars or arrays alike: the angles from the effective
+    transmit center to the effective receive endpoints and center, in
+    ``point_on``'s arithmetic, then the mode indices."""
+    tx_x, tx_y = 0.0 + eta_c * -np.sin(thT), 0.0 + eta_c * np.cos(thT)
+    ux, uy = -np.sin(thR), np.cos(thR)
 
     def angle(zeta):
-        q = point_on(link.rx, report.zeta_c + zeta)
-        d = q - tx_center
-        return float(np.arctan2(d[1], d[0]))
+        s = zeta_c + zeta
+        return np.arctan2((y0 + s * uy) - tx_y, (x0 + s * ux) - tx_x)
 
-    a_plus = angle(+report.l_R / 2.0)
-    a_minus = angle(-report.l_R / 2.0)
-    a_zero = angle(0.0)
-    rho_c = float(np.sin(link.tx.rotation - a_zero))
-    return a_plus, a_minus, a_zero, rho_c
+    a_plus, a_minus, a_zero = angle(+l_R / 2.0), angle(-l_R / 2.0), angle(0.0)
+    rho_c = np.sin(thT - a_zero)
+    scale = l_T / wavelength
+    m_plus = scale * (np.sin(thT - a_plus) - rho_c)
+    m_minus = scale * (np.sin(thT - a_minus) - rho_c)
+    m_real = np.abs(m_plus - m_minus) + 1.0
+    return a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real
 
 
-def dof(link: LinkGeometry, report: Optional[VisibilityReport] = None) -> DofResult:
+def dof(link: LinkGeometry) -> DofResult:
     """Full DoF evaluation: visibility -> boundary angles -> mode count."""
-    if report is None:
-        report = classify_visibility(link)
+    report = classify_visibility(link)
     warnings = []
     d_min = AMPLITUDE_DISTANCE_FACTOR * (link.tx.length + link.rx.length)
     if link.d0 < d_min:
@@ -134,14 +164,35 @@ def dof(link: LinkGeometry, report: Optional[VisibilityReport] = None) -> DofRes
         return DofResult(0.0, 0, nan, nan, nan, nan, nan, nan, report, warnings)
     if report.status == geometry.TOUCHING:
         return DofResult(nan, None, nan, nan, nan, nan, nan, nan, report, warnings)
-    a_plus, a_minus, a_zero, rho_c = boundary_angles(link, report)
-    thT, scale = link.tx.rotation, report.l_T / link.wavelength
-    m_plus = float(scale * (np.sin(thT - a_plus) - rho_c))
-    m_minus = float(scale * (np.sin(thT - a_minus) - rho_c))
-    m_real = abs(m_plus - m_minus) + 1.0
-    m_int = int(round(m_real))
-    return DofResult(m_real, m_int, m_plus, m_minus, a_plus, a_minus, a_zero,
-                     rho_c, report, warnings)
+    span = _mode_span(link.tx.rotation, link.rx.rotation, *link.rx.center,
+                      link.wavelength, report.l_T, report.l_R, report.eta_c,
+                      report.zeta_c)
+    a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real = map(float, span)
+    return DofResult(m_real, round(m_real), m_plus, m_minus, a_plus,
+                     a_minus, a_zero, rho_c, report, warnings)
+
+
+_to_int = np.frompyfunc(int, 1, 1)
+
+
+def dof_arrays(links: LinkArrays) -> DofArrays:
+    """``dof`` of every link in ``links`` at once; link ``i``'s values are
+    bitwise those of ``dof(links.link(i))``."""
+    vis = classify_arrays(links)
+    visible = vis.visible
+    with np.errstate(all="ignore"):
+        span = _mode_span(links.theta_T, links.theta_R, links.x0, links.y0,
+                          links.wavelength, vis.l_T, vis.l_R, vis.eta_c, vis.zeta_c)
+    span = [np.where(visible, v, np.nan) for v in span]
+    m_real = span[-1]
+    # Python ints, as dof's round() gives: exact past 2**63, and a
+    # non-finite count raises round()'s error
+    m_int = _to_int(np.where(visible, np.rint(m_real), 0.0))
+    touching = vis.status == geometry.STATUSES.index(geometry.TOUCHING)
+    m_real[~visible & ~touching] = 0.0
+    a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, _ = span
+    return DofArrays(links, vis, m_real, m_int, m_plus, m_minus, a_plus,
+                     a_minus, a_zero, rho_c)
 
 
 def minima_lattice_count(m_plus, m_minus):

@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from . import statistics as stats
-from .dof_core import dof
-from .geometry import classify_visibility, make_link
+from .dof_core import dof_arrays
+from .geometry import classify_visibility, link_arrays, make_link
 from .kernel import kernel_farfield, kernel_scan
 from .svd_oracle import (channel_matrix, effective_dof, gram_powers,
                          singular_spectrum)
@@ -108,18 +108,17 @@ def link_params(bindings):
     return {kw: bindings[name] for name, kw in _LINK_KEYS if name in bindings}
 
 
-def _swept(link, key, values):
-    """(value, link, dof result) along a sweep of ``make_link`` keyword
-    ``key``, the other keywords fixed by ``link``."""
-    for v in values:
-        lk = make_link(**{**link, key: float(v)})
-        yield v, lk, dof(lk)
+def _dof_sweep(link, key, values):
+    """``dof_arrays`` along a sweep of ``make_link`` keyword ``key``, the
+    other keywords fixed by ``link``: one call for the whole sweep."""
+    return dof_arrays(link_arrays(**{**link, key: values}))
 
 
 def sweep_rows(link, key, values):
     """(header, rows) of a DoF sweep; ``m_int`` is 0 where it is None."""
-    rows = [[v, res.m_real, 0 if res.m_int is None else res.m_int,
-             res.visibility.status] for v, _, res in _swept(link, key, values)]
+    res = _dof_sweep(link, key, values)
+    rows = [list(r) for r in zip(values, res.m_real.tolist(), res.m_int.tolist(),
+                                 res.visibility.statuses())]
     return [key, "m_real", "m_int", "status"], rows
 
 
@@ -128,12 +127,13 @@ def svd_compare_rows(link, key, values, spacing, threshold):
     count of the channel matrix along a sweep, closed by a ``max`` row;
     links without modes count 0 for both.  The record holds the shape of
     the largest matrix decomposed (0 x 0 without any)."""
+    res = _dof_sweep(link, key, values)
     rows, shape = [], (0, 0)
-    for v, lk, res in _swept(link, key, values):
-        m_int, ed = 0, 0
-        if res.m_int:
-            m_int = res.m_int
-            cm = channel_matrix(lk, report=res.visibility, spacing=spacing)
+    for i, (v, m_int) in enumerate(zip(values, res.m_int.tolist())):
+        ed = 0
+        if m_int:
+            cm = channel_matrix(res.links.link(i), report=res.visibility.report(i),
+                                spacing=spacing)
             shape = max(shape, cm.entries.shape, key=math.prod)
             ed = effective_dof(gram_powers(cm), threshold)
         rows.append([v, m_int, ed, abs(m_int - ed)])

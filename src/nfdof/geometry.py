@@ -41,6 +41,19 @@ coordinates of the line intersection point on the receive/transmit
 array, so the visible receive interval is ``[-L_R/2, zeta_i]`` when the
 ``R-`` endpoint is visible and ``[zeta_i, L_R/2]`` when ``R+`` is
 visible.
+
+Arrays of links
+---------------
+``link_arrays`` is ``make_link`` over parameter arrays (a sweep is one
+call), and ``classify_arrays`` classifies all of them at once with numpy
+masks.  It repeats ``classify_visibility`` expression for expression and
+branch for branch, so each link's report is bitwise the scalar one; only
+the collinear overlap test stays ``math.hypot`` per collinear link,
+because ``np.hypot`` differs from it in the last bit.  The scalar
+``classify_visibility`` stays the single-link path: a one-element
+``classify_arrays`` call takes ~110 us against ~3 us, and callers that
+classify one link at a time (the kernel scan, the channel matrix,
+``dof``, the tests' oracles) would pay that on every link.
 """
 
 import math
@@ -49,13 +62,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .constants import wavelength_from_frequency
+from .constants import SPEED_OF_LIGHT, wavelength_from_frequency
 
 __all__ = [
     "FULL", "NO_VISIBILITY", "PARTIAL_TX", "PARTIAL_RX", "TOUCHING",
-    "ArrayGeometry", "LinkGeometry", "VisibilityReport",
-    "wrap_angle", "endpoints", "direction", "normal", "classify_visibility",
-    "make_link",
+    "STATUSES", "ENDPOINTS",
+    "ArrayGeometry", "LinkGeometry", "VisibilityReport", "LinkArrays",
+    "VisibilityArrays", "wrap_angle", "endpoints", "direction", "normal",
+    "classify_visibility", "make_link", "link_arrays", "classify_arrays",
 ]
 
 FULL = "full"
@@ -63,6 +77,10 @@ NO_VISIBILITY = "no-visibility"
 PARTIAL_TX = "partial-tx"
 PARTIAL_RX = "partial-rx"
 TOUCHING = "touching"
+# codes of VisibilityArrays.status and .endpoint; the visible statuses last
+STATUSES = (NO_VISIBILITY, TOUCHING, FULL, PARTIAL_TX, PARTIAL_RX)
+ENDPOINTS = (None, "T+", "T-", "R+", "R-")
+_FULL_CODE = STATUSES.index(FULL)
 
 # half-width of the zero band of a signed distance, per metre of
 # |x0| + |y0| + (L_T + L_R) / 2: eight units of rounding
@@ -70,8 +88,10 @@ _ZERO_BAND = 8 * 2.0 ** -52
 
 
 def wrap_angle(theta):
-    """Wrap an angle into (-pi, pi]."""
+    """Wrap an angle, or an array of angles, into (-pi, pi]."""
     w = (theta + np.pi) % (2.0 * np.pi) - np.pi
+    if isinstance(theta, np.ndarray):
+        return np.where(w == -np.pi, np.pi, w)
     if w == -np.pi:
         w = np.pi
     return float(w)
@@ -214,3 +234,143 @@ def classify_visibility(link: LinkGeometry) -> VisibilityReport:
     if sign(a) > 0 and sign(b) > 0:
         return VisibilityReport(FULL, l_T=LT, l_R=LR)
     return VisibilityReport(NO_VISIBILITY)
+
+
+@dataclass(frozen=True)
+class LinkArrays:
+    """Many links at once: ``make_link``'s parameters as float arrays of
+    one shape, the rotations wrapped as ``ArrayGeometry`` wraps them."""
+
+    L_T: np.ndarray
+    L_R: np.ndarray
+    theta_T: np.ndarray
+    theta_R: np.ndarray
+    x0: np.ndarray
+    y0: np.ndarray
+    wavelength: np.ndarray
+
+    def link(self, i) -> LinkGeometry:
+        """Link ``i`` as a ``LinkGeometry`` (a wrapped angle wraps to
+        itself, so its rotations are the ones ``make_link`` gives)."""
+        return LinkGeometry(
+            tx=ArrayGeometry(float(self.L_T[i]), self.theta_T[i]),
+            rx=ArrayGeometry(float(self.L_R[i]), self.theta_R[i],
+                             (self.x0[i], self.y0[i])),
+            wavelength=float(self.wavelength[i]),
+        )
+
+
+def link_arrays(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkArrays:
+    """``make_link`` over arrays: the parameters broadcast to one shape
+    and every link checked as ``make_link`` checks it.  The first link
+    that fails is handed to ``make_link``, which raises its error, so an
+    array fails exactly as a loop over its links would."""
+    p = {"L_T": L_T, "L_R": L_R, "theta_T": theta_T, "theta_R": theta_R,
+         "x0": x0, "y0": y0, "frequency": frequency}
+    p = dict(zip(p, np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                          for v in p.values()))))
+    with np.errstate(all="ignore"):
+        lam = SPEED_OF_LIGHT / p["frequency"]
+        bad = p["frequency"] <= 0
+        for v in (p["L_T"], p["L_R"], lam):
+            bad = bad | ~(np.isfinite(v) & (v > 0))
+        thT, thR = wrap_angle(p["theta_T"]), wrap_angle(p["theta_R"])
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        make_link(**{k: float(v.flat[i]) for k, v in p.items()})
+    return LinkArrays(p["L_T"], p["L_R"], thT, thR, p["x0"], p["y0"], lam)
+
+
+@dataclass(frozen=True)
+class VisibilityArrays:
+    """``classify_visibility`` over ``LinkArrays``: status and visible-
+    endpoint codes (indices into ``STATUSES`` and ``ENDPOINTS``) and the
+    report fields as arrays; ``eta_i``/``zeta_i`` are NaN where a report
+    holds None."""
+
+    status: np.ndarray
+    endpoint: np.ndarray
+    l_T: np.ndarray
+    l_R: np.ndarray
+    eta_c: np.ndarray
+    zeta_c: np.ndarray
+    eta_i: np.ndarray
+    zeta_i: np.ndarray
+
+    @property
+    def visible(self):
+        """Full or partial visibility: the links with modes."""
+        return self.status >= _FULL_CODE
+
+    def statuses(self):
+        """Status names, as a list."""
+        return [STATUSES[c] for c in self.status.tolist()]
+
+    def report(self, i) -> VisibilityReport:
+        """The report of link ``i``."""
+        status = STATUSES[self.status[i]]
+        partial = status in (PARTIAL_TX, PARTIAL_RX)
+        return VisibilityReport(
+            status, ENDPOINTS[self.endpoint[i]], float(self.l_T[i]),
+            float(self.l_R[i]), float(self.eta_c[i]), float(self.zeta_c[i]),
+            float(self.eta_i[i]) if partial else None,
+            float(self.zeta_i[i]) if partial else None)
+
+
+def _partial_segments(L, s_i, plus_visible):
+    """``_partial_segment`` over arrays."""
+    return (np.where(plus_visible, L / 2.0 - s_i, s_i + L / 2.0),
+            np.where(plus_visible, (s_i + L / 2.0) / 2.0, (s_i - L / 2.0) / 2.0))
+
+
+def classify_arrays(links: LinkArrays) -> VisibilityArrays:
+    """``classify_visibility`` of every link in ``links``: the same
+    expressions, with the branches as masks taken in the same order."""
+    thT, thR, LT, LR = links.theta_T, links.theta_R, links.L_T, links.L_R
+    x0, y0 = links.x0, links.y0
+    with np.errstate(all="ignore"):
+        sd = np.sin(thT - thR)
+        a = x0 * np.cos(thT) + y0 * np.sin(thT)
+        b = -(x0 * np.cos(thR) + y0 * np.sin(thR))
+        tol = _ZERO_BAND * (np.abs(x0) + np.abs(y0) + 0.5 * (LT + LR))
+
+        def sign(d):
+            return (d > tol).astype(np.int8) - (d < -tol)
+
+        r_plus, r_minus = sign(a + 0.5 * LR * sd), sign(a - 0.5 * LR * sd)
+        t_plus, t_minus = sign(b - 0.5 * LT * sd), sign(b + 0.5 * LT * sd)
+        collinear = (r_plus == 0) & (r_minus == 0) & (t_plus == 0) & (t_minus == 0)
+        overlap = np.zeros(collinear.shape, dtype=bool)
+        overlap[collinear] = np.array(
+            [math.hypot(x, y) for x, y in zip(x0[collinear].tolist(),
+                                              y0[collinear].tolist())],
+            dtype=float) <= 0.5 * (LT[collinear] + LR[collinear])
+        crosses_tx, crosses_rx = t_plus * t_minus, r_plus * r_minus
+        # collinear, or each line meets the other segment
+        settled = collinear | ((crosses_tx <= 0) & (crosses_rx <= 0))
+        crossing = ~settled & ((crosses_tx < 0) | (crosses_rx < 0))
+        a_ahead, b_ahead = sign(a) > 0, sign(b) > 0
+        partial_tx = crossing & (crosses_tx < 0) & a_ahead
+        partial_rx = crossing & (crosses_rx < 0) & b_ahead
+        full = ~settled & ~crossing & a_ahead & b_ahead
+        eta_i = ((0.5 + b / (LT * sd)) - 0.5) * LT
+        zeta_i = ((0.5 - a / (LR * sd)) - 0.5) * LR
+        l_T_part, eta_c = _partial_segments(LT, eta_i, t_plus > 0)
+        l_R_part, zeta_c = _partial_segments(LR, zeta_i, r_plus > 0)
+    touching = np.where(collinear, overlap, settled)
+    status = np.select(
+        [touching, full, partial_tx, partial_rx],
+        [STATUSES.index(s) for s in (TOUCHING, FULL, PARTIAL_TX, PARTIAL_RX)],
+        STATUSES.index(NO_VISIBILITY)).astype(np.int8)
+    endpoint = np.select(
+        [partial_tx & (t_plus > 0), partial_tx, partial_rx & (r_plus > 0), partial_rx],
+        [ENDPOINTS.index(e) for e in ("T+", "T-", "R+", "R-")], 0).astype(np.int8)
+    partial = partial_tx | partial_rx
+    return VisibilityArrays(
+        status=status, endpoint=endpoint,
+        l_T=np.where(partial_tx, l_T_part, np.where(full | partial_rx, LT, 0.0)),
+        l_R=np.where(partial_rx, l_R_part, np.where(full | partial_tx, LR, 0.0)),
+        eta_c=np.where(partial_tx, eta_c, 0.0),
+        zeta_c=np.where(partial_rx, zeta_c, 0.0),
+        eta_i=np.where(partial, eta_i, np.nan),
+        zeta_i=np.where(partial, zeta_i, np.nan))

@@ -181,7 +181,7 @@ def test_criterion_7_kernel_consistency():
     for L_T, L_R, thT, thR, x0, y0 in KERNEL_CONFIGS:
         lk = make_link(L_T, L_R, thT, thR, x0, y0, frequency=F)
         rep = classify_visibility(lk)
-        res = dof(lk, rep)
+        res = dof(lk)
         lattice = minima_lattice_count(res.m_plus, res.m_minus)
         n_exact = len(kernel_scan(lk, n_samples=4096, report=rep)
                       .minima_locations)

@@ -63,6 +63,26 @@ class TestDofCommand:
         assert lines[1].startswith("full,")
 
 
+class TestFloatFlags:
+    """Each float flag takes a value in exponent form, negative where the
+    parameter is signed, as ``--flag=value`` takes it."""
+
+    @pytest.mark.parametrize("flag,value,decimal", [
+        ("--frequency-hz", "6e10", "60000000000"),
+        ("--l-t", "4e-1", "0.4"),
+        ("--l-r", "2.5e0", "2.5"),
+        ("--x0", "-1e-3", "-0.001"),
+        ("--y0", "-2e0", "-2"),
+        ("--theta-t", "-1e-1", "-0.1"),
+        ("--theta-r", "-3.1e0", "-3.1"),
+    ])
+    def test_exponent_form(self, capsys, flag, value, decimal):
+        code, out, err = run(capsys, "dof", flag, value)
+        assert code == 0, err
+        assert (0, out, "") == run(capsys, "dof", f"{flag}={decimal}")
+        assert out != run(capsys, "dof")[1]
+
+
 class TestConfigHandling:
     def test_config_file(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"

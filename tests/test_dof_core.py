@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from nfdof import geometry
 from nfdof.dof_core import (
-    boundary_angles, dof, dof_full_visibility_closed_form, exact_distance,
-    fraunhofer_distance, minima_lattice_count, taylor_coeffs,
+    dof, dof_full_visibility_closed_form, exact_distance, fraunhofer_distance,
+    minima_lattice_count, taylor_coeffs,
 )
 from nfdof.geometry import classify_visibility, make_link
 
@@ -82,20 +82,17 @@ class TestTaylorCoefficients:
 
 class TestBoundaryAngles:
     def test_paraxial(self):
-        lk = link()
-        a_plus, a_minus, a_zero, rho_c = boundary_angles(lk, classify_visibility(lk))
-        assert a_plus == pytest.approx(-0.24497866312686414, rel=1e-12)
-        assert a_minus == pytest.approx(+0.24497866312686414, rel=1e-12)
-        assert a_zero == pytest.approx(0.0, abs=1e-15)
-        assert rho_c == pytest.approx(0.0, abs=1e-15)
+        res = dof(link())
+        assert res.a_plus == pytest.approx(-0.24497866312686414, rel=1e-12)
+        assert res.a_minus == pytest.approx(+0.24497866312686414, rel=1e-12)
+        assert res.a_zero == pytest.approx(0.0, abs=1e-15)
+        assert res.rho_c == pytest.approx(0.0, abs=1e-15)
 
     def test_partial_case(self):
-        lk = link(thT=1.4)
-        rep = classify_visibility(lk)
-        a_plus, a_minus, a_zero, _ = boundary_angles(lk, rep)
-        assert a_plus == pytest.approx(-0.17079632679, rel=1e-6)
-        assert a_minus == pytest.approx(+0.24497866313, rel=1e-6)
-        assert a_zero == pytest.approx(+0.03874224190, rel=1e-6)
+        res = dof(link(thT=1.4))
+        assert res.a_plus == pytest.approx(-0.17079632679, rel=1e-6)
+        assert res.a_minus == pytest.approx(+0.24497866313, rel=1e-6)
+        assert res.a_zero == pytest.approx(+0.03874224190, rel=1e-6)
 
 
 class TestModeIndices:

@@ -333,7 +333,7 @@ class TestMinimaCount:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_exact_farfield_and_lattice_agree(self, name):
         lk, rep = make(name)
-        res = dof(lk, rep)
+        res = dof(lk)
         lattice = minima_lattice_count(res.m_plus, res.m_minus)
         assert lattice == EXPECTED_MINIMA[name]
         exact = kernel_scan(lk, n_samples=4096, report=rep)

@@ -1,0 +1,223 @@
+"""The array link core against the scalar path, bit for bit.
+
+``dof_arrays(link_arrays(...))`` must give, for every link, the report of
+``classify_visibility`` and the angles and mode indices of the link-by-
+link reference in ``dof_oracle``: random links, sweeps of each sweepable
+parameter, and the degenerate families of ``TestDegenerateLinks``
+(collinear, parallel, distances at the edge of the zero band).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dof_oracle import mode_span
+from nfdof import geometry
+from nfdof.dof_core import dof, dof_arrays
+from nfdof.geometry import classify_visibility, link_arrays, make_link
+
+F = 30e9
+KEYS = ("L_T", "L_R", "theta_T", "theta_R", "x0", "y0", "frequency")
+SWEEP_RANGES = {
+    "theta_T": (-math.pi, math.pi), "theta_R": (-math.pi, math.pi),
+    "x0": (-20.0, 20.0), "y0": (-20.0, 20.0), "L_T": (0.05, 1.0),
+    "L_R": (0.5, 10.0), "frequency": (10e9, 100e9),
+}
+REPORT_FIELDS = ("status", "visible_endpoint", "l_T", "l_R", "eta_c", "zeta_c",
+                 "eta_i", "zeta_i")
+DOF_FIELDS = ("a_plus", "a_minus", "a_zero", "rho_c", "m_plus", "m_minus",
+              "m_real", "m_int")
+
+
+def same(x, y):
+    """Bitwise equality of floats (NaN equals NaN, -0.0 differs from 0.0),
+    plain equality otherwise."""
+    if isinstance(x, float) and isinstance(y, float):
+        if math.isnan(x) or math.isnan(y):
+            return math.isnan(x) and math.isnan(y)
+        return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+    return type(x) is type(y) and x == y
+
+
+def check(links):
+    """Every link of the list (``make_link`` keywords) through the array
+    core at once, compared field by field with the scalar path."""
+    res = dof_arrays(link_arrays(**{k: [lk[k] for lk in links] for k in KEYS}))
+    cols = {name: getattr(res, name).tolist() for name in DOF_FIELDS}
+    for i, params in enumerate(links):
+        lk = make_link(**params)
+        rep = classify_visibility(lk)
+        got = res.visibility.report(i)
+        for name in REPORT_FIELDS:
+            assert same(getattr(got, name), getattr(rep, name)), (name, params)
+        built = res.links.link(i)
+        assert same(built.tx.rotation, lk.tx.rotation), params
+        assert same(built.rx.rotation, lk.rx.rotation), params
+        assert built.rx.center == lk.rx.center
+        assert same(built.wavelength, lk.wavelength)
+        if rep.status in (geometry.FULL, geometry.PARTIAL_TX, geometry.PARTIAL_RX):
+            want = dict(zip(DOF_FIELDS, mode_span(lk, rep)))
+        else:
+            nan = float("nan")
+            want = dict(zip(DOF_FIELDS, [nan] * 8))
+            want["m_real"], want["m_int"] = (0.0, 0) if rep.status == \
+                geometry.NO_VISIBILITY else (nan, None)
+        scalar = dof(lk)
+        for name in DOF_FIELDS:
+            assert same(getattr(scalar, name), want[name]), (name, params)
+            array = cols[name][i]
+            if name == "m_int" and want[name] is None:
+                assert array == 0
+            else:
+                assert same(array, want[name]), (name, params)
+    return res
+
+
+def rotated(phi, L_T, L_R, thT, thR, x0, y0):
+    """``make_link`` keywords of the link with the scene rotated by phi."""
+    c, s = np.cos(phi), np.sin(phi)
+    return dict(L_T=L_T, L_R=L_R, theta_T=thT + phi, theta_R=thR + phi,
+                x0=c * x0 - s * y0, y0=s * x0 + c * y0, frequency=F)
+
+
+angles = st.floats(-4.0, 4.0)
+random_link = st.fixed_dictionaries({
+    "L_T": st.floats(0.05, 2.0), "L_R": st.floats(0.1, 10.0),
+    "theta_T": angles, "theta_R": angles,
+    "x0": st.floats(-25.0, 25.0), "y0": st.floats(-25.0, 25.0),
+    "frequency": st.floats(1e9, 1e11),
+})
+
+
+@given(links=st.lists(random_link, min_size=1, max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_random_links(links):
+    check(links)
+
+
+@given(base=random_link, key=st.sampled_from(KEYS), steps=st.integers(1, 60),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_sweeps(base, key, steps, data):
+    """A sweep of each parameter over (part of) its CLI benchmark range."""
+    lo, hi = SWEEP_RANGES[key]
+    start = data.draw(st.floats(lo, hi))
+    stop = data.draw(st.floats(lo, hi))
+    check([{**base, key: float(v)} for v in np.linspace(start, stop, steps)])
+
+
+# the families of TestDegenerateLinks, each over the whole rotation circle
+PHIS = np.linspace(-np.pi, np.pi, 97)
+SEED24 = (0.2, 5.0, 0.0, 0.0, 0.0, 12.696287677267755)
+FAMILIES = {
+    "collinear-overlap": [(0.2, 5.0, 0.0, thR, 0.0, y0)
+                          for thR in (0.0, np.pi) for y0 in (0.0, 1.0, -2.5, 2.55)],
+    "collinear-disjoint": [SEED24] + [(0.2, 5.0, 0.0, thR, 0.0, y0)
+                                      for thR in (0.0, np.pi) for y0 in (2.7, -12.7)],
+    "parallel": [(0.2, 5.0, 0.0, thR, x0, y0)
+                 for thR, x0 in ((np.pi, 10.0), (0.0, 10.0), (0.0, -10.0))
+                 for y0 in (0.0, 3.0, -7.5)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_degenerate_families(family):
+    links = [rotated(phi, *args) for args in FAMILIES[family] for phi in PHIS]
+    statuses = set(check(links).visibility.statuses())
+    assert statuses <= {geometry.TOUCHING, geometry.NO_VISIBILITY, geometry.FULL}
+
+
+def test_collinear_calls():
+    """The collinear calls of TestDegenerateLinks, among them ROADMAP 3a's
+    ``make_link(0.2, 5, 1e-15, 0, -6.5e-134, 1)``, and seed 24's rotation."""
+    links = [dict(L_T=0.2, L_R=5.0, theta_T=thT, theta_R=0.0, x0=x0, y0=1.0,
+                  frequency=F)
+             for thT, x0 in ((1e-15, -6.5e-134), (1e-9, -6.5e-134), (1e-15, 0.0))]
+    links.append(rotated(2.6333595454112437, *SEED24))
+    res = check(links)
+    assert res.visibility.statuses() == [geometry.TOUCHING] * 3 + [geometry.NO_VISIBILITY]
+
+
+def test_collinear_overlap_edge():
+    """Collinear links whose centre distance rounds onto the overlap edge
+    (L_T + L_R) / 2: the decision follows ``math.hypot``, which differs
+    from ``np.hypot`` in the last bit on some of these rotations."""
+    half = 0.5 * (0.2 + 5.0)
+    links = [rotated(phi, 0.2, 5.0, 0.0, 0.0, 0.0, d)
+             for d in (half, np.nextafter(half, 3.0))
+             for phi in np.linspace(-np.pi, np.pi, 2001)]
+    statuses = check(links).visibility.statuses()
+    assert {geometry.TOUCHING, geometry.NO_VISIBILITY} <= set(statuses)
+
+
+@given(phi=st.floats(-np.pi, np.pi), family=st.sampled_from(sorted(FAMILIES)),
+       y0=st.floats(-15.0, 15.0), tilt=st.sampled_from([0.0, 1e-15, -1e-12, 1e-9]))
+@settings(max_examples=150, deadline=None)
+def test_degenerate_any_rotation(phi, family, y0, tilt):
+    """Random rotations, offsets and near-degenerate tilts of each family."""
+    links = [rotated(phi, L_T, L_R, thT + tilt, thR, x0, y0)
+             for L_T, L_R, thT, thR, x0, _ in FAMILIES[family]]
+    check(links)
+
+
+@given(phi=st.floats(-np.pi, np.pi), thR=st.sampled_from([0.0, np.pi, 1e-12]),
+       y0=st.floats(-12.0, 12.0), band=st.sampled_from([-2, -1, 0, 1, 2]),
+       nudge=st.sampled_from([-1, 0, 1]))
+@settings(max_examples=200, deadline=None)
+def test_band_edges(phi, thR, y0, band, nudge):
+    """The receive centre at whole multiples of the zero band's half-width
+    ahead of the transmit line (one ulp either side), in a rotated scene:
+    decisions that sit on the band's edge."""
+    L_T, L_R = 0.2, 5.0
+    tol = 8 * 2.0 ** -52 * (abs(y0) + 0.5 * (L_T + L_R))
+    x0 = band * tol
+    if nudge:
+        x0 = np.nextafter(x0, nudge * np.inf)
+    check([rotated(phi, L_T, L_R, 0.0, thR, x0, y0),
+           dict(L_T=L_T, L_R=L_R, theta_T=0.0, theta_R=thR, x0=x0, y0=y0,
+                frequency=F)])
+
+
+class TestValidation:
+    """A bad link in an array raises make_link's error for the first bad
+    link, as a loop over the links would."""
+
+    @pytest.mark.parametrize("key,values,message", [
+        ("L_T", [1.0, 0.5, 0.0, -1.0], "array length must be positive and finite"),
+        ("L_R", [1.0, np.inf], "array length must be positive and finite"),
+        ("frequency", [1e9, -1e9], "frequency must be positive"),
+        ("frequency", [1e9, 1e-320], "wavelength must be positive and finite"),
+        ("frequency", [1e9, np.nan], "wavelength must be positive and finite"),
+    ])
+    def test_messages(self, key, values, message):
+        base = dict(L_T=0.2, L_R=5.0, theta_T=0.0, theta_R=np.pi, x0=10.0, y0=0.0,
+                    frequency=F)
+        with pytest.raises(ValueError, match=message):
+            link_arrays(**{**base, key: values})
+
+    def test_overflowing_count(self):
+        # a 1e20 m transmit array at 1.7e308 Hz: l_T / lambda overflows
+        args = (1e20, 5.0, 0.0, np.pi, 1e6, 0.0)
+        with pytest.raises(OverflowError, match="cannot convert float infinity"):
+            dof(make_link(*args, frequency=1.7e308))
+        with pytest.raises(OverflowError, match="cannot convert float infinity"):
+            dof_arrays(link_arrays(*args, frequency=[F, 1.7e308]))
+
+    def test_count_past_int64(self):
+        # a 1e10 m transmit array at 1e18 Hz: m_real ~ 3e19 > 2**63, which
+        # round() still gives exactly
+        args = (1e10, 5.0, 0.0, np.pi, 10.0, 0.0)
+        want = dof(make_link(*args, frequency=1e18))
+        assert want.m_int >= 2 ** 63
+        got = dof_arrays(link_arrays(*args, frequency=[F, 1e18]))
+        assert got.m_int.tolist() == [dof(make_link(*args, frequency=F)).m_int,
+                                      want.m_int]
+
+    def test_first_bad_link_decides(self):
+        # link 1 fails on its frequency, link 2 on its length: link 1 wins,
+        # and within a link the frequency is checked before the lengths
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            link_arrays(L_T=[0.2, -1.0, -1.0], L_R=5.0, theta_T=0.0, theta_R=np.pi,
+                        x0=10.0, y0=0.0, frequency=[F, -F, F])
