@@ -66,10 +66,13 @@ def _load_config(path):
     if not isinstance(data, dict):
         raise UsageError(f"config {path}: top level must be an object")
     cfg = RunConfig()
-    valid = set(asdict(cfg).keys())
+    defaults = asdict(cfg)
     for key, value in data.items():
-        if key not in valid:
+        if key not in defaults:
             raise UsageError(f"config {path}: unknown field {key!r}")
+        kind = dict if key in ("sweep", "stats") else (int, float)
+        if not (isinstance(value, kind) or value is None and defaults[key] is None):
+            raise UsageError(f"config {path}: bad value {value!r} for {key!r}")
         setattr(cfg, key, value)
     return cfg
 
@@ -88,9 +91,19 @@ def _apply_flags(cfg: RunConfig, args):
         cfg.theta_R = math.radians(cfg.theta_R)
         if cfg.sweep and cfg.sweep.get("parameter") in ANGLE_KEYS:
             cfg.sweep = dict(cfg.sweep)
-            cfg.sweep["start"] = math.radians(cfg.sweep["start"])
-            cfg.sweep["stop"] = math.radians(cfg.sweep["stop"])
+            for key in ("start", "stop"):
+                cfg.sweep[key] = math.radians(_number(cfg.sweep, "sweep", key))
     return cfg
+
+
+def _number(section, name, key, kind=float, default=None):
+    """``kind`` of ``section[key]`` (``default`` when absent); a missing or
+    unconvertible value is a config error."""
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{name} section needs a number for {key!r}, got {value!r}")
 
 
 def _fmt(x):
@@ -188,10 +201,11 @@ def _sweep_values(cfg: RunConfig):
     param = sweep.get("parameter")
     if param not in SWEEPABLE:
         raise UsageError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE}")
-    steps = int(sweep.get("steps", 0))
+    steps = _number(sweep, "sweep", "steps", int, 0)
     if steps < 1:
         raise UsageError("sweep needs at least one step")
-    return param, np.linspace(float(sweep["start"]), float(sweep["stop"]), steps)
+    return param, np.linspace(_number(sweep, "sweep", "start"),
+                              _number(sweep, "sweep", "stop"), steps)
 
 
 def cmd_sweep(cfg: RunConfig, args):
@@ -228,17 +242,17 @@ def cmd_stats(cfg: RunConfig, args):
     section = cfg.stats or {}
     try:
         scen_cfg = stats.ScenarioConfig(
-            R=float(section.get("R", 20.0)),
+            R=_number(section, "stats", "R", default=20.0),
             L_T=cfg.L_T_m, L_R=cfg.L_R_m, frequency=cfg.frequency_hz,
             scenario=section.get("scenario", stats.FULL_VISIBILITY),
             x0=section.get("x0"),
         )
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise UsageError(str(e))
-    grid_points = int(section.get("grid_points", 201))
+    grid_points = _number(section, "stats", "grid_points", int, 201)
     if grid_points < 2:
         raise UsageError("stats needs a grid with at least two points")
-    mc_samples = int(section.get("mc_samples", 100_000))
+    mc_samples = _number(section, "stats", "mc_samples", int, 100_000)
     header, rows, quadrature = curve_rows(scen_cfg, grid_points, mc_samples,
                                           cfg.seed)
     _warn_quadrature(quadrature)

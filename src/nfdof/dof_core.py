@@ -51,7 +51,6 @@ class TaylorCoefficients:
 
     rho: float        # first-order slope, equals sin(theta_T - a)
     rho_tilde: float  # half the second derivative, 1/m, >= 0
-    gamma: float      # tan(a)
     a: float          # angle from effective Tx center to the Rx point
     r0: float         # distance at eta = 0
 
@@ -103,7 +102,7 @@ def taylor_coeffs(link: LinkGeometry, zeta, report: VisibilityReport) -> TaylorC
     thT = link.tx.rotation
     rho = np.sin(thT - a)
     rho_tilde = (dx * np.cos(thT) + dy * np.sin(thT)) ** 2 / (2.0 * r0 ** 3)
-    co = (rho, rho_tilde, np.tan(a), a, r0)
+    co = (rho, rho_tilde, a, r0)
     if zeta.ndim == 0:
         co = tuple(float(c) for c in co)
     return TaylorCoefficients(*co)

@@ -68,7 +68,7 @@ __all__ = [
     "FULL", "NO_VISIBILITY", "PARTIAL_TX", "PARTIAL_RX", "TOUCHING",
     "STATUSES", "ENDPOINTS",
     "ArrayGeometry", "LinkGeometry", "VisibilityReport", "LinkArrays",
-    "VisibilityArrays", "wrap_angle", "endpoints", "direction", "normal",
+    "VisibilityArrays", "wrap_angle", "direction", "point_on",
     "classify_visibility", "make_link", "link_arrays", "classify_arrays",
 ]
 
@@ -117,18 +117,6 @@ def direction(a: ArrayGeometry):
     return np.array([-np.sin(a.rotation), np.cos(a.rotation)])
 
 
-def normal(a: ArrayGeometry):
-    """Unit normal into the radiating/receiving half-plane."""
-    return np.array([np.cos(a.rotation), np.sin(a.rotation)])
-
-
-def endpoints(a: ArrayGeometry):
-    """(plus, minus) endpoints of the array as 2D points."""
-    c = np.asarray(a.center, dtype=float)
-    off = 0.5 * a.length * direction(a)
-    return c + off, c - off
-
-
 def point_on(a: ArrayGeometry, s):
     """Point at signed coordinate ``s`` along the array."""
     return np.asarray(a.center, dtype=float) + s * direction(a)
@@ -154,12 +142,10 @@ class LinkGeometry:
         return float(np.hypot(self.rx.center[0], self.rx.center[1]))
 
 
-def make_link(L_T, L_R, theta_T, theta_R, x0, y0, wavelength=None, frequency=None):
-    """Convenience constructor from the seven scalar link parameters."""
-    if wavelength is None:
-        if frequency is None:
-            raise ValueError("give either wavelength or frequency")
-        wavelength = wavelength_from_frequency(frequency)
+def make_link(L_T, L_R, theta_T, theta_R, x0, y0, frequency):
+    """Convenience constructor from the seven scalar link parameters; the
+    frequency is checked before the lengths."""
+    wavelength = wavelength_from_frequency(frequency)
     return LinkGeometry(
         tx=ArrayGeometry(L_T, theta_T),
         rx=ArrayGeometry(L_R, theta_R, (x0, y0)),

@@ -48,7 +48,7 @@ from .numerics import faddeeva
 
 __all__ = [
     "KernelSample", "KernelScan",
-    "focusing_phase", "kernel_exact", "kernel_farfield", "kernel_scan",
+    "kernel_exact", "kernel_farfield", "kernel_scan",
     "find_minima",
 ]
 
@@ -90,16 +90,6 @@ class KernelScan:
     @property
     def minima_locations(self) -> List[float]:
         return self.zeta[self.minima].tolist()
-
-
-def focusing_phase(eta, zeta, link: LinkGeometry, report: VisibilityReport):
-    """Quadratic focusing phase (rad) at transmit offset ``eta`` for the
-    receive point ``zeta``: (2 pi / lambda) (rho * eta + rho_tilde * eta^2)."""
-    if abs(eta) > report.l_T / 2.0 + 1e-12:
-        raise ValueError("eta outside the effective transmit aperture")
-    co = taylor_coeffs(link, zeta, report)
-    k = 2.0 * np.pi / link.wavelength
-    return float(k * (co.rho * eta + co.rho_tilde * eta * eta))
 
 
 def _delta_coeffs(zeta, zeta_ref, link, report):

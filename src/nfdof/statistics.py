@@ -37,11 +37,13 @@ omega and psi lives in ``tests/deconditioning_oracle.py`` as the
 reference.
 
 Monte Carlo driven by the same branch structure cross-validates the
-analytic curves; a vectorized evaluator mirrors the exact per-link
-engine (and is tested against it) so that 1e6-sample runs stay fast.
+analytic curves.  Its vectorized branch evaluator keeps 1e6-sample runs
+fast; ``tests/test_statistics.py`` replays its draws through the link
+engine ``dof_arrays``: they agree except where x0 <= (L_T / 2)
+|sin(theta_T)|, whose segments intersect, which the engine calls touching.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -52,10 +54,7 @@ from .numerics import sample_stream
 __all__ = [
     "PARTIAL_R_PLUS", "PARTIAL_R_MINUS", "FULL_VISIBILITY", "CONDITIONAL_ON_X0",
     "ScenarioConfig", "DistributionCurve",
-    "pdf_x0", "pdf", "pdf_rho_minus",
-    "pdf_m_partial_rplus", "pdf_m_partial_rminus",
-    "pdf_m_full_conditional", "pdf_m_full", "pdf_m_conditional",
-    "pov", "ccdf", "monte_carlo", "excess_dof_branches",
+    "pdf", "pov", "ccdf", "monte_carlo", "excess_dof_branches",
     "empirical_ccdf", "visibility_fraction", "branch_interval",
 ]
 
@@ -119,13 +118,6 @@ def _half_angle(x0, L_R):
     return np.arctan(L_R / (2.0 * x0))
 
 
-def pdf_x0(x0, R):
-    """Density of the axis distance for a uniform disk placement."""
-    if not (0.0 <= x0 <= R):
-        raise ValueError("x0 must lie in [0, R]")
-    return float(4.0 * np.sqrt(R * R - x0 * x0) / (np.pi * R * R))
-
-
 # ---------------------------------------------------------------------------
 # Array-valued deconditioning core
 # ---------------------------------------------------------------------------
@@ -164,8 +156,8 @@ def _support_edges(mu, C, h):
 
 
 def _disk_cdf(x, R):
-    """P[x0 <= x] under ``pdf_x0``, written with R - x and atan2 so it
-    keeps full accuracy as x -> R."""
+    """P[x0 <= x] under the disk-placement density, written with R - x
+    and atan2 so it keeps full accuracy as x -> R."""
     q = np.sqrt((R - x) * (R + x))
     return (2.0 / np.pi) * (x * q / (R * R) + np.arctan2(x, q))
 
@@ -276,43 +268,6 @@ def pdf(cfg: ScenarioConfig, mu):
     return _curve(cfg, mu)[0]
 
 
-def _scalar_pdf(cfg, mu, **changes):
-    return float(pdf(replace(cfg, **changes), mu))
-
-
-def pdf_rho_minus(rho, cfg: ScenarioConfig):
-    """Density of the varying endpoint slope on a partial branch,
-    marginalized over the disk placement (the other endpoint slope is
-    pinned at -1 there)."""
-    if not (-1.0 < rho < 1.0):
-        return 0.0
-    return cfg.C * pdf_m_partial_rplus(cfg.C * (1.0 + rho), cfg)
-
-
-def pdf_m_partial_rplus(mu, cfg: ScenarioConfig):
-    """Density of mu when the + receive endpoint is visible."""
-    return _scalar_pdf(cfg, mu, scenario=PARTIAL_R_PLUS, x0=None)
-
-
-def pdf_m_partial_rminus(mu, cfg: ScenarioConfig):
-    """Density of mu when the - receive endpoint is visible (identical to
-    the + case by mirror symmetry)."""
-    return pdf_m_partial_rplus(mu, cfg)
-
-
-def pdf_m_full_conditional(mu, x0, cfg: ScenarioConfig):
-    """Density of mu under full visibility at fixed axis distance x0
-    (arcsine law of 2 C sin(a) cos(theta_T))."""
-    if not (0.0 < mu < 2.0 * cfg.C):
-        return 0.0
-    return float(_at_x0(np.array([mu]), x0, cfg.C, cfg.L_R / 2.0)[2][0])
-
-
-def pdf_m_full(mu, cfg: ScenarioConfig):
-    """Density of mu under full visibility, marginalized over x0."""
-    return _scalar_pdf(cfg, mu, scenario=FULL_VISIBILITY, x0=None)
-
-
 def pov(x0, L_R):
     """Probability that the receive array is at least partially visible:
     1/2 + arctan(L_R / 2 x0) / pi."""
@@ -328,12 +283,6 @@ def _mixture_weights(x0, L_R):
     v_full = (np.pi - 2.0 * a) / (2.0 * np.pi)
     v_total = 0.5 + a / np.pi
     return v_partial, v_full, v_total
-
-
-def pdf_m_conditional(mu, x0, cfg: ScenarioConfig):
-    """Density of mu at fixed x0, conditioned on any visibility: mixture
-    of the two endpoint branches and the full-visibility branch."""
-    return _scalar_pdf(cfg, mu, scenario=CONDITIONAL_ON_X0, x0=x0)
 
 
 def branch_interval(x0, L_R, scenario):

@@ -27,7 +27,7 @@ from .geometry import LinkGeometry, VisibilityReport, classify_visibility, point
 
 __all__ = [
     "ChannelMatrix", "SvdReport", "ModePowers",
-    "green", "channel_matrix", "singular_spectrum", "gram_powers",
+    "channel_matrix", "singular_spectrum", "gram_powers",
     "effective_dof", "svd_report",
 ]
 
@@ -53,14 +53,6 @@ class SvdReport:
 class ModePowers:
     normalized_powers: np.ndarray     # |s_j|^2 / |s_1|^2, leading ones exact
     cumulative_fraction: np.ndarray   # running share of ||H||_F^2
-
-
-def green(point_t, point_r, k):
-    """Scalar free-space Green's function exp(-j k r) / (4 pi r)."""
-    r = float(np.hypot(point_r[0] - point_t[0], point_r[1] - point_t[1]))
-    if r == 0.0:
-        raise ValueError("green: coincident points")
-    return np.exp(-1j * k * r) / (4.0 * np.pi * r)
 
 
 def _grid(center_offset, length, spacing):

@@ -115,6 +115,29 @@ class TestConfigHandling:
         code, _, err = run(capsys, "dof", "--config", "/dev/null")
         assert code == 2
 
+    @pytest.mark.parametrize("command, config", [
+        ("sweep", {"sweep": {"parameter": "x0", "stop": 1, "steps": 5}}),
+        ("sweep --deg", {"sweep": {"parameter": "theta_T", "stop": 1, "steps": 5}}),
+        ("sweep", {"sweep": {"parameter": "x0", "start": 0, "stop": 1,
+                             "steps": "abc"}}),
+        ("sweep", {"sweep": "x0"}),
+        ("stats", {"stats": [1]}),
+        ("stats", {"stats": {"grid_points": "abc"}}),
+        ("stats", {"stats": {"scenario": "conditional-on-x0", "x0": "ten"}}),
+        ("dof", {"x0_m": "ten"}),
+        ("dof", {"seed": None}),
+    ], ids=["sweep-no-start", "deg-sweep-no-start", "sweep-steps-text",
+            "sweep-not-object", "stats-not-object", "grid-points-text",
+            "stats-x0-text", "x0-text", "seed-null"])
+    def test_malformed_value_exit_2(self, tmp_path, capsys, command, config):
+        """A missing or mistyped config value is a config error: exit 2
+        with a message, not a traceback or a numeric failure."""
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps(config))
+        code, out, err = run(capsys, *command.split(), "--config", str(cfgfile))
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
 
 class TestSweepCommand:
     def test_theta_sweep_csv(self, tmp_path, capsys):

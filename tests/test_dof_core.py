@@ -54,7 +54,6 @@ class TestTaylorCoefficients:
         assert tc.r0 == pytest.approx(10.0)
         assert tc.a == pytest.approx(0.0)
         assert tc.rho == pytest.approx(0.0)
-        assert tc.gamma == pytest.approx(0.0)
         # broadside: (d . n)^2 = x0^2, rho_tilde = 1 / (2 r0)
         assert tc.rho_tilde == pytest.approx(1.0 / 20.0)
 

@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 
 from nfdof import statistics as stats
-from nfdof.dof_core import dof
-from nfdof.geometry import make_link
-from nfdof.numerics import integrate
+from nfdof.dof_core import dof, dof_arrays
+from nfdof.geometry import ENDPOINTS, TOUCHING, link_arrays, make_link
+from nfdof.numerics import integrate, sample_stream
 from nfdof.statistics import (
     CONDITIONAL_ON_X0, FULL_VISIBILITY, PARTIAL_R_MINUS, PARTIAL_R_PLUS,
     DistributionCurve, ScenarioConfig, branch_interval, ccdf,
-    empirical_ccdf, excess_dof_branches, monte_carlo, pdf_m_conditional,
-    pdf_m_full, pdf_m_full_conditional, pdf_m_partial_rminus,
-    pdf_m_partial_rplus, pdf_rho_minus, pdf_x0, pov, visibility_fraction,
+    empirical_ccdf, excess_dof_branches, monte_carlo, pov, visibility_fraction,
 )
 
 F = 30e9
@@ -46,42 +44,56 @@ class TestScenarioConfig:
             cfg(R=0.0)
 
 
+def density(c, mu):
+    """The scenario's density of mu at one threshold, as a float."""
+    return float(stats.pdf(c, mu))
+
+
+def full_at_x0(c, mu, x0):
+    """Full-visibility density of mu at a fixed axis distance x0, for
+    0 < mu < 2C."""
+    return float(stats._at_x0(np.array([mu]), x0, c.C, c.L_R / 2.0)[2][0])
+
+
 class TestPlacementDensity:
+    """The disk-placement law 4 sqrt(R^2 - x0^2) / (pi R^2) through its
+    closed-form CDF."""
+
     def test_center_value(self):
-        # 4 sqrt(R^2) / (pi R^2) at x0 = 0 with R = 20 -> 1 / (5 pi)
-        assert pdf_x0(0.0, 20.0) == pytest.approx(1.0 / (5.0 * np.pi))
+        # slope 4 / (pi R) at x0 = 0, which is 1 / (5 pi) with R = 20
+        h = 1e-6
+        slope = (stats._disk_cdf(h, 20.0) - stats._disk_cdf(-h, 20.0)) / (2 * h)
+        assert slope == pytest.approx(1.0 / (5.0 * np.pi), rel=1e-8)
 
     def test_edge_zero(self):
-        assert pdf_x0(20.0, 20.0) == 0.0
+        # the density vanishes at the rim: the CDF's last step is flat
+        h = 1e-6
+        assert (1.0 - stats._disk_cdf(20.0 - h, 20.0)) / h < 1e-4
 
     def test_normalized(self):
-        val = integrate(lambda x: pdf_x0(x, 20.0), 0.0, 20.0).value
-        assert val == pytest.approx(1.0, abs=1e-10)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            pdf_x0(-1.0, 20.0)
+        assert stats._disk_cdf(0.0, 20.0) == 0.0
+        assert stats._disk_cdf(20.0, 20.0) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestPartialBranchDensity:
     def test_endpoint_slope_density_normalized(self):
+        # the varying endpoint slope rho has density C pdf(C (1 + rho));
         # substitute rho = sin(t) to absorb the arcsine endpoint
         # singularities exactly
-        c = cfg()
+        c = cfg(scenario=PARTIAL_R_PLUS)
         val = integrate(
-            lambda t: pdf_rho_minus(np.sin(t), c) * np.cos(t),
+            lambda t: c.C * density(c, c.C * (1.0 + np.sin(t))) * np.cos(t),
             -np.pi / 2, np.pi / 2, rel_tol=1e-6).value
         assert val == pytest.approx(1.0, abs=1e-3)
 
     def test_plus_minus_branches_identical(self):
-        c = cfg(scenario=PARTIAL_R_PLUS)
-        for mu in (0.5, 3.0, 10.0, 25.0):
-            assert pdf_m_partial_rplus(mu, c) == pdf_m_partial_rminus(mu, c)
+        mu = [0.5, 3.0, 10.0, 25.0]
+        assert (stats.pdf(cfg(scenario=PARTIAL_R_PLUS), mu).tolist()
+                == stats.pdf(cfg(scenario=PARTIAL_R_MINUS), mu).tolist())
 
     def test_outside_support(self):
-        c = cfg()
-        assert pdf_m_partial_rplus(-1.0, c) == 0.0
-        assert pdf_m_partial_rplus(41.0, c) == 0.0
+        c = cfg(scenario=PARTIAL_R_PLUS)
+        assert stats.pdf(c, [-1.0, 41.0]).tolist() == [0.0, 0.0]
 
 
 class TestFullVisibilityDensity:
@@ -91,20 +103,20 @@ class TestFullVisibilityDensity:
         a = np.arctan(5.0 / 20.0)
         lo = 2 * 20.0 * np.sin(a) ** 2
         hi = 2 * 20.0 * np.sin(a)
-        assert pdf_m_full_conditional(lo - 1e-9, x0, c) == 0.0
-        assert pdf_m_full_conditional(hi + 1e-9, x0, c) == 0.0
-        assert pdf_m_full_conditional((lo + hi) / 2, x0, c) > 0.0
+        assert full_at_x0(c, lo - 1e-9, x0) == 0.0
+        assert full_at_x0(c, hi + 1e-9, x0) == 0.0
+        assert full_at_x0(c, (lo + hi) / 2, x0) > 0.0
 
     def test_conditional_normalized(self):
         c = cfg()
         x0 = 10.0
-        val = integrate(lambda m: pdf_m_full_conditional(m, x0, c),
+        val = integrate(lambda m: full_at_x0(c, m, x0),
                         0.0, 2 * c.C, rel_tol=1e-6).value
         assert val == pytest.approx(1.0, abs=1e-4)
 
     def test_marginal_normalized(self):
         c = cfg()
-        val = integrate(lambda m: pdf_m_full(m, c), 1e-9, 2 * c.C,
+        val = integrate(lambda m: density(c, m), 1e-9, 2 * c.C,
                         rel_tol=1e-6).value
         assert val == pytest.approx(1.0, abs=1e-3)
 
@@ -112,7 +124,7 @@ class TestFullVisibilityDensity:
 class TestConditionalMixture:
     def test_normalized(self):
         c = cfg(scenario=CONDITIONAL_ON_X0, x0=10.0)
-        val = integrate(lambda m: pdf_m_conditional(m, 10.0, c), 1e-9,
+        val = integrate(lambda m: density(c, m), 1e-9,
                         2 * c.C, rel_tol=1e-6).value
         assert val == pytest.approx(1.0, abs=1e-4)
 
@@ -174,6 +186,46 @@ class TestBranchEvaluator:
                 assert mu_vec == 0.0
             assert float(mu_vec) == pytest.approx(mu_engine, abs=1e-9)
             checked += 1
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("L_T, L_R, R", [(0.2, 2.0, 20.0), (0.2, 5.0, 20.0),
+                                             (1.0, 3.0, 5.0)])
+    def test_monte_carlo_draws_match_array_core(self, seed, L_T, L_R, R):
+        """Monte Carlo's own draws through the general link engine
+        (``dof_arrays``).  The two agree on status and count wherever the
+        segments are apart; where the transmit segment reaches the receive
+        line, x0 <= (L_T / 2) |sin(theta_T)|, the segments intersect and
+        the engine says touching while the branch formulas still give a
+        mu.  The conditional scenario sits at x0 = L_T / 4, where most
+        draws intersect."""
+        n = 50_000
+        for scenario in (PARTIAL_R_PLUS, PARTIAL_R_MINUS, FULL_VISIBILITY,
+                         CONDITIONAL_ON_X0):
+            c = cfg(R=R, L_T=L_T, L_R=L_R, scenario=scenario,
+                    x0=L_T / 4 if scenario == CONDITIONAL_ON_X0 else None)
+            # monte_carlo's draws, replayed
+            rng = sample_stream(seed, 0)
+            x0 = np.full(n, c.x0) if c.x0 else stats._sample_x0(rng, R, n)
+            lo, hi = branch_interval(x0, L_R, scenario)
+            thT = lo + rng.random(n) * (hi - lo)
+            mu, b_p, b_f, b_m = excess_dof_branches(x0, thT, L_R, c.C)
+            assert np.array_equal(mu, monte_carlo(c, n, seed=seed))
+            res = dof_arrays(link_arrays(L_T, L_R, thT, np.pi, x0, 0.0, F))
+            vis = res.visibility
+            # the visible receive endpoint of a partial-rx link, else the status
+            got = np.array([ENDPOINTS[e] or s for s, e in
+                            zip(vis.statuses(), vis.endpoint.tolist())])
+            want = np.select([b_f, b_p, b_m], ["full", "R+", "R-"], "none")
+
+            reach = 0.5 * L_T * np.abs(np.sin(thT))
+            keep = np.abs(x0 - reach) > 1e-12 * (x0 + reach)  # off the edge
+            apart, meets = keep & (x0 > reach), keep & (x0 <= reach)
+            assert meets.any() == (scenario != FULL_VISIBILITY), scenario
+            assert np.array_equal(got[apart], want[apart]), scenario
+            err = np.abs(res.m_real - 1.0 - mu)[apart] / np.maximum(1.0, mu[apart])
+            assert err.max() <= 1e-12, scenario
+            # so every disagreement is an intersecting placement
+            assert np.all(got[meets] == TOUCHING), scenario
 
     def test_vectorized_shapes(self):
         mu, b_p, b_f, b_m = excess_dof_branches(
@@ -336,5 +388,5 @@ class TestDeconditioningCore:
         c = cfg()
         assert stats.pdf(c, 10.0).shape == ()
         assert stats.pdf(c, [0.0, 10.0, 40.0]).shape == (3,)
-        assert float(stats.pdf(c, 10.0)) == pdf_m_full(10.0, c)
+        assert float(stats.pdf(c, 10.0)) == stats.pdf(c, [10.0])[0]
         assert stats.pdf(c, [-1.0, 0.0, 40.0, 41.0]).tolist() == [0.0] * 4

@@ -9,12 +9,20 @@ from nfdof.dof_core import dof
 from nfdof.geometry import classify_visibility, make_link
 from nfdof.geometry import FULL, PARTIAL_RX, PARTIAL_TX
 from nfdof.svd_oracle import (
-    channel_matrix, effective_dof, gram_powers, green, singular_spectrum,
-    svd_report,
+    channel_matrix, effective_dof, gram_powers, singular_spectrum, svd_report,
 )
 
 F = 30e9
 LAMBDA = 0.01
+
+
+def green(point_t, point_r, k):
+    """Reference free-space Green's function exp(-j k r) / (4 pi r) between
+    two points."""
+    r = float(np.hypot(point_r[0] - point_t[0], point_r[1] - point_t[1]))
+    if r == 0.0:
+        raise ValueError("green: coincident points")
+    return np.exp(-1j * k * r) / (4.0 * np.pi * r)
 
 
 def link(L_T=0.2, L_R=5.0, thT=0.0, thR=np.pi, x0=10.0, y0=0.0):
