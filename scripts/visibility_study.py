@@ -37,17 +37,17 @@ def main(argv=None):
     link = {"L_T": args.l_t, "L_R": args.l_r, "theta_R": args.theta_r,
             "x0": args.x0, "y0": args.y0, "frequency": args.frequency_hz}
     values = np.linspace(-np.pi, np.pi, args.steps)
-    _, rows = sweep_rows(link, "theta_T", values)
-    cols = f"{'theta_T':>9}{'status':>15}{'m_real':>9}{'m_int':>6}"
+    _, (_, m_real, m_int, status) = sweep_rows(link, "theta_T", values)
+    head = f"{'theta_T':>9}{'status':>15}{'m_real':>9}{'m_int':>6}"
     if args.svd:
-        _, svd, _ = svd_compare_rows(link, "theta_T", values, None,
-                                     DEFAULT_SUM_RULE_FRACTION)
-        cols += f"{'svd':>5}"
-    print(cols)
-    for i, (thT, m_real, m_int, status) in enumerate(rows):
-        row = f"{thT:>9.3f}{status:>15}{m_real:>9.3f}{m_int:>6}"
+        _, (_, _, svd, _), _ = svd_compare_rows(link, "theta_T", values, None,
+                                                DEFAULT_SUM_RULE_FRACTION)
+        head += f"{'svd':>5}"
+    print(head)
+    for i, thT in enumerate(values):
+        row = f"{thT:>9.3f}{status[i]:>15}{m_real[i]:>9.3f}{m_int[i]:>6}"
         if args.svd:
-            row += f"{svd[i][2]:>5}"
+            row += f"{svd[i]:>5}"
         print(row)
     return 0
 

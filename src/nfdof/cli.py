@@ -2,14 +2,27 @@
 
 Subcommands: ``dof``, ``sweep``, ``svd-compare``, ``kernel-scan``,
 ``stats``, ``figure``.  Parameters come from an optional JSON config
-file (flat keys) overridden by command-line flags.  Every file output is
-accompanied by a ``<name>.manifest.json`` echoing the full parameter set
-and seed, and reruns with identical inputs are byte-identical.
+file (flat keys) overridden by command-line flags; an unknown field, or
+an unknown key in its ``sweep`` or ``stats`` section, is a config error.
+Every file output is accompanied by a ``<name>.manifest.json`` echoing
+the full parameter set and seed, and reruns with identical inputs are
+byte-identical.
+
+Output is columnar from the computation to the bytes: each command
+takes the columns of one shared loop in ``figures`` and formats each
+column once, by what it holds.  CSV cells are floats to 9 significant
+digits (``nan`` for NaN), integers in full, strings as they are, an
+empty cell for no value and lists joined by ``;``.  JSON output is a
+list of records, NaN as null.
+
+``main`` builds its argument parser once per process and may be called
+repeatedly in one process.
 
 Exit codes: 0 success, 1 numeric failure, 2 usage/config error.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,6 +44,9 @@ FLOAT_FLAGS = ("--frequency-hz", "--l-t", "--l-r", "--x0", "--y0", "--theta-t",
                "--theta-r")
 # CCDF error estimate above which ``stats`` and the curve figures warn
 QUADRATURE_WARN_ABS = 1e-9
+# the keys each config section takes
+SECTION_KEYS = {"sweep": ("parameter", "start", "stop", "steps"),
+                "stats": ("R", "scenario", "x0", "grid_points", "mc_samples")}
 
 
 class UsageError(Exception):
@@ -70,9 +86,14 @@ def _load_config(path):
     for key, value in data.items():
         if key not in defaults:
             raise UsageError(f"config {path}: unknown field {key!r}")
-        kind = dict if key in ("sweep", "stats") else (int, float)
+        kind = dict if key in SECTION_KEYS else (int, float)
         if not (isinstance(value, kind) or value is None and defaults[key] is None):
             raise UsageError(f"config {path}: bad value {value!r} for {key!r}")
+        if key in SECTION_KEYS:
+            for name in value or ():
+                if name not in SECTION_KEYS[key]:
+                    raise UsageError(f"config {path}: unknown key {name!r} in section "
+                                     f"{key!r}; choose from {SECTION_KEYS[key]}")
         setattr(cfg, key, value)
     return cfg
 
@@ -107,7 +128,7 @@ def _number(section, name, key, kind=float, default=None):
 
 
 def _fmt(x):
-    """One CSV cell: 9 significant digits for floats."""
+    """One CSV cell of a column that mixes kinds."""
     if x is None:
         return ""
     if isinstance(x, (list, tuple)):
@@ -116,10 +137,22 @@ def _fmt(x):
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    xf = float(x)
-    if math.isnan(xf):
-        return "nan"
-    return f"{xf:.9g}"
+    return f"{float(x):.9g}"
+
+
+def _cells(column):
+    """The CSV cells of one column, formatted by what it holds: floats to
+    9 significant digits (``nan`` for NaN), integers in full (Python ints
+    past 2**63 too), strings as they are, a mix cell by cell."""
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return map("{:.9g}".format, values)
+    if kinds <= {int}:
+        return map(str, values)
+    if kinds <= {str}:
+        return values
+    return map(_fmt, values)
 
 
 def _jsonable(x):
@@ -137,14 +170,13 @@ def _jsonable(x):
     return x
 
 
-def _emit(header, rows, args, manifest):
-    fmt = args.format
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(c) for c in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+def _emit(header, columns, args, manifest):
+    """Write equal-length ``columns`` under ``header`` as CSV or JSON."""
+    if args.format == "csv":
+        lines = map(",".join, zip(*map(_cells, columns)))
+        text = "\n".join([",".join(header), *lines]) + "\n"
     else:
-        records = [dict(zip(header, (_jsonable(c) for c in row))) for row in rows]
+        records = [dict(zip(header, row)) for row in zip(*map(_jsonable, columns))]
         text = json.dumps(records, indent=2, sort_keys=True) + "\n"
     _write_out(text, args, manifest)
 
@@ -152,7 +184,7 @@ def _emit(header, rows, args, manifest):
 def _emit_report(report, args, manifest):
     if args.format == "csv":
         header = list(report.keys())
-        _emit(header, [[report[k] for k in header]], args, manifest)
+        _emit(header, [[report[k]] for k in header], args, manifest)
     else:
         text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
         _write_out(text, args, manifest)
@@ -209,25 +241,25 @@ def _sweep_values(cfg: RunConfig):
 
 
 def cmd_sweep(cfg: RunConfig, args):
-    header, rows = sweep_rows(link_params(vars(cfg)), *_sweep_values(cfg))
-    _emit(header, rows, args, _manifest(cfg, "sweep"))
+    header, columns = sweep_rows(link_params(vars(cfg)), *_sweep_values(cfg))
+    _emit(header, columns, args, _manifest(cfg, "sweep"))
     return 0
 
 
 def cmd_svd_compare(cfg: RunConfig, args):
-    header, rows, svd_grid = svd_compare_rows(
+    header, columns, svd_grid = svd_compare_rows(
         link_params(vars(cfg)), *_sweep_values(cfg), cfg.svd_spacing,
         cfg.svd_threshold)
-    _emit(header, rows, args,
+    _emit(header, columns, args,
           _manifest(cfg, "svd-compare", {"threshold": cfg.svd_threshold,
                                          "svd_grid": svd_grid}))
     return 0
 
 
 def cmd_kernel_scan(cfg: RunConfig, args):
-    header, rows, kernel = kernel_scan_rows(link_params(vars(cfg)), cfg.zeta_ref,
-                                            cfg.n_samples)
-    _emit(header, rows, args, _manifest(cfg, "kernel-scan", {"kernel": kernel}))
+    header, columns, kernel = kernel_scan_rows(link_params(vars(cfg)),
+                                               cfg.zeta_ref, cfg.n_samples)
+    _emit(header, columns, args, _manifest(cfg, "kernel-scan", {"kernel": kernel}))
     return 0
 
 
@@ -253,11 +285,14 @@ def cmd_stats(cfg: RunConfig, args):
     if grid_points < 2:
         raise UsageError("stats needs a grid with at least two points")
     mc_samples = _number(section, "stats", "mc_samples", int, 100_000)
-    header, rows, quadrature = curve_rows(scen_cfg, grid_points, mc_samples,
-                                          cfg.seed)
+    if mc_samples != 0 and mc_samples < stats.MIN_MC_SAMPLES:
+        raise UsageError(f"stats needs mc_samples of 0 or at least "
+                         f"{stats.MIN_MC_SAMPLES}, got {mc_samples}")
+    header, columns, quadrature = curve_rows(scen_cfg, grid_points, mc_samples,
+                                             cfg.seed)
     _warn_quadrature(quadrature)
     _emit(header + ["mc_samples", "seed"],
-          [row + [mc_samples, int(cfg.seed)] for row in rows], args,
+          columns + [[mc_samples] * grid_points, [int(cfg.seed)] * grid_points], args,
           _manifest(cfg, "stats", {"scenario": asdict(scen_cfg),
                                    "quadrature": quadrature}))
     return 0
@@ -267,16 +302,19 @@ def cmd_figure(cfg: RunConfig, args):
     fig_id = args.id
     if fig_id not in FIGURE_IDS:
         raise UsageError(f"unknown figure id {fig_id!r}; choose from {FIGURE_IDS}")
-    header, rows, extra = figure_rows(fig_id, seed=cfg.seed)
+    header, columns, extra = figure_rows(fig_id, seed=cfg.seed)
     if "quadrature" in extra:
         _warn_quadrature(extra["quadrature"])
     manifest = _manifest(cfg, f"figure {fig_id}",
                          {"figure": fig_id, "bindings": figure_params(fig_id),
                           **extra})
-    _emit(header, rows, args, manifest)
+    _emit(header, columns, args, manifest)
     return 0
 
 
+# built once per process: parse_args leaves the parser as it was, so every
+# call of ``main`` in a process can share it
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="nfdof",

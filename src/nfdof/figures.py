@@ -115,35 +115,38 @@ def _dof_sweep(link, key, values):
 
 
 def sweep_rows(link, key, values):
-    """(header, rows) of a DoF sweep; ``m_int`` is 0 where it is None."""
+    """(header, columns) of a DoF sweep; ``m_int`` is 0 where it is None."""
     res = _dof_sweep(link, key, values)
-    rows = [list(r) for r in zip(values, res.m_real.tolist(), res.m_int.tolist(),
-                                 res.visibility.statuses())]
-    return [key, "m_real", "m_int", "status"], rows
+    return ([key, "m_real", "m_int", "status"],
+            [values, res.m_real, res.m_int, res.visibility.statuses()])
 
 
 def svd_compare_rows(link, key, values, spacing, threshold):
-    """(header, rows, grid record) of the mode count against the sum-rule
-    count of the channel matrix along a sweep, closed by a ``max`` row;
-    links without modes count 0 for both.  The record holds the shape of
-    the largest matrix decomposed (0 x 0 without any)."""
+    """(header, columns, grid record) of the mode count against the
+    sum-rule count of the channel matrix along a sweep, each column closed
+    by its ``max`` entry; links without modes count 0 for both.  The
+    record holds the shape of the largest matrix decomposed (0 x 0
+    without any)."""
     res = _dof_sweep(link, key, values)
-    rows, shape = [], (0, 0)
-    for i, (v, m_int) in enumerate(zip(values, res.m_int.tolist())):
+    m_int = res.m_int.tolist()
+    eds, shape = [], (0, 0)
+    for i, m in enumerate(m_int):
         ed = 0
-        if m_int:
+        if m:
             cm = channel_matrix(res.links.link(i), report=res.visibility.report(i),
                                 spacing=spacing)
             shape = max(shape, cm.entries.shape, key=math.prod)
             ed = effective_dof(gram_powers(cm), threshold)
-        rows.append([v, m_int, ed, abs(m_int - ed)])
-    rows.append(["max", "", "", max(row[3] for row in rows)])
-    return ([key, "m_int", "effective_dof", "abs_diff"], rows,
+        eds.append(ed)
+    diffs = [abs(m - ed) for m, ed in zip(m_int, eds)]
+    columns = [values.tolist() + ["max"], m_int + [""], eds + [""],
+               diffs + [max(diffs)]]
+    return ([key, "m_int", "effective_dof", "abs_diff"], columns,
             _grid_record(shape))
 
 
 def kernel_scan_rows(link, zeta_ref, n_samples):
-    """(header, rows, kernel record) of the exact and far-field kernel
+    """(header, columns, kernel record) of the exact and far-field kernel
     across the effective receive aperture, with its significant minima
     flagged; the record counts the samples and the sinc-limit ones."""
     lk = make_link(**link)
@@ -153,66 +156,64 @@ def kernel_scan_rows(link, zeta_ref, n_samples):
     is_min = np.zeros(scan.zeta.size, dtype=int)
     is_min[scan.minima] = 1
     v = scan.values
-    rows = [list(r) for r in zip(scan.zeta.tolist(), v.real.tolist(),
-                                 v.imag.tolist(), np.abs(v).tolist(),
-                                 far.tolist(), is_min.tolist())]
+    columns = [scan.zeta, v.real, v.imag, np.abs(v), far, is_min]
     record = {"samples": scan.zeta.size, "sinc_fallback": scan.sinc_fallback}
     return ["zeta", "re", "im", "magnitude", "magnitude_farfield",
-            "is_minimum"], rows, record
+            "is_minimum"], columns, record
 
 
 def curve_rows(cfg, grid_points, mc_samples, seed):
-    """(header, rows, quadrature record) of the analytic and Monte Carlo
-    CCDF of ``cfg`` on ``grid_points`` thresholds across [0, 2C]; the
-    Monte Carlo column is NaN without samples."""
+    """(header, columns, quadrature record) of the analytic and Monte
+    Carlo CCDF of ``cfg`` on ``grid_points`` thresholds across [0, 2C];
+    the Monte Carlo column is NaN without samples."""
     grid = np.linspace(0.0, 2.0 * cfg.C, grid_points)
     curve = stats.ccdf(cfg, grid, mc_samples=mc_samples, seed=seed)
-    mc = curve.mc_ccdf if curve.mc_ccdf is not None else [float("nan")] * grid.size
-    rows = [list(r) for r in zip(curve.grid, curve.pdf, curve.ccdf, mc)]
+    mc = curve.mc_ccdf if curve.mc_ccdf is not None else np.full(grid.size, np.nan)
     quadrature = {"nodes": curve.quadrature_nodes,
                   "abs_error_estimate": curve.abs_error_estimate}
-    return ["mu_th", "pdf", "ccdf_analytic", "ccdf_mc"], rows, quadrature
+    return (["mu_th", "pdf", "ccdf_analytic", "ccdf_mc"],
+            [curve.grid, curve.pdf, curve.ccdf, mc], quadrature)
 
 
 def figure_rows(fig_id, seed=0):
-    """(header, rows, manifest additions) of the data file behind the
+    """(header, columns, manifest additions) of the data file behind the
     recipe: its ``figure_params`` bindings passed to the shared loops."""
     p = figure_params(fig_id)
     link, extra = link_params(p), {}
     if fig_id in _KERNEL_CONFIGS:
-        _, rows, kernel = kernel_scan_rows(link, p["zeta_ref"], p["n_samples"])
+        _, cols, kernel = kernel_scan_rows(link, p["zeta_ref"], p["n_samples"])
         header = ["zeta", "magnitude_exact", "magnitude_farfield", "is_minimum"]
-        rows = [[r[0], r[3], r[4], r[5]] for r in rows]
+        cols = [cols[0], cols[3], cols[4], cols[5]]
         extra = {"kernel": kernel}
     elif fig_id == "fig4":
-        header, rows = sweep_rows(link, "theta_R", _grid(p["theta_R_sweep"]))
+        header, cols = sweep_rows(link, "theta_R", _grid(p["theta_R_sweep"]))
     elif fig_id == "fig5":
-        header, rows, svd_grid = _spectrum_rows(link, p["spacing"])
+        header, cols, svd_grid = _spectrum_rows(link, p["spacing"])
         extra = {"svd_grid": svd_grid}
     elif fig_id in _FIG7_GEOMETRIES:
-        header, rows, svd_grid = svd_compare_rows(
+        header, cols, svd_grid = svd_compare_rows(
             link, "theta_R", _grid(p["theta_R_sweep"]), p["spacing"],
             p["threshold"])
         extra = {"svd_grid": svd_grid}
     elif fig_id == "fig8":
-        rows = []
+        blocks = []
         for ratio in p["x0_over_LR"]:
             header, block = sweep_rows({**link, "x0": ratio * p["L_R_m"]}, "theta_R",
                                        _grid(p["theta_R_sweep"]))
-            rows += [[ratio] + r for r in block]
-        header = ["x0_over_LR"] + header
+            blocks.append(((ratio,), block))
+        header, cols = ["x0_over_LR"] + header, _stack(blocks)
     elif fig_id in ("fig9a", "fig9b"):
-        header, rows, extra = _curve_family(["R"], [
+        header, cols, extra = _curve_family(["R"], [
             ((R,), {"R": R, "L_R": p["L_R_m"], "scenario": p["scenario"]})
             for R in p["radii"]], p, seed)
     elif fig_id == "fig10":
-        header, rows, extra = _curve_family(["x0", "L_R"], [
+        header, cols, extra = _curve_family(["x0", "L_R"], [
             ((x0, L_R), {"R": 20.0, "L_R": L_R, "x0": x0,
                          "scenario": stats.CONDITIONAL_ON_X0})
             for x0, L_R in p["cases"]], p, seed)
     else:  # fig11
-        header, rows = _pov_rows(p)
-    return header, rows, extra
+        header, cols = _pov_rows(p)
+    return header, cols, extra
 
 
 def _grid(spec):
@@ -220,19 +221,26 @@ def _grid(spec):
     return np.linspace(lo, hi, int(n))
 
 
+def _stack(blocks):
+    """(case values, columns) blocks one after another, each block's
+    columns behind one constant column per case value."""
+    return [np.concatenate(parts) for parts in zip(*(
+        [np.full(len(cols[0]), v) for v in case] + cols for case, cols in blocks))]
+
+
 def _curve_family(case_header, cases, p, seed):
     """Curves of several (case values, scenario keywords) pairs stacked
     with the case values in front, and one quadrature record holding the
     largest error estimate."""
-    rows, estimates = [], []
+    blocks, estimates = [], []
     for case, scenario in cases:
         cfg = stats.ScenarioConfig(L_T=p["L_T_m"], frequency=p["frequency_hz"],
                                    **scenario)
         header, block, quadrature = curve_rows(cfg, p["grid_points"],
                                                p["mc_samples"], seed)
-        rows += [list(case) + r for r in block]
+        blocks.append((case, block))
         estimates.append(quadrature["abs_error_estimate"])
-    return case_header + header, rows, {"quadrature": {
+    return case_header + header, _stack(blocks), {"quadrature": {
         "nodes": quadrature["nodes"], "abs_error_estimate": max(estimates)}}
 
 
@@ -243,13 +251,13 @@ def _grid_record(shape):
 def _spectrum_rows(link, spacing):
     cm = channel_matrix(make_link(**link), spacing=spacing)
     rep = singular_spectrum(cm)
-    rows = [[j, *r] for j, r in enumerate(zip(
-        rep.singular_values, rep.normalized_powers, rep.cumulative_fraction), start=1)]
+    index = np.arange(1, len(rep.singular_values) + 1)
     return (["index", "singular_value", "normalized_power", "cumulative_fraction"],
-            rows, _grid_record(cm.entries.shape))
+            [index, rep.singular_values, rep.normalized_powers,
+             rep.cumulative_fraction], _grid_record(cm.entries.shape))
 
 
 def _pov_rows(p):
-    rows = [[x0, L_R, stats.pov(x0, L_R)]
-            for x0 in _grid(p["x0_grid"]) for L_R in _grid(p["L_R_grid"])]
-    return ["x0", "L_R", "pov"], rows
+    x0, L_R = np.meshgrid(_grid(p["x0_grid"]), _grid(p["L_R_grid"]), indexing="ij")
+    x0, L_R = x0.ravel(), L_R.ravel()
+    return ["x0", "L_R", "pov"], [x0, L_R, list(map(stats.pov, x0, L_R))]

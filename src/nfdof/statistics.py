@@ -53,7 +53,7 @@ from .numerics import sample_stream
 
 __all__ = [
     "PARTIAL_R_PLUS", "PARTIAL_R_MINUS", "FULL_VISIBILITY", "CONDITIONAL_ON_X0",
-    "ScenarioConfig", "DistributionCurve",
+    "MIN_MC_SAMPLES", "ScenarioConfig", "DistributionCurve",
     "pdf", "pov", "ccdf", "monte_carlo", "excess_dof_branches",
     "empirical_ccdf", "visibility_fraction", "branch_interval",
 ]
@@ -64,6 +64,9 @@ FULL_VISIBILITY = "full-visibility"
 CONDITIONAL_ON_X0 = "conditional-on-x0"
 
 _SCENARIOS = (PARTIAL_R_PLUS, PARTIAL_R_MINUS, FULL_VISIBILITY, CONDITIONAL_ON_X0)
+
+# fewest draws ``monte_carlo`` takes
+MIN_MC_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -332,7 +335,7 @@ def monte_carlo(cfg: ScenarioConfig, n, seed=0):
     construction.  The branch evaluator is the vectorized counterpart of
     the per-link engine.
     """
-    if n < 10_000:
+    if n < MIN_MC_SAMPLES:
         raise ValueError("need at least 1e4 samples")
     rng = sample_stream(seed, 0)
     if cfg.scenario == CONDITIONAL_ON_X0:

@@ -3,10 +3,15 @@ and reproducible outputs."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nfdof
 from nfdof.cli import RunConfig, main
 from nfdof.figures import figure_params
 
@@ -114,6 +119,20 @@ class TestConfigHandling:
     def test_empty_config_exit_2(self, capsys):
         code, _, err = run(capsys, "dof", "--config", "/dev/null")
         assert code == 2
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("sweep", {"sweep": {"parameter": "x0", "start": 0, "stop": 1, "step": 5}},
+         "step"),
+        ("stats", {"stats": {"grid_point": 11, "mc_samples": 10000}}, "grid_point"),
+    ], ids=["sweep", "stats"])
+    def test_unknown_section_key_exit_2(self, tmp_path, capsys, command, config, key):
+        """A misspelled section key is refused by name instead of falling
+        back to the key's default."""
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps(config))
+        code, out, err = run(capsys, command, "--config", str(cfgfile))
+        assert code == 2 and out == ""
+        assert f"unknown key {key!r} in section {command!r}" in err
 
     @pytest.mark.parametrize("command, config", [
         ("sweep", {"sweep": {"parameter": "x0", "stop": 1, "steps": 5}}),
@@ -294,6 +313,21 @@ class TestStatsCommand:
         code, _, err = run(capsys, "stats", "--config", str(cfgfile))
         assert code == 2
 
+    @pytest.mark.parametrize("mc_samples, code", [
+        (100, 2), (-5, 2), (9999, 2), (0, 0), (10_000, 0)])
+    def test_mc_samples_range(self, tmp_path, capsys, mc_samples, code):
+        """Monte Carlo takes 0 draws (no overlay) or at least 1e4; other
+        counts are a config error, not a numeric failure."""
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({
+            "stats": {"grid_points": 3, "mc_samples": mc_samples}}))
+        got, out, err = run(capsys, "stats", "--config", str(cfgfile))
+        assert got == code
+        if code:
+            assert out == "" and "mc_samples" in err
+        else:
+            assert len(out.strip().split("\n")) == 4
+
 
 class TestFigureCommand:
     def test_spectrum_recipe_values(self, capsys):
@@ -413,3 +447,172 @@ class TestReproducibility:
         assert manifest["tool"] == "nfdof"
         assert manifest["command"] == "dof"
         assert manifest["parameters"]["theta_T"] == pytest.approx(0.3)
+
+
+_TOUCHING_SWEEP = {"sweep": {"parameter": "x0", "start": -10, "stop": 10, "steps": 3}}
+_BIG_SWEEP = {"sweep": {"parameter": "theta_T", "start": -0.5, "stop": 0.5, "steps": 3}}
+_SVD_SWEEP = {"sweep": {"parameter": "theta_T", "start": 0.0, "stop": 1.0, "steps": 2}}
+_BIG = ("--l-t", "1e10", "--frequency-hz", "1e18")
+_TOUCHING = ("--theta-r", "1.5707963267948966", "--x0", "0.5", "--y0", "0")
+_DOF_HEADER = ("status,visible_endpoint,l_T,l_R,eta_c,zeta_c,a_plus,a_minus,"
+               "a_zero,rho_c,m_plus,m_minus,m_real,m_int,warnings\n")
+
+
+class TestOutputFormat:
+    """Cells of every kind, byte for byte: NaN, no value, -0, counts past
+    2**63, the svd-compare ``max`` row and a ';'-joined warning list."""
+
+    @pytest.mark.parametrize("argv, config, expected", [
+        (("sweep",), _TOUCHING_SWEEP,
+         "x0,m_real,m_int,status\n-10,0,0,no-visibility\n0,nan,0,touching\n"
+         "10,10.701425,11,full\n"),
+        (("sweep", *_BIG), _BIG_SWEEP,
+         "theta_T,m_real,m_int,status\n-0.5,1,1,partial-tx\n"
+         "0,1.61690417e+19,16169041669088864256,full\n0.5,1,1,partial-tx\n"),
+        (("svd-compare",), _SVD_SWEEP,
+         "theta_T,m_int,effective_dof,abs_diff\n0,11,10,1\n1,6,6,0\nmax,,,1\n"),
+        (("dof", *_TOUCHING), None, _DOF_HEADER +
+         "touching,,0,0,0,0,nan,nan,nan,nan,nan,nan,nan,,center distance 0.5 m "
+         "below 6.24 m; constant-amplitude approximation may be unreliable\n"),
+        (("dof", "--y0", "-0", "--theta-t", "-0"), None, _DOF_HEADER +
+         "full,,0.2,5,0,0,-0.244978663,0.244978663,-0,0,4.8507125,-4.8507125,"
+         "10.701425,11,\n"),
+        (("dof", "--x0", "1"), None, _DOF_HEADER +
+         "full,,0.2,5,0,0,-1.19028995,1.19028995,0,0,18.5695338,-18.5695338,"
+         "38.1390676,38,center distance 1 m below 6.24 m; constant-amplitude "
+         "approximation may be unreliable\n"),
+    ], ids=["touching-sweep", "count-past-2**63", "svd-max-row", "touching-dof",
+            "negative-zero", "warning"])
+    def test_csv_bytes(self, tmp_path, capsys, argv, config, expected):
+        assert run(capsys, *argv, *_config_args(tmp_path, config),
+                   "--format", "csv") == (0, expected, "")
+
+    @pytest.mark.parametrize("argv, config, expected", [
+        (("sweep",), _TOUCHING_SWEEP, """[
+  {
+    "m_int": 0,
+    "m_real": 0.0,
+    "status": "no-visibility",
+    "x0": -10.0
+  },
+  {
+    "m_int": 0,
+    "m_real": null,
+    "status": "touching",
+    "x0": 0.0
+  },
+  {
+    "m_int": 11,
+    "m_real": 10.70142500145332,
+    "status": "full",
+    "x0": 10.0
+  }
+]
+"""),
+        (("sweep", *_BIG), _BIG_SWEEP, """[
+  {
+    "m_int": 1,
+    "m_real": 1.0,
+    "status": "partial-tx",
+    "theta_T": -0.5
+  },
+  {
+    "m_int": 16169041669088864256,
+    "m_real": 1.6169041669088864e+19,
+    "status": "full",
+    "theta_T": 0.0
+  },
+  {
+    "m_int": 1,
+    "m_real": 1.0,
+    "status": "partial-tx",
+    "theta_T": 0.5
+  }
+]
+"""),
+        (("svd-compare",), _SVD_SWEEP, """[
+  {
+    "abs_diff": 1,
+    "effective_dof": 10,
+    "m_int": 11,
+    "theta_T": 0.0
+  },
+  {
+    "abs_diff": 0,
+    "effective_dof": 6,
+    "m_int": 6,
+    "theta_T": 1.0
+  },
+  {
+    "abs_diff": 1,
+    "effective_dof": "",
+    "m_int": "",
+    "theta_T": "max"
+  }
+]
+"""),
+    ], ids=["touching-sweep", "count-past-2**63", "svd-max-row"])
+    def test_json_bytes(self, tmp_path, capsys, argv, config, expected):
+        assert run(capsys, *argv, *_config_args(tmp_path, config),
+                   "--format", "json") == (0, expected, "")
+
+    @pytest.mark.parametrize("argv, line", [
+        (("dof", "--y0", "-0", "--theta-t", "-0"), '  "a_zero": -0.0,\n'),
+        (("dof", *_TOUCHING), '  "m_int": null,\n'),
+        (("dof", *_TOUCHING), '  "m_real": null,\n'),
+        (("dof", "--x0", "1"), '  "warnings": [\n    "center distance 1 m below '
+         '6.24 m; constant-amplitude approximation may be unreliable"\n  ],\n'),
+    ], ids=["negative-zero", "touching-count", "touching-nan", "warning"])
+    def test_json_report_cells(self, capsys, argv, line):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and line in out
+
+
+def _config_args(tmp_path, config):
+    if config is None:
+        return ()
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    return ("--config", str(path))
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of the console entry point run as its
+    own process."""
+    src = str(Path(nfdof.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    entry = "import sys; from nfdof.cli import main; sys.exit(main())"
+    proc = subprocess.run([sys.executable, "-c", entry, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=120, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestReentrancy:
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        """A usage error, then a sweep, a figure and a stats call in this
+        process give the exit codes and bytes of fresh processes."""
+        stats_cfg = tmp_path / "stats.json"
+        stats_cfg.write_text(json.dumps({"stats": {"grid_points": 11,
+                                                   "mc_samples": 10000}}))
+        fig = tmp_path / "fig4.csv"
+        calls = [
+            ["sweep", "--format", "xml"],
+            ["sweep", *_config_args(tmp_path, _TOUCHING_SWEEP)],
+            ["figure", "--id", "fig4", "--out", str(fig)],
+            ["stats", "--config", str(stats_cfg), "--seed", "5"],
+        ]
+        outputs = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            out = capsys.readouterr()
+            outputs.append((code, out.out, out.err))
+        figure_bytes = fig.read_bytes(), Path(f"{fig}.manifest.json").read_bytes()
+        assert [c for c, _, _ in outputs] == [2, 0, 0, 0]
+        for argv, in_process in zip(calls, outputs):
+            assert _fresh_process(argv) == in_process
+        assert (fig.read_bytes(), Path(f"{fig}.manifest.json").read_bytes()) \
+            == figure_bytes
