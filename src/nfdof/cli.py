@@ -37,6 +37,8 @@ from .dof_core import dof
 from .figures import (FIGURE_IDS, curve_rows, figure_params, figure_rows,
                       kernel_scan_rows, link_params, svd_compare_rows, sweep_rows)
 from .geometry import make_link
+from .kernel import MIN_SCAN_SAMPLES
+from .svd_oracle import DEFAULT_SUM_RULE_FRACTION
 
 SWEEPABLE = ("theta_T", "theta_R", "x0", "y0", "L_T", "L_R", "frequency")
 ANGLE_KEYS = ("theta_T", "theta_R")
@@ -47,6 +49,18 @@ QUADRATURE_WARN_ABS = 1e-9
 # the keys each config section takes
 SECTION_KEYS = {"sweep": ("parameter", "start", "stop", "steps"),
                 "stats": ("R", "scenario", "x0", "grid_points", "mc_samples")}
+
+
+# (test, domain) of the fields that take less than every number (an
+# integer is no bool); svd_spacing's lambda/2 cap is channel_matrix's
+FIELD_DOMAINS = {
+    "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "n_samples": (lambda v: type(v) is int and v >= MIN_SCAN_SAMPLES,
+                  f"an integer >= {MIN_SCAN_SAMPLES}"),
+    "svd_threshold": (lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "svd_spacing": (lambda v: v is None or math.isfinite(v) and v > 0,
+                    "null or a finite number > 0"),
+}
 
 
 class UsageError(Exception):
@@ -65,7 +79,7 @@ class RunConfig:
     seed: int = 0
     sweep: Optional[dict] = None
     stats: Optional[dict] = None
-    svd_threshold: float = 0.96
+    svd_threshold: float = DEFAULT_SUM_RULE_FRACTION
     svd_spacing: Optional[float] = None
     zeta_ref: float = 0.0
     n_samples: int = 1024
@@ -87,7 +101,8 @@ def _load_config(path):
         if key not in defaults:
             raise UsageError(f"config {path}: unknown field {key!r}")
         kind = dict if key in SECTION_KEYS else (int, float)
-        if not (isinstance(value, kind) or value is None and defaults[key] is None):
+        if not (isinstance(value, kind) and not isinstance(value, bool)
+                or value is None and defaults[key] is None):
             raise UsageError(f"config {path}: bad value {value!r} for {key!r}")
         if key in SECTION_KEYS:
             for name in value or ():
@@ -114,6 +129,11 @@ def _apply_flags(cfg: RunConfig, args):
             cfg.sweep = dict(cfg.sweep)
             for key in ("start", "stop"):
                 cfg.sweep[key] = math.radians(_number(cfg.sweep, "sweep", key))
+    # config and flag values alike, before any computation
+    for key, (test, domain) in FIELD_DOMAINS.items():
+        value = getattr(cfg, key)
+        if not test(value):
+            raise UsageError(f"{key} must be {domain}, got {value!r}")
     return cfg
 
 

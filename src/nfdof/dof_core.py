@@ -110,12 +110,11 @@ def taylor_coeffs(link: LinkGeometry, zeta, report: VisibilityReport) -> TaylorC
 
 @dataclass(frozen=True)
 class DofArrays:
-    """``dof`` over ``LinkArrays``: the links, their visibility and the
+    """``dof`` over ``LinkArrays``: the links' visibility and the
     ``DofResult`` fields as arrays.  ``m_int`` holds Python ints (an
     object array) and is 0 where a ``DofResult`` holds None (touching
     links)."""
 
-    links: LinkArrays
     visibility: VisibilityArrays
     m_real: np.ndarray
     m_int: np.ndarray
@@ -176,7 +175,7 @@ _to_int = np.frompyfunc(int, 1, 1)
 
 def dof_arrays(links: LinkArrays) -> DofArrays:
     """``dof`` of every link in ``links`` at once; link ``i``'s values are
-    bitwise those of ``dof(links.link(i))``."""
+    bitwise those of ``dof`` on ``make_link`` of its parameters."""
     vis = classify_arrays(links)
     visible = vis.visible
     with np.errstate(all="ignore"):
@@ -190,7 +189,7 @@ def dof_arrays(links: LinkArrays) -> DofArrays:
     touching = vis.status == geometry.STATUSES.index(geometry.TOUCHING)
     m_real[~visible & ~touching] = 0.0
     a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, _ = span
-    return DofArrays(links, vis, m_real, m_int, m_plus, m_minus, a_plus,
+    return DofArrays(vis, m_real, m_int, m_plus, m_minus, a_plus,
                      a_minus, a_zero, rho_c)
 
 

@@ -16,8 +16,8 @@ from . import statistics as stats
 from .dof_core import dof_arrays
 from .geometry import classify_visibility, link_arrays, make_link
 from .kernel import kernel_farfield, kernel_scan
-from .svd_oracle import (channel_matrix, effective_dof, gram_powers,
-                         singular_spectrum)
+from .svd_oracle import (DEFAULT_SUM_RULE_FRACTION, channel_matrix,
+                         effective_dof, gram_powers, singular_spectrum)
 
 __all__ = [
     "FIGURE_IDS", "figure_rows", "figure_params", "link_params",
@@ -81,7 +81,7 @@ def figure_params(fig_id):
         return {"frequency_hz": _F, "L_T_m": 0.2, "L_R_m": 5.0,
                 "theta_T": thT, "x0_m": x0, "y0_m": y0,
                 "theta_R_sweep": [center - np.pi / 2, center + np.pi / 2, 181],
-                "threshold": 0.96, "spacing": _LAM / 4.0}
+                "threshold": DEFAULT_SUM_RULE_FRACTION, "spacing": _LAM / 4.0}
     if fig_id == "fig8":
         return {"frequency_hz": _F, "L_T_m": 0.2, "L_R_m": 2.0,
                 "theta_T": 0.0, "y0_m": 0.0,
@@ -124,23 +124,21 @@ def sweep_rows(link, key, values):
 def svd_compare_rows(link, key, values, spacing, threshold):
     """(header, columns, grid record) of the mode count against the
     sum-rule count of the channel matrix along a sweep, each column closed
-    by its ``max`` entry; links without modes count 0 for both.  The
-    record holds the shape of the largest matrix decomposed (0 x 0
-    without any)."""
-    res = _dof_sweep(link, key, values)
-    m_int = res.m_int.tolist()
+    by its ``max`` entry.  The sweep's ``m_int`` picks the steps to count;
+    each is built with ``make_link`` for ``channel_matrix``, and links
+    without modes count 0 for both.  The record holds the shape of the
+    largest matrix decomposed (0 x 0 without any)."""
+    steps, m_int = values.tolist(), _dof_sweep(link, key, values).m_int.tolist()
     eds, shape = [], (0, 0)
-    for i, m in enumerate(m_int):
+    for v, m in zip(steps, m_int):
         ed = 0
         if m:
-            cm = channel_matrix(res.links.link(i), report=res.visibility.report(i),
-                                spacing=spacing)
+            cm = channel_matrix(make_link(**{**link, key: v}), spacing=spacing)
             shape = max(shape, cm.entries.shape, key=math.prod)
             ed = effective_dof(gram_powers(cm), threshold)
         eds.append(ed)
     diffs = [abs(m - ed) for m, ed in zip(m_int, eds)]
-    columns = [values.tolist() + ["max"], m_int + [""], eds + [""],
-               diffs + [max(diffs)]]
+    columns = [steps + ["max"], m_int + [""], eds + [""], diffs + [max(diffs)]]
     return ([key, "m_int", "effective_dof", "abs_diff"], columns,
             _grid_record(shape))
 

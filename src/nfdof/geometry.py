@@ -47,13 +47,14 @@ Arrays of links
 ``link_arrays`` is ``make_link`` over parameter arrays (a sweep is one
 call), and ``classify_arrays`` classifies all of them at once with numpy
 masks.  It repeats ``classify_visibility`` expression for expression and
-branch for branch, so each link's report is bitwise the scalar one; only
-the collinear overlap test stays ``math.hypot`` per collinear link,
-because ``np.hypot`` differs from it in the last bit.  The scalar
-``classify_visibility`` stays the single-link path: a one-element
-``classify_arrays`` call takes ~110 us against ~3 us, and callers that
-classify one link at a time (the kernel scan, the channel matrix,
-``dof``, the tests' oracles) would pay that on every link.
+branch for branch, so each link's status, endpoint and effective segment
+are bitwise the scalar report's (the overlap test stays ``math.hypot``,
+which ``np.hypot`` differs from in the last bit).  It returns arrays
+only, no link or report objects, and keeps the crossing coordinates to
+itself.  A single link has one path, ``make_link`` then
+``classify_visibility``: a one-element ``classify_arrays`` call takes
+~110 us against ~3 us, which the kernel scan, the channel matrix,
+``dof`` and the tests' oracles would pay on every link.
 """
 
 import math
@@ -235,16 +236,6 @@ class LinkArrays:
     y0: np.ndarray
     wavelength: np.ndarray
 
-    def link(self, i) -> LinkGeometry:
-        """Link ``i`` as a ``LinkGeometry`` (a wrapped angle wraps to
-        itself, so its rotations are the ones ``make_link`` gives)."""
-        return LinkGeometry(
-            tx=ArrayGeometry(float(self.L_T[i]), self.theta_T[i]),
-            rx=ArrayGeometry(float(self.L_R[i]), self.theta_R[i],
-                             (self.x0[i], self.y0[i])),
-            wavelength=float(self.wavelength[i]),
-        )
-
 
 def link_arrays(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkArrays:
     """``make_link`` over arrays: the parameters broadcast to one shape
@@ -271,8 +262,8 @@ def link_arrays(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkArrays:
 class VisibilityArrays:
     """``classify_visibility`` over ``LinkArrays``: status and visible-
     endpoint codes (indices into ``STATUSES`` and ``ENDPOINTS``) and the
-    report fields as arrays; ``eta_i``/``zeta_i`` are NaN where a report
-    holds None."""
+    effective segments as arrays; the crossing coordinates stay inside
+    ``classify_arrays``."""
 
     status: np.ndarray
     endpoint: np.ndarray
@@ -280,8 +271,6 @@ class VisibilityArrays:
     l_R: np.ndarray
     eta_c: np.ndarray
     zeta_c: np.ndarray
-    eta_i: np.ndarray
-    zeta_i: np.ndarray
 
     @property
     def visible(self):
@@ -291,16 +280,6 @@ class VisibilityArrays:
     def statuses(self):
         """Status names, as a list."""
         return [STATUSES[c] for c in self.status.tolist()]
-
-    def report(self, i) -> VisibilityReport:
-        """The report of link ``i``."""
-        status = STATUSES[self.status[i]]
-        partial = status in (PARTIAL_TX, PARTIAL_RX)
-        return VisibilityReport(
-            status, ENDPOINTS[self.endpoint[i]], float(self.l_T[i]),
-            float(self.l_R[i]), float(self.eta_c[i]), float(self.zeta_c[i]),
-            float(self.eta_i[i]) if partial else None,
-            float(self.zeta_i[i]) if partial else None)
 
 
 def _partial_segments(L, s_i, plus_visible):
@@ -351,12 +330,9 @@ def classify_arrays(links: LinkArrays) -> VisibilityArrays:
     endpoint = np.select(
         [partial_tx & (t_plus > 0), partial_tx, partial_rx & (r_plus > 0), partial_rx],
         [ENDPOINTS.index(e) for e in ("T+", "T-", "R+", "R-")], 0).astype(np.int8)
-    partial = partial_tx | partial_rx
     return VisibilityArrays(
         status=status, endpoint=endpoint,
         l_T=np.where(partial_tx, l_T_part, np.where(full | partial_rx, LT, 0.0)),
         l_R=np.where(partial_rx, l_R_part, np.where(full | partial_tx, LR, 0.0)),
         eta_c=np.where(partial_tx, eta_c, 0.0),
-        zeta_c=np.where(partial_rx, zeta_c, 0.0),
-        eta_i=np.where(partial, eta_i, np.nan),
-        zeta_i=np.where(partial, zeta_i, np.nan))
+        zeta_c=np.where(partial_rx, zeta_c, 0.0))

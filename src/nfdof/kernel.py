@@ -64,6 +64,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 # count (the partial-visibility cases have non-zero minima)
 MINIMA_DEPTH_FACTOR = 0.5
 
+MIN_SCAN_SAMPLES = 64  # fewest samples a scan takes
+
 
 @dataclass(frozen=True)
 class KernelSample:
@@ -194,8 +196,8 @@ def kernel_scan(link: LinkGeometry, zeta_ref=0.0, n_samples=1024,
                 use_farfield=False) -> KernelScan:
     """Sample |K| uniformly across the effective receive aperture and
     locate its significant minima."""
-    if n_samples < 64:
-        raise ValueError("n_samples must be at least 64")
+    if n_samples < MIN_SCAN_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MIN_SCAN_SAMPLES}")
     if report is None:
         report = classify_visibility(link)
     _require_visible(report)

@@ -9,14 +9,14 @@ so that accuracy and reproducibility are controlled in one place:
 * ``integrate`` -- adaptive 1D quadrature with an error report, the
   reference the test oracles check fixed-node rules against,
 * ``sample_stream`` -- counter-based uniform random generator.
+
+scipy and mpmath are imported inside the functions that use them, so
+importing the package (or running a sweep) loads neither.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import mpmath
-from scipy import integrate as _sp_integrate
-from scipy import special as _sp_special
 
 __all__ = ["QuadratureResult", "faddeeva", "erfi", "integrate", "sample_stream"]
 
@@ -49,10 +49,11 @@ def faddeeva(z):
     evaluates it; there it stays finite for every finite argument, so no
     radius is refused.  Raises ``ValueError`` for non-finite input.
     """
+    from scipy.special import wofz
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise ValueError("faddeeva: non-finite input")
-    return _sp_special.wofz(z)
+    return wofz(z)
 
 
 def erfi(z):
@@ -63,6 +64,7 @@ def erfi(z):
     Raises ``ValueError`` for non-finite input or |z| > 50 and
     ``OverflowError`` when the result magnitude exceeds double range.
     """
+    from scipy import special
     z = complex(z)
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise ValueError("erfi: non-finite input")
@@ -70,7 +72,7 @@ def erfi(z):
         raise ValueError(f"erfi: |z| = {abs(z):.3g} exceeds supported radius {ERFI_MAX_ABS}")
 
     if z.imag == 0.0:
-        val = _sp_special.erfi(z.real)
+        val = special.erfi(z.real)
         if not np.isfinite(val):
             raise OverflowError("erfi: result overflows double precision")
         return complex(val)
@@ -82,12 +84,13 @@ def erfi(z):
     sign = 1.0
     if w.real < 0.0:
         w, sign = -w, -1.0
-    tail = np.exp(-w * w) * _sp_special.wofz(1j * w)
+    tail = np.exp(-w * w) * special.wofz(1j * w)
     val = sign * (1.0 - tail)
     if not (np.isfinite(val.real) and np.isfinite(val.imag)):
         raise OverflowError("erfi: result overflows double precision")
     if abs(val) < _CANCELLATION_RATIO * max(1.0, abs(tail)):
         # near a complex zero of erf the subtraction above loses digits
+        import mpmath
         with mpmath.workdps(_MPMATH_DPS):
             val = sign * complex(mpmath.erf(mpmath.mpc(w.real, w.imag)))
     return -1j * val
@@ -101,16 +104,15 @@ def integrate(f, a, b, rel_tol=1e-8, points=None):
     Non-convergence is reported through the ``converged`` flag rather
     than by discarding the best estimate.
     """
+    from scipy.integrate import quad
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("integrate: bounds must be finite")
     if a > b:
         raise ValueError("integrate: lower bound exceeds upper bound")
     if a == b:
         return QuadratureResult(0.0, 0.0, 1, True)
-    out = _sp_integrate.quad(
-        f, a, b, epsrel=rel_tol, epsabs=1e-14, limit=200, points=points,
-        full_output=1,
-    )
+    out = quad(f, a, b, epsrel=rel_tol, epsabs=1e-14, limit=200, points=points,
+               full_output=1)
     value, abserr, info = out[0], out[1], out[2]
     converged = len(out) < 4
     return QuadratureResult(float(value), float(abserr), int(info["neval"]), converged)

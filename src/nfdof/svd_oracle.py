@@ -1,11 +1,12 @@
 """Independent mode count from the singular spectrum of the discretized
 channel matrix.
 
-The effective segments of both arrays are sampled on uniform grids, the
-free-space Green's function (exact distances, no expansion) fills the
-channel matrix H, and the number of effective modes is read off the
-singular-value sum rule: the smallest number of leading modes holding a
-given fraction of the total singular power ||H||_F^2.
+``channel_matrix`` classifies its link itself, samples the effective
+segments of both arrays on uniform grids and fills the channel matrix H
+with the free-space Green's function (exact distances, no expansion).
+The number of effective modes is read off the singular-value sum rule:
+the smallest number of leading modes holding a given fraction of the
+total singular power ||H||_F^2.
 
 Two decompositions serve two kinds of caller.  A count needs only the
 total and the leading powers, so ``gram_powers`` takes the powers from
@@ -18,12 +19,11 @@ oracle for the count.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
 from .dof_core import _require_visible
-from .geometry import LinkGeometry, VisibilityReport, classify_visibility, point_on
+from .geometry import LinkGeometry, classify_visibility, point_on
 
 __all__ = [
     "ChannelMatrix", "SvdReport", "ModePowers",
@@ -60,19 +60,20 @@ def _grid(center_offset, length, spacing):
     return center_offset + np.linspace(-length / 2.0, length / 2.0, n)
 
 
-def channel_matrix(link: LinkGeometry, report: Optional[VisibilityReport] = None,
-                   spacing: Optional[float] = None) -> ChannelMatrix:
-    """Green's-function matrix over the effective segments.
+def channel_matrix(link: LinkGeometry, spacing=None) -> ChannelMatrix:
+    """Green's-function matrix over the effective segments of ``link``
+    (``classify_visibility``'s report).
 
     Points are placed endpoint-inclusive with count floor(l/spacing) + 1
     on each effective segment.  ``spacing`` defaults to a quarter
-    wavelength and may not exceed half a wavelength.
+    wavelength; it must be positive, finite and at most half a wavelength.
     """
-    if report is None:
-        report = classify_visibility(link)
+    report = classify_visibility(link)
     _require_visible(report)
     if spacing is None:
         spacing = link.wavelength / 4.0
+    if not (np.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
     if spacing > link.wavelength / 2.0 + 1e-15:
         raise ValueError("spacing must not exceed half a wavelength")
     if report.l_T <= 0 or report.l_R <= 0:
@@ -138,7 +139,6 @@ def effective_dof(report, fraction=DEFAULT_SUM_RULE_FRACTION):
     return int(np.searchsorted(report.cumulative_fraction, fraction) + 1)
 
 
-def svd_report(link: LinkGeometry, spacing=None,
-               report: Optional[VisibilityReport] = None) -> SvdReport:
+def svd_report(link: LinkGeometry, spacing=None) -> SvdReport:
     """Convenience wrapper: classify, discretize, decompose."""
-    return singular_spectrum(channel_matrix(link, report=report, spacing=spacing))
+    return singular_spectrum(channel_matrix(link, spacing=spacing))

@@ -16,6 +16,12 @@ from nfdof.cli import RunConfig, main
 from nfdof.figures import figure_params
 
 
+# a theta_R sweep with visible steps, and one without any
+_THETA_R_SWEEP = {"sweep": {"parameter": "theta_R", "start": 2.5, "stop": 3.5,
+                            "steps": 5}}
+_UNSEEN_SWEEP = {"sweep": {"parameter": "theta_R", "start": -1, "stop": 1, "steps": 5}}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -145,9 +151,11 @@ class TestConfigHandling:
         ("stats", {"stats": {"scenario": "conditional-on-x0", "x0": "ten"}}),
         ("dof", {"x0_m": "ten"}),
         ("dof", {"seed": None}),
+        ("dof", {"seed": True}),
+        ("dof", {"x0_m": False}),
     ], ids=["sweep-no-start", "deg-sweep-no-start", "sweep-steps-text",
             "sweep-not-object", "stats-not-object", "grid-points-text",
-            "stats-x0-text", "x0-text", "seed-null"])
+            "stats-x0-text", "x0-text", "seed-null", "seed-bool", "x0-bool"])
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, config):
         """A missing or mistyped config value is a config error: exit 2
         with a message, not a traceback or a numeric failure."""
@@ -156,6 +164,36 @@ class TestConfigHandling:
         code, out, err = run(capsys, *command.split(), "--config", str(cfgfile))
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("stats", {"seed": 1.5}, "seed"),
+        ("stats", {"seed": -1}, "seed"),
+        ("kernel-scan", {"n_samples": 100.7}, "n_samples"),
+        ("kernel-scan", {"n_samples": 10}, "n_samples"),
+        ("svd-compare", {"svd_threshold": 1.5, **_THETA_R_SWEEP}, "svd_threshold"),
+        ("svd-compare", {"svd_threshold": 1.5, **_UNSEEN_SWEEP}, "svd_threshold"),
+        ("svd-compare", {"svd_spacing": -0.001, **_THETA_R_SWEEP}, "svd_spacing"),
+    ], ids=["seed-fraction", "seed-negative", "n-samples-fraction",
+            "n-samples-few", "threshold-visible", "threshold-unseen",
+            "spacing-negative"])
+    def test_value_outside_domain_exit_2(self, tmp_path, capsys, command, config,
+                                         key):
+        """A field of the wrong kind or out of range exits 2 and names the
+        field before any computation: no output is written, whether or not
+        a step would have used the value."""
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps(config))
+        outfile = tmp_path / "out.csv"
+        code, out, err = run(capsys, command, "--config", str(cfgfile),
+                             "--out", str(outfile))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {key} must be ")
+        assert not outfile.exists()
+
+    def test_negative_seed_flag_exit_2(self, capsys):
+        code, out, err = run(capsys, "dof", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: seed must be an integer >= 0")
 
 
 class TestSweepCommand:
@@ -576,12 +614,14 @@ def _config_args(tmp_path, config):
     return ("--config", str(path))
 
 
-def _fresh_process(argv):
-    """(exit code, stdout, stderr) of the console entry point run as its
-    own process."""
+_CONSOLE_ENTRY = "import sys; from nfdof.cli import main; sys.exit(main())"
+
+
+def _fresh_process(argv, entry=_CONSOLE_ENTRY):
+    """(exit code, stdout, stderr) of ``entry``, by default the console
+    entry point, run as its own process with ``argv``."""
     src = str(Path(nfdof.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    entry = "import sys; from nfdof.cli import main; sys.exit(main())"
     proc = subprocess.run([sys.executable, "-c", entry, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path},
                           timeout=120, check=False)
@@ -616,3 +656,17 @@ class TestReentrancy:
             assert _fresh_process(argv) == in_process
         assert (fig.read_bytes(), Path(f"{fig}.manifest.json").read_bytes()) \
             == figure_bytes
+
+
+class TestImports:
+    def test_sweep_loads_neither_scipy_nor_mpmath(self, tmp_path):
+        """Importing the CLI and running a sweep loads neither scipy nor
+        mpmath: only the kernel and the test references need them."""
+        entry = ("import sys; from nfdof.cli import main; code = main(); "
+                 "print(code, sorted(m for m in sys.modules "
+                 "if m.partition('.')[0] in ('scipy', 'mpmath')))")
+        sweep = {"sweep": {"parameter": "theta_T", "start": -3.14, "stop": 3.14,
+                           "steps": 721}}
+        argv = ["sweep", *_config_args(tmp_path, sweep),
+                "--out", str(tmp_path / "sweep.csv")]
+        assert _fresh_process(argv, entry) == (0, "0 []\n", "")

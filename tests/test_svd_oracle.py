@@ -67,7 +67,7 @@ class TestChannelMatrix:
     def test_partial_visibility_grid_offset(self):
         lk = link(thT=1.4)
         rep = classify_visibility(lk)
-        cm = channel_matrix(lk, report=rep)
+        cm = channel_matrix(lk)
         mid = (cm.rx_points[0] + cm.rx_points[-1]) / 2
         assert mid == pytest.approx(rep.zeta_c)
         assert cm.rx_points[-1] - cm.rx_points[0] == pytest.approx(rep.l_R)
@@ -75,6 +75,11 @@ class TestChannelMatrix:
     def test_spacing_cap(self):
         with pytest.raises(ValueError):
             channel_matrix(link(), spacing=0.6 * LAMBDA)
+
+    @pytest.mark.parametrize("spacing", [0.0, -1e-3, np.nan, np.inf, -np.inf])
+    def test_spacing_must_be_positive_and_finite(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            channel_matrix(link(), spacing=spacing)
 
     def test_entries_match_green(self):
         lk = link(thT=0.4)
