@@ -2,8 +2,11 @@
 
 Subcommands: ``dof``, ``sweep``, ``svd-compare``, ``kernel-scan``,
 ``stats``, ``figure``.  Parameters come from an optional JSON config
-file (flat keys) overridden by command-line flags; an unknown field, or
-an unknown key in its ``sweep`` or ``stats`` section, is a config error.
+file (flat keys) overridden by command-line flags.  ``DOMAINS`` gives
+the domain of every ``RunConfig`` field and ``sweep``/``stats`` section
+key; once the flags are applied ``_check`` holds config and flag values
+alike to it, so an unknown key, a value of the wrong kind or one outside
+its domain exits 2, naming the field, before anything is computed.
 Every file output is accompanied by a ``<name>.manifest.json`` echoing
 the full parameter set and seed, and reruns with identical inputs are
 byte-identical.
@@ -41,25 +44,54 @@ from .kernel import MIN_SCAN_SAMPLES
 from .svd_oracle import DEFAULT_SUM_RULE_FRACTION
 
 SWEEPABLE = ("theta_T", "theta_R", "x0", "y0", "L_T", "L_R", "frequency")
-ANGLE_KEYS = ("theta_T", "theta_R")
 FLOAT_FLAGS = ("--frequency-hz", "--l-t", "--l-r", "--x0", "--y0", "--theta-t",
                "--theta-r")
 # CCDF error estimate above which ``stats`` and the curve figures warn
 QUADRATURE_WARN_ABS = 1e-9
-# the keys each config section takes
-SECTION_KEYS = {"sweep": ("parameter", "start", "stop", "steps"),
-                "stats": ("R", "scenario", "x0", "grid_points", "mc_samples")}
+# the largest counts a run takes: a run at a cap takes seconds and < 1 GB
+MAX_SWEEP_STEPS, MAX_SCAN_SAMPLES = 10 ** 6, 10 ** 6
+MAX_GRID_POINTS, MAX_MC_SAMPLES = 10 ** 5, 10 ** 7
 
 
-# (test, domain) of the fields that take less than every number (an
-# integer is no bool); svd_spacing's lambda/2 cap is channel_matrix's
-FIELD_DOMAINS = {
-    "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
-    "n_samples": (lambda v: type(v) is int and v >= MIN_SCAN_SAMPLES,
-                  f"an integer >= {MIN_SCAN_SAMPLES}"),
-    "svd_threshold": (lambda v: 0 < v < 1, "a number in (0, 1)"),
-    "svd_spacing": (lambda v: v is None or math.isfinite(v) and v > 0,
-                    "null or a finite number > 0"),
+def _count(low, high=math.inf, zero=False):
+    """JSON integers in [low, high], and 0 too with ``zero``."""
+    text = (f"an integer >= {low}" if high == math.inf else
+            f"an integer in [{low}, {high}]")
+    return (lambda v: type(v) is int and (low <= v <= high or zero and v == 0),
+            "0 or " * zero + text)
+
+
+# a JSON number (an integer is no bool) that is finite as a float
+FINITE = (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+          "a finite number")
+POSITIVE = (lambda v: FINITE[0](v) and v > 0, "a finite number > 0")
+POSITIVE_OR_NULL = (lambda v: v is None or POSITIVE[0](v),
+                    "null or a finite number > 0")
+REQUIRED = object()  # fails every test: a section key without a default
+
+# (test, domain) of every RunConfig field and, with its default, of every
+# key of the ``sweep`` and ``stats`` sections.  What depends on two values
+# stays a library refusal: the conditional x0 <= R (exit 2), and
+# svd_spacing's lambda/2 cap and zeta_ref's aperture (exit 1).
+DOMAINS = {
+    "frequency_hz": POSITIVE, "L_T_m": POSITIVE, "L_R_m": POSITIVE,
+    "x0_m": FINITE, "y0_m": FINITE, "theta_T": FINITE, "theta_R": FINITE,
+    "seed": _count(0),
+    "sweep": {"parameter": ((lambda v: v in SWEEPABLE, f"one of {SWEEPABLE}"),
+                            REQUIRED),
+              "start": (FINITE, REQUIRED), "stop": (FINITE, REQUIRED),
+              "steps": (_count(1, MAX_SWEEP_STEPS), REQUIRED)},
+    "stats": {"R": (POSITIVE, 20.0),
+              "scenario": ((lambda v: v in stats.SCENARIOS,
+                            f"one of {stats.SCENARIOS}"), stats.FULL_VISIBILITY),
+              "x0": (POSITIVE_OR_NULL, None),
+              "grid_points": (_count(2, MAX_GRID_POINTS), 201),
+              "mc_samples": (_count(stats.MIN_MC_SAMPLES, MAX_MC_SAMPLES, zero=True),
+                             100_000)},
+    "svd_threshold": (lambda v: FINITE[0](v) and 0 < v < 1, "a number in (0, 1)"),
+    "svd_spacing": POSITIVE_OR_NULL,
+    "zeta_ref": FINITE,
+    "n_samples": _count(MIN_SCAN_SAMPLES, MAX_SCAN_SAMPLES),
 }
 
 
@@ -95,22 +127,31 @@ def _load_config(path):
         raise UsageError(f"config {path} is not valid JSON: line {e.lineno}, {e.msg}")
     if not isinstance(data, dict):
         raise UsageError(f"config {path}: top level must be an object")
-    cfg = RunConfig()
-    defaults = asdict(cfg)
-    for key, value in data.items():
-        if key not in defaults:
+    for key in data:
+        if key not in DOMAINS:
             raise UsageError(f"config {path}: unknown field {key!r}")
-        kind = dict if key in SECTION_KEYS else (int, float)
-        if not (isinstance(value, kind) and not isinstance(value, bool)
-                or value is None and defaults[key] is None):
-            raise UsageError(f"config {path}: bad value {value!r} for {key!r}")
-        if key in SECTION_KEYS:
-            for name in value or ():
-                if name not in SECTION_KEYS[key]:
-                    raise UsageError(f"config {path}: unknown key {name!r} in section "
-                                     f"{key!r}; choose from {SECTION_KEYS[key]}")
-        setattr(cfg, key, value)
-    return cfg
+    return RunConfig(**data)
+
+
+def _check(cfg: RunConfig):
+    """Hold every field of ``cfg`` and every key of its sections to
+    ``DOMAINS``; a section holds only its own keys."""
+    for key, domain in DOMAINS.items():
+        value = getattr(cfg, key)
+        if not isinstance(domain, dict):
+            if not domain[0](value):
+                raise UsageError(f"{key} must be {domain[1]}, got {value!r}")
+        elif value is not None:
+            if not isinstance(value, dict):
+                raise UsageError(f"{key} must be null or an object, got {value!r}")
+            for name in value:
+                if name not in domain:
+                    raise UsageError(f"unknown key {name!r} in section {key!r}; "
+                                     f"choose from {tuple(domain)}")
+            for name, ((test, text), default) in domain.items():
+                if not test(value.get(name, default)):
+                    got = f"got {value[name]!r}" if name in value else "none given"
+                    raise UsageError(f"{key}.{name} must be {text}, {got}")
 
 
 def _apply_flags(cfg: RunConfig, args):
@@ -122,29 +163,16 @@ def _apply_flags(cfg: RunConfig, args):
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
+    # config and flag values alike, before any computation
+    _check(cfg)
     if args.deg:
         cfg.theta_T = math.radians(cfg.theta_T)
         cfg.theta_R = math.radians(cfg.theta_R)
-        if cfg.sweep and cfg.sweep.get("parameter") in ANGLE_KEYS:
+        if cfg.sweep and cfg.sweep["parameter"] in ("theta_T", "theta_R"):
             cfg.sweep = dict(cfg.sweep)
             for key in ("start", "stop"):
-                cfg.sweep[key] = math.radians(_number(cfg.sweep, "sweep", key))
-    # config and flag values alike, before any computation
-    for key, (test, domain) in FIELD_DOMAINS.items():
-        value = getattr(cfg, key)
-        if not test(value):
-            raise UsageError(f"{key} must be {domain}, got {value!r}")
+                cfg.sweep[key] = math.radians(cfg.sweep[key])
     return cfg
-
-
-def _number(section, name, key, kind=float, default=None):
-    """``kind`` of ``section[key]`` (``default`` when absent); a missing or
-    unconvertible value is a config error."""
-    value = section.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{name} section needs a number for {key!r}, got {value!r}")
 
 
 def _fmt(x):
@@ -177,8 +205,7 @@ def _cells(column):
 
 def _jsonable(x):
     if isinstance(x, (np.floating, float)):
-        xf = float(x)
-        return None if math.isnan(xf) else xf
+        return None if math.isnan(x) else float(x)
     if isinstance(x, (np.integer,)):
         return int(x)
     if isinstance(x, np.ndarray):
@@ -201,32 +228,19 @@ def _emit(header, columns, args, manifest):
     _write_out(text, args, manifest)
 
 
-def _emit_report(report, args, manifest):
-    if args.format == "csv":
-        header = list(report.keys())
-        _emit(header, [[report[k]] for k in header], args, manifest)
-    else:
-        text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
-        _write_out(text, args, manifest)
-
-
 def _write_out(text, args, manifest):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        mtext = json.dumps(_jsonable(manifest), indent=2, sort_keys=True) + "\n"
         with open(args.out + ".manifest.json", "w") as fh:
-            fh.write(mtext)
+            fh.write(json.dumps(_jsonable(manifest), indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(text)
 
 
 def _manifest(cfg: RunConfig, command, extra=None):
-    m = {"tool": "nfdof", "version": __version__, "command": command,
-         "parameters": asdict(cfg)}
-    if extra:
-        m.update(extra)
-    return m
+    return {"tool": "nfdof", "version": __version__, "command": command,
+            "parameters": asdict(cfg), **(extra or {})}
 
 
 def cmd_dof(cfg: RunConfig, args):
@@ -242,22 +256,19 @@ def cmd_dof(cfg: RunConfig, args):
         "m_real": res.m_real, "m_int": res.m_int,
         "warnings": res.warnings,
     }
-    _emit_report(report, args, _manifest(cfg, "dof"))
+    if args.format == "csv":
+        _emit(list(report), [[v] for v in report.values()], args, _manifest(cfg, "dof"))
+    else:
+        _write_out(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n", args,
+                   _manifest(cfg, "dof"))
     return 0
 
 
 def _sweep_values(cfg: RunConfig):
-    sweep = cfg.sweep
-    if not sweep:
+    if cfg.sweep is None:
         raise UsageError("sweep requires a 'sweep' config section or flags")
-    param = sweep.get("parameter")
-    if param not in SWEEPABLE:
-        raise UsageError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE}")
-    steps = _number(sweep, "sweep", "steps", int, 0)
-    if steps < 1:
-        raise UsageError("sweep needs at least one step")
-    return param, np.linspace(_number(sweep, "sweep", "start"),
-                              _number(sweep, "sweep", "stop"), steps)
+    return (cfg.sweep["parameter"], np.linspace(
+        float(cfg.sweep["start"]), float(cfg.sweep["stop"]), cfg.sweep["steps"]))
 
 
 def cmd_sweep(cfg: RunConfig, args):
@@ -291,28 +302,20 @@ def _warn_quadrature(quadrature):
 
 
 def cmd_stats(cfg: RunConfig, args):
-    section = cfg.stats or {}
+    section = {name: (cfg.stats or {}).get(name, default)
+               for name, (_, default) in DOMAINS["stats"].items()}
     try:
         scen_cfg = stats.ScenarioConfig(
-            R=_number(section, "stats", "R", default=20.0),
-            L_T=cfg.L_T_m, L_R=cfg.L_R_m, frequency=cfg.frequency_hz,
-            scenario=section.get("scenario", stats.FULL_VISIBILITY),
-            x0=section.get("x0"),
-        )
-    except (TypeError, ValueError) as e:
+            R=float(section["R"]), L_T=cfg.L_T_m, L_R=cfg.L_R_m,
+            frequency=cfg.frequency_hz, scenario=section["scenario"], x0=section["x0"])
+    except ValueError as e:  # the conditional x0 <= R, which takes two values
         raise UsageError(str(e))
-    grid_points = _number(section, "stats", "grid_points", int, 201)
-    if grid_points < 2:
-        raise UsageError("stats needs a grid with at least two points")
-    mc_samples = _number(section, "stats", "mc_samples", int, 100_000)
-    if mc_samples != 0 and mc_samples < stats.MIN_MC_SAMPLES:
-        raise UsageError(f"stats needs mc_samples of 0 or at least "
-                         f"{stats.MIN_MC_SAMPLES}, got {mc_samples}")
+    grid_points, mc_samples = section["grid_points"], section["mc_samples"]
     header, columns, quadrature = curve_rows(scen_cfg, grid_points, mc_samples,
                                              cfg.seed)
     _warn_quadrature(quadrature)
     _emit(header + ["mc_samples", "seed"],
-          columns + [[mc_samples] * grid_points, [int(cfg.seed)] * grid_points], args,
+          columns + [[mc_samples] * grid_points, [cfg.seed] * grid_points], args,
           _manifest(cfg, "stats", {"scenario": asdict(scen_cfg),
                                    "quadrature": quadrature}))
     return 0
@@ -325,10 +328,8 @@ def cmd_figure(cfg: RunConfig, args):
     header, columns, extra = figure_rows(fig_id, seed=cfg.seed)
     if "quadrature" in extra:
         _warn_quadrature(extra["quadrature"])
-    manifest = _manifest(cfg, f"figure {fig_id}",
-                         {"figure": fig_id, "bindings": figure_params(fig_id),
-                          **extra})
-    _emit(header, columns, args, manifest)
+    _emit(header, columns, args, _manifest(cfg, f"figure {fig_id}", {
+        "figure": fig_id, "bindings": figure_params(fig_id), **extra}))
     return 0
 
 
@@ -336,10 +337,8 @@ def cmd_figure(cfg: RunConfig, args):
 # call of ``main`` in a process can share it
 @functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="nfdof",
-        description="Spatial mode counting between two coplanar linear arrays",
-    )
+    parser = argparse.ArgumentParser(prog="nfdof", description=(
+        "Spatial mode counting between two coplanar linear arrays"))
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {

@@ -109,8 +109,11 @@ class ArrayGeometry:
     def __post_init__(self):
         if not (np.isfinite(self.length) and self.length > 0):
             raise ValueError("array length must be positive and finite")
+        x, y = float(self.center[0]), float(self.center[1])
+        if not (math.isfinite(self.rotation) and math.isfinite(x) and math.isfinite(y)):
+            raise ValueError("array rotation and center must be finite")
         object.__setattr__(self, "rotation", wrap_angle(self.rotation))
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        object.__setattr__(self, "center", (x, y))
 
 
 def direction(a: ArrayGeometry):
@@ -251,6 +254,8 @@ def link_arrays(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkArrays:
         bad = p["frequency"] <= 0
         for v in (p["L_T"], p["L_R"], lam):
             bad = bad | ~(np.isfinite(v) & (v > 0))
+        for v in (p["theta_T"], p["theta_R"], p["x0"], p["y0"]):
+            bad = bad | ~np.isfinite(v)
         thT, thR = wrap_angle(p["theta_T"]), wrap_angle(p["theta_R"])
     if bad.any():
         i = np.flatnonzero(bad)[0]

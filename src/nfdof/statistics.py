@@ -43,6 +43,7 @@ engine ``dof_arrays``: they agree except where x0 <= (L_T / 2)
 |sin(theta_T)|, whose segments intersect, which the engine calls touching.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,7 +54,7 @@ from .numerics import sample_stream
 
 __all__ = [
     "PARTIAL_R_PLUS", "PARTIAL_R_MINUS", "FULL_VISIBILITY", "CONDITIONAL_ON_X0",
-    "MIN_MC_SAMPLES", "ScenarioConfig", "DistributionCurve",
+    "SCENARIOS", "MIN_MC_SAMPLES", "ScenarioConfig", "DistributionCurve",
     "pdf", "pov", "ccdf", "monte_carlo", "excess_dof_branches",
     "empirical_ccdf", "visibility_fraction", "branch_interval",
 ]
@@ -63,7 +64,7 @@ PARTIAL_R_MINUS = "partial-r-minus"
 FULL_VISIBILITY = "full-visibility"
 CONDITIONAL_ON_X0 = "conditional-on-x0"
 
-_SCENARIOS = (PARTIAL_R_PLUS, PARTIAL_R_MINUS, FULL_VISIBILITY, CONDITIONAL_ON_X0)
+SCENARIOS = (PARTIAL_R_PLUS, PARTIAL_R_MINUS, FULL_VISIBILITY, CONDITIONAL_ON_X0)
 
 # fewest draws ``monte_carlo`` takes
 MIN_MC_SAMPLES = 10_000
@@ -82,13 +83,16 @@ class ScenarioConfig:
     x0: Optional[float] = None
 
     def __post_init__(self):
-        if self.scenario not in _SCENARIOS:
+        if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.scenario == CONDITIONAL_ON_X0:
             if self.x0 is None or not (0.0 < self.x0 <= self.R):
                 raise ValueError("conditional scenario needs x0 in (0, R]")
-        if min(self.R, self.L_T, self.L_R, self.frequency) <= 0:
-            raise ValueError("R, lengths, and frequency must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.R, self.L_T, self.L_R, self.frequency)):
+            raise ValueError("R, lengths, and frequency must be positive and finite")
+        if self.x0 is not None and not math.isfinite(self.x0):
+            raise ValueError("x0 must be finite")
 
     @property
     def wavelength(self):

@@ -6,13 +6,15 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nfdof
-from nfdof.cli import RunConfig, main
+from nfdof.cli import (DOMAINS, MAX_GRID_POINTS, MAX_MC_SAMPLES, MAX_SCAN_SAMPLES,
+                       MAX_SWEEP_STEPS, REQUIRED, RunConfig, main)
 from nfdof.figures import figure_params
 
 
@@ -20,6 +22,8 @@ from nfdof.figures import figure_params
 _THETA_R_SWEEP = {"sweep": {"parameter": "theta_R", "start": 2.5, "stop": 3.5,
                             "steps": 5}}
 _UNSEEN_SWEEP = {"sweep": {"parameter": "theta_R", "start": -1, "stop": 1, "steps": 5}}
+_X0_SWEEP = {"parameter": "x0", "start": 0, "stop": 1, "steps": 5}
+_SMALL_STATS = {"grid_points": 3, "mc_samples": 0}
 
 
 def run(capsys, *argv):
@@ -173,9 +177,39 @@ class TestConfigHandling:
         ("svd-compare", {"svd_threshold": 1.5, **_THETA_R_SWEEP}, "svd_threshold"),
         ("svd-compare", {"svd_threshold": 1.5, **_UNSEEN_SWEEP}, "svd_threshold"),
         ("svd-compare", {"svd_spacing": -0.001, **_THETA_R_SWEEP}, "svd_spacing"),
+        # non-finite values, which once ran to a wrong answer or a numeric
+        # failure: NaN geometry gave no-visibility rows with 0 modes
+        ("dof", {"theta_T": math.nan}, "theta_T"),
+        ("dof", {"x0_m": math.inf}, "x0_m"),
+        ("dof --x0 nan", {}, "x0_m"),
+        ("sweep", {"sweep": {**_X0_SWEEP, "start": math.nan}}, "sweep.start"),
+        ("stats", {"stats": {"R": math.nan, **_SMALL_STATS}}, "stats.R"),
+        ("kernel-scan", {"zeta_ref": math.nan}, "zeta_ref"),
+        # counts past their caps, which once tried to take the memory
+        ("sweep", {"sweep": {**_X0_SWEEP, "steps": MAX_SWEEP_STEPS + 1}},
+         "sweep.steps"),
+        ("kernel-scan", {"n_samples": MAX_SCAN_SAMPLES + 1}, "n_samples"),
+        ("stats", {"stats": {"grid_points": MAX_GRID_POINTS + 1, "mc_samples": 0}},
+         "stats.grid_points"),
+        ("stats", {"stats": {"mc_samples": MAX_MC_SAMPLES + 1, "grid_points": 3}},
+         "stats.mc_samples"),
+        # section numbers are JSON numbers, counts JSON integers
+        ("sweep", {"sweep": {**_X0_SWEEP, "steps": 5.7}}, "sweep.steps"),
+        ("sweep", {"sweep": {**_X0_SWEEP, "steps": "5"}}, "sweep.steps"),
+        ("stats", {"stats": {"R": "20", **_SMALL_STATS}}, "stats.R"),
+        # a section is checked whether or not the command reads it
+        ("dof", {"sweep": {"parameter": "bogus"}}, "sweep.parameter"),
+        ("stats", {"stats": {"x0": -3.0, **_SMALL_STATS}}, "stats.x0"),
+        # lengths and frequency, once refused by the link (exit 1)
+        ("dof --l-t -1", {}, "L_T_m"),
+        ("dof", {"frequency_hz": 0}, "frequency_hz"),
     ], ids=["seed-fraction", "seed-negative", "n-samples-fraction",
             "n-samples-few", "threshold-visible", "threshold-unseen",
-            "spacing-negative"])
+            "spacing-negative", "theta-t-nan", "x0-inf", "x0-flag-nan",
+            "sweep-start-nan", "stats-r-nan", "zeta-ref-nan", "steps-above-cap",
+            "n-samples-above-cap", "grid-points-above-cap", "mc-samples-above-cap",
+            "steps-fraction", "steps-text", "stats-r-text", "dof-bad-sweep",
+            "stats-x0-negative-unused", "length-flag-negative", "frequency-zero"])
     def test_value_outside_domain_exit_2(self, tmp_path, capsys, command, config,
                                          key):
         """A field of the wrong kind or out of range exits 2 and names the
@@ -184,11 +218,20 @@ class TestConfigHandling:
         cfgfile = tmp_path / "bad.json"
         cfgfile.write_text(json.dumps(config))
         outfile = tmp_path / "out.csv"
-        code, out, err = run(capsys, command, "--config", str(cfgfile),
+        code, out, err = run(capsys, *command.split(), "--config", str(cfgfile),
                              "--out", str(outfile))
         assert code == 2 and out == ""
         assert err.startswith(f"error: {key} must be ")
         assert not outfile.exists()
+        assert not (tmp_path / "out.csv.manifest.json").exists()
+
+    def test_domains_cover_every_field(self):
+        """The table names every RunConfig field, and every default is
+        inside its domain."""
+        assert list(DOMAINS) == list(asdict(RunConfig()))
+        for key in ("sweep", "stats"):
+            for name, ((test, _), default) in DOMAINS[key].items():
+                assert default is REQUIRED or test(default), (key, name)
 
     def test_negative_seed_flag_exit_2(self, capsys):
         code, out, err = run(capsys, "dof", "--seed", "-1")

@@ -230,3 +230,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="frequency must be positive"):
             link_arrays(L_T=[0.2, -1.0, -1.0], L_R=5.0, theta_T=0.0, theta_R=np.pi,
                         x0=10.0, y0=0.0, frequency=[F, -F, F])
+        # link 1 has a non-finite rotation or centre, link 2 a bad length:
+        # link 1 wins with make_link's error, which a sweep would once have
+        # turned into a no-visibility step
+        base = dict(L_T=[0.2, 0.2, -1.0], L_R=5.0, theta_T=0.0, theta_R=np.pi,
+                    x0=10.0, y0=0.0, frequency=F)
+        for key, value in (("theta_T", np.nan), ("x0", np.inf), ("y0", np.nan)):
+            values = [base[key], value, base[key]]
+            with pytest.raises(ValueError, match="rotation and center must be finite"):
+                make_link(**{**base, "L_T": 0.2, key: value})
+            with pytest.raises(ValueError, match="rotation and center must be finite"):
+                link_arrays(**{**base, key: values})

@@ -43,6 +43,16 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             cfg(R=0.0)
 
+    @pytest.mark.parametrize("field", ["R", "L_T", "L_R", "frequency", "x0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_finite_parameters(self, field, value):
+        """NaN passes an ``<= 0`` test, and inf a ``> 0`` one; both are
+        refused, as is a non-finite x0 in a scenario that ignores it."""
+        fields = dict(R=20.0, L_T=0.2, L_R=5.0, frequency=F,
+                      scenario=FULL_VISIBILITY, x0=None)
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioConfig(**{**fields, field: value})
+
 
 def density(c, mu):
     """The scenario's density of mu at one threshold, as a float."""
