@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate every bundled figure data file into an output directory.
 
-Each figure id produces a CSV plus a manifest echoing the exact
-parameter bindings and seed, so reruns are byte-identical.
+Each figure id produces a CSV plus a manifest recording the recipe's
+bindings and the seed, so reruns are byte-identical.
 
 Usage:
     python3 scripts/reproduce_figures.py [--out-dir figures] [--seed 0]

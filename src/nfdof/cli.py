@@ -8,8 +8,9 @@ key; once the flags are applied ``_check`` holds config and flag values
 alike to it, so an unknown key, a value of the wrong kind or one outside
 its domain exits 2, naming the field, before anything is computed.
 Every file output is accompanied by a ``<name>.manifest.json`` echoing
-the full parameter set and seed, and reruns with identical inputs are
-byte-identical.
+the full parameter set and seed (for ``figure``, the recipe's bindings
+and the seed, which are all that it uses), and reruns with identical
+inputs are byte-identical.
 
 Output is columnar from the computation to the bytes: each command
 takes the columns of one shared loop in ``figures`` and formats each
@@ -37,7 +38,7 @@ import numpy as np
 from . import __version__
 from . import statistics as stats
 from .dof_core import dof
-from .figures import (FIGURE_IDS, curve_rows, figure_params, figure_rows,
+from .figures import (FIGURE_IDS, FIGURES, curve_rows, figure_rows,
                       kernel_scan_rows, link_params, svd_compare_rows, sweep_rows)
 from .geometry import make_link
 from .kernel import MIN_SCAN_SAMPLES
@@ -238,9 +239,8 @@ def _write_out(text, args, manifest):
         sys.stdout.write(text)
 
 
-def _manifest(cfg: RunConfig, command, extra=None):
-    return {"tool": "nfdof", "version": __version__, "command": command,
-            "parameters": asdict(cfg), **(extra or {})}
+def _manifest(command, **record):
+    return {"tool": "nfdof", "version": __version__, "command": command, **record}
 
 
 def cmd_dof(cfg: RunConfig, args):
@@ -256,11 +256,12 @@ def cmd_dof(cfg: RunConfig, args):
         "m_real": res.m_real, "m_int": res.m_int,
         "warnings": res.warnings,
     }
+    manifest = _manifest("dof", parameters=asdict(cfg))
     if args.format == "csv":
-        _emit(list(report), [[v] for v in report.values()], args, _manifest(cfg, "dof"))
+        _emit(list(report), [[v] for v in report.values()], args, manifest)
     else:
         _write_out(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n", args,
-                   _manifest(cfg, "dof"))
+                   manifest)
     return 0
 
 
@@ -273,7 +274,7 @@ def _sweep_values(cfg: RunConfig):
 
 def cmd_sweep(cfg: RunConfig, args):
     header, columns = sweep_rows(link_params(vars(cfg)), *_sweep_values(cfg))
-    _emit(header, columns, args, _manifest(cfg, "sweep"))
+    _emit(header, columns, args, _manifest("sweep", parameters=asdict(cfg)))
     return 0
 
 
@@ -282,15 +283,16 @@ def cmd_svd_compare(cfg: RunConfig, args):
         link_params(vars(cfg)), *_sweep_values(cfg), cfg.svd_spacing,
         cfg.svd_threshold)
     _emit(header, columns, args,
-          _manifest(cfg, "svd-compare", {"threshold": cfg.svd_threshold,
-                                         "svd_grid": svd_grid}))
+          _manifest("svd-compare", parameters=asdict(cfg),
+                    threshold=cfg.svd_threshold, svd_grid=svd_grid))
     return 0
 
 
 def cmd_kernel_scan(cfg: RunConfig, args):
     header, columns, kernel = kernel_scan_rows(link_params(vars(cfg)),
                                                cfg.zeta_ref, cfg.n_samples)
-    _emit(header, columns, args, _manifest(cfg, "kernel-scan", {"kernel": kernel}))
+    _emit(header, columns, args,
+          _manifest("kernel-scan", parameters=asdict(cfg), kernel=kernel))
     return 0
 
 
@@ -316,8 +318,8 @@ def cmd_stats(cfg: RunConfig, args):
     _warn_quadrature(quadrature)
     _emit(header + ["mc_samples", "seed"],
           columns + [[mc_samples] * grid_points, [cfg.seed] * grid_points], args,
-          _manifest(cfg, "stats", {"scenario": asdict(scen_cfg),
-                                   "quadrature": quadrature}))
+          _manifest("stats", parameters=asdict(cfg), scenario=asdict(scen_cfg),
+                    quadrature=quadrature))
     return 0
 
 
@@ -325,11 +327,13 @@ def cmd_figure(cfg: RunConfig, args):
     fig_id = args.id
     if fig_id not in FIGURE_IDS:
         raise UsageError(f"unknown figure id {fig_id!r}; choose from {FIGURE_IDS}")
-    header, columns, extra = figure_rows(fig_id, seed=cfg.seed)
-    if "quadrature" in extra:
-        _warn_quadrature(extra["quadrature"])
-    _emit(header, columns, args, _manifest(cfg, f"figure {fig_id}", {
-        "figure": fig_id, "bindings": figure_params(fig_id), **extra}))
+    header, columns, record = figure_rows(fig_id, seed=cfg.seed)
+    if "quadrature" in record:
+        _warn_quadrature(record["quadrature"])
+    # the recipe's bindings and the seed are all that a figure reads
+    _emit(header, columns, args, _manifest(
+        f"figure {fig_id}", figure=fig_id, bindings=FIGURES[fig_id][1],
+        seed=cfg.seed, **record))
     return 0
 
 

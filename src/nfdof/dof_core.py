@@ -33,7 +33,7 @@ from .geometry import (LinkArrays, LinkGeometry, VisibilityArrays, VisibilityRep
 
 __all__ = [
     "TaylorCoefficients", "DofResult", "DofArrays",
-    "exact_distance", "taylor_coeffs", "dof", "dof_arrays",
+    "taylor_coeffs", "dof", "dof_arrays",
     "dof_full_visibility_closed_form", "fraunhofer_distance",
     "minima_lattice_count",
 ]
@@ -67,24 +67,6 @@ class DofResult:
     rho_c: float
     visibility: VisibilityReport
     warnings: List[str] = field(default_factory=list)
-
-
-def exact_distance(link: LinkGeometry, eta, zeta, eta_c=0.0, zeta_c=0.0):
-    """Euclidean distance between transmit point ``eta`` and receive
-    point ``zeta``, both measured from the effective segment centers
-    ``eta_c`` / ``zeta_c``."""
-    s_t = eta + eta_c
-    s_r = zeta + zeta_c
-    half_T = link.tx.length / 2.0
-    half_R = link.rx.length / 2.0
-    tol = 1e-9
-    if not (-half_T - tol <= s_t <= half_T + tol):
-        raise ValueError("transmit coordinate outside the array segment")
-    if not (-half_R - tol <= s_r <= half_R + tol):
-        raise ValueError("receive coordinate outside the array segment")
-    p = point_on(link.tx, s_t)
-    q = point_on(link.rx, s_r)
-    return float(np.hypot(q[0] - p[0], q[1] - p[1]))
 
 
 def taylor_coeffs(link: LinkGeometry, zeta, report: VisibilityReport) -> TaylorCoefficients:

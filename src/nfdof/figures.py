@@ -1,11 +1,16 @@
-"""Reference-figure recipes: parameter bindings plus data generation.
+"""Reference-figure recipes: one table of shared loops and bindings.
 
-Each recipe reproduces the data behind one published-style figure:
-kernel scans, DoF sweeps, singular spectra, mode-count distributions,
-and the visibility-probability surface.  Rotation angles follow this
-package's counter-clockwise-positive convention; captions quoted from
-clockwise-positive plots have their receive rotation negated here (the
-physical configuration, and hence all magnitudes, are identical).
+``FIGURES`` maps each figure id to the loop it runs and that loop's
+bindings, and nothing else decides a recipe: ``figure_rows`` runs the
+loop on the bindings, and the ``figure`` manifest records the same
+bindings with the seed.  The loops are the commands' own (the sweep, the
+SVD compare, the kernel scan and the distribution curve) plus the
+singular spectrum and the visibility-probability surface; a binding
+named like a ``RunConfig`` field means what that field means.  Rotation
+angles follow this package's counter-clockwise-positive convention;
+captions quoted from clockwise-positive plots have their receive
+rotation negated here (the physical configuration, and hence all
+magnitudes, are identical).
 """
 
 import math
@@ -20,86 +25,14 @@ from .svd_oracle import (DEFAULT_SUM_RULE_FRACTION, channel_matrix,
                          effective_dof, gram_powers, singular_spectrum)
 
 __all__ = [
-    "FIGURE_IDS", "figure_rows", "figure_params", "link_params",
+    "FIGURES", "FIGURE_IDS", "figure_rows", "link_params",
     "sweep_rows", "svd_compare_rows", "kernel_scan_rows", "curve_rows",
 ]
-
-_F = 30e9
-_LAM = 0.01
 
 # (binding name as in the CLI's RunConfig, make_link keyword)
 _LINK_KEYS = (("L_T_m", "L_T"), ("L_R_m", "L_R"), ("theta_T", "theta_T"),
               ("theta_R", "theta_R"), ("x0_m", "x0"), ("y0_m", "y0"),
               ("frequency_hz", "frequency"))
-
-# kernel-comparison configurations: (L_T, L_R, theta_T, theta_R, x0, y0)
-_KERNEL_CONFIGS = {
-    "fig3a": (0.2, 5.0, 0.0, np.pi, 10.0, 0.0),
-    "fig3b": (0.2, 5.0, np.pi / 3, np.pi, 10.0, 0.0),
-    "fig3c": (1.0, 5.0, np.pi / 3, -np.pi / 3, -5.0, 5.0),
-    "fig3d": (0.2, 5.0, np.pi / 3, -np.pi / 3, -5.0, 5.0),
-}
-
-# DoF-vs-SVD sweep geometries: (x0, y0, theta_T, theta_R sweep center)
-_FIG7_GEOMETRIES = {
-    "fig7a": (10.0, 0.0, 0.0, np.pi),
-    "fig7b": (0.0, 10.0, np.pi / 2, -np.pi / 2),
-    "fig7c": (5.0, 5.0, np.pi / 4, -3 * np.pi / 4),
-}
-
-# default normalized distances x0 / L_R for the range study; the smallest
-# value is the closest admissible distance 1.2 (L_T + L_R) / L_R
-_FIG8_X0_OVER_LR = (1.32, 2.0, 3.0, 5.0, 10.0)
-
-_FIG9_RADII = (5.0, 10.0, 20.0, 200.0)
-_FIG10_CASES = tuple((x0, L_R) for x0 in (5.0, 10.0) for L_R in (2.0, 5.0))
-
-FIGURE_IDS = (
-    "fig3a", "fig3b", "fig3c", "fig3d", "fig4", "fig5",
-    "fig7a", "fig7b", "fig7c", "fig8", "fig9a", "fig9b", "fig10", "fig11",
-)
-
-
-def figure_params(fig_id):
-    """Parameter bindings of a recipe, for the output manifest."""
-    if fig_id in _KERNEL_CONFIGS:
-        L_T, L_R, thT, thR, x0, y0 = _KERNEL_CONFIGS[fig_id]
-        return {"frequency_hz": _F, "L_T_m": L_T, "L_R_m": L_R,
-                "theta_T": thT, "theta_R": thR, "x0_m": x0, "y0_m": y0,
-                "zeta_ref": 0.0, "n_samples": 1024}
-    if fig_id in ("fig4", "fig5"):
-        p = {"frequency_hz": _F, "L_T_m": 0.2, "L_R_m": 5.0,
-             "theta_T": np.pi / 2, "x0_m": -5.0, "y0_m": 5.0}
-        if fig_id == "fig5":
-            p["theta_R"] = -np.deg2rad(53.0)
-            p["spacing"] = _LAM / 2.0
-        else:
-            p["theta_R_sweep"] = [-np.pi, np.pi, 721]
-        return p
-    if fig_id in _FIG7_GEOMETRIES:
-        x0, y0, thT, center = _FIG7_GEOMETRIES[fig_id]
-        return {"frequency_hz": _F, "L_T_m": 0.2, "L_R_m": 5.0,
-                "theta_T": thT, "x0_m": x0, "y0_m": y0,
-                "theta_R_sweep": [center - np.pi / 2, center + np.pi / 2, 181],
-                "threshold": DEFAULT_SUM_RULE_FRACTION, "spacing": _LAM / 4.0}
-    if fig_id == "fig8":
-        return {"frequency_hz": _F, "L_T_m": 0.2, "L_R_m": 2.0,
-                "theta_T": 0.0, "y0_m": 0.0,
-                "x0_over_LR": list(_FIG8_X0_OVER_LR),
-                "theta_R_sweep": [-np.pi, np.pi, 721]}
-    if fig_id in ("fig9a", "fig9b"):
-        return {"frequency_hz": _F, "L_T_m": 0.2, "L_R_m": 2.0,
-                "radii": list(_FIG9_RADII),
-                "scenario": (stats.PARTIAL_R_PLUS if fig_id == "fig9a"
-                             else stats.FULL_VISIBILITY),
-                "grid_points": 201, "mc_samples": 200_000}
-    if fig_id == "fig10":
-        return {"frequency_hz": _F, "L_T_m": 0.2,
-                "cases": [list(c) for c in _FIG10_CASES],
-                "grid_points": 401, "mc_samples": 200_000}
-    if fig_id == "fig11":
-        return {"x0_grid": [1.0, 50.0, 50], "L_R_grid": [1.0, 10.0, 19]}
-    raise KeyError(f"unknown figure id {fig_id!r}")
 
 
 def link_params(bindings):
@@ -174,44 +107,10 @@ def curve_rows(cfg, grid_points, mc_samples, seed):
 
 
 def figure_rows(fig_id, seed=0):
-    """(header, columns, manifest additions) of the data file behind the
-    recipe: its ``figure_params`` bindings passed to the shared loops."""
-    p = figure_params(fig_id)
-    link, extra = link_params(p), {}
-    if fig_id in _KERNEL_CONFIGS:
-        _, cols, kernel = kernel_scan_rows(link, p["zeta_ref"], p["n_samples"])
-        header = ["zeta", "magnitude_exact", "magnitude_farfield", "is_minimum"]
-        cols = [cols[0], cols[3], cols[4], cols[5]]
-        extra = {"kernel": kernel}
-    elif fig_id == "fig4":
-        header, cols = sweep_rows(link, "theta_R", _grid(p["theta_R_sweep"]))
-    elif fig_id == "fig5":
-        header, cols, svd_grid = _spectrum_rows(link, p["spacing"])
-        extra = {"svd_grid": svd_grid}
-    elif fig_id in _FIG7_GEOMETRIES:
-        header, cols, svd_grid = svd_compare_rows(
-            link, "theta_R", _grid(p["theta_R_sweep"]), p["spacing"],
-            p["threshold"])
-        extra = {"svd_grid": svd_grid}
-    elif fig_id == "fig8":
-        blocks = []
-        for ratio in p["x0_over_LR"]:
-            header, block = sweep_rows({**link, "x0": ratio * p["L_R_m"]}, "theta_R",
-                                       _grid(p["theta_R_sweep"]))
-            blocks.append(((ratio,), block))
-        header, cols = ["x0_over_LR"] + header, _stack(blocks)
-    elif fig_id in ("fig9a", "fig9b"):
-        header, cols, extra = _curve_family(["R"], [
-            ((R,), {"R": R, "L_R": p["L_R_m"], "scenario": p["scenario"]})
-            for R in p["radii"]], p, seed)
-    elif fig_id == "fig10":
-        header, cols, extra = _curve_family(["x0", "L_R"], [
-            ((x0, L_R), {"R": 20.0, "L_R": L_R, "x0": x0,
-                         "scenario": stats.CONDITIONAL_ON_X0})
-            for x0, L_R in p["cases"]], p, seed)
-    else:  # fig11
-        header, cols = _pov_rows(p)
-    return header, cols, extra
+    """(header, columns, the loop's own record) of the data file behind
+    recipe ``fig_id``: its ``FIGURES`` loop run on its bindings."""
+    loop, bindings = FIGURES[fig_id]
+    return loop(bindings, seed)
 
 
 def _grid(spec):
@@ -224,6 +123,48 @@ def _stack(blocks):
     columns behind one constant column per case value."""
     return [np.concatenate(parts) for parts in zip(*(
         [np.full(len(cols[0]), v) for v in case] + cols for case, cols in blocks))]
+
+
+def _grid_record(shape):
+    return {"rows": shape[0], "cols": shape[1]}
+
+
+# The table's loops: each takes (bindings, seed) and returns (header,
+# columns, record), the record holding what goes into the manifest.
+
+def _minima_rows(p, seed):
+    _, cols, kernel = kernel_scan_rows(link_params(p), p["zeta_ref"], p["n_samples"])
+    return (["zeta", "magnitude_exact", "magnitude_farfield", "is_minimum"],
+            [cols[0], cols[3], cols[4], cols[5]], {"kernel": kernel})
+
+
+def _theta_R_rows(p, seed):
+    return (*sweep_rows(link_params(p), "theta_R", _grid(p["theta_R_sweep"])), {})
+
+
+def _range_rows(p, seed):
+    """theta_R sweeps at each x0 / L_R, stacked behind that ratio."""
+    blocks = []
+    for ratio in p["x0_over_LR"]:
+        header, block, _ = _theta_R_rows({**p, "x0_m": ratio * p["L_R_m"]}, seed)
+        blocks.append(((ratio,), block))
+    return ["x0_over_LR"] + header, _stack(blocks), {}
+
+
+def _svd_rows(p, seed):
+    header, cols, svd_grid = svd_compare_rows(
+        link_params(p), "theta_R", _grid(p["theta_R_sweep"]), p["spacing"],
+        p["threshold"])
+    return header, cols, {"svd_grid": svd_grid}
+
+
+def _spectrum_rows(p, seed):
+    cm = channel_matrix(make_link(**link_params(p)), spacing=p["spacing"])
+    rep = singular_spectrum(cm)
+    index = np.arange(1, len(rep.singular_values) + 1)
+    return (["index", "singular_value", "normalized_power", "cumulative_fraction"],
+            [index, rep.singular_values, rep.normalized_powers,
+             rep.cumulative_fraction], {"svd_grid": _grid_record(cm.entries.shape)})
 
 
 def _curve_family(case_header, cases, p, seed):
@@ -242,20 +183,78 @@ def _curve_family(case_header, cases, p, seed):
         "nodes": quadrature["nodes"], "abs_error_estimate": max(estimates)}}
 
 
-def _grid_record(shape):
-    return {"rows": shape[0], "cols": shape[1]}
+def _radius_curve_rows(p, seed):
+    return _curve_family(["R"], [
+        ((R,), {"R": R, "L_R": p["L_R_m"], "scenario": p["scenario"]})
+        for R in p["radii"]], p, seed)
 
 
-def _spectrum_rows(link, spacing):
-    cm = channel_matrix(make_link(**link), spacing=spacing)
-    rep = singular_spectrum(cm)
-    index = np.arange(1, len(rep.singular_values) + 1)
-    return (["index", "singular_value", "normalized_power", "cumulative_fraction"],
-            [index, rep.singular_values, rep.normalized_powers,
-             rep.cumulative_fraction], _grid_record(cm.entries.shape))
+def _conditional_curve_rows(p, seed):
+    return _curve_family(["x0", "L_R"], [
+        ((x0, L_R), {"R": 20.0, "L_R": L_R, "x0": x0,
+                     "scenario": stats.CONDITIONAL_ON_X0})
+        for x0, L_R in p["cases"]], p, seed)
 
 
-def _pov_rows(p):
+def _pov_rows(p, seed):
     x0, L_R = np.meshgrid(_grid(p["x0_grid"]), _grid(p["L_R_grid"]), indexing="ij")
     x0, L_R = x0.ravel(), L_R.ravel()
-    return ["x0", "L_R", "pov"], [x0, L_R, list(map(stats.pov, x0, L_R))]
+    return ["x0", "L_R", "pov"], [x0, L_R, list(map(stats.pov, x0, L_R))], {}
+
+
+_F, _LAM = 30e9, 0.01
+_FULL_TURN = [-np.pi, np.pi, 721]
+# the off-axis link of fig4 and fig5
+_OFF_AXIS = {"frequency_hz": _F, "L_T_m": 0.2, "L_R_m": 5.0,
+             "theta_T": np.pi / 2, "x0_m": -5.0, "y0_m": 5.0}
+
+
+def _kernel_link(L_T, theta_T, theta_R, x0, y0):
+    """A 1024-sample kernel scan about zeta = 0 on a 5 m receive array."""
+    return {"frequency_hz": _F, "L_T_m": L_T, "L_R_m": 5.0, "theta_T": theta_T,
+            "theta_R": theta_R, "x0_m": x0, "y0_m": y0, "zeta_ref": 0.0,
+            "n_samples": 1024}
+
+
+def _svd_sweep(x0, y0, theta_T, center):
+    """A half-turn theta_R sweep about ``center`` on the lambda/4 grid."""
+    return {"frequency_hz": _F, "L_T_m": 0.2, "L_R_m": 5.0, "theta_T": theta_T,
+            "x0_m": x0, "y0_m": y0,
+            "theta_R_sweep": [center - np.pi / 2, center + np.pi / 2, 181],
+            "threshold": DEFAULT_SUM_RULE_FRACTION, "spacing": _LAM / 4.0}
+
+
+def _radius_curves(scenario):
+    """Curves of ``scenario`` for a 2 m receive array in four disk radii."""
+    return {"frequency_hz": _F, "L_T_m": 0.2, "L_R_m": 2.0,
+            "radii": [5.0, 10.0, 20.0, 200.0], "scenario": scenario,
+            "grid_points": 201, "mc_samples": 200_000}
+
+
+# figure id -> (the shared loop it runs, its bindings)
+FIGURES = {
+    "fig3a": (_minima_rows, _kernel_link(0.2, 0.0, np.pi, 10.0, 0.0)),
+    "fig3b": (_minima_rows, _kernel_link(0.2, np.pi / 3, np.pi, 10.0, 0.0)),
+    "fig3c": (_minima_rows, _kernel_link(1.0, np.pi / 3, -np.pi / 3, -5.0, 5.0)),
+    "fig3d": (_minima_rows, _kernel_link(0.2, np.pi / 3, -np.pi / 3, -5.0, 5.0)),
+    "fig4": (_theta_R_rows, {**_OFF_AXIS, "theta_R_sweep": _FULL_TURN}),
+    "fig5": (_spectrum_rows, {**_OFF_AXIS, "theta_R": -np.deg2rad(53.0),
+                              "spacing": _LAM / 2.0}),
+    "fig7a": (_svd_rows, _svd_sweep(10.0, 0.0, 0.0, np.pi)),
+    "fig7b": (_svd_rows, _svd_sweep(0.0, 10.0, np.pi / 2, -np.pi / 2)),
+    "fig7c": (_svd_rows, _svd_sweep(5.0, 5.0, np.pi / 4, -3 * np.pi / 4)),
+    # the smallest x0 / L_R is the closest admissible distance
+    # 1.2 (L_T + L_R) / L_R
+    "fig8": (_range_rows, {"frequency_hz": _F, "L_T_m": 0.2, "L_R_m": 2.0,
+                           "theta_T": 0.0, "y0_m": 0.0,
+                           "x0_over_LR": [1.32, 2.0, 3.0, 5.0, 10.0],
+                           "theta_R_sweep": _FULL_TURN}),
+    "fig9a": (_radius_curve_rows, _radius_curves(stats.PARTIAL_R_PLUS)),
+    "fig9b": (_radius_curve_rows, _radius_curves(stats.FULL_VISIBILITY)),
+    "fig10": (_conditional_curve_rows, {
+        "frequency_hz": _F, "L_T_m": 0.2,
+        "cases": [[x0, L_R] for x0 in (5.0, 10.0) for L_R in (2.0, 5.0)],
+        "grid_points": 401, "mc_samples": 200_000}),
+    "fig11": (_pov_rows, {"x0_grid": [1.0, 50.0, 50], "L_R_grid": [1.0, 10.0, 19]}),
+}
+FIGURE_IDS = tuple(FIGURES)

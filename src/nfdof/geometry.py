@@ -69,7 +69,7 @@ __all__ = [
     "FULL", "NO_VISIBILITY", "PARTIAL_TX", "PARTIAL_RX", "TOUCHING",
     "STATUSES", "ENDPOINTS",
     "ArrayGeometry", "LinkGeometry", "VisibilityReport", "LinkArrays",
-    "VisibilityArrays", "wrap_angle", "direction", "point_on",
+    "VisibilityArrays", "wrap_angle", "point_on",
     "classify_visibility", "make_link", "link_arrays", "classify_arrays",
 ]
 
@@ -116,14 +116,11 @@ class ArrayGeometry:
         object.__setattr__(self, "center", (x, y))
 
 
-def direction(a: ArrayGeometry):
-    """Unit vector along the array, pointing toward the + endpoint."""
-    return np.array([-np.sin(a.rotation), np.cos(a.rotation)])
-
-
 def point_on(a: ArrayGeometry, s):
-    """Point at signed coordinate ``s`` along the array."""
-    return np.asarray(a.center, dtype=float) + s * direction(a)
+    """Point at signed coordinate ``s`` along the array, whose unit
+    vector (-sin, cos) of the rotation points toward the + endpoint."""
+    return (np.asarray(a.center, dtype=float)
+            + s * np.array([-np.sin(a.rotation), np.cos(a.rotation)]))
 
 
 @dataclass(frozen=True)

@@ -115,8 +115,6 @@ class DistributionCurve:
     pdf: np.ndarray
     ccdf: np.ndarray
     mc_ccdf: Optional[np.ndarray] = None
-    mc_samples: int = 0
-    seed: int = 0
     quadrature_nodes: int = 0
     abs_error_estimate: float = 0.0
 
@@ -391,5 +389,4 @@ def ccdf(cfg: ScenarioConfig, grid, mc_samples=0, seed=0) -> DistributionCurve:
     if mc_samples:
         mc = empirical_ccdf(monte_carlo(cfg, mc_samples, seed=seed), grid)
     return DistributionCurve(grid=grid, pdf=pdf_, ccdf=cc, mc_ccdf=mc,
-                             mc_samples=int(mc_samples), seed=int(seed),
                              quadrature_nodes=nodes, abs_error_estimate=err)

@@ -1,10 +1,11 @@
-"""Reference mode span of one link, computed link by link.
+"""Reference mode span and point-to-point distance of one link.
 
 The boundary angles and mode indices as ``nfdof.dof_core.dof`` computed
 them before the count moved to array expressions: ``point_on`` arrays for
 the effective transmit center and the receive points, then scalar angles
 and indices.  The property tests hold the array core to these numbers
-bit for bit.
+bit for bit.  ``exact_distance`` is the Euclidean distance that the
+distance-expansion tests hold ``taylor_coeffs`` to.
 """
 
 import numpy as np
@@ -39,3 +40,21 @@ def mode_span(link, report):
     m_minus = float(scale * (np.sin(thT - a_minus) - rho_c))
     m_real = abs(m_plus - m_minus) + 1.0
     return a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real, int(round(m_real))
+
+
+def exact_distance(link, eta, zeta, eta_c=0.0, zeta_c=0.0):
+    """Euclidean distance between transmit point ``eta`` and receive
+    point ``zeta``, both measured from the effective segment centers
+    ``eta_c`` / ``zeta_c``."""
+    s_t = eta + eta_c
+    s_r = zeta + zeta_c
+    half_T = link.tx.length / 2.0
+    half_R = link.rx.length / 2.0
+    tol = 1e-9
+    if not (-half_T - tol <= s_t <= half_T + tol):
+        raise ValueError("transmit coordinate outside the array segment")
+    if not (-half_R - tol <= s_r <= half_R + tol):
+        raise ValueError("receive coordinate outside the array segment")
+    p = point_on(link.tx, s_t)
+    q = point_on(link.rx, s_r)
+    return float(np.hypot(q[0] - p[0], q[1] - p[1]))

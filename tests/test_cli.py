@@ -15,7 +15,7 @@ import pytest
 import nfdof
 from nfdof.cli import (DOMAINS, MAX_GRID_POINTS, MAX_MC_SAMPLES, MAX_SCAN_SAMPLES,
                        MAX_SWEEP_STEPS, REQUIRED, RunConfig, main)
-from nfdof.figures import figure_params
+from nfdof.figures import FIGURES
 
 
 # a theta_R sweep with visible steps, and one without any
@@ -445,6 +445,23 @@ class TestFigureCommand:
         assert manifest["quadrature"]["nodes"] == 48
         assert 0.0 <= manifest["quadrature"]["abs_error_estimate"] <= 1e-9
 
+    def test_manifest_records_bindings_and_seed_only(self, tmp_path, capsys):
+        """A figure reads its bindings and the seed and nothing else, so a
+        link flag changes neither its data nor its manifest."""
+        outputs = []
+        for name, flags in (("a", ("--x0", "5")), ("b", ())):
+            out = tmp_path / f"{name}.csv"
+            code, _, _ = run(capsys, "figure", "--id", "fig4", *flags,
+                             "--out", str(out))
+            assert code == 0
+            outputs.append((out.read_bytes(),
+                            (tmp_path / f"{name}.csv.manifest.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        manifest = json.loads(outputs[0][1])
+        assert "parameters" not in manifest
+        assert manifest["bindings"] == json.loads(json.dumps(FIGURES["fig4"][1]))
+        assert manifest["seed"] == 0
+
     def test_curve_figure_warns_on_large_error_estimate(self, capsys, monkeypatch):
         from dataclasses import replace
         from nfdof import statistics as stats
@@ -459,7 +476,7 @@ class TestFigureCommand:
 def _bindings_config(tmp_path, fig_id, **fields):
     """Config file holding a recipe's RunConfig-named bindings, its
     theta_R sweep as the sweep section, and ``fields`` on top."""
-    bindings = figure_params(fig_id)
+    bindings = FIGURES[fig_id][1]
     cfg = {k: v for k, v in bindings.items() if k in RunConfig.__dataclass_fields__}
     if "theta_R_sweep" in bindings:
         lo, hi, n = bindings["theta_R_sweep"]
@@ -493,7 +510,7 @@ class TestFigureParity:
 
     def test_sweep_reproduces_fig8_block(self, tmp_path, capsys):
         _, fig, _ = run(capsys, "figure", "--id", "fig8")
-        p = figure_params("fig8")
+        p = FIGURES["fig8"][1]
         ratio = p["x0_over_LR"][1]
         code, out, _ = run(capsys, "sweep", "--config", _bindings_config(
             tmp_path, "fig8", x0_m=ratio * p["L_R_m"]))

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dof_oracle import exact_distance
 from nfdof import geometry
 from nfdof.dof_core import (
-    dof, dof_full_visibility_closed_form, exact_distance, fraunhofer_distance,
+    dof, dof_full_visibility_closed_form, fraunhofer_distance,
     minima_lattice_count, taylor_coeffs,
 )
 from nfdof.geometry import classify_visibility, make_link

@@ -304,7 +304,8 @@ class TestFocusingPhase:
     def test_taylor_remainder_small(self):
         """The quadratic phase tracks the true propagation phase to a
         fraction of a radian across the transmit aperture."""
-        from nfdof.dof_core import exact_distance, taylor_coeffs
+        from dof_oracle import exact_distance
+        from nfdof.dof_core import taylor_coeffs
 
         lk, rep = make("parallel-broadside")
         k = 2 * np.pi / LAMBDA
