@@ -2,11 +2,11 @@
 
 Subcommands: ``dof``, ``sweep``, ``svd-compare``, ``kernel-scan``,
 ``stats``, ``figure``.  Parameters come from an optional JSON config
-file (flat keys) overridden by command-line flags.  ``DOMAINS`` gives
-the domain of every ``RunConfig`` field and ``sweep``/``stats`` section
-key; once the flags are applied ``_check`` holds config and flag values
-alike to it, so an unknown key, a value of the wrong kind or one outside
-its domain exits 2, naming the field, before anything is computed.
+file (flat keys) overridden by the flags of ``FLAGS``.  ``DOMAINS``
+gives the domain and default of every field and ``sweep``/``stats``
+section key; with the flags applied ``_check`` holds config and flag
+values alike to it, so an unknown key, a value of the wrong kind or one
+outside its domain exits 2, naming the field, before anything is computed.
 Every file output is accompanied by a ``<name>.manifest.json`` echoing
 the full parameter set and seed (for ``figure``, the recipe's bindings
 and the seed, which are all that it uses), and reruns with identical
@@ -30,8 +30,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import asdict
 
 import numpy as np
 
@@ -45,8 +44,10 @@ from .kernel import MIN_SCAN_SAMPLES
 from .svd_oracle import DEFAULT_SUM_RULE_FRACTION
 
 SWEEPABLE = ("theta_T", "theta_R", "x0", "y0", "L_T", "L_R", "frequency")
-FLOAT_FLAGS = ("--frequency-hz", "--l-t", "--l-r", "--x0", "--y0", "--theta-t",
-               "--theta-r")
+# config field -> its flag: ``--seed`` takes an integer, the others floats
+FLAGS = {"seed": "--seed", "frequency_hz": "--frequency-hz", "L_T_m": "--l-t",
+         "L_R_m": "--l-r", "x0_m": "--x0", "y0_m": "--y0", "theta_T": "--theta-t",
+         "theta_R": "--theta-r"}
 # CCDF error estimate above which ``stats`` and the curve figures warn
 QUADRATURE_WARN_ABS = 1e-9
 # the largest counts a run takes: a run at a cap takes seconds and < 1 GB
@@ -70,52 +71,36 @@ POSITIVE_OR_NULL = (lambda v: v is None or POSITIVE[0](v),
                     "null or a finite number > 0")
 REQUIRED = object()  # fails every test: a section key without a default
 
-# (test, domain) of every RunConfig field and, with its default, of every
-# key of the ``sweep`` and ``stats`` sections.  What depends on two values
+# ((test, domain), default) of every config field and of every key of the
+# ``sweep`` and ``stats`` sections; a section's domain is its own table of
+# keys, and the section defaults to null.  What depends on two values
 # stays a library refusal: the conditional x0 <= R (exit 2), and
 # svd_spacing's lambda/2 cap and zeta_ref's aperture (exit 1).
 DOMAINS = {
-    "frequency_hz": POSITIVE, "L_T_m": POSITIVE, "L_R_m": POSITIVE,
-    "x0_m": FINITE, "y0_m": FINITE, "theta_T": FINITE, "theta_R": FINITE,
-    "seed": _count(0),
-    "sweep": {"parameter": ((lambda v: v in SWEEPABLE, f"one of {SWEEPABLE}"),
-                            REQUIRED),
-              "start": (FINITE, REQUIRED), "stop": (FINITE, REQUIRED),
-              "steps": (_count(1, MAX_SWEEP_STEPS), REQUIRED)},
-    "stats": {"R": (POSITIVE, 20.0),
-              "scenario": ((lambda v: v in stats.SCENARIOS,
-                            f"one of {stats.SCENARIOS}"), stats.FULL_VISIBILITY),
-              "x0": (POSITIVE_OR_NULL, None),
-              "grid_points": (_count(2, MAX_GRID_POINTS), 201),
-              "mc_samples": (_count(stats.MIN_MC_SAMPLES, MAX_MC_SAMPLES, zero=True),
-                             100_000)},
-    "svd_threshold": (lambda v: FINITE[0](v) and 0 < v < 1, "a number in (0, 1)"),
-    "svd_spacing": POSITIVE_OR_NULL,
-    "zeta_ref": FINITE,
-    "n_samples": _count(MIN_SCAN_SAMPLES, MAX_SCAN_SAMPLES),
+    "frequency_hz": (POSITIVE, 30e9), "L_T_m": (POSITIVE, 0.2),
+    "L_R_m": (POSITIVE, 5.0), "x0_m": (FINITE, 10.0), "y0_m": (FINITE, 0.0),
+    "theta_T": (FINITE, 0.0), "theta_R": (FINITE, math.pi), "seed": (_count(0), 0),
+    "sweep": ({"parameter": ((lambda v: v in SWEEPABLE, f"one of {SWEEPABLE}"),
+                             REQUIRED),
+               "start": (FINITE, REQUIRED), "stop": (FINITE, REQUIRED),
+               "steps": (_count(1, MAX_SWEEP_STEPS), REQUIRED)}, None),
+    "stats": ({"R": (POSITIVE, 20.0),
+               "scenario": ((lambda v: v in stats.SCENARIOS,
+                             f"one of {stats.SCENARIOS}"), stats.FULL_VISIBILITY),
+               "x0": (POSITIVE_OR_NULL, None),
+               "grid_points": (_count(2, MAX_GRID_POINTS), 201),
+               "mc_samples": (_count(stats.MIN_MC_SAMPLES, MAX_MC_SAMPLES,
+                                     zero=True), 100_000)}, None),
+    "svd_threshold": ((lambda v: FINITE[0](v) and 0 < v < 1, "a number in (0, 1)"),
+                      DEFAULT_SUM_RULE_FRACTION),
+    "svd_spacing": (POSITIVE_OR_NULL, None),
+    "zeta_ref": (FINITE, 0.0),
+    "n_samples": (_count(MIN_SCAN_SAMPLES, MAX_SCAN_SAMPLES), 1024),
 }
 
 
 class UsageError(Exception):
     """Configuration / usage problem (exit code 2)."""
-
-
-@dataclass
-class RunConfig:
-    frequency_hz: float = 30e9
-    L_T_m: float = 0.2
-    L_R_m: float = 5.0
-    x0_m: float = 10.0
-    y0_m: float = 0.0
-    theta_T: float = 0.0
-    theta_R: float = math.pi
-    seed: int = 0
-    sweep: Optional[dict] = None
-    stats: Optional[dict] = None
-    svd_threshold: float = DEFAULT_SUM_RULE_FRACTION
-    svd_spacing: Optional[float] = None
-    zeta_ref: float = 0.0
-    n_samples: int = 1024
 
 
 def _load_config(path):
@@ -131,14 +116,14 @@ def _load_config(path):
     for key in data:
         if key not in DOMAINS:
             raise UsageError(f"config {path}: unknown field {key!r}")
-    return RunConfig(**data)
+    return data
 
 
-def _check(cfg: RunConfig):
+def _check(cfg):
     """Hold every field of ``cfg`` and every key of its sections to
     ``DOMAINS``; a section holds only its own keys."""
-    for key, domain in DOMAINS.items():
-        value = getattr(cfg, key)
+    for key, (domain, _) in DOMAINS.items():
+        value = cfg[key]
         if not isinstance(domain, dict):
             if not domain[0](value):
                 raise UsageError(f"{key} must be {domain[1]}, got {value!r}")
@@ -155,24 +140,23 @@ def _check(cfg: RunConfig):
                     raise UsageError(f"{key}.{name} must be {text}, {got}")
 
 
-def _apply_flags(cfg: RunConfig, args):
-    overrides = {
-        "frequency_hz": args.frequency_hz, "L_T_m": args.l_t, "L_R_m": args.l_r,
-        "x0_m": args.x0, "y0_m": args.y0, "theta_T": args.theta_t,
-        "theta_R": args.theta_r, "seed": args.seed,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    # config and flag values alike, before any computation
+def _run_config(args):
+    """The run's fields: the defaults, then the config file, then the
+    flags, all held to ``DOMAINS`` before any computation; ``--deg`` then
+    turns the angles into radians."""
+    cfg = {key: default for key, (_, default) in DOMAINS.items()}
+    if args.config:
+        cfg.update(_load_config(args.config))
+    cfg.update((key, value) for key in FLAGS
+               if (value := getattr(args, key)) is not None)
     _check(cfg)
     if args.deg:
-        cfg.theta_T = math.radians(cfg.theta_T)
-        cfg.theta_R = math.radians(cfg.theta_R)
-        if cfg.sweep and cfg.sweep["parameter"] in ("theta_T", "theta_R"):
-            cfg.sweep = dict(cfg.sweep)
-            for key in ("start", "stop"):
-                cfg.sweep[key] = math.radians(cfg.sweep[key])
+        for key in ("theta_T", "theta_R"):
+            cfg[key] = math.radians(cfg[key])
+        sweep = cfg["sweep"]
+        if sweep and sweep["parameter"] in ("theta_T", "theta_R"):
+            cfg["sweep"] = {**sweep, "start": math.radians(sweep["start"]),
+                            "stop": math.radians(sweep["stop"])}
     return cfg
 
 
@@ -243,8 +227,8 @@ def _manifest(command, **record):
     return {"tool": "nfdof", "version": __version__, "command": command, **record}
 
 
-def cmd_dof(cfg: RunConfig, args):
-    res = dof(make_link(**link_params(vars(cfg))))
+def cmd_dof(cfg, args):
+    res = dof(make_link(**link_params(cfg)))
     vis = res.visibility
     report = {
         "status": vis.status,
@@ -256,7 +240,7 @@ def cmd_dof(cfg: RunConfig, args):
         "m_real": res.m_real, "m_int": res.m_int,
         "warnings": res.warnings,
     }
-    manifest = _manifest("dof", parameters=asdict(cfg))
+    manifest = _manifest("dof", parameters=cfg)
     if args.format == "csv":
         _emit(list(report), [[v] for v in report.values()], args, manifest)
     else:
@@ -265,34 +249,35 @@ def cmd_dof(cfg: RunConfig, args):
     return 0
 
 
-def _sweep_values(cfg: RunConfig):
-    if cfg.sweep is None:
+def _sweep_values(cfg):
+    sweep = cfg["sweep"]
+    if sweep is None:
         raise UsageError("sweep requires a 'sweep' config section or flags")
-    return (cfg.sweep["parameter"], np.linspace(
-        float(cfg.sweep["start"]), float(cfg.sweep["stop"]), cfg.sweep["steps"]))
+    return (sweep["parameter"], np.linspace(
+        float(sweep["start"]), float(sweep["stop"]), sweep["steps"]))
 
 
-def cmd_sweep(cfg: RunConfig, args):
-    header, columns = sweep_rows(link_params(vars(cfg)), *_sweep_values(cfg))
-    _emit(header, columns, args, _manifest("sweep", parameters=asdict(cfg)))
+def cmd_sweep(cfg, args):
+    header, columns = sweep_rows(link_params(cfg), *_sweep_values(cfg))
+    _emit(header, columns, args, _manifest("sweep", parameters=cfg))
     return 0
 
 
-def cmd_svd_compare(cfg: RunConfig, args):
+def cmd_svd_compare(cfg, args):
     header, columns, svd_grid = svd_compare_rows(
-        link_params(vars(cfg)), *_sweep_values(cfg), cfg.svd_spacing,
-        cfg.svd_threshold)
+        link_params(cfg), *_sweep_values(cfg), cfg["svd_spacing"],
+        cfg["svd_threshold"])
     _emit(header, columns, args,
-          _manifest("svd-compare", parameters=asdict(cfg),
-                    threshold=cfg.svd_threshold, svd_grid=svd_grid))
+          _manifest("svd-compare", parameters=cfg,
+                    threshold=cfg["svd_threshold"], svd_grid=svd_grid))
     return 0
 
 
-def cmd_kernel_scan(cfg: RunConfig, args):
-    header, columns, kernel = kernel_scan_rows(link_params(vars(cfg)),
-                                               cfg.zeta_ref, cfg.n_samples)
+def cmd_kernel_scan(cfg, args):
+    header, columns, kernel = kernel_scan_rows(link_params(cfg),
+                                               cfg["zeta_ref"], cfg["n_samples"])
     _emit(header, columns, args,
-          _manifest("kernel-scan", parameters=asdict(cfg), kernel=kernel))
+          _manifest("kernel-scan", parameters=cfg, kernel=kernel))
     return 0
 
 
@@ -303,37 +288,37 @@ def _warn_quadrature(quadrature):
               f"exceeds {QUADRATURE_WARN_ABS:g}", file=sys.stderr)
 
 
-def cmd_stats(cfg: RunConfig, args):
-    section = {name: (cfg.stats or {}).get(name, default)
-               for name, (_, default) in DOMAINS["stats"].items()}
+def cmd_stats(cfg, args):
+    section = {name: (cfg["stats"] or {}).get(name, default)
+               for name, (_, default) in DOMAINS["stats"][0].items()}
     try:
         scen_cfg = stats.ScenarioConfig(
-            R=float(section["R"]), L_T=cfg.L_T_m, L_R=cfg.L_R_m,
-            frequency=cfg.frequency_hz, scenario=section["scenario"], x0=section["x0"])
+            R=float(section["R"]), L_T=cfg["L_T_m"], L_R=cfg["L_R_m"], x0=section["x0"],
+            frequency=cfg["frequency_hz"], scenario=section["scenario"])
     except ValueError as e:  # the conditional x0 <= R, which takes two values
         raise UsageError(str(e))
     grid_points, mc_samples = section["grid_points"], section["mc_samples"]
     header, columns, quadrature = curve_rows(scen_cfg, grid_points, mc_samples,
-                                             cfg.seed)
+                                             cfg["seed"])
     _warn_quadrature(quadrature)
     _emit(header + ["mc_samples", "seed"],
-          columns + [[mc_samples] * grid_points, [cfg.seed] * grid_points], args,
-          _manifest("stats", parameters=asdict(cfg), scenario=asdict(scen_cfg),
+          columns + [[mc_samples] * grid_points, [cfg["seed"]] * grid_points], args,
+          _manifest("stats", parameters=cfg, scenario=asdict(scen_cfg),
                     quadrature=quadrature))
     return 0
 
 
-def cmd_figure(cfg: RunConfig, args):
+def cmd_figure(cfg, args):
     fig_id = args.id
     if fig_id not in FIGURE_IDS:
         raise UsageError(f"unknown figure id {fig_id!r}; choose from {FIGURE_IDS}")
-    header, columns, record = figure_rows(fig_id, seed=cfg.seed)
+    header, columns, record = figure_rows(fig_id, seed=cfg["seed"])
     if "quadrature" in record:
         _warn_quadrature(record["quadrature"])
     # the recipe's bindings and the seed are all that a figure reads
     _emit(header, columns, args, _manifest(
         f"figure {fig_id}", figure=fig_id, bindings=FIGURES[fig_id][1],
-        seed=cfg.seed, **record))
+        seed=cfg["seed"], **record))
     return 0
 
 
@@ -352,15 +337,16 @@ def _build_parser():
     for name in commands:
         p = sub.add_parser(name)
         p.set_defaults(func=commands[name])
-        p.add_argument("--config", help="JSON config file with RunConfig fields")
+        p.add_argument("--config", help="JSON config file with DOMAINS fields")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"),
                        default="json" if name == "dof" else "csv")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--deg", action="store_true",
-                       help="interpret angle inputs in degrees")
-        for flag in FLOAT_FLAGS:
-            p.add_argument(flag, type=float)
+        for key, flag in FLAGS.items():  # --deg after --seed in the usage line
+            p.add_argument(flag, dest=key, type=int if key == "seed" else float,
+                           metavar=flag[2:].replace("-", "_").upper())
+            if key == "seed":
+                p.add_argument("--deg", action="store_true",
+                               help="interpret angle inputs in degrees")
         if name == "figure":
             p.add_argument("--id", required=True)
     return parser
@@ -372,7 +358,8 @@ def _join_float_values(argv):
     option, so a float flag's value is attached to the flag instead."""
     out = []
     for token in argv:
-        if out and out[-1] in FLOAT_FLAGS and token.startswith("-"):
+        if (out and out[-1] in FLAGS.values() and out[-1] != FLAGS["seed"]
+                and token.startswith("-")):
             try:
                 float(token)
             except ValueError:
@@ -389,9 +376,7 @@ def main(argv=None):
     args = parser.parse_args(_join_float_values(
         sys.argv[1:] if argv is None else argv))
     try:
-        cfg = _load_config(args.config) if args.config else RunConfig()
-        cfg = _apply_flags(cfg, args)
-        return args.func(cfg, args)
+        return args.func(_run_config(args), args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -6,11 +6,11 @@ loop on the bindings, and the ``figure`` manifest records the same
 bindings with the seed.  The loops are the commands' own (the sweep, the
 SVD compare, the kernel scan and the distribution curve) plus the
 singular spectrum and the visibility-probability surface; a binding
-named like a ``RunConfig`` field means what that field means.  Rotation
-angles follow this package's counter-clockwise-positive convention;
-captions quoted from clockwise-positive plots have their receive
-rotation negated here (the physical configuration, and hence all
-magnitudes, are identical).
+named like a field or ``stats`` key of the CLI's ``DOMAINS`` means what
+it means there.  Rotation angles follow this package's
+counter-clockwise-positive convention; captions quoted from
+clockwise-positive plots have their receive rotation negated here (the
+physical configuration, and hence all magnitudes, are identical).
 """
 
 import math
@@ -29,7 +29,7 @@ __all__ = [
     "sweep_rows", "svd_compare_rows", "kernel_scan_rows", "curve_rows",
 ]
 
-# (binding name as in the CLI's RunConfig, make_link keyword)
+# (binding name as in the CLI's DOMAINS, make_link keyword)
 _LINK_KEYS = (("L_T_m", "L_T"), ("L_R_m", "L_R"), ("theta_T", "theta_T"),
               ("theta_R", "theta_R"), ("x0_m", "x0"), ("y0_m", "y0"),
               ("frequency_hz", "frequency"))
@@ -37,7 +37,7 @@ _LINK_KEYS = (("L_T_m", "L_T"), ("L_R_m", "L_R"), ("theta_T", "theta_T"),
 
 def link_params(bindings):
     """``make_link`` keywords from bindings named like the CLI's
-    ``RunConfig`` fields; absent bindings (a swept one) are left out."""
+    ``DOMAINS`` fields; absent bindings (a swept one) are left out."""
     return {kw: bindings[name] for name, kw in _LINK_KEYS if name in bindings}
 
 
@@ -191,8 +191,7 @@ def _radius_curve_rows(p, seed):
 
 def _conditional_curve_rows(p, seed):
     return _curve_family(["x0", "L_R"], [
-        ((x0, L_R), {"R": 20.0, "L_R": L_R, "x0": x0,
-                     "scenario": stats.CONDITIONAL_ON_X0})
+        ((x0, L_R), {"R": p["R"], "L_R": L_R, "x0": x0, "scenario": p["scenario"]})
         for x0, L_R in p["cases"]], p, seed)
 
 
@@ -252,7 +251,8 @@ FIGURES = {
     "fig9a": (_radius_curve_rows, _radius_curves(stats.PARTIAL_R_PLUS)),
     "fig9b": (_radius_curve_rows, _radius_curves(stats.FULL_VISIBILITY)),
     "fig10": (_conditional_curve_rows, {
-        "frequency_hz": _F, "L_T_m": 0.2,
+        "frequency_hz": _F, "L_T_m": 0.2, "R": 20.0,
+        "scenario": stats.CONDITIONAL_ON_X0,
         "cases": [[x0, L_R] for x0 in (5.0, 10.0) for L_R in (2.0, 5.0)],
         "grid_points": 401, "mc_samples": 200_000}),
     "fig11": (_pov_rows, {"x0_grid": [1.0, 50.0, 50], "L_R_grid": [1.0, 10.0, 19]}),

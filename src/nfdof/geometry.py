@@ -107,7 +107,7 @@ class ArrayGeometry:
     center: Tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if not (np.isfinite(self.length) and self.length > 0):
+        if not (math.isfinite(self.length) and self.length > 0):
             raise ValueError("array length must be positive and finite")
         x, y = float(self.center[0]), float(self.center[1])
         if not (math.isfinite(self.rotation) and math.isfinite(x) and math.isfinite(y)):
@@ -134,7 +134,7 @@ class LinkGeometry:
     def __post_init__(self):
         if self.tx.center != (0.0, 0.0):
             raise ValueError("transmit array must be centered at the origin")
-        if not (np.isfinite(self.wavelength) and self.wavelength > 0):
+        if not (math.isfinite(self.wavelength) and self.wavelength > 0):
             raise ValueError("wavelength must be positive and finite")
 
     @property

@@ -6,16 +6,16 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nfdof
+from nfdof import statistics as stats
 from nfdof.cli import (DOMAINS, MAX_GRID_POINTS, MAX_MC_SAMPLES, MAX_SCAN_SAMPLES,
-                       MAX_SWEEP_STEPS, REQUIRED, RunConfig, main)
-from nfdof.figures import FIGURES
+                       MAX_SWEEP_STEPS, REQUIRED, main)
+from nfdof.figures import FIGURES, curve_rows
 
 
 # a theta_R sweep with visible steps, and one without any
@@ -226,12 +226,28 @@ class TestConfigHandling:
         assert not (tmp_path / "out.csv.manifest.json").exists()
 
     def test_domains_cover_every_field(self):
-        """The table names every RunConfig field, and every default is
-        inside its domain."""
-        assert list(DOMAINS) == list(asdict(RunConfig()))
-        for key in ("sweep", "stats"):
-            for name, ((test, _), default) in DOMAINS[key].items():
-                assert default is REQUIRED or test(default), (key, name)
+        """Every default, of a field and of a section key, is inside its
+        domain or marks a section key without one."""
+        for key, (domain, default) in DOMAINS.items():
+            if isinstance(domain, dict):
+                assert default is None, key
+                for name, ((test, _), value) in domain.items():
+                    assert value is REQUIRED or test(value), (key, name)
+            else:
+                assert domain[0](default), key
+
+    @pytest.mark.parametrize("flag, key", [
+        ("--seed", "seed"), ("--frequency-hz", "frequency_hz"), ("--l-t", "L_T_m"),
+        ("--l-r", "L_R_m"), ("--x0", "x0_m"), ("--y0", "y0_m"),
+        ("--theta-t", "theta_T"), ("--theta-r", "theta_R")])
+    def test_flag_sets_its_field(self, tmp_path, capsys, flag, key):
+        """Each flag sets its field, and only that one."""
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "dof", flag, "3", "--out", str(out))
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        assert manifest["parameters"] == {
+            **{name: default for name, (_, default) in DOMAINS.items()}, key: 3}
 
     def test_negative_seed_flag_exit_2(self, capsys):
         code, out, err = run(capsys, "dof", "--seed", "-1")
@@ -377,7 +393,6 @@ class TestStatsCommand:
 
     def test_warns_on_large_error_estimate(self, tmp_path, capsys, monkeypatch):
         from dataclasses import replace
-        from nfdof import statistics as stats
         real = stats.ccdf
         monkeypatch.setattr(stats, "ccdf", lambda *a, **k: replace(
             real(*a, **k), abs_error_estimate=2e-9))
@@ -462,9 +477,22 @@ class TestFigureCommand:
         assert manifest["bindings"] == json.loads(json.dumps(FIGURES["fig4"][1]))
         assert manifest["seed"] == 0
 
+    def test_conditional_curves_read_radius_and_scenario(self):
+        """fig10's radius and scenario are bindings, so its manifest names
+        them and its loop runs on them."""
+        loop, bindings = FIGURES["fig10"]
+        assert (bindings["R"], bindings["scenario"]) == (20.0, stats.CONDITIONAL_ON_X0)
+        p = {**bindings, "R": 30.0, "scenario": stats.FULL_VISIBILITY,
+             "cases": [[5.0, 2.0]], "grid_points": 5, "mc_samples": 0}
+        _, cols, _ = loop(p, 0)
+        cfg = stats.ScenarioConfig(R=30.0, L_T=0.2, L_R=2.0, x0=5.0, frequency=30e9,
+                                   scenario=stats.FULL_VISIBILITY)
+        expected = curve_rows(cfg, 5, 0, 0)[1]
+        for got, want in zip(cols[2:], expected):
+            np.testing.assert_array_equal(got, want)
+
     def test_curve_figure_warns_on_large_error_estimate(self, capsys, monkeypatch):
         from dataclasses import replace
-        from nfdof import statistics as stats
         real = stats.ccdf
         monkeypatch.setattr(stats, "ccdf", lambda *a, **k: replace(
             real(*a, **k), abs_error_estimate=2e-9))
@@ -474,10 +502,10 @@ class TestFigureCommand:
 
 
 def _bindings_config(tmp_path, fig_id, **fields):
-    """Config file holding a recipe's RunConfig-named bindings, its
-    theta_R sweep as the sweep section, and ``fields`` on top."""
+    """Config file holding a recipe's bindings named like ``DOMAINS``
+    fields, its theta_R sweep as the sweep section, and ``fields`` on top."""
     bindings = FIGURES[fig_id][1]
-    cfg = {k: v for k, v in bindings.items() if k in RunConfig.__dataclass_fields__}
+    cfg = {k: v for k, v in bindings.items() if k in DOMAINS}
     if "theta_R_sweep" in bindings:
         lo, hi, n = bindings["theta_R_sweep"]
         cfg["sweep"] = {"parameter": "theta_R", "start": lo, "stop": hi, "steps": n}
