@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .constants import SPEED_OF_LIGHT, wavelength_from_frequency
 from .geometry import (
-    ArrayGeometry, LinkGeometry, VisibilityReport,
-    classify_visibility, make_link,
+    LinkGeometry, VisibilityReport, classify_visibility, make_link,
 )
 from .dof_core import (
     DofResult, dof, dof_full_visibility_closed_form, fraunhofer_distance,
@@ -23,8 +22,7 @@ from . import statistics
 
 __all__ = [
     "SPEED_OF_LIGHT", "wavelength_from_frequency",
-    "ArrayGeometry", "LinkGeometry", "VisibilityReport",
-    "classify_visibility", "make_link",
+    "LinkGeometry", "VisibilityReport", "classify_visibility", "make_link",
     "DofResult", "dof", "dof_full_visibility_closed_form", "fraunhofer_distance",
     "kernel_exact", "kernel_farfield", "kernel_scan",
     "channel_matrix", "effective_dof", "singular_spectrum", "svd_report",

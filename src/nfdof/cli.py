@@ -75,7 +75,7 @@ REQUIRED = object()  # fails every test: a section key without a default
 # ``sweep`` and ``stats`` sections; a section's domain is its own table of
 # keys, and the section defaults to null.  What depends on two values
 # stays a library refusal: the conditional x0 <= R (exit 2), and
-# svd_spacing's lambda/2 cap and zeta_ref's aperture (exit 1).
+# svd_spacing's lambda/2 and matrix-size caps and zeta_ref's aperture (exit 1).
 DOMAINS = {
     "frequency_hz": (POSITIVE, 30e9), "L_T_m": (POSITIVE, 0.2),
     "L_R_m": (POSITIVE, 5.0), "x0_m": (FINITE, 10.0), "y0_m": (FINITE, 0.0),

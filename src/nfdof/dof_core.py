@@ -12,13 +12,13 @@ effective endpoints gives ``m_plus`` and ``m_minus`` and
 All angles ``a`` are measured from the effective transmit center to the
 receive point, quadrant-correct.
 
-``dof_arrays`` evaluates the count for every link of a ``LinkArrays`` at
-once: ``classify_arrays`` for the visibility, then the boundary angles,
-``rho_c``, ``m_plus``/``m_minus``, ``m_real`` and ``m_int`` as numpy
-expressions over the whole arrays.  A sweep is one call.  The scalar
-``dof`` runs the same mode-span expressions on one link, after the
-scalar ``classify_visibility``, so the count has one path and every
-link's numbers are bitwise those of the sweep.
+``dof_arrays`` evaluates the count for every link of a ``LinkGeometry``
+of arrays at once: ``classify_arrays`` for the visibility, then the
+boundary angles, ``rho_c``, ``m_plus``/``m_minus``, ``m_real`` and
+``m_int`` as numpy expressions over the whole arrays.  A sweep is one
+call.  The scalar ``dof`` runs the same mode-span expressions on one
+link, after the scalar ``classify_visibility``, so the count has one
+path and every link's numbers are bitwise those of the sweep.
 """
 
 import math
@@ -28,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import geometry
-from .geometry import (LinkArrays, LinkGeometry, VisibilityArrays, VisibilityReport,
+from .geometry import (LinkGeometry, VisibilityArrays, VisibilityReport,
                        classify_arrays, classify_visibility, point_on)
 
 __all__ = [
@@ -74,14 +74,14 @@ def taylor_coeffs(link: LinkGeometry, zeta, report: VisibilityReport) -> TaylorC
     (measured from the effective receive center), scalar or array."""
     _require_visible(report)
     zeta = np.asarray(zeta, dtype=float)
-    tx_center = point_on(link.tx, report.eta_c)
-    q = point_on(link.rx, (report.zeta_c + zeta)[..., None])
+    tx_center = point_on(link.theta_T, report.eta_c)
+    q = point_on(link.theta_R, (report.zeta_c + zeta)[..., None], (link.x0, link.y0))
     dx, dy = q[..., 0] - tx_center[0], q[..., 1] - tx_center[1]
     r0 = np.hypot(dx, dy)
     if np.any(r0 == 0.0):
         raise ValueError("degenerate geometry: coincident points")
     a = np.arctan2(dy, dx)
-    thT = link.tx.rotation
+    thT = link.theta_T
     rho = np.sin(thT - a)
     rho_tilde = (dx * np.cos(thT) + dy * np.sin(thT)) ** 2 / (2.0 * r0 ** 3)
     co = (rho, rho_tilde, a, r0)
@@ -92,7 +92,7 @@ def taylor_coeffs(link: LinkGeometry, zeta, report: VisibilityReport) -> TaylorC
 
 @dataclass(frozen=True)
 class DofArrays:
-    """``dof`` over ``LinkArrays``: the links' visibility and the
+    """``dof`` over the links of ``link_arrays``: their visibility and the
     ``DofResult`` fields as arrays.  ``m_int`` holds Python ints (an
     object array) and is 0 where a ``DofResult`` holds None (touching
     links)."""
@@ -108,21 +108,23 @@ class DofArrays:
     rho_c: np.ndarray
 
 
-def _mode_span(thT, thR, x0, y0, wavelength, l_T, l_R, eta_c, zeta_c):
-    """(a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real) of visible
-    links, from scalars or arrays alike: the angles from the effective
-    transmit center to the effective receive endpoints and center, in
-    ``point_on``'s arithmetic, then the mode indices."""
+def _mode_span(link, vis):
+    """(a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real) of the
+    visible links of ``link``, one or many as ``vis`` is a
+    ``VisibilityReport`` or ``VisibilityArrays``: the angles from the
+    effective transmit center to the effective receive endpoints and
+    center, in ``point_on``'s arithmetic, then the mode indices."""
+    thT, thR, eta_c, zeta_c = link.theta_T, link.theta_R, vis.eta_c, vis.zeta_c
     tx_x, tx_y = 0.0 + eta_c * -np.sin(thT), 0.0 + eta_c * np.cos(thT)
     ux, uy = -np.sin(thR), np.cos(thR)
 
     def angle(zeta):
         s = zeta_c + zeta
-        return np.arctan2((y0 + s * uy) - tx_y, (x0 + s * ux) - tx_x)
+        return np.arctan2((link.y0 + s * uy) - tx_y, (link.x0 + s * ux) - tx_x)
 
-    a_plus, a_minus, a_zero = angle(+l_R / 2.0), angle(-l_R / 2.0), angle(0.0)
+    a_plus, a_minus, a_zero = angle(+vis.l_R / 2.0), angle(-vis.l_R / 2.0), angle(0.0)
     rho_c = np.sin(thT - a_zero)
-    scale = l_T / wavelength
+    scale = vis.l_T / link.wavelength
     m_plus = scale * (np.sin(thT - a_plus) - rho_c)
     m_minus = scale * (np.sin(thT - a_minus) - rho_c)
     m_real = np.abs(m_plus - m_minus) + 1.0
@@ -133,7 +135,7 @@ def dof(link: LinkGeometry) -> DofResult:
     """Full DoF evaluation: visibility -> boundary angles -> mode count."""
     report = classify_visibility(link)
     warnings = []
-    d_min = AMPLITUDE_DISTANCE_FACTOR * (link.tx.length + link.rx.length)
+    d_min = AMPLITUDE_DISTANCE_FACTOR * (link.L_T + link.L_R)
     if link.d0 < d_min:
         warnings.append(
             f"center distance {link.d0:.6g} m below {d_min:.6g} m; "
@@ -144,10 +146,8 @@ def dof(link: LinkGeometry) -> DofResult:
         return DofResult(0.0, 0, nan, nan, nan, nan, nan, nan, report, warnings)
     if report.status == geometry.TOUCHING:
         return DofResult(nan, None, nan, nan, nan, nan, nan, nan, report, warnings)
-    span = _mode_span(link.tx.rotation, link.rx.rotation, *link.rx.center,
-                      link.wavelength, report.l_T, report.l_R, report.eta_c,
-                      report.zeta_c)
-    a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real = map(float, span)
+    span = map(float, _mode_span(link, report))
+    a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real = span
     return DofResult(m_real, round(m_real), m_plus, m_minus, a_plus,
                      a_minus, a_zero, rho_c, report, warnings)
 
@@ -155,14 +155,13 @@ def dof(link: LinkGeometry) -> DofResult:
 _to_int = np.frompyfunc(int, 1, 1)
 
 
-def dof_arrays(links: LinkArrays) -> DofArrays:
+def dof_arrays(links: LinkGeometry) -> DofArrays:
     """``dof`` of every link in ``links`` at once; link ``i``'s values are
     bitwise those of ``dof`` on ``make_link`` of its parameters."""
     vis = classify_arrays(links)
     visible = vis.visible
     with np.errstate(all="ignore"):
-        span = _mode_span(links.theta_T, links.theta_R, links.x0, links.y0,
-                          links.wavelength, vis.l_T, vis.l_R, vis.eta_c, vis.zeta_c)
+        span = _mode_span(links, vis)
     span = [np.where(visible, v, np.nan) for v in span]
     m_real = span[-1]
     # Python ints, as dof's round() gives: exact past 2**63, and a

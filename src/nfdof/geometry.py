@@ -45,21 +45,22 @@ visible.
 Arrays of links
 ---------------
 ``link_arrays`` is ``make_link`` over parameter arrays (a sweep is one
-call), and ``classify_arrays`` classifies all of them at once with numpy
-masks.  It repeats ``classify_visibility`` expression for expression and
-branch for branch, so each link's status, endpoint and effective segment
-are bitwise the scalar report's (the overlap test stays ``math.hypot``,
+call): the same ``LinkGeometry``, its fields arrays of one shape.
+``classify_arrays`` classifies all of them at once with numpy masks.
+It repeats ``classify_visibility`` expression for expression and branch
+for branch, so each link's status, endpoint and effective segment are
+bitwise the scalar report's (the overlap test stays ``math.hypot``,
 which ``np.hypot`` differs from in the last bit).  It returns arrays
-only, no link or report objects, and keeps the crossing coordinates to
-itself.  A single link has one path, ``make_link`` then
-``classify_visibility``: a one-element ``classify_arrays`` call takes
-~110 us against ~3 us, which the kernel scan, the channel matrix,
-``dof`` and the tests' oracles would pay on every link.
+only, no report objects, and keeps the crossing coordinates to itself.
+A single link has one path, ``make_link`` then ``classify_visibility``:
+a one-element ``classify_arrays`` call takes ~110 us against ~3 us,
+which the kernel scan, the channel matrix, ``dof`` and the tests'
+oracles would pay on every link.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -68,8 +69,8 @@ from .constants import SPEED_OF_LIGHT, wavelength_from_frequency
 __all__ = [
     "FULL", "NO_VISIBILITY", "PARTIAL_TX", "PARTIAL_RX", "TOUCHING",
     "STATUSES", "ENDPOINTS",
-    "ArrayGeometry", "LinkGeometry", "VisibilityReport", "LinkArrays",
-    "VisibilityArrays", "wrap_angle", "point_on",
+    "LinkGeometry", "VisibilityReport", "VisibilityArrays",
+    "wrap_angle", "point_on",
     "classify_visibility", "make_link", "link_arrays", "classify_arrays",
 ]
 
@@ -98,60 +99,53 @@ def wrap_angle(theta):
     return float(w)
 
 
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """A linear array: length (m), rotation (rad), center (m, m)."""
-
-    length: float
-    rotation: float
-    center: Tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0):
-            raise ValueError("array length must be positive and finite")
-        x, y = float(self.center[0]), float(self.center[1])
-        if not (math.isfinite(self.rotation) and math.isfinite(x) and math.isfinite(y)):
-            raise ValueError("array rotation and center must be finite")
-        object.__setattr__(self, "rotation", wrap_angle(self.rotation))
-        object.__setattr__(self, "center", (x, y))
-
-
-def point_on(a: ArrayGeometry, s):
-    """Point at signed coordinate ``s`` along the array, whose unit
-    vector (-sin, cos) of the rotation points toward the + endpoint."""
-    return (np.asarray(a.center, dtype=float)
-            + s * np.array([-np.sin(a.rotation), np.cos(a.rotation)]))
+def point_on(rotation, s, center=(0.0, 0.0)):
+    """Point at signed coordinate ``s`` along the array of ``rotation``
+    centred at ``center``, whose unit vector (-sin, cos) of the rotation
+    points toward the + endpoint."""
+    return (np.asarray(center, dtype=float)
+            + s * np.array([-np.sin(rotation), np.cos(rotation)]))
 
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """A transmit/receive array pair plus the operating wavelength."""
+    """The seven numbers of a link: array lengths (m), rotations (rad,
+    wrapped into (-pi, pi]), receive centre (m, m) and wavelength (m).
+    ``make_link`` fills the fields with floats (one link), ``link_arrays``
+    with float arrays of one shape (many links)."""
 
-    tx: ArrayGeometry
-    rx: ArrayGeometry
+    L_T: float
+    L_R: float
+    theta_T: float
+    theta_R: float
+    x0: float
+    y0: float
     wavelength: float
-
-    def __post_init__(self):
-        if self.tx.center != (0.0, 0.0):
-            raise ValueError("transmit array must be centered at the origin")
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0):
-            raise ValueError("wavelength must be positive and finite")
 
     @property
     def d0(self):
         """Center-to-center distance (recomputed, never cached)."""
-        return float(np.hypot(self.rx.center[0], self.rx.center[1]))
+        return np.hypot(self.x0, self.y0)
 
 
-def make_link(L_T, L_R, theta_T, theta_R, x0, y0, frequency):
-    """Convenience constructor from the seven scalar link parameters; the
-    frequency is checked before the lengths."""
+def _check_array(length, rotation, x, y):
+    if not (math.isfinite(length) and length > 0):
+        raise ValueError("array length must be positive and finite")
+    if not (math.isfinite(rotation) and math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("array rotation and center must be finite")
+
+
+def make_link(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkGeometry:
+    """One link from its seven scalar parameters, checked in this order:
+    frequency, ``L_T`` and ``theta_T``, ``L_R`` then ``theta_R`` and the
+    receive centre, then the wavelength."""
     wavelength = wavelength_from_frequency(frequency)
-    return LinkGeometry(
-        tx=ArrayGeometry(L_T, theta_T),
-        rx=ArrayGeometry(L_R, theta_R, (x0, y0)),
-        wavelength=float(wavelength),
-    )
+    _check_array(L_T, theta_T, 0.0, 0.0)
+    _check_array(L_R, theta_R, x0, y0)
+    if not (math.isfinite(wavelength) and wavelength > 0):
+        raise ValueError("wavelength must be positive and finite")
+    return LinkGeometry(L_T, L_R, wrap_angle(theta_T), wrap_angle(theta_R),
+                        float(x0), float(y0), float(wavelength))
 
 
 @dataclass(frozen=True)
@@ -182,9 +176,8 @@ def _partial_segment(L, s_i, plus_visible):
 def classify_visibility(link: LinkGeometry) -> VisibilityReport:
     """Classify mutual visibility and compute the effective segments from
     the signs of the four endpoint distances (see the module docstring)."""
-    thT, thR = link.tx.rotation, link.rx.rotation
-    LT, LR = link.tx.length, link.rx.length
-    x0, y0 = link.rx.center
+    thT, thR, LT, LR = link.theta_T, link.theta_R, link.L_T, link.L_R
+    x0, y0 = link.x0, link.y0
     sd = math.sin(thT - thR)
     a = x0 * math.cos(thT) + y0 * math.sin(thT)
     b = -(x0 * math.cos(thR) + y0 * math.sin(thR))
@@ -223,25 +216,12 @@ def classify_visibility(link: LinkGeometry) -> VisibilityReport:
     return VisibilityReport(NO_VISIBILITY)
 
 
-@dataclass(frozen=True)
-class LinkArrays:
-    """Many links at once: ``make_link``'s parameters as float arrays of
-    one shape, the rotations wrapped as ``ArrayGeometry`` wraps them."""
-
-    L_T: np.ndarray
-    L_R: np.ndarray
-    theta_T: np.ndarray
-    theta_R: np.ndarray
-    x0: np.ndarray
-    y0: np.ndarray
-    wavelength: np.ndarray
-
-
-def link_arrays(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkArrays:
-    """``make_link`` over arrays: the parameters broadcast to one shape
-    and every link checked as ``make_link`` checks it.  The first link
-    that fails is handed to ``make_link``, which raises its error, so an
-    array fails exactly as a loop over its links would."""
+def link_arrays(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkGeometry:
+    """``make_link`` over arrays: the same ``LinkGeometry`` with float
+    arrays of the parameters' broadcast shape for fields, and every link
+    checked as ``make_link`` checks it.  The first link that fails is
+    handed to ``make_link``, which raises its error, so an array fails
+    exactly as a loop over its links would."""
     p = {"L_T": L_T, "L_R": L_R, "theta_T": theta_T, "theta_R": theta_R,
          "x0": x0, "y0": y0, "frequency": frequency}
     p = dict(zip(p, np.broadcast_arrays(*(np.asarray(v, dtype=float)
@@ -257,15 +237,16 @@ def link_arrays(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkArrays:
     if bad.any():
         i = np.flatnonzero(bad)[0]
         make_link(**{k: float(v.flat[i]) for k, v in p.items()})
-    return LinkArrays(p["L_T"], p["L_R"], thT, thR, p["x0"], p["y0"], lam)
+    return LinkGeometry(p["L_T"], p["L_R"], thT, thR, p["x0"], p["y0"], lam)
 
 
 @dataclass(frozen=True)
 class VisibilityArrays:
-    """``classify_visibility`` over ``LinkArrays``: status and visible-
-    endpoint codes (indices into ``STATUSES`` and ``ENDPOINTS``) and the
-    effective segments as arrays; the crossing coordinates stay inside
-    ``classify_arrays``."""
+    """``classify_visibility`` over the links of ``link_arrays``: status
+    and visible-endpoint codes (indices into ``STATUSES`` and
+    ``ENDPOINTS``) and the effective segments as arrays, the segment
+    fields named as in ``VisibilityReport``; the crossing coordinates stay
+    inside ``classify_arrays``."""
 
     status: np.ndarray
     endpoint: np.ndarray
@@ -290,7 +271,7 @@ def _partial_segments(L, s_i, plus_visible):
             np.where(plus_visible, (s_i + L / 2.0) / 2.0, (s_i - L / 2.0) / 2.0))
 
 
-def classify_arrays(links: LinkArrays) -> VisibilityArrays:
+def classify_arrays(links: LinkGeometry) -> VisibilityArrays:
     """``classify_visibility`` of every link in ``links``: the same
     expressions, with the branches as masks taken in the same order."""
     thT, thR, LT, LR = links.theta_T, links.theta_R, links.L_T, links.L_R

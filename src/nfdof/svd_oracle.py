@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 DEFAULT_SUM_RULE_FRACTION = 0.96
+# the most entries a channel matrix may have: building and decomposing a
+# square one takes up to ~50 bytes per entry, so one at the cap needs ~0.5 GB
+MAX_MATRIX_ENTRIES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -55,18 +58,14 @@ class ModePowers:
     cumulative_fraction: np.ndarray   # running share of ||H||_F^2
 
 
-def _grid(center_offset, length, spacing):
-    n = int(np.floor(length / spacing + 1e-9)) + 1
-    return center_offset + np.linspace(-length / 2.0, length / 2.0, n)
-
-
 def channel_matrix(link: LinkGeometry, spacing=None) -> ChannelMatrix:
     """Green's-function matrix over the effective segments of ``link``
     (``classify_visibility``'s report).
 
     Points are placed endpoint-inclusive with count floor(l/spacing) + 1
     on each effective segment.  ``spacing`` defaults to a quarter
-    wavelength; it must be positive, finite and at most half a wavelength.
+    wavelength; it must be positive, finite and at most half a wavelength,
+    and the matrix may hold at most ``MAX_MATRIX_ENTRIES`` entries.
     """
     report = classify_visibility(link)
     _require_visible(report)
@@ -78,10 +77,14 @@ def channel_matrix(link: LinkGeometry, spacing=None) -> ChannelMatrix:
         raise ValueError("spacing must not exceed half a wavelength")
     if report.l_T <= 0 or report.l_R <= 0:
         raise ValueError("empty effective segment")
-    tx_s = _grid(report.eta_c, report.l_T, spacing)
-    rx_s = _grid(report.zeta_c, report.l_R, spacing)
-    tx_pts = point_on(link.tx, tx_s[:, None])
-    rx_pts = point_on(link.rx, rx_s[:, None])
+    n_t, n_r = (int(np.floor(l / spacing + 1e-9)) + 1 for l in (report.l_T, report.l_R))
+    if n_r * n_t > MAX_MATRIX_ENTRIES:
+        raise ValueError(f"a {n_r} x {n_t} channel matrix exceeds "
+                         f"{MAX_MATRIX_ENTRIES} entries")
+    tx_s = report.eta_c + np.linspace(-report.l_T / 2.0, report.l_T / 2.0, n_t)
+    rx_s = report.zeta_c + np.linspace(-report.l_R / 2.0, report.l_R / 2.0, n_r)
+    tx_pts = point_on(link.theta_T, tx_s[:, None])
+    rx_pts = point_on(link.theta_R, rx_s[:, None], (link.x0, link.y0))
     # r = sqrt(dx^2 + dy^2) and H = exp(-j k r) / (4 pi r), evaluated in
     # place: the same roundings with fewer full-size temporaries
     r = rx_pts[:, 0, None] - tx_pts[None, :, 0]

@@ -17,17 +17,17 @@ def boundary_angles(link, report):
     """Angles from the effective transmit center to the effective receive
     endpoints and center: (a_plus, a_minus, a_zero, rho_c)."""
     assert report.status in (FULL, PARTIAL_TX, PARTIAL_RX), report.status
-    tx_center = point_on(link.tx, report.eta_c)
+    tx_center = point_on(link.theta_T, report.eta_c)
 
     def angle(zeta):
-        q = point_on(link.rx, report.zeta_c + zeta)
+        q = point_on(link.theta_R, report.zeta_c + zeta, (link.x0, link.y0))
         d = q - tx_center
         return float(np.arctan2(d[1], d[0]))
 
     a_plus = angle(+report.l_R / 2.0)
     a_minus = angle(-report.l_R / 2.0)
     a_zero = angle(0.0)
-    rho_c = float(np.sin(link.tx.rotation - a_zero))
+    rho_c = float(np.sin(link.theta_T - a_zero))
     return a_plus, a_minus, a_zero, rho_c
 
 
@@ -35,7 +35,7 @@ def mode_span(link, report):
     """(a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real, m_int) of
     a visible link."""
     a_plus, a_minus, a_zero, rho_c = boundary_angles(link, report)
-    thT, scale = link.tx.rotation, report.l_T / link.wavelength
+    thT, scale = link.theta_T, report.l_T / link.wavelength
     m_plus = float(scale * (np.sin(thT - a_plus) - rho_c))
     m_minus = float(scale * (np.sin(thT - a_minus) - rho_c))
     m_real = abs(m_plus - m_minus) + 1.0
@@ -48,13 +48,13 @@ def exact_distance(link, eta, zeta, eta_c=0.0, zeta_c=0.0):
     ``eta_c`` / ``zeta_c``."""
     s_t = eta + eta_c
     s_r = zeta + zeta_c
-    half_T = link.tx.length / 2.0
-    half_R = link.rx.length / 2.0
+    half_T = link.L_T / 2.0
+    half_R = link.L_R / 2.0
     tol = 1e-9
     if not (-half_T - tol <= s_t <= half_T + tol):
         raise ValueError("transmit coordinate outside the array segment")
     if not (-half_R - tol <= s_r <= half_R + tol):
         raise ValueError("receive coordinate outside the array segment")
-    p = point_on(link.tx, s_t)
-    q = point_on(link.rx, s_r)
+    p = point_on(link.theta_T, s_t)
+    q = point_on(link.theta_R, s_r, (link.x0, link.y0))
     return float(np.hypot(q[0] - p[0], q[1] - p[1]))

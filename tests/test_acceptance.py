@@ -143,9 +143,9 @@ def test_criterion_6_taylor_coefficient_oracle():
             continue
         zeta = rng.uniform(-rep.l_R / 2, rep.l_R / 2)
         co = taylor_coeffs(lk, zeta, rep)
-        tx_dir = np.array([-np.sin(lk.tx.rotation), np.cos(lk.tx.rotation)])
-        origin = point_on(lk.tx, rep.eta_c)
-        target = point_on(lk.rx, rep.zeta_c + zeta)
+        tx_dir = np.array([-np.sin(lk.theta_T), np.cos(lk.theta_T)])
+        origin = point_on(lk.theta_T, rep.eta_c)
+        target = point_on(lk.theta_R, rep.zeta_c + zeta, (lk.x0, lk.y0))
 
         def r(eta):
             p = origin + eta * tx_dir

@@ -323,6 +323,18 @@ class TestSvdCompareCommand:
             manifest = json.loads((tmp_path / "svd.csv.manifest.json").read_text())
             assert manifest["svd_grid"] == grid
 
+    def test_oversize_matrix_exit_1(self, tmp_path, capsys):
+        """A spacing that asks for a matrix past the size cap is a numeric
+        failure before anything is allocated, not a MemoryError."""
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"svd_spacing": 1e-9, **_THETA_R_SWEEP}))
+        out = tmp_path / "svd.csv"
+        code, stdout, err = run(capsys, "svd-compare", "--config", str(cfgfile),
+                                "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err.startswith("numeric failure: a ") and "channel matrix exceeds" in err
+        assert not out.exists()
+
 
 class TestKernelScanCommand:
     def test_columns_and_minima(self, capsys):

@@ -147,7 +147,7 @@ class TestDof:
                 continue
             res = dof(lk)
             if not math.isnan(res.m_real):
-                assert res.m_real <= 1.0 + 2 * lk.tx.length / lk.wavelength + 1e-9
+                assert res.m_real <= 1.0 + 2 * lk.L_T / lk.wavelength + 1e-9
 
     def test_monotone_in_distance(self):
         vals = [dof(link(x0=x)).m_real for x in (7.0, 10.0, 20.0, 50.0, 200.0)]

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nfdof import geometry
-from nfdof.geometry import (
-    ArrayGeometry, classify_visibility, make_link, point_on, wrap_angle,
-)
+from nfdof.geometry import classify_visibility, make_link, point_on, wrap_angle
 
 F = 30e9
 
@@ -16,35 +14,38 @@ def link(L_T=0.2, L_R=5.0, thT=0.0, thR=np.pi, x0=10.0, y0=0.0):
     return make_link(L_T, L_R, thT, thR, x0, y0, frequency=F)
 
 
-def endpoints(a):
+def endpoints(length, rotation, center=(0.0, 0.0)):
     """(plus, minus) endpoints of an array as 2D points."""
-    return point_on(a, a.length / 2), point_on(a, -a.length / 2)
+    return (point_on(rotation, length / 2, center),
+            point_on(rotation, -length / 2, center))
 
 
 class TestArrayGeometry:
     def test_endpoints_vertical(self):
-        plus, minus = endpoints(ArrayGeometry(5.0, 0.0, (10.0, 0.0)))
+        plus, minus = endpoints(5.0, 0.0, (10.0, 0.0))
         assert plus == pytest.approx([10.0, 2.5])
         assert minus == pytest.approx([10.0, -2.5])
 
     def test_endpoints_quarter_turn(self):
-        plus, minus = endpoints(ArrayGeometry(0.2, np.pi / 2))
+        plus, minus = endpoints(0.2, np.pi / 2)
         assert plus == pytest.approx([-0.1, 0.0], abs=1e-15)
         assert minus == pytest.approx([0.1, 0.0], abs=1e-15)
 
     def test_endpoints_half_turn(self):
-        plus, minus = endpoints(ArrayGeometry(5.0, np.pi, (10.0, 0.0)))
+        plus, minus = endpoints(5.0, np.pi, (10.0, 0.0))
         assert plus == pytest.approx([10.0, -2.5])
         assert minus == pytest.approx([10.0, 2.5])
 
     def test_rotation_wrapped(self):
-        a = ArrayGeometry(1.0, 3 * np.pi)
-        assert a.rotation == pytest.approx(np.pi)
+        lk = link(thT=3 * np.pi, thR=-3 * np.pi)
+        assert lk.theta_T == pytest.approx(np.pi)
+        assert lk.theta_R == pytest.approx(np.pi)
         assert wrap_angle(-np.pi) == pytest.approx(np.pi)
 
     def test_invalid_length(self):
-        with pytest.raises(ValueError):
-            ArrayGeometry(0.0, 0.0)
+        for L_T, L_R in ((0.0, 5.0), (0.2, 0.0)):
+            with pytest.raises(ValueError):
+                link(L_T=L_T, L_R=L_R)
 
 
 class TestClassifyVisibility:
@@ -85,13 +86,13 @@ class TestClassifyVisibility:
             rep = classify_visibility(lk)
             if rep.status == geometry.PARTIAL_RX:
                 ends = {rep.zeta_c - rep.l_R / 2, rep.zeta_c + rep.l_R / 2}
-                targets = {rep.zeta_i, lk.rx.length / 2, -lk.rx.length / 2}
+                targets = {rep.zeta_i, lk.L_R / 2, -lk.L_R / 2}
                 for e in ends:
                     assert min(abs(e - t) for t in targets) < 1e-9
                 seen += 1
             elif rep.status == geometry.PARTIAL_TX:
                 ends = {rep.eta_c - rep.l_T / 2, rep.eta_c + rep.l_T / 2}
-                targets = {rep.eta_i, lk.tx.length / 2, -lk.tx.length / 2}
+                targets = {rep.eta_i, lk.L_T / 2, -lk.L_T / 2}
                 for e in ends:
                     assert min(abs(e - t) for t in targets) < 1e-9
                 seen += 1
@@ -108,15 +109,15 @@ class TestClassifyVisibility:
             rep = classify_visibility(lk)
             if rep.status not in (geometry.PARTIAL_TX, geometry.PARTIAL_RX):
                 continue
-            on_rx = point_on(lk.rx, rep.zeta_i)
-            on_tx = point_on(lk.tx, rep.eta_i)
+            on_rx = point_on(lk.theta_R, rep.zeta_i, (lk.x0, lk.y0))
+            on_tx = point_on(lk.theta_T, rep.eta_i)
             scale = 1.0 + abs(rep.zeta_i) + abs(rep.eta_i)
             assert np.hypot(*(on_rx - on_tx)) < 1e-9 * scale
             # and it lies on the crossed array's segment
             if rep.status == geometry.PARTIAL_RX:
-                assert abs(rep.zeta_i) <= lk.rx.length / 2
+                assert abs(rep.zeta_i) <= lk.L_R / 2
             else:
-                assert abs(rep.eta_i) <= lk.tx.length / 2
+                assert abs(rep.eta_i) <= lk.L_T / 2
             seen += 1
 
 

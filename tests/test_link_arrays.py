@@ -10,6 +10,7 @@ zero band).  The core's own columns are compared; no report or link
 object is rebuilt from them.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from dof_oracle import mode_span
 from nfdof import geometry
 from nfdof.dof_core import dof, dof_arrays
-from nfdof.geometry import classify_visibility, link_arrays, make_link
+from nfdof.geometry import LinkGeometry, classify_visibility, link_arrays, make_link
 
 F = 30e9
 KEYS = ("L_T", "L_R", "theta_T", "theta_R", "x0", "y0", "frequency")
@@ -47,6 +48,7 @@ def check(links):
     """Every link of the list (``make_link`` keywords) through the array
     core at once, compared field by field with the scalar path."""
     arrays = link_arrays(**{k: [lk[k] for lk in links] for k in KEYS})
+    assert type(arrays) is type(make_link(**links[0])) is LinkGeometry
     res = dof_arrays(arrays)
     vis = res.visibility
     cols = {name: getattr(res, name).tolist() for name in DOF_FIELDS}
@@ -62,9 +64,9 @@ def check(links):
         for name in SEGMENT_FIELDS:
             assert same(segments[name][i], getattr(rep, name)), (name, params)
         thT, thR, x0, y0, wavelength = (column[i] for column in built)
-        assert same(thT, lk.tx.rotation), params
-        assert same(thR, lk.rx.rotation), params
-        assert (x0, y0) == lk.rx.center
+        assert same(thT, lk.theta_T), params
+        assert same(thR, lk.theta_R), params
+        assert (x0, y0) == (lk.x0, lk.y0)
         assert same(wavelength, lk.wavelength)
         if rep.status in (geometry.FULL, geometry.PARTIAL_TX, geometry.PARTIAL_RX):
             want = dict(zip(DOF_FIELDS, mode_span(lk, rep)))
@@ -189,9 +191,36 @@ def test_band_edges(phi, thR, y0, band, nudge):
                 frequency=F)])
 
 
+# make_link's checks in their order, each as (field, bad value, message)
+CHECK_ORDER = [
+    ("frequency", -1e9, "frequency must be positive"),
+    ("L_T", 0.0, "array length must be positive and finite"),
+    ("theta_T", np.nan, "array rotation and center must be finite"),
+    ("L_R", np.inf, "array length must be positive and finite"),
+    ("theta_R", -np.inf, "array rotation and center must be finite"),
+    ("x0", np.inf, "array rotation and center must be finite"),
+    ("y0", np.nan, "array rotation and center must be finite"),
+    ("frequency", 1e-320, "wavelength must be positive and finite"),
+]
+
+
 class TestValidation:
     """A bad link in an array raises make_link's error for the first bad
     link, as a loop over the links would."""
+
+    @pytest.mark.parametrize("first,second", [
+        (a, b) for a, b in itertools.combinations(CHECK_ORDER, 2) if a[0] != b[0]],
+        ids=lambda check: check[0])
+    def test_check_order_in_one_link(self, first, second):
+        """Two bad fields in one link: the earlier check's message, from
+        make_link and from link_arrays alike."""
+        base = dict(L_T=0.2, L_R=5.0, theta_T=0.0, theta_R=np.pi, x0=10.0, y0=0.0,
+                    frequency=F)
+        bad = {first[0]: first[1], second[0]: second[1]}
+        with pytest.raises(ValueError, match=first[2]):
+            make_link(**{**base, **bad})
+        with pytest.raises(ValueError, match=first[2]):
+            link_arrays(**{**base, **{k: [base[k], v] for k, v in bad.items()}})
 
     @pytest.mark.parametrize("key,values,message", [
         ("L_T", [1.0, 0.5, 0.0, -1.0], "array length must be positive and finite"),

@@ -8,8 +8,10 @@ import pytest
 from nfdof.dof_core import dof
 from nfdof.geometry import classify_visibility, make_link
 from nfdof.geometry import FULL, PARTIAL_RX, PARTIAL_TX
+from nfdof import svd_oracle
 from nfdof.svd_oracle import (
-    channel_matrix, effective_dof, gram_powers, singular_spectrum, svd_report,
+    MAX_MATRIX_ENTRIES, channel_matrix, effective_dof, gram_powers,
+    singular_spectrum, svd_report,
 )
 
 F = 30e9
@@ -80,6 +82,20 @@ class TestChannelMatrix:
     def test_spacing_must_be_positive_and_finite(self, spacing):
         with pytest.raises(ValueError, match="spacing must be positive and finite"):
             channel_matrix(link(), spacing=spacing)
+
+    def test_size_cap(self, monkeypatch):
+        """A matrix past ``MAX_MATRIX_ENTRIES`` is refused by its shape
+        before anything is allocated; a 1 nm spacing once asked numpy for
+        a 5e9-point grid and died with a MemoryError."""
+        monkeypatch.setattr(svd_oracle, "MAX_MATRIX_ENTRIES", 2001 * 81 - 1)
+        with pytest.raises(ValueError, match="a 2001 x 81 channel matrix exceeds"):
+            channel_matrix(link())
+        monkeypatch.setattr(svd_oracle, "MAX_MATRIX_ENTRIES", 2001 * 81)
+        assert channel_matrix(link()).entries.shape == (2001, 81)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=f"a 5000000001 x 200000001 channel "
+                                             f"matrix exceeds {MAX_MATRIX_ENTRIES} "):
+            channel_matrix(link(), spacing=1e-9)
 
     def test_entries_match_green(self):
         lk = link(thT=0.4)
