@@ -229,12 +229,8 @@ def _manifest(command, **record):
 
 def cmd_dof(cfg, args):
     res = dof(make_link(**link_params(cfg)))
-    vis = res.visibility
     report = {
-        "status": vis.status,
-        "visible_endpoint": vis.visible_endpoint,
-        "l_T": vis.l_T, "l_R": vis.l_R,
-        "eta_c": vis.eta_c, "zeta_c": vis.zeta_c,
+        **asdict(res.visibility),
         "a_plus": res.a_plus, "a_minus": res.a_minus, "a_zero": res.a_zero,
         "rho_c": res.rho_c, "m_plus": res.m_plus, "m_minus": res.m_minus,
         "m_real": res.m_real, "m_int": res.m_int,

@@ -15,10 +15,10 @@ receive point, quadrant-correct.
 ``dof_arrays`` evaluates the count for every link of a ``LinkGeometry``
 of arrays at once: ``classify_arrays`` for the visibility, then the
 boundary angles, ``rho_c``, ``m_plus``/``m_minus``, ``m_real`` and
-``m_int`` as numpy expressions over the whole arrays.  A sweep is one
-call.  The scalar ``dof`` runs the same mode-span expressions on one
-link, after the scalar ``classify_visibility``, so the count has one
-path and every link's numbers are bitwise those of the sweep.
+``m_int`` as numpy expressions over the whole arrays: a sweep is one
+call and one ``DofResult`` of arrays.  ``dof`` runs the same mode-span
+expressions on one link, after the scalar ``classify_visibility``, so
+the count has one path and every link's numbers are bitwise the sweep's.
 """
 
 import math
@@ -28,11 +28,11 @@ from typing import List, Optional
 import numpy as np
 
 from . import geometry
-from .geometry import (LinkGeometry, VisibilityArrays, VisibilityReport,
-                       classify_arrays, classify_visibility, point_on)
+from .geometry import (LinkGeometry, VisibilityReport, classify_arrays,
+                       classify_visibility, point_on)
 
 __all__ = [
-    "TaylorCoefficients", "DofResult", "DofArrays",
+    "TaylorCoefficients", "DofResult",
     "taylor_coeffs", "dof", "dof_arrays",
     "dof_full_visibility_closed_form", "fraunhofer_distance",
     "minima_lattice_count",
@@ -57,6 +57,11 @@ class TaylorCoefficients:
 
 @dataclass(frozen=True)
 class DofResult:
+    """Mode count, mode indices, boundary angles and visibility: floats
+    from ``dof`` (one link), arrays of one shape from ``dof_arrays`` (many
+    links, ``m_int`` Python ints in an object array).  ``m_int`` is None
+    for a touching link on both; ``warnings`` is empty on the array path."""
+
     m_real: float
     m_int: Optional[int]
     m_plus: float
@@ -90,28 +95,10 @@ def taylor_coeffs(link: LinkGeometry, zeta, report: VisibilityReport) -> TaylorC
     return TaylorCoefficients(*co)
 
 
-@dataclass(frozen=True)
-class DofArrays:
-    """``dof`` over the links of ``link_arrays``: their visibility and the
-    ``DofResult`` fields as arrays.  ``m_int`` holds Python ints (an
-    object array) and is 0 where a ``DofResult`` holds None (touching
-    links)."""
-
-    visibility: VisibilityArrays
-    m_real: np.ndarray
-    m_int: np.ndarray
-    m_plus: np.ndarray
-    m_minus: np.ndarray
-    a_plus: np.ndarray
-    a_minus: np.ndarray
-    a_zero: np.ndarray
-    rho_c: np.ndarray
-
-
 def _mode_span(link, vis):
     """(a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real) of the
-    visible links of ``link``, one or many as ``vis`` is a
-    ``VisibilityReport`` or ``VisibilityArrays``: the angles from the
+    visible links of ``link``, one or many as ``vis`` holds floats or
+    arrays: the angles from the
     effective transmit center to the effective receive endpoints and
     center, in ``point_on``'s arithmetic, then the mode indices."""
     thT, thR, eta_c, zeta_c = link.theta_T, link.theta_R, vis.eta_c, vis.zeta_c
@@ -155,11 +142,11 @@ def dof(link: LinkGeometry) -> DofResult:
 _to_int = np.frompyfunc(int, 1, 1)
 
 
-def dof_arrays(links: LinkGeometry) -> DofArrays:
+def dof_arrays(links: LinkGeometry) -> DofResult:
     """``dof`` of every link in ``links`` at once; link ``i``'s values are
     bitwise those of ``dof`` on ``make_link`` of its parameters."""
     vis = classify_arrays(links)
-    visible = vis.visible
+    visible = np.isin(vis.status, geometry.VISIBLE)
     with np.errstate(all="ignore"):
         span = _mode_span(links, vis)
     span = [np.where(visible, v, np.nan) for v in span]
@@ -167,11 +154,12 @@ def dof_arrays(links: LinkGeometry) -> DofArrays:
     # Python ints, as dof's round() gives: exact past 2**63, and a
     # non-finite count raises round()'s error
     m_int = _to_int(np.where(visible, np.rint(m_real), 0.0))
-    touching = vis.status == geometry.STATUSES.index(geometry.TOUCHING)
+    touching = vis.status == geometry.TOUCHING
     m_real[~visible & ~touching] = 0.0
+    m_int[touching] = None
     a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, _ = span
-    return DofArrays(vis, m_real, m_int, m_plus, m_minus, a_plus,
-                     a_minus, a_zero, rho_c)
+    return DofResult(m_real, m_int, m_plus, m_minus, a_plus, a_minus,
+                     a_zero, rho_c, vis)
 
 
 def minima_lattice_count(m_plus, m_minus):
@@ -212,5 +200,5 @@ def fraunhofer_distance(L_T, L_R, wavelength):
 
 
 def _require_visible(report: VisibilityReport):
-    if report.status not in (geometry.FULL, geometry.PARTIAL_TX, geometry.PARTIAL_RX):
+    if report.status not in geometry.VISIBLE:
         raise ValueError(f"operation requires visibility, got status {report.status!r}")

@@ -22,7 +22,8 @@ from .dof_core import dof_arrays
 from .geometry import classify_visibility, link_arrays, make_link
 from .kernel import kernel_farfield, kernel_scan
 from .svd_oracle import (DEFAULT_SUM_RULE_FRACTION, channel_matrix,
-                         effective_dof, gram_powers, singular_spectrum)
+                         effective_dof, gram_powers, grid_shapes,
+                         singular_spectrum)
 
 __all__ = [
     "FIGURES", "FIGURE_IDS", "figure_rows", "link_params",
@@ -42,34 +43,36 @@ def link_params(bindings):
 
 
 def _dof_sweep(link, key, values):
-    """``dof_arrays`` along a sweep of ``make_link`` keyword ``key``, the
-    other keywords fixed by ``link``: one call for the whole sweep."""
-    return dof_arrays(link_arrays(**{**link, key: values}))
+    """Links, ``dof_arrays`` (one call) and ``m_int`` as the tables write
+    it, 0 for None, of a sweep of ``make_link`` keyword ``key``."""
+    links = link_arrays(**{**link, key: values})
+    res = dof_arrays(links)
+    return links, res, [m or 0 for m in res.m_int.tolist()]
 
 
 def sweep_rows(link, key, values):
     """(header, columns) of a DoF sweep; ``m_int`` is 0 where it is None."""
-    res = _dof_sweep(link, key, values)
+    _, res, m_int = _dof_sweep(link, key, values)
     return ([key, "m_real", "m_int", "status"],
-            [values, res.m_real, res.m_int, res.visibility.statuses()])
+            [values, res.m_real, m_int, res.visibility.status])
 
 
 def svd_compare_rows(link, key, values, spacing, threshold):
     """(header, columns, grid record) of the mode count against the
     sum-rule count of the channel matrix along a sweep, each column closed
     by its ``max`` entry.  The sweep's ``m_int`` picks the steps to count;
-    each is built with ``make_link`` for ``channel_matrix``, and links
-    without modes count 0 for both.  The record holds the shape of the
-    largest matrix decomposed (0 x 0 without any)."""
-    steps, m_int = values.tolist(), _dof_sweep(link, key, values).m_int.tolist()
-    eds, shape = [], (0, 0)
-    for v, m in zip(steps, m_int):
-        ed = 0
-        if m:
-            cm = channel_matrix(make_link(**{**link, key: v}), spacing=spacing)
-            shape = max(shape, cm.entries.shape, key=math.prod)
-            ed = effective_dof(gram_powers(cm), threshold)
-        eds.append(ed)
+    ``grid_shapes`` checks their matrices from the sweep's segments before
+    any is built, then each is built with ``make_link`` for
+    ``channel_matrix``, and links without modes count 0 for both.  The
+    record holds the shape of the largest matrix (0 x 0 without any)."""
+    steps, (links, res, m_int) = values.tolist(), _dof_sweep(link, key, values)
+    counted, vis = [m != 0 for m in m_int], res.visibility
+    shapes = grid_shapes(*(v[counted].tolist() for v in (
+        vis.l_T, vis.l_R, links.wavelength)), spacing)
+    eds = [effective_dof(gram_powers(channel_matrix(
+        make_link(**{**link, key: v}), spacing=spacing)), threshold) if m else 0
+        for v, m in zip(steps, m_int)]
+    shape = max([(0, 0)] + shapes, key=math.prod)
     diffs = [abs(m - ed) for m, ed in zip(m_int, eds)]
     columns = [steps + ["max"], m_int + [""], eds + [""], diffs + [max(diffs)]]
     return ([key, "m_int", "effective_dof", "abs_diff"], columns,

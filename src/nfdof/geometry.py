@@ -36,22 +36,22 @@ and see nothing otherwise.
 
 For partial cases the visible sub-segment is reported through its
 effective length and its signed center offset along the array, measured
-in the same ``s`` coordinate as above.  ``zeta_i``/``eta_i`` are the
-coordinates of the line intersection point on the receive/transmit
-array, so the visible receive interval is ``[-L_R/2, zeta_i]`` when the
-``R-`` endpoint is visible and ``[zeta_i, L_R/2]`` when ``R+`` is
-visible.
+in the same ``s`` coordinate as above.  Its cut end, away from the
+visible endpoint, is where the other array's line crosses the array:
+the visible receive interval is ``[-L_R/2, zeta_c + l_R/2]`` when the
+``R-`` endpoint is visible and ``[zeta_c - l_R/2, L_R/2]`` when ``R+`` is
+visible, and likewise on the transmit array.
 
 Arrays of links
 ---------------
 ``link_arrays`` is ``make_link`` over parameter arrays (a sweep is one
 call): the same ``LinkGeometry``, its fields arrays of one shape.
-``classify_arrays`` classifies all of them at once with numpy masks.
-It repeats ``classify_visibility`` expression for expression and branch
+``classify_arrays`` classifies all of them at once with numpy masks and
+returns the same ``VisibilityReport`` with arrays for fields.  It
+repeats ``classify_visibility`` expression for expression and branch
 for branch, so each link's status, endpoint and effective segment are
 bitwise the scalar report's (the overlap test stays ``math.hypot``,
-which ``np.hypot`` differs from in the last bit).  It returns arrays
-only, no report objects, and keeps the crossing coordinates to itself.
+which ``np.hypot`` differs from in the last bit).
 A single link has one path, ``make_link`` then ``classify_visibility``:
 a one-element ``classify_arrays`` call takes ~110 us against ~3 us,
 which the kernel scan, the channel matrix, ``dof`` and the tests'
@@ -67,9 +67,8 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT, wavelength_from_frequency
 
 __all__ = [
-    "FULL", "NO_VISIBILITY", "PARTIAL_TX", "PARTIAL_RX", "TOUCHING",
-    "STATUSES", "ENDPOINTS",
-    "LinkGeometry", "VisibilityReport", "VisibilityArrays",
+    "FULL", "NO_VISIBILITY", "PARTIAL_TX", "PARTIAL_RX", "TOUCHING", "VISIBLE",
+    "LinkGeometry", "VisibilityReport",
     "wrap_angle", "point_on",
     "classify_visibility", "make_link", "link_arrays", "classify_arrays",
 ]
@@ -79,10 +78,7 @@ NO_VISIBILITY = "no-visibility"
 PARTIAL_TX = "partial-tx"
 PARTIAL_RX = "partial-rx"
 TOUCHING = "touching"
-# codes of VisibilityArrays.status and .endpoint; the visible statuses last
-STATUSES = (NO_VISIBILITY, TOUCHING, FULL, PARTIAL_TX, PARTIAL_RX)
-ENDPOINTS = (None, "T+", "T-", "R+", "R-")
-_FULL_CODE = STATUSES.index(FULL)
+VISIBLE = (FULL, PARTIAL_TX, PARTIAL_RX)  # the statuses of links with modes
 
 # half-width of the zero band of a signed distance, per metre of
 # |x0| + |y0| + (L_T + L_R) / 2: eight units of rounding
@@ -150,7 +146,8 @@ def make_link(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkGeometry:
 
 @dataclass(frozen=True)
 class VisibilityReport:
-    """Visibility classification plus the effective array segments."""
+    """Visibility classification plus the effective array segments, of
+    one link or as arrays for many (endpoints in an object array)."""
 
     status: str
     visible_endpoint: Optional[str] = None  # 'T+', 'T-', 'R+', 'R-' or None
@@ -158,8 +155,6 @@ class VisibilityReport:
     l_R: float = 0.0
     eta_c: float = 0.0
     zeta_c: float = 0.0
-    eta_i: Optional[float] = None
-    zeta_i: Optional[float] = None
 
 
 def _partial_segment(L, s_i, plus_visible):
@@ -198,18 +193,16 @@ def classify_visibility(link: LinkGeometry) -> VisibilityReport:
         # one line crosses the other segment (sd != 0 here); the crossing
         # coordinates go through the line parameter 0.5 + q (0 at the -
         # endpoint, 1 at the + one), the rounding the CLI outputs carry
-        eta_i = ((0.5 + b / (LT * sd)) - 0.5) * LT
-        zeta_i = ((0.5 - a / (LR * sd)) - 0.5) * LR
+        eta_cut = ((0.5 + b / (LT * sd)) - 0.5) * LT
+        zeta_cut = ((0.5 - a / (LR * sd)) - 0.5) * LR
         if crosses_tx < 0 and sign(a) > 0:
-            l_T, eta_c = _partial_segment(LT, eta_i, t_plus > 0)
+            l_T, eta_c = _partial_segment(LT, eta_cut, t_plus > 0)
             return VisibilityReport(PARTIAL_TX, "T+" if t_plus > 0 else "T-",
-                                    l_T=l_T, l_R=LR, eta_c=eta_c,
-                                    eta_i=eta_i, zeta_i=zeta_i)
+                                    l_T=l_T, l_R=LR, eta_c=eta_c)
         if crosses_rx < 0 and sign(b) > 0:
-            l_R, zeta_c = _partial_segment(LR, zeta_i, r_plus > 0)
+            l_R, zeta_c = _partial_segment(LR, zeta_cut, r_plus > 0)
             return VisibilityReport(PARTIAL_RX, "R+" if r_plus > 0 else "R-",
-                                    l_T=LT, l_R=l_R, zeta_c=zeta_c,
-                                    eta_i=eta_i, zeta_i=zeta_i)
+                                    l_T=LT, l_R=l_R, zeta_c=zeta_c)
         return VisibilityReport(NO_VISIBILITY)
     if sign(a) > 0 and sign(b) > 0:
         return VisibilityReport(FULL, l_T=LT, l_R=LR)
@@ -240,38 +233,13 @@ def link_arrays(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkGeometry:
     return LinkGeometry(p["L_T"], p["L_R"], thT, thR, p["x0"], p["y0"], lam)
 
 
-@dataclass(frozen=True)
-class VisibilityArrays:
-    """``classify_visibility`` over the links of ``link_arrays``: status
-    and visible-endpoint codes (indices into ``STATUSES`` and
-    ``ENDPOINTS``) and the effective segments as arrays, the segment
-    fields named as in ``VisibilityReport``; the crossing coordinates stay
-    inside ``classify_arrays``."""
-
-    status: np.ndarray
-    endpoint: np.ndarray
-    l_T: np.ndarray
-    l_R: np.ndarray
-    eta_c: np.ndarray
-    zeta_c: np.ndarray
-
-    @property
-    def visible(self):
-        """Full or partial visibility: the links with modes."""
-        return self.status >= _FULL_CODE
-
-    def statuses(self):
-        """Status names, as a list."""
-        return [STATUSES[c] for c in self.status.tolist()]
-
-
 def _partial_segments(L, s_i, plus_visible):
     """``_partial_segment`` over arrays."""
     return (np.where(plus_visible, L / 2.0 - s_i, s_i + L / 2.0),
             np.where(plus_visible, (s_i + L / 2.0) / 2.0, (s_i - L / 2.0) / 2.0))
 
 
-def classify_arrays(links: LinkGeometry) -> VisibilityArrays:
+def classify_arrays(links: LinkGeometry) -> VisibilityReport:
     """``classify_visibility`` of every link in ``links``: the same
     expressions, with the branches as masks taken in the same order."""
     thT, thR, LT, LR = links.theta_T, links.theta_R, links.L_T, links.L_R
@@ -301,20 +269,17 @@ def classify_arrays(links: LinkGeometry) -> VisibilityArrays:
         partial_tx = crossing & (crosses_tx < 0) & a_ahead
         partial_rx = crossing & (crosses_rx < 0) & b_ahead
         full = ~settled & ~crossing & a_ahead & b_ahead
-        eta_i = ((0.5 + b / (LT * sd)) - 0.5) * LT
-        zeta_i = ((0.5 - a / (LR * sd)) - 0.5) * LR
-        l_T_part, eta_c = _partial_segments(LT, eta_i, t_plus > 0)
-        l_R_part, zeta_c = _partial_segments(LR, zeta_i, r_plus > 0)
+        eta_cut = ((0.5 + b / (LT * sd)) - 0.5) * LT
+        zeta_cut = ((0.5 - a / (LR * sd)) - 0.5) * LR
+        l_T_part, eta_c = _partial_segments(LT, eta_cut, t_plus > 0)
+        l_R_part, zeta_c = _partial_segments(LR, zeta_cut, r_plus > 0)
     touching = np.where(collinear, overlap, settled)
-    status = np.select(
-        [touching, full, partial_tx, partial_rx],
-        [STATUSES.index(s) for s in (TOUCHING, FULL, PARTIAL_TX, PARTIAL_RX)],
-        STATUSES.index(NO_VISIBILITY)).astype(np.int8)
-    endpoint = np.select(
-        [partial_tx & (t_plus > 0), partial_tx, partial_rx & (r_plus > 0), partial_rx],
-        [ENDPOINTS.index(e) for e in ("T+", "T-", "R+", "R-")], 0).astype(np.int8)
-    return VisibilityArrays(
-        status=status, endpoint=endpoint,
+    return VisibilityReport(
+        status=np.select([touching, full, partial_tx, partial_rx],
+                         [TOUCHING, FULL, PARTIAL_TX, PARTIAL_RX], NO_VISIBILITY),
+        visible_endpoint=np.select([partial_tx & (t_plus > 0), partial_tx,
+                                    partial_rx & (r_plus > 0), partial_rx],
+                                   ["T+", "T-", "R+", "R-"], None),
         l_T=np.where(partial_tx, l_T_part, np.where(full | partial_rx, LT, 0.0)),
         l_R=np.where(partial_rx, l_R_part, np.where(full | partial_tx, LR, 0.0)),
         eta_c=np.where(partial_tx, eta_c, 0.0),

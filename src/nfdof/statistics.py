@@ -278,7 +278,7 @@ def pov(x0, L_R):
     1/2 + arctan(L_R / 2 x0) / pi."""
     if x0 <= 0:
         raise ValueError("x0 must be positive")
-    return float(0.5 + _half_angle(x0, L_R) / np.pi)
+    return float(_mixture_weights(x0, L_R)[2])
 
 
 def _mixture_weights(x0, L_R):
@@ -290,30 +290,35 @@ def _mixture_weights(x0, L_R):
     return v_partial, v_full, v_total
 
 
+# theta_T edges (lo, hi) of each scenario's branch, a = arctan(L_R / 2 x0)
+_BRANCHES = {PARTIAL_R_PLUS: (lambda a: -a - np.pi / 2.0, lambda a: a - np.pi / 2.0),
+             PARTIAL_R_MINUS: (lambda a: np.pi / 2.0 - a, lambda a: np.pi / 2.0 + a),
+             FULL_VISIBILITY: (lambda a: a - np.pi / 2.0, lambda a: np.pi / 2.0 - a),
+             CONDITIONAL_ON_X0: (lambda a: -a - np.pi / 2.0, lambda a: np.pi / 2.0 + a)}
+
+
 def branch_interval(x0, L_R, scenario):
     """theta_T interval (lo, hi) of the scenario's visibility branch."""
+    if scenario not in _BRANCHES:
+        raise ValueError(f"unknown scenario {scenario!r}")
     a = _half_angle(x0, L_R)
-    if scenario == PARTIAL_R_PLUS:
-        return -a - np.pi / 2.0, a - np.pi / 2.0
-    if scenario == PARTIAL_R_MINUS:
-        return np.pi / 2.0 - a, np.pi / 2.0 + a
-    if scenario == FULL_VISIBILITY:
-        return a - np.pi / 2.0, np.pi / 2.0 - a
-    if scenario == CONDITIONAL_ON_X0:
-        return -a - np.pi / 2.0, np.pi / 2.0 + a
-    raise ValueError(f"unknown scenario {scenario!r}")
+    return tuple(edge(a) for edge in _BRANCHES[scenario])
 
 
 def excess_dof_branches(x0, theta_T, L_R, C):
     """Vectorized mu over the three visibility branches (axis-aligned
-    deployment family).  Returns (mu, in_rplus, in_full, in_rminus);
-    entries outside every branch get mu = 0."""
+    deployment family), the endpoint ones open and the full one closed.
+    Returns (mu, in_rplus, in_full, in_rminus); mu = 0 outside them."""
     x0 = np.asarray(x0, dtype=float)
     theta_T = np.asarray(theta_T, dtype=float)
-    a = np.arctan(L_R / (2.0 * x0))
-    b_plus = (theta_T > -a - np.pi / 2.0) & (theta_T < a - np.pi / 2.0)
-    b_full = (theta_T >= a - np.pi / 2.0) & (theta_T <= np.pi / 2.0 - a)
-    b_minus = (theta_T > np.pi / 2.0 - a) & (theta_T < np.pi / 2.0 + a)
+    a = _half_angle(x0, L_R)
+    # each edge is compared as it is made: it is as long as the draws (~1e6)
+    lo, hi = _BRANCHES[PARTIAL_R_PLUS]
+    b_plus = (theta_T > lo(a)) & (theta_T < hi(a))
+    lo, hi = _BRANCHES[FULL_VISIBILITY]
+    b_full = (theta_T >= lo(a)) & (theta_T <= hi(a))
+    lo, hi = _BRANCHES[PARTIAL_R_MINUS]
+    b_minus = (theta_T > lo(a)) & (theta_T < hi(a))
     mu = np.zeros(np.broadcast(x0, theta_T).shape)
     mu = np.where(b_plus, C * (1.0 + np.sin(theta_T + a)), mu)
     mu = np.where(b_full, 2.0 * C * np.sin(a) * np.cos(theta_T), mu)
@@ -362,9 +367,8 @@ def visibility_fraction(x0, L_R, n, seed=0):
     with a globally uniform theta_T (cross-check for ``pov``)."""
     rng = sample_stream(seed, 1)
     theta_T = -np.pi + 2.0 * np.pi * rng.random(int(n))
-    a = _half_angle(x0, L_R)
-    visible = (theta_T > -a - np.pi / 2.0) & (theta_T < np.pi / 2.0 + a)
-    return float(np.mean(visible))
+    lo, hi = branch_interval(x0, L_R, CONDITIONAL_ON_X0)
+    return float(np.mean((theta_T > lo) & (theta_T < hi)))
 
 
 def ccdf(cfg: ScenarioConfig, grid, mc_samples=0, seed=0) -> DistributionCurve:

@@ -18,6 +18,7 @@ itself uses ``singular_spectrum``, the SVD, which is also the tests'
 oracle for the count.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .geometry import LinkGeometry, classify_visibility, point_on
 
 __all__ = [
     "ChannelMatrix", "SvdReport", "ModePowers",
-    "channel_matrix", "singular_spectrum", "gram_powers",
+    "channel_matrix", "grid_shapes", "singular_spectrum", "gram_powers",
     "effective_dof", "svd_report",
 ]
 
@@ -35,6 +36,8 @@ DEFAULT_SUM_RULE_FRACTION = 0.96
 # the most entries a channel matrix may have: building and decomposing a
 # square one takes up to ~50 bytes per entry, so one at the cap needs ~0.5 GB
 MAX_MATRIX_ENTRIES = 10 ** 7
+# the most entries the channel matrices of one run may hold together
+MAX_RUN_ENTRIES = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -60,27 +63,12 @@ class ModePowers:
 
 def channel_matrix(link: LinkGeometry, spacing=None) -> ChannelMatrix:
     """Green's-function matrix over the effective segments of ``link``
-    (``classify_visibility``'s report).
-
-    Points are placed endpoint-inclusive with count floor(l/spacing) + 1
-    on each effective segment.  ``spacing`` defaults to a quarter
-    wavelength; it must be positive, finite and at most half a wavelength,
-    and the matrix may hold at most ``MAX_MATRIX_ENTRIES`` entries.
-    """
+    (``classify_visibility``'s report), sampled on the grids that
+    ``grid_shapes`` counts and checks."""
     report = classify_visibility(link)
     _require_visible(report)
-    if spacing is None:
-        spacing = link.wavelength / 4.0
-    if not (np.isfinite(spacing) and spacing > 0):
-        raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
-    if spacing > link.wavelength / 2.0 + 1e-15:
-        raise ValueError("spacing must not exceed half a wavelength")
-    if report.l_T <= 0 or report.l_R <= 0:
-        raise ValueError("empty effective segment")
-    n_t, n_r = (int(np.floor(l / spacing + 1e-9)) + 1 for l in (report.l_T, report.l_R))
-    if n_r * n_t > MAX_MATRIX_ENTRIES:
-        raise ValueError(f"a {n_r} x {n_t} channel matrix exceeds "
-                         f"{MAX_MATRIX_ENTRIES} entries")
+    spacing = link.wavelength / 4.0 if spacing is None else spacing
+    (n_r, n_t), = grid_shapes([report.l_T], [report.l_R], [link.wavelength], spacing)
     tx_s = report.eta_c + np.linspace(-report.l_T / 2.0, report.l_T / 2.0, n_t)
     rx_s = report.zeta_c + np.linspace(-report.l_R / 2.0, report.l_R / 2.0, n_r)
     tx_pts = point_on(link.theta_T, tx_s[:, None])
@@ -102,6 +90,32 @@ def channel_matrix(link: LinkGeometry, spacing=None) -> ChannelMatrix:
     H /= r
     return ChannelMatrix(entries=H, tx_points=tx_s, rx_points=rx_s,
                          spacing=float(spacing))
+
+
+def grid_shapes(l_T, l_R, wavelength, spacing=None):
+    """(N_r, N_t) of ``channel_matrix`` on each link's segments ``l_T[i]``,
+    ``l_R[i]`` at ``wavelength[i]``, building none: floor(l / spacing) + 1
+    points per segment (spacing lambda/4 by default).  Each matrix's
+    refusals come in link order, then a run past ``MAX_RUN_ENTRIES``."""
+    shapes = []
+    for lt, lr, lam in zip(l_T, l_R, wavelength):
+        step = lam / 4.0 if spacing is None else spacing
+        if not (math.isfinite(step) and step > 0):
+            raise ValueError(f"spacing must be positive and finite, got {step!r}")
+        if step > lam / 2.0 + 1e-15:
+            raise ValueError("spacing must not exceed half a wavelength")
+        if lt <= 0 or lr <= 0:
+            raise ValueError("empty effective segment")
+        n_t, n_r = (math.floor(l / step + 1e-9) + 1 for l in (lt, lr))
+        if n_r * n_t > MAX_MATRIX_ENTRIES:
+            raise ValueError(f"a {n_r} x {n_t} channel matrix exceeds "
+                             f"{MAX_MATRIX_ENTRIES} entries")
+        shapes.append((n_r, n_t))
+    total = sum(map(math.prod, shapes))
+    if total > MAX_RUN_ENTRIES:
+        raise ValueError(f"{len(shapes)} channel matrices of {total} entries "
+                         f"together exceed {MAX_RUN_ENTRIES} entries per run")
+    return shapes
 
 
 def singular_spectrum(matrix: ChannelMatrix) -> SvdReport:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import nfdof
+from nfdof import figures, svd_oracle
 from nfdof import statistics as stats
 from nfdof.cli import (DOMAINS, MAX_GRID_POINTS, MAX_MC_SAMPLES, MAX_SCAN_SAMPLES,
                        MAX_SWEEP_STEPS, REQUIRED, main)
@@ -334,6 +335,30 @@ class TestSvdCompareCommand:
         assert code == 1 and stdout == ""
         assert err.startswith("numeric failure: a ") and "channel matrix exceeds" in err
         assert not out.exists()
+
+    def test_run_cap_exit_1(self, tmp_path, capsys, monkeypatch):
+        """A sweep whose counted steps would build more than
+        ``MAX_RUN_ENTRIES`` entries together is a numeric failure naming
+        the step count and the total, before the first matrix is built;
+        at the cap the run goes through."""
+        built, real = [], figures.channel_matrix
+        monkeypatch.setattr(figures, "channel_matrix",
+                            lambda *a, **k: built.append(a) or real(*a, **k))
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(_THETA_R_SWEEP))
+        out = tmp_path / "svd.csv"
+        total = 5 * 2001 * 81  # five fully visible steps
+        monkeypatch.setattr(svd_oracle, "MAX_RUN_ENTRIES", total - 1)
+        code, stdout, err = run(capsys, "svd-compare", "--config", str(cfgfile),
+                                "--out", str(out))
+        assert (code, stdout, built) == (1, "", [])
+        assert err == (f"numeric failure: 5 channel matrices of {total} entries "
+                       f"together exceed {total - 1} entries per run\n")
+        assert not out.exists()
+        monkeypatch.setattr(svd_oracle, "MAX_RUN_ENTRIES", total)
+        code, _, err = run(capsys, "svd-compare", "--config", str(cfgfile),
+                           "--out", str(out))
+        assert (code, err, len(built)) == (0, "", 5)
 
 
 class TestKernelScanCommand:

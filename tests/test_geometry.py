@@ -14,6 +14,14 @@ def link(L_T=0.2, L_R=5.0, thT=0.0, thR=np.pi, x0=10.0, y0=0.0):
     return make_link(L_T, L_R, thT, thR, x0, y0, frequency=F)
 
 
+def cut_end(rep):
+    """Coordinate of the cut end of a partial report's effective segment,
+    the end away from the visible endpoint, on the array it cuts."""
+    if rep.status == geometry.PARTIAL_RX:
+        return rep.zeta_c + (rep.l_R if rep.visible_endpoint == "R-" else -rep.l_R) / 2
+    return rep.eta_c + (rep.l_T if rep.visible_endpoint == "T-" else -rep.l_T) / 2
+
+
 def endpoints(length, rotation, center=(0.0, 0.0)):
     """(plus, minus) endpoints of an array as 2D points."""
     return (point_on(rotation, length / 2, center),
@@ -65,10 +73,12 @@ class TestClassifyVisibility:
         assert rep.visible_endpoint == "R-"
         assert rep.l_R == pytest.approx(4.2247672583, rel=1e-9)
         assert abs(rep.zeta_c) == pytest.approx(0.3876163708, rel=1e-8)
-        # parametric sign convention: the crossing sits toward the + endpoint
-        assert rep.zeta_i == pytest.approx(1.7247672583, rel=1e-9)
-        # interval midpoint convention: center sits between -L_R/2 and zeta_i
-        assert rep.zeta_c == pytest.approx((rep.zeta_i - 2.5) / 2)
+        # parametric sign convention: the crossing, the cut end of the
+        # segment, sits toward the + endpoint
+        assert cut_end(rep) == rep.zeta_c + rep.l_R / 2
+        assert cut_end(rep) == pytest.approx(1.7247672583, rel=1e-9)
+        # interval midpoint convention: center sits between -L_R/2 and the cut
+        assert rep.zeta_c - rep.l_R / 2 == pytest.approx(-2.5)
 
     def test_touching(self):
         # receive segment crossing the transmit segment through the origin
@@ -84,22 +94,20 @@ class TestClassifyVisibility:
                       thR=rng.uniform(-np.pi, np.pi),
                       x0=rng.uniform(-15, 15), y0=rng.uniform(-15, 15))
             rep = classify_visibility(lk)
-            if rep.status == geometry.PARTIAL_RX:
-                ends = {rep.zeta_c - rep.l_R / 2, rep.zeta_c + rep.l_R / 2}
-                targets = {rep.zeta_i, lk.L_R / 2, -lk.L_R / 2}
+            if rep.status in (geometry.PARTIAL_RX, geometry.PARTIAL_TX):
+                # one end is the visible endpoint, the other the cut end
+                rx = rep.status == geometry.PARTIAL_RX
+                c, l, L = (rep.zeta_c, rep.l_R, lk.L_R) if rx else (rep.eta_c, rep.l_T, lk.L_T)
+                visible = L / 2 if rep.visible_endpoint[1] == "+" else -L / 2
+                ends = {c - l / 2, c + l / 2}
                 for e in ends:
-                    assert min(abs(e - t) for t in targets) < 1e-9
-                seen += 1
-            elif rep.status == geometry.PARTIAL_TX:
-                ends = {rep.eta_c - rep.l_T / 2, rep.eta_c + rep.l_T / 2}
-                targets = {rep.eta_i, lk.L_T / 2, -lk.L_T / 2}
-                for e in ends:
-                    assert min(abs(e - t) for t in targets) < 1e-9
+                    assert min(abs(e - t) for t in (cut_end(rep), visible)) < 1e-9
+                assert abs(visible - cut_end(rep)) == pytest.approx(l, abs=1e-12)
                 seen += 1
 
     def test_crossing_point_on_both_lines(self):
-        """On partial reports, zeta_i on the receive array and eta_i on the
-        transmit array name the same point: the two lines' crossing."""
+        """On partial reports the cut end of the effective segment lies on
+        the other array's line: it is the two lines' crossing."""
         rng = np.random.default_rng(2)
         seen = 0
         while seen < 1000:
@@ -109,15 +117,19 @@ class TestClassifyVisibility:
             rep = classify_visibility(lk)
             if rep.status not in (geometry.PARTIAL_TX, geometry.PARTIAL_RX):
                 continue
-            on_rx = point_on(lk.theta_R, rep.zeta_i, (lk.x0, lk.y0))
-            on_tx = point_on(lk.theta_T, rep.eta_i)
-            scale = 1.0 + abs(rep.zeta_i) + abs(rep.eta_i)
-            assert np.hypot(*(on_rx - on_tx)) < 1e-9 * scale
-            # and it lies on the crossed array's segment
+            scale = 1.0 + abs(lk.x0) + abs(lk.y0)
+            # signed distance of the cut end from the other array's line
             if rep.status == geometry.PARTIAL_RX:
-                assert abs(rep.zeta_i) <= lk.L_R / 2
+                p = point_on(lk.theta_R, cut_end(rep), (lk.x0, lk.y0))
+                off = p[0] * np.cos(lk.theta_T) + p[1] * np.sin(lk.theta_T)
+                length = lk.L_R
             else:
-                assert abs(rep.eta_i) <= lk.L_T / 2
+                p = point_on(lk.theta_T, cut_end(rep)) - (lk.x0, lk.y0)
+                off = p[0] * np.cos(lk.theta_R) + p[1] * np.sin(lk.theta_R)
+                length = lk.L_T
+            assert abs(off) < 1e-9 * scale
+            # and it lies on the crossed array's segment
+            assert abs(cut_end(rep)) <= length / 2
             seen += 1
 
 

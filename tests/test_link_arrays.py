@@ -19,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from dof_oracle import mode_span
 from nfdof import geometry
-from nfdof.dof_core import dof, dof_arrays
-from nfdof.geometry import LinkGeometry, classify_visibility, link_arrays, make_link
+from nfdof.dof_core import DofResult, dof, dof_arrays
+from nfdof.geometry import (LinkGeometry, VisibilityReport, classify_arrays,
+                            classify_visibility, link_arrays, make_link)
 
 F = 30e9
 KEYS = ("L_T", "L_R", "theta_T", "theta_R", "x0", "y0", "frequency")
@@ -53,14 +54,14 @@ def check(links):
     vis = res.visibility
     cols = {name: getattr(res, name).tolist() for name in DOF_FIELDS}
     segments = {name: getattr(vis, name).tolist() for name in SEGMENT_FIELDS}
-    status, endpoint = vis.status.tolist(), vis.endpoint.tolist()
+    status, endpoint = vis.status.tolist(), vis.visible_endpoint.tolist()
     built = [getattr(arrays, name).tolist()
              for name in ("theta_T", "theta_R", "x0", "y0", "wavelength")]
     for i, params in enumerate(links):
         lk = make_link(**params)
         rep = classify_visibility(lk)
-        assert geometry.STATUSES[status[i]] == rep.status, params
-        assert geometry.ENDPOINTS[endpoint[i]] == rep.visible_endpoint, params
+        assert status[i] == rep.status, params
+        assert endpoint[i] == rep.visible_endpoint, params
         for name in SEGMENT_FIELDS:
             assert same(segments[name][i], getattr(rep, name)), (name, params)
         thT, thR, x0, y0, wavelength = (column[i] for column in built)
@@ -78,12 +79,21 @@ def check(links):
         scalar = dof(lk)
         for name in DOF_FIELDS:
             assert same(getattr(scalar, name), want[name]), (name, params)
-            array = cols[name][i]
-            if name == "m_int" and want[name] is None:
-                assert array == 0
-            else:
-                assert same(array, want[name]), (name, params)
+            assert same(cols[name][i], want[name]), (name, params)
     return res
+
+
+def test_one_record_per_kind():
+    """One link and many give the same records: ``VisibilityReport`` from
+    both classifiers, ``DofResult`` from ``dof`` and ``dof_arrays``, the
+    array path's warnings left empty."""
+    args = (0.2, 5.0, 0.0, np.pi, 0.5, 0.0, F)
+    one, many = make_link(*args), link_arrays(*args[:4], [0.5, 10.0], *args[5:])
+    assert type(classify_arrays(many)) is type(classify_visibility(one)) is VisibilityReport
+    scalar, arrays = dof(one), dof_arrays(many)
+    assert type(arrays) is type(scalar) is DofResult
+    assert type(arrays.visibility) is type(scalar.visibility) is VisibilityReport
+    assert scalar.warnings and arrays.warnings == []
 
 
 def rotated(phi, L_T, L_R, thT, thR, x0, y0):
@@ -136,7 +146,7 @@ FAMILIES = {
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_degenerate_families(family):
     links = [rotated(phi, *args) for args in FAMILIES[family] for phi in PHIS]
-    statuses = set(check(links).visibility.statuses())
+    statuses = set(check(links).visibility.status.tolist())
     assert statuses <= {geometry.TOUCHING, geometry.NO_VISIBILITY, geometry.FULL}
 
 
@@ -148,7 +158,7 @@ def test_collinear_calls():
              for thT, x0 in ((1e-15, -6.5e-134), (1e-9, -6.5e-134), (1e-15, 0.0))]
     links.append(rotated(2.6333595454112437, *SEED24))
     res = check(links)
-    assert res.visibility.statuses() == [geometry.TOUCHING] * 3 + [geometry.NO_VISIBILITY]
+    assert res.visibility.status.tolist() == [geometry.TOUCHING] * 3 + [geometry.NO_VISIBILITY]
 
 
 def test_collinear_overlap_edge():
@@ -159,7 +169,7 @@ def test_collinear_overlap_edge():
     links = [rotated(phi, 0.2, 5.0, 0.0, 0.0, 0.0, d)
              for d in (half, np.nextafter(half, 3.0))
              for phi in np.linspace(-np.pi, np.pi, 2001)]
-    statuses = check(links).visibility.statuses()
+    statuses = check(links).visibility.status.tolist()
     assert {geometry.TOUCHING, geometry.NO_VISIBILITY} <= set(statuses)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from nfdof import statistics as stats
 from nfdof.dof_core import dof, dof_arrays
-from nfdof.geometry import ENDPOINTS, TOUCHING, link_arrays, make_link
+from nfdof.geometry import TOUCHING, link_arrays, make_link
 from nfdof.numerics import integrate, sample_stream
 from nfdof.statistics import (
     CONDITIONAL_ON_X0, FULL_VISIBILITY, PARTIAL_R_MINUS, PARTIAL_R_PLUS,
@@ -223,8 +223,8 @@ class TestBranchEvaluator:
             res = dof_arrays(link_arrays(L_T, L_R, thT, np.pi, x0, 0.0, F))
             vis = res.visibility
             # the visible receive endpoint of a partial-rx link, else the status
-            got = np.array([ENDPOINTS[e] or s for s, e in
-                            zip(vis.statuses(), vis.endpoint.tolist())])
+            got = np.array([e or s for s, e in zip(vis.status.tolist(),
+                                                   vis.visible_endpoint.tolist())])
             want = np.select([b_f, b_p, b_m], ["full", "R+", "R-"], "none")
 
             reach = 0.5 * L_T * np.abs(np.sin(thT))

@@ -97,6 +97,31 @@ class TestChannelMatrix:
                                              f"matrix exceeds {MAX_MATRIX_ENTRIES} "):
             channel_matrix(link(), spacing=1e-9)
 
+    def test_run_cap(self, monkeypatch):
+        """``grid_shapes`` gives the shapes ``channel_matrix`` builds and
+        refuses a run whose matrices hold more than ``MAX_RUN_ENTRIES``
+        entries together; each matrix's own refusals come first."""
+        links = [link(), link(thT=1.4), link(thT=-0.3, y0=2.0)]
+        reps = [classify_visibility(lk) for lk in links]
+        segments = ([r.l_T for r in reps], [r.l_R for r in reps], [LAMBDA] * 3)
+        built = [channel_matrix(lk).entries.shape for lk in links]
+        total = sum(rows * cols for rows, cols in built)
+        monkeypatch.setattr(svd_oracle, "MAX_RUN_ENTRIES", total)
+        assert svd_oracle.grid_shapes(*segments) == built
+        monkeypatch.setattr(svd_oracle, "MAX_RUN_ENTRIES", total - 1)
+        with pytest.raises(ValueError, match=f"^3 channel matrices of {total} entries "
+                                             f"together exceed {total - 1} entries"):
+            svd_oracle.grid_shapes(*segments)
+        with pytest.raises(ValueError, match="a 5000000001 x 200000001 channel matrix"):
+            svd_oracle.grid_shapes(*segments, spacing=1e-9)
+        with pytest.raises(ValueError, match="spacing must not exceed half a wavelength"):
+            svd_oracle.grid_shapes(*segments, spacing=0.6 * LAMBDA)
+        # a later link's own refusal wins over a run already past the cap
+        monkeypatch.setattr(svd_oracle, "MAX_RUN_ENTRIES", 1)
+        with pytest.raises(ValueError, match="spacing must not exceed half a wavelength"):
+            svd_oracle.grid_shapes(*segments[:2], [LAMBDA, LAMBDA, LAMBDA / 10],
+                                   spacing=LAMBDA / 4)
+
     def test_entries_match_green(self):
         lk = link(thT=0.4)
         cm = channel_matrix(lk, spacing=LAMBDA / 2)
