@@ -202,6 +202,11 @@ def _jsonable(x):
     return x
 
 
+def _json_text(obj):
+    """Every JSON output and manifest: sorted keys, indent 2, a newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _emit(header, columns, args, manifest):
     """Write equal-length ``columns`` under ``header`` as CSV or JSON."""
     if args.format == "csv":
@@ -209,7 +214,7 @@ def _emit(header, columns, args, manifest):
         text = "\n".join([",".join(header), *lines]) + "\n"
     else:
         records = [dict(zip(header, row)) for row in zip(*map(_jsonable, columns))]
-        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        text = _json_text(records)
     _write_out(text, args, manifest)
 
 
@@ -218,7 +223,7 @@ def _write_out(text, args, manifest):
         with open(args.out, "w") as fh:
             fh.write(text)
         with open(args.out + ".manifest.json", "w") as fh:
-            fh.write(json.dumps(_jsonable(manifest), indent=2, sort_keys=True) + "\n")
+            fh.write(_json_text(_jsonable(manifest)))
     else:
         sys.stdout.write(text)
 
@@ -240,8 +245,7 @@ def cmd_dof(cfg, args):
     if args.format == "csv":
         _emit(list(report), [[v] for v in report.values()], args, manifest)
     else:
-        _write_out(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n", args,
-                   manifest)
+        _write_out(_json_text(_jsonable(report)), args, manifest)
     return 0
 
 

@@ -19,6 +19,8 @@ boundary angles, ``rho_c``, ``m_plus``/``m_minus``, ``m_real`` and
 call and one ``DofResult`` of arrays.  ``dof`` runs the same mode-span
 expressions on one link, after the scalar ``classify_visibility``, so
 the count has one path and every link's numbers are bitwise the sweep's.
+Every point on an array comes from ``geometry.point_on``.
+``taylor_coeffs`` takes one link's report and refuses a report of arrays.
 """
 
 import math
@@ -79,9 +81,9 @@ def taylor_coeffs(link: LinkGeometry, zeta, report: VisibilityReport) -> TaylorC
     (measured from the effective receive center), scalar or array."""
     _require_visible(report)
     zeta = np.asarray(zeta, dtype=float)
-    tx_center = point_on(link.theta_T, report.eta_c)
-    q = point_on(link.theta_R, (report.zeta_c + zeta)[..., None], (link.x0, link.y0))
-    dx, dy = q[..., 0] - tx_center[0], q[..., 1] - tx_center[1]
+    tx_x, tx_y = point_on(link.theta_T, report.eta_c)
+    qx, qy = point_on(link.theta_R, report.zeta_c + zeta, (link.x0, link.y0))
+    dx, dy = qx - tx_x, qy - tx_y
     r0 = np.hypot(dx, dy)
     if np.any(r0 == 0.0):
         raise ValueError("degenerate geometry: coincident points")
@@ -98,16 +100,14 @@ def taylor_coeffs(link: LinkGeometry, zeta, report: VisibilityReport) -> TaylorC
 def _mode_span(link, vis):
     """(a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real) of the
     visible links of ``link``, one or many as ``vis`` holds floats or
-    arrays: the angles from the
-    effective transmit center to the effective receive endpoints and
-    center, in ``point_on``'s arithmetic, then the mode indices."""
-    thT, thR, eta_c, zeta_c = link.theta_T, link.theta_R, vis.eta_c, vis.zeta_c
-    tx_x, tx_y = 0.0 + eta_c * -np.sin(thT), 0.0 + eta_c * np.cos(thT)
-    ux, uy = -np.sin(thR), np.cos(thR)
+    arrays: the angles from the effective transmit center to the
+    effective receive endpoints and center, then the mode indices."""
+    thT = link.theta_T
+    tx_x, tx_y = point_on(thT, vis.eta_c)  # the effective transmit center
 
     def angle(zeta):
-        s = zeta_c + zeta
-        return np.arctan2((link.y0 + s * uy) - tx_y, (link.x0 + s * ux) - tx_x)
+        x, y = point_on(link.theta_R, vis.zeta_c + zeta, (link.x0, link.y0))
+        return np.arctan2(y - tx_y, x - tx_x)
 
     a_plus, a_minus, a_zero = angle(+vis.l_R / 2.0), angle(-vis.l_R / 2.0), angle(0.0)
     rho_c = np.sin(thT - a_zero)
@@ -200,5 +200,7 @@ def fraunhofer_distance(L_T, L_R, wavelength):
 
 
 def _require_visible(report: VisibilityReport):
+    if np.ndim(report.status):
+        raise ValueError("operation takes one link's visibility report, got arrays")
     if report.status not in geometry.VISIBLE:
         raise ValueError(f"operation requires visibility, got status {report.status!r}")

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import statistics as stats
 from .dof_core import dof_arrays
-from .geometry import classify_visibility, link_arrays, make_link
-from .kernel import kernel_farfield, kernel_scan
+from .geometry import link_arrays, make_link
+from .kernel import kernel_scan
 from .svd_oracle import (DEFAULT_SUM_RULE_FRACTION, channel_matrix,
                          effective_dof, gram_powers, grid_shapes,
                          singular_spectrum)
@@ -83,14 +83,11 @@ def kernel_scan_rows(link, zeta_ref, n_samples):
     """(header, columns, kernel record) of the exact and far-field kernel
     across the effective receive aperture, with its significant minima
     flagged; the record counts the samples and the sinc-limit ones."""
-    lk = make_link(**link)
-    rep = classify_visibility(lk)
-    scan = kernel_scan(lk, zeta_ref=zeta_ref, n_samples=n_samples, report=rep)
-    far = np.abs(kernel_farfield(scan.zeta, zeta_ref, lk, rep))
+    scan = kernel_scan(make_link(**link), zeta_ref=zeta_ref, n_samples=n_samples)
     is_min = np.zeros(scan.zeta.size, dtype=int)
     is_min[scan.minima] = 1
     v = scan.values
-    columns = [scan.zeta, v.real, v.imag, np.abs(v), far, is_min]
+    columns = [scan.zeta, v.real, v.imag, np.abs(v), np.abs(scan.farfield), is_min]
     record = {"samples": scan.zeta.size, "sinc_fallback": scan.sinc_fallback}
     return ["zeta", "re", "im", "magnitude", "magnitude_farfield",
             "is_minimum"], columns, record

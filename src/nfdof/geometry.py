@@ -4,8 +4,9 @@ Conventions
 -----------
 * An array of length ``L`` rotated by ``theta`` (positive counter-
   clockwise, measured from the +y axis) and centered at ``c`` occupies
-  the points ``c + s * (-sin(theta), cos(theta))`` for
-  ``s in [-L/2, L/2]``.  The ``+`` endpoint is at ``s = +L/2``.
+  the points ``c + s * (-sin(theta), cos(theta))`` for ``s in [-L/2,
+  L/2]``, the ``(x, y)`` pairs of ``point_on``, which broadcasts over
+  links and coordinates.  The ``+`` endpoint is at ``s = +L/2``.
 * Each array radiates/receives only into the half-plane on the side of
   its unit normal ``n = (cos(theta), sin(theta))``.
 * The transmit array is centered at the origin; the receive array center
@@ -96,11 +97,11 @@ def wrap_angle(theta):
 
 
 def point_on(rotation, s, center=(0.0, 0.0)):
-    """Point at signed coordinate ``s`` along the array of ``rotation``
-    centred at ``center``, whose unit vector (-sin, cos) of the rotation
-    points toward the + endpoint."""
-    return (np.asarray(center, dtype=float)
-            + s * np.array([-np.sin(rotation), np.cos(rotation)]))
+    """(x, y) of the point at signed coordinate ``s`` along the array of
+    ``rotation`` centred at ``center``, for every caller: ``center + s *
+    (-sin, cos)`` of the rotation, the unit vector toward the + endpoint.
+    All arguments broadcast (many links, many points)."""
+    return center[0] + s * -np.sin(rotation), center[1] + s * np.cos(rotation)
 
 
 @dataclass(frozen=True)

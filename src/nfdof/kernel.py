@@ -35,10 +35,14 @@ handled by conjugation).  Two regimes are evaluated differently:
 
 Against 40-digit quadrature the result is within a few 1e-15 of the
 peak l_T / (4 pi d0)^2 on every regime and at every switch.
+
+``kernel_exact``, ``kernel_farfield`` and ``kernel_scan`` share one pass
+that evaluates the coefficients once for the exact kernel, the far-field
+(sinc) kernel and the sinc-limit samples, with one set of refusals.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -76,22 +80,20 @@ class KernelSample:
 
 @dataclass(frozen=True)
 class KernelScan:
-    """Kernel sampled across the effective receive aperture."""
+    """Exact and far-field kernel sampled across the effective receive
+    aperture, with the significant minima of the exact one's magnitude."""
 
     reference_zeta: float
     zeta: np.ndarray      # sample points, ascending
-    values: np.ndarray    # complex kernel at each sample
-    minima: List[int]     # indices of the significant minima of |K|
+    values: np.ndarray    # complex exact kernel at each sample
+    farfield: np.ndarray  # real far-field (sinc) kernel at each sample
+    minima: List[int]     # indices of the significant minima of |values|
     sinc_fallback: int    # exact-kernel samples taken in the sinc limit
 
     @property
     def samples(self) -> List[KernelSample]:
         return [KernelSample(z, v, abs(v))
                 for z, v in zip(self.zeta.tolist(), self.values.tolist())]
-
-    @property
-    def minima_locations(self) -> List[float]:
-        return self.zeta[self.minima].tolist()
 
 
 def _delta_coeffs(zeta, zeta_ref, link, report):
@@ -101,10 +103,6 @@ def _delta_coeffs(zeta, zeta_ref, link, report):
     shape = np.shape(zeta)
     return ((co.rho[:-1] - co.rho[-1]).reshape(shape),
             (co.rho_tilde[:-1] - co.rho_tilde[-1]).reshape(shape))
-
-
-def _amplitude(link):
-    return 1.0 / (4.0 * np.pi * link.d0) ** 2
 
 
 def _sinc_limit(drho_t, wavelength, l_T):
@@ -144,12 +142,26 @@ def _aperture_integral(drho, drho_t, wavelength, l_T):
     return out
 
 
+def _kernel(zeta, zeta_ref, link, report):
+    """(exact kernel, far-field kernel, sinc-limit mask) at each ``zeta``
+    from one ``_delta_coeffs`` evaluation."""
+    _require_visible(report)
+    half = report.l_R / 2.0 + 1e-12
+    if np.any(np.abs(zeta) > half) or abs(zeta_ref) > half:
+        raise ValueError("zeta outside the effective receive aperture")
+    drho, drho_t = _delta_coeffs(zeta, zeta_ref, link, report)
+    amplitude = 1.0 / (4.0 * np.pi * link.d0) ** 2
+    exact = amplitude * _aperture_integral(drho, drho_t, link.wavelength,
+                                           report.l_T)
+    if not np.all(np.isfinite(exact)):
+        raise OverflowError("kernel_exact: non-finite result")
+    far = amplitude * report.l_T * np.sinc(report.l_T / link.wavelength * drho)
+    return exact, far, _sinc_limit(drho_t, link.wavelength, report.l_T)
+
+
 def kernel_farfield(zeta, zeta_ref, link: LinkGeometry, report: VisibilityReport):
     """First-order (sinc) kernel, real-valued; scalar or array ``zeta``."""
-    _require_visible(report)
-    drho, _ = _delta_coeffs(zeta, zeta_ref, link, report)
-    val = (_amplitude(link) * report.l_T
-           * np.sinc(report.l_T / link.wavelength * drho))
+    val = _kernel(zeta, zeta_ref, link, report)[1]
     return float(val) if np.ndim(zeta) == 0 else val
 
 
@@ -160,15 +172,7 @@ def kernel_exact(zeta, zeta_ref, link: LinkGeometry, report: VisibilityReport):
     Valid from the near field into the far field; see the module
     docstring for the evaluation regimes.
     """
-    _require_visible(report)
-    half = report.l_R / 2.0 + 1e-12
-    if np.any(np.abs(zeta) > half) or abs(zeta_ref) > half:
-        raise ValueError("zeta outside the effective receive aperture")
-    drho, drho_t = _delta_coeffs(zeta, zeta_ref, link, report)
-    val = _amplitude(link) * _aperture_integral(drho, drho_t, link.wavelength,
-                                                report.l_T)
-    if not np.all(np.isfinite(val)):
-        raise OverflowError("kernel_exact: non-finite result")
+    val = _kernel(zeta, zeta_ref, link, report)[0]
     return complex(val) if np.ndim(zeta) == 0 else val
 
 
@@ -191,24 +195,15 @@ def find_minima(magnitudes):
     return minima[mags[minima] < MINIMA_DEPTH_FACTOR * ref].tolist()
 
 
-def kernel_scan(link: LinkGeometry, zeta_ref=0.0, n_samples=1024,
-                report: Optional[VisibilityReport] = None,
-                use_farfield=False) -> KernelScan:
-    """Sample |K| uniformly across the effective receive aperture and
-    locate its significant minima."""
+def kernel_scan(link: LinkGeometry, zeta_ref=0.0, n_samples=1024) -> KernelScan:
+    """Sample the exact and far-field kernel of ``link`` (classified here)
+    uniformly across its effective receive aperture and locate the
+    significant minima of the exact one's magnitude."""
     if n_samples < MIN_SCAN_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_SCAN_SAMPLES}")
-    if report is None:
-        report = classify_visibility(link)
-    _require_visible(report)
+    report = classify_visibility(link)
     zs = np.linspace(-report.l_R / 2.0, report.l_R / 2.0, int(n_samples))
-    if use_farfield:
-        values = kernel_farfield(zs, zeta_ref, link, report).astype(complex)
-        sinc = 0
-    else:
-        values = kernel_exact(zs, zeta_ref, link, report)
-        drho_t = _delta_coeffs(zs, zeta_ref, link, report)[1]
-        sinc = int(np.count_nonzero(
-            _sinc_limit(drho_t, link.wavelength, report.l_T)))
+    values, far, sinc = _kernel(zs, zeta_ref, link, report)
     return KernelScan(reference_zeta=float(zeta_ref), zeta=zs, values=values,
-                      minima=find_minima(np.abs(values)), sinc_fallback=sinc)
+                      farfield=far, minima=find_minima(np.abs(values)),
+                      sinc_fallback=int(np.count_nonzero(sinc)))

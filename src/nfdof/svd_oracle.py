@@ -71,12 +71,12 @@ def channel_matrix(link: LinkGeometry, spacing=None) -> ChannelMatrix:
     (n_r, n_t), = grid_shapes([report.l_T], [report.l_R], [link.wavelength], spacing)
     tx_s = report.eta_c + np.linspace(-report.l_T / 2.0, report.l_T / 2.0, n_t)
     rx_s = report.zeta_c + np.linspace(-report.l_R / 2.0, report.l_R / 2.0, n_r)
-    tx_pts = point_on(link.theta_T, tx_s[:, None])
-    rx_pts = point_on(link.theta_R, rx_s[:, None], (link.x0, link.y0))
+    tx_x, tx_y = point_on(link.theta_T, tx_s)
+    rx_x, rx_y = point_on(link.theta_R, rx_s, (link.x0, link.y0))
     # r = sqrt(dx^2 + dy^2) and H = exp(-j k r) / (4 pi r), evaluated in
     # place: the same roundings with fewer full-size temporaries
-    r = rx_pts[:, 0, None] - tx_pts[None, :, 0]
-    dy = rx_pts[:, 1, None] - tx_pts[None, :, 1]
+    r = rx_x[:, None] - tx_x
+    dy = rx_y[:, None] - tx_y
     r *= r
     dy *= dy
     r += dy

@@ -1,7 +1,7 @@
 """Reference mode span and point-to-point distance of one link.
 
 The boundary angles and mode indices as ``nfdof.dof_core.dof`` computed
-them before the count moved to array expressions: ``point_on`` arrays for
+them before the count moved to array expressions: ``point_on`` pairs for
 the effective transmit center and the receive points, then scalar angles
 and indices.  The property tests hold the array core to these numbers
 bit for bit.  ``exact_distance`` is the Euclidean distance that the
@@ -17,12 +17,11 @@ def boundary_angles(link, report):
     """Angles from the effective transmit center to the effective receive
     endpoints and center: (a_plus, a_minus, a_zero, rho_c)."""
     assert report.status in (FULL, PARTIAL_TX, PARTIAL_RX), report.status
-    tx_center = point_on(link.theta_T, report.eta_c)
+    tx_x, tx_y = point_on(link.theta_T, report.eta_c)
 
     def angle(zeta):
-        q = point_on(link.theta_R, report.zeta_c + zeta, (link.x0, link.y0))
-        d = q - tx_center
-        return float(np.arctan2(d[1], d[0]))
+        x, y = point_on(link.theta_R, report.zeta_c + zeta, (link.x0, link.y0))
+        return float(np.arctan2(y - tx_y, x - tx_x))
 
     a_plus = angle(+report.l_R / 2.0)
     a_minus = angle(-report.l_R / 2.0)
@@ -55,6 +54,6 @@ def exact_distance(link, eta, zeta, eta_c=0.0, zeta_c=0.0):
         raise ValueError("transmit coordinate outside the array segment")
     if not (-half_R - tol <= s_r <= half_R + tol):
         raise ValueError("receive coordinate outside the array segment")
-    p = point_on(link.theta_T, s_t)
-    q = point_on(link.theta_R, s_r, (link.x0, link.y0))
-    return float(np.hypot(q[0] - p[0], q[1] - p[1]))
+    px, py = point_on(link.theta_T, s_t)
+    qx, qy = point_on(link.theta_R, s_r, (link.x0, link.y0))
+    return float(np.hypot(qx - px, qy - py))

@@ -13,7 +13,7 @@ from nfdof.dof_core import (
     dof, dof_full_visibility_closed_form, minima_lattice_count, taylor_coeffs,
 )
 from nfdof.geometry import FULL, PARTIAL_RX, PARTIAL_TX, classify_visibility, make_link, point_on
-from nfdof.kernel import kernel_exact, kernel_scan
+from nfdof.kernel import find_minima, kernel_exact, kernel_scan
 from nfdof.numerics import integrate
 from nfdof.svd_oracle import effective_dof, svd_report
 
@@ -143,13 +143,12 @@ def test_criterion_6_taylor_coefficient_oracle():
             continue
         zeta = rng.uniform(-rep.l_R / 2, rep.l_R / 2)
         co = taylor_coeffs(lk, zeta, rep)
-        tx_dir = np.array([-np.sin(lk.theta_T), np.cos(lk.theta_T)])
         origin = point_on(lk.theta_T, rep.eta_c)
-        target = point_on(lk.theta_R, rep.zeta_c + zeta, (lk.x0, lk.y0))
+        qx, qy = point_on(lk.theta_R, rep.zeta_c + zeta, (lk.x0, lk.y0))
 
         def r(eta):
-            p = origin + eta * tx_dir
-            return float(np.hypot(target[0] - p[0], target[1] - p[1]))
+            px, py = point_on(lk.theta_T, eta, origin)
+            return float(np.hypot(qx - px, qy - py))
 
         h1 = 1e-4
         d1 = (r(h1) - r(-h1)) / (2 * h1)
@@ -183,10 +182,9 @@ def test_criterion_7_kernel_consistency():
         rep = classify_visibility(lk)
         res = dof(lk)
         lattice = minima_lattice_count(res.m_plus, res.m_minus)
-        n_exact = len(kernel_scan(lk, n_samples=4096, report=rep)
-                      .minima_locations)
-        n_ff = len(kernel_scan(lk, n_samples=4096, report=rep,
-                               use_farfield=True).minima_locations)
+        scan = kernel_scan(lk, n_samples=4096)
+        n_exact = len(scan.minima)
+        n_ff = len(find_minima(np.abs(scan.farfield)))
         counts_ok &= n_exact == n_ff == lattice
         details.append(f"{n_exact}/{n_ff}/{lattice}")
 

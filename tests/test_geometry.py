@@ -23,7 +23,7 @@ def cut_end(rep):
 
 
 def endpoints(length, rotation, center=(0.0, 0.0)):
-    """(plus, minus) endpoints of an array as 2D points."""
+    """(plus, minus) endpoints of an array as (x, y) pairs."""
     return (point_on(rotation, length / 2, center),
             point_on(rotation, -length / 2, center))
 
@@ -120,12 +120,13 @@ class TestClassifyVisibility:
             scale = 1.0 + abs(lk.x0) + abs(lk.y0)
             # signed distance of the cut end from the other array's line
             if rep.status == geometry.PARTIAL_RX:
-                p = point_on(lk.theta_R, cut_end(rep), (lk.x0, lk.y0))
-                off = p[0] * np.cos(lk.theta_T) + p[1] * np.sin(lk.theta_T)
+                x, y = point_on(lk.theta_R, cut_end(rep), (lk.x0, lk.y0))
+                off = x * np.cos(lk.theta_T) + y * np.sin(lk.theta_T)
                 length = lk.L_R
             else:
-                p = point_on(lk.theta_T, cut_end(rep)) - (lk.x0, lk.y0)
-                off = p[0] * np.cos(lk.theta_R) + p[1] * np.sin(lk.theta_R)
+                x, y = point_on(lk.theta_T, cut_end(rep))
+                off = ((x - lk.x0) * np.cos(lk.theta_R)
+                       + (y - lk.y0) * np.sin(lk.theta_R))
                 length = lk.L_T
             assert abs(off) < 1e-9 * scale
             # and it lies on the crossed array's segment

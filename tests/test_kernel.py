@@ -7,12 +7,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from nfdof import geometry
+from nfdof import geometry, kernel
 from nfdof.dof_core import dof, minima_lattice_count, taylor_coeffs
-from nfdof.geometry import classify_visibility, make_link
+from nfdof.geometry import (classify_arrays, classify_visibility, link_arrays,
+                            make_link)
 from nfdof.kernel import (
-    _aperture_integral, find_minima, kernel_exact, kernel_farfield,
-    kernel_scan,
+    _aperture_integral, _delta_coeffs, _sinc_limit, find_minima, kernel_exact,
+    kernel_farfield, kernel_scan,
 )
 from nfdof.numerics import integrate
 
@@ -124,22 +125,37 @@ class TestKernelValues:
         lk, rep = make("tilted-both-long")
         scan = kernel_scan(lk, n_samples=2048)
         peak = max(s.magnitude for s in scan.samples)
-        zs = np.array([s.zeta for s in scan.samples])
         mags = np.array([s.magnitude for s in scan.samples])
-        for zm in scan.minima_locations:
-            i = int(np.argmin(abs(zs - zm)))
+        for i in scan.minima:
             assert mags[i] > 1e-3 * peak
 
     def test_outside_aperture_raises(self):
         lk, rep = make("parallel-broadside")
         with pytest.raises(ValueError):
             kernel_exact(rep.l_R, 0.0, lk, rep)
+        # the far-field kernel and the scan share the exact kernel's refusal
+        with pytest.raises(ValueError, match="outside the effective receive aperture"):
+            kernel_farfield(rep.l_R, 0.0, lk, rep)
+        with pytest.raises(ValueError, match="outside the effective receive aperture"):
+            kernel_scan(lk, zeta_ref=rep.l_R)
 
     def test_requires_visibility(self):
         lk = make_link(0.2, 5.0, np.pi / 2, np.pi, -5.0, 5.0, frequency=F)
         rep = classify_visibility(lk)
         with pytest.raises(ValueError):
             kernel_exact(0.0, 0.0, lk, rep)
+
+    @pytest.mark.parametrize("x0", [[10.0], [10.0, 12.0]])
+    def test_refuses_a_report_of_arrays(self, x0):
+        """The coefficients and the kernel take one link's report; a
+        ``classify_arrays`` report is refused with a ValueError that says
+        so, for one link as for two."""
+        links = link_arrays(0.2, 5.0, 0.0, np.pi, x0, 0.0, F)
+        rep = classify_arrays(links)
+        with pytest.raises(ValueError, match="one link's visibility report"):
+            taylor_coeffs(links, 0.0, rep)
+        with pytest.raises(ValueError, match="one link's visibility report"):
+            kernel_exact(0.0, 0.0, links, rep)
 
 
 class TestFarfieldKernel:
@@ -335,14 +351,13 @@ class TestFocusingPhase:
 class TestMinimaCount:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_exact_farfield_and_lattice_agree(self, name):
-        lk, rep = make(name)
+        lk, _ = make(name)
         res = dof(lk)
         lattice = minima_lattice_count(res.m_plus, res.m_minus)
         assert lattice == EXPECTED_MINIMA[name]
-        exact = kernel_scan(lk, n_samples=4096, report=rep)
-        ff = kernel_scan(lk, n_samples=4096, report=rep, use_farfield=True)
-        assert len(exact.minima_locations) == lattice
-        assert len(ff.minima_locations) == lattice
+        scan = kernel_scan(lk, n_samples=4096)
+        assert len(scan.minima) == lattice
+        assert len(find_minima(np.abs(scan.farfield))) == lattice
 
     def test_find_minima_simple(self):
         mags = [1.0, 0.1, 1.0, 0.8, 1.0]
@@ -354,8 +369,8 @@ class TestMinimaCount:
     def test_find_minima_matches_reference_loop(self):
         curves = []
         for name in sorted(CONFIGS):
-            lk, rep = make(name)
-            curves.append(np.abs(kernel_scan(lk, report=rep).values))
+            lk, _ = make(name)
+            curves.append(np.abs(kernel_scan(lk).values))
         rng = np.random.default_rng(21)
         for n in (3, 4, 5, 17, 64, 300, 1024):
             curves.append(rng.random(n))
@@ -382,3 +397,35 @@ class TestMinimaCount:
         lk = make_link(0.2, 5.0, np.pi / 2, np.pi, -5.0, 5.0, frequency=F)
         with pytest.raises(ValueError):
             kernel_scan(lk)
+
+
+class TestScanSinglePass:
+    """A scan's exact and far-field columns and its sinc-limit count come
+    from one coefficient evaluation, and equal the public kernels."""
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("zeta_ref", [0.0, 0.7])
+    def test_columns_are_the_public_kernels(self, name, zeta_ref):
+        lk, rep = make(name)
+        # an odd count samples zeta = 0, which takes the sinc limit
+        # against zeta_ref = 0
+        scan = kernel_scan(lk, zeta_ref=zeta_ref, n_samples=1025)
+        assert np.array_equal(scan.values, kernel_exact(scan.zeta, zeta_ref, lk, rep))
+        assert np.array_equal(scan.farfield,
+                              kernel_farfield(scan.zeta, zeta_ref, lk, rep))
+        drho_t = _delta_coeffs(scan.zeta, zeta_ref, lk, rep)[1]
+        sinc = np.count_nonzero(_sinc_limit(drho_t, lk.wavelength, rep.l_T))
+        assert scan.sinc_fallback == sinc == (zeta_ref == 0.0)
+        assert scan.minima == find_minima(np.abs(scan.values))
+
+    def test_one_coefficient_evaluation(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return taylor_coeffs(*args)
+
+        monkeypatch.setattr(kernel, "taylor_coeffs", counted)
+        lk, _ = make("tilted-both-long")
+        kernel_scan(lk, zeta_ref=0.3)
+        assert len(calls) == 1

@@ -21,7 +21,8 @@ from dof_oracle import mode_span
 from nfdof import geometry
 from nfdof.dof_core import DofResult, dof, dof_arrays
 from nfdof.geometry import (LinkGeometry, VisibilityReport, classify_arrays,
-                            classify_visibility, link_arrays, make_link)
+                            classify_visibility, link_arrays, make_link,
+                            point_on)
 
 F = 30e9
 KEYS = ("L_T", "L_R", "theta_T", "theta_R", "x0", "y0", "frequency")
@@ -116,6 +117,26 @@ random_link = st.fixed_dictionaries({
 @settings(max_examples=150, deadline=None)
 def test_random_links(links):
     check(links)
+
+
+@given(links=st.lists(random_link, min_size=1, max_size=30),
+       share=st.floats(-0.5, 0.5), points=st.integers(1, 9))
+@settings(max_examples=100, deadline=None)
+def test_point_on_broadcasts(links, share, points):
+    """``point_on`` over the fields of ``link_arrays`` gives every link's
+    scalar ``point_on`` pair bit for bit: one receive point per link, and
+    a row of transmit points per link."""
+    arrays = link_arrays(**{k: [lk[k] for lk in links] for k in KEYS})
+    rx = point_on(arrays.theta_R, share * arrays.L_R, (arrays.x0, arrays.y0))
+    grid = np.linspace(-0.5, 0.5, points)
+    tx = point_on(arrays.theta_T[:, None], grid * arrays.L_T[:, None])
+    for i, params in enumerate(links):
+        lk = make_link(**params)
+        for got, want in zip(rx, point_on(lk.theta_R, share * lk.L_R, (lk.x0, lk.y0))):
+            assert same(float(got[i]), float(want)), params
+        for j, g in enumerate(grid.tolist()):
+            for got, want in zip(tx, point_on(lk.theta_T, g * lk.L_T)):
+                assert same(float(got[i, j]), float(want)), params
 
 
 @given(base=random_link, key=st.sampled_from(KEYS), steps=st.integers(1, 60),
