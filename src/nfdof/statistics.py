@@ -37,10 +37,11 @@ omega and psi lives in ``tests/deconditioning_oracle.py`` as the
 reference.
 
 Monte Carlo driven by the same branch structure cross-validates the
-analytic curves.  Its vectorized branch evaluator keeps 1e6-sample runs
-fast; ``tests/test_statistics.py`` replays its draws through the link
-engine ``dof_arrays``: they agree except where x0 <= (L_T / 2)
-|sin(theta_T)|, whose segments intersect, which the engine calls touching.
+analytic curves.  Its vectorized branch evaluator runs each formula on
+its own branch's draws only; ``tests/test_statistics.py`` replays the
+draws through the link engine ``dof_arrays``: they agree except where
+x0 <= (L_T / 2) |sin(theta_T)|, whose segments intersect, which the
+engine calls touching.
 """
 
 import math
@@ -276,9 +277,14 @@ def pdf(cfg: ScenarioConfig, mu):
 def pov(x0, L_R):
     """Probability that the receive array is at least partially visible:
     1/2 + arctan(L_R / 2 x0) / pi."""
-    if x0 <= 0:
-        raise ValueError("x0 must be positive")
+    _check_x0(x0)
     return float(_mixture_weights(x0, L_R)[2])
+
+
+def _check_x0(x0):
+    """Refuse an axis distance that is not positive and finite."""
+    if not np.all(np.isfinite(x0) & np.greater(x0, 0.0)):
+        raise ValueError("x0 must be positive")
 
 
 def _mixture_weights(x0, L_R):
@@ -301,6 +307,7 @@ def branch_interval(x0, L_R, scenario):
     """theta_T interval (lo, hi) of the scenario's visibility branch."""
     if scenario not in _BRANCHES:
         raise ValueError(f"unknown scenario {scenario!r}")
+    _check_x0(x0)
     a = _half_angle(x0, L_R)
     return tuple(edge(a) for edge in _BRANCHES[scenario])
 
@@ -310,8 +317,13 @@ def excess_dof_branches(x0, theta_T, L_R, C):
     deployment family), the endpoint ones open and the full one closed.
     Returns (mu, in_rplus, in_full, in_rminus); mu = 0 outside them."""
     x0 = np.asarray(x0, dtype=float)
-    theta_T = np.asarray(theta_T, dtype=float)
-    a = _half_angle(x0, L_R)
+    return _excess_dof(_half_angle(x0, L_R), np.asarray(theta_T, dtype=float), C)
+
+
+def _excess_dof(a, theta_T, C):
+    """``excess_dof_branches`` at the half angle a; a scalar a gives its
+    edges and sin(a) once.  Each formula runs on its own branch's draws,
+    written r-plus, full, r-minus, so a later branch wins where two meet."""
     # each edge is compared as it is made: it is as long as the draws (~1e6)
     lo, hi = _BRANCHES[PARTIAL_R_PLUS]
     b_plus = (theta_T > lo(a)) & (theta_T < hi(a))
@@ -319,40 +331,51 @@ def excess_dof_branches(x0, theta_T, L_R, C):
     b_full = (theta_T >= lo(a)) & (theta_T <= hi(a))
     lo, hi = _BRANCHES[PARTIAL_R_MINUS]
     b_minus = (theta_T > lo(a)) & (theta_T < hi(a))
-    mu = np.zeros(np.broadcast(x0, theta_T).shape)
-    mu = np.where(b_plus, C * (1.0 + np.sin(theta_T + a)), mu)
-    mu = np.where(b_full, 2.0 * C * np.sin(a) * np.cos(theta_T), mu)
-    mu = np.where(b_minus, C * (1.0 + np.sin(a - theta_T)), mu)
+    mu = np.zeros(np.shape(b_plus))
+
+    def on(v, b):
+        return v if np.ndim(v) == 0 else np.broadcast_to(v, mu.shape)[b]
+
+    mu[b_plus] = C * (1.0 + np.sin(on(theta_T, b_plus) + on(a, b_plus)))
+    mu[b_full] = 2.0 * C * np.sin(on(a, b_full)) * np.cos(on(theta_T, b_full))
+    mu[b_minus] = C * (1.0 + np.sin(on(a, b_minus) - on(theta_T, b_minus)))
     return mu, b_plus, b_full, b_minus
 
 
 def _sample_x0(rng, R, n):
-    radius = R * np.sqrt(rng.random(n))
-    phi = 2.0 * np.pi * rng.random(n)
-    x0 = np.abs(radius * np.cos(phi))
-    return np.maximum(x0, 1e-12 * R)
+    x0 = rng.random(n)                 # radius R sqrt(u), built in place
+    np.sqrt(x0, out=x0)
+    x0 *= R
+    phi = rng.random(n)
+    phi *= 2.0 * np.pi
+    x0 *= np.cos(phi, out=phi)
+    np.abs(x0, out=x0)
+    return np.maximum(x0, 1e-12 * R, out=x0)
 
 
 def monte_carlo(cfg: ScenarioConfig, n, seed=0):
     """mu samples of the scenario, deterministic for a given seed.
 
     The axis distance is drawn from the disk-placement density (or fixed
-    for the conditional scenario) and theta_T uniformly over the
-    scenario's branch interval, so every draw is accepted by
-    construction.  The branch evaluator is the vectorized counterpart of
-    the per-link engine.
+    for the conditional scenario, whose edges are then scalars) and
+    theta_T uniformly over the scenario's branch interval, so every draw
+    is accepted by construction.  Each branch formula of the vectorized
+    evaluator runs only on its own branch's draws.
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError("need at least 1e4 samples")
+    n = int(n)
     rng = sample_stream(seed, 0)
     if cfg.scenario == CONDITIONAL_ON_X0:
-        x0 = np.full(int(n), float(cfg.x0))
+        a = _half_angle(float(cfg.x0), cfg.L_R)
     else:
-        x0 = _sample_x0(rng, cfg.R, int(n))
-    lo, hi = branch_interval(x0, cfg.L_R, cfg.scenario)
-    theta_T = lo + rng.random(int(n)) * (hi - lo)
-    mu, _, _, _ = excess_dof_branches(x0, theta_T, cfg.L_R, cfg.C)
-    return mu
+        a = _half_angle(_sample_x0(rng, cfg.R, n), cfg.L_R)
+    lo, hi = (edge(a) for edge in _BRANCHES[cfg.scenario])
+    theta_T = rng.random(n)
+    theta_T *= hi - lo
+    theta_T += lo
+    del lo, hi
+    return _excess_dof(a, theta_T, cfg.C)[0]
 
 
 def empirical_ccdf(samples, grid):

@@ -166,6 +166,55 @@ class TestVisibilityProbability:
         frac = visibility_fraction(10.0, 5.0, 200_000, seed=1)
         assert frac == pytest.approx(pov(10.0, 5.0), abs=5e-3)
 
+    @pytest.mark.parametrize("x0", [-5.0, 0.0, -0.0, np.inf, np.nan,
+                                    np.array([1.0, -1.0])])
+    def test_non_positive_x0_refused(self, x0):
+        """A placement behind, on or infinitely far from the transmitter
+        is refused, not turned into a fraction or an inverted interval."""
+        with pytest.raises(ValueError, match="x0 must be positive"):
+            visibility_fraction(x0, 2.0, 10_000)
+        with pytest.raises(ValueError, match="x0 must be positive"):
+            branch_interval(x0, 2.0, FULL_VISIBILITY)
+        with pytest.raises(ValueError, match="x0 must be positive"):
+            pov(x0, 2.0)
+
+
+def _where_branches(x0, theta_T, L_R, C):
+    """Reference branch evaluator: every formula over every draw, one
+    result kept per draw through np.where, in the order r-plus, full,
+    r-minus."""
+    x0 = np.asarray(x0, dtype=float)
+    theta_T = np.asarray(theta_T, dtype=float)
+    a = np.arctan(L_R / (2.0 * x0))
+    b_plus = (theta_T > -a - np.pi / 2.0) & (theta_T < a - np.pi / 2.0)
+    b_full = (theta_T >= a - np.pi / 2.0) & (theta_T <= np.pi / 2.0 - a)
+    b_minus = (theta_T > np.pi / 2.0 - a) & (theta_T < np.pi / 2.0 + a)
+    mu = np.zeros(np.broadcast(x0, theta_T).shape)
+    mu = np.where(b_plus, C * (1.0 + np.sin(theta_T + a)), mu)
+    mu = np.where(b_full, 2.0 * C * np.sin(a) * np.cos(theta_T), mu)
+    mu = np.where(b_minus, C * (1.0 + np.sin(a - theta_T)), mu)
+    return mu, b_plus, b_full, b_minus
+
+
+def _reference_draws(c, n, seed):
+    """``monte_carlo``'s draws made out of place, the conditional x0
+    filled into an array of the draws' length, through
+    ``_where_branches``."""
+    rng = sample_stream(seed, 0)
+    if c.scenario == CONDITIONAL_ON_X0:
+        x0 = np.full(n, float(c.x0))
+    else:
+        radius = c.R * np.sqrt(rng.random(n))
+        phi = 2.0 * np.pi * rng.random(n)
+        x0 = np.maximum(np.abs(radius * np.cos(phi)), 1e-12 * c.R)
+    a = np.arctan(c.L_R / (2.0 * x0))
+    lo, hi = {PARTIAL_R_PLUS: (-a - np.pi / 2.0, a - np.pi / 2.0),
+              PARTIAL_R_MINUS: (np.pi / 2.0 - a, np.pi / 2.0 + a),
+              FULL_VISIBILITY: (a - np.pi / 2.0, np.pi / 2.0 - a),
+              CONDITIONAL_ON_X0: (-a - np.pi / 2.0, np.pi / 2.0 + a)}[c.scenario]
+    theta_T = lo + rng.random(n) * (hi - lo)
+    return _where_branches(x0, theta_T, c.L_R, c.C)[0]
+
 
 class TestBranchEvaluator:
     def test_intervals_partition(self):
@@ -243,6 +292,44 @@ class TestBranchEvaluator:
         assert mu.shape == (2,)
         assert b_f[0] and b_m[1]
 
+    def test_call_forms(self):
+        """Scalars give a 0-d mu and numpy-bool masks; a scalar x0 with
+        an array theta_T, an array x0 with a scalar theta_T and two arrays
+        all match the reference, with writeable masks of their own."""
+        mu, *masks = excess_dof_branches(10.0, 0.3, 5.0, 20.0)
+        assert isinstance(mu, np.ndarray) and mu.shape == ()
+        assert all(isinstance(m, np.bool_) for m in masks)
+        assert mu == _where_branches(10.0, 0.3, 5.0, 20.0)[0]
+        theta = np.linspace(-np.pi, np.pi, 101)
+        x0 = np.geomspace(0.01, 100.0, 101)
+        for args in ((10.0, theta), (x0, 0.3), (x0, theta),
+                     (x0[:, None], theta[None, :])):
+            got = excess_dof_branches(*args, 5.0, 20.0)
+            for g, w in zip(got, _where_branches(*args, 5.0, 20.0)):
+                assert g.shape == w.shape and np.array_equal(g, w)
+            for m in got[1:]:
+                assert m.dtype == bool and m.flags.writeable and m.flags.owndata
+
+    @pytest.mark.parametrize("x0", [20.0 * 1e-12, 0.3, 10.0, 20.0, 1e6])
+    def test_edges_match_reference(self, x0):
+        """theta_T exactly on each of the six branch edges and one ulp
+        either side: the same branch and the same mu as the reference,
+        with x0 a scalar and an array."""
+        L_R, C = 5.0, 20.0
+        a = np.arctan(L_R / (2.0 * x0))
+        edges = np.array([-a - np.pi / 2.0, a - np.pi / 2.0,     # r-plus
+                          a - np.pi / 2.0, np.pi / 2.0 - a,      # full
+                          np.pi / 2.0 - a, np.pi / 2.0 + a])     # r-minus
+        theta = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                np.nextafter(edges, np.inf)])
+        want = _where_branches(x0, theta, L_R, C)
+        for x in (x0, np.full(theta.shape, x0)):
+            got = excess_dof_branches(x, theta, L_R, C)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), x0
+        # every edge is exact: on it, each draw lies in one branch or none
+        assert np.all(want[1].astype(int) + want[2] + want[3] <= 1)
+
 
 class TestCcdfCurves:
     def test_starts_at_one_and_decreases(self):
@@ -305,6 +392,24 @@ class TestMonteCarlo:
         mu = monte_carlo(c, 50_000, seed=2)
         assert mu.min() >= 0.0
         assert mu.max() <= 2 * c.C + 1e-12
+
+    # (R, L_T, L_R, conditional x0): x0 at the 1e-12 R floor, x0 = R,
+    # L_R >> x0 and L_R << x0, and x0 spread over (0, R] by seed (None)
+    @pytest.mark.parametrize("R, L_T, L_R, x0", [
+        (20.0, 0.2, 5.0, None), (5.0, 1.0, 3.0, None),
+        (20.0, 0.2, 5.0, 20.0), (20.0, 0.5, 2.0, 20.0 * 1e-12),
+        (0.01, 0.2, 5.0, 0.001), (1e5, 0.5, 0.01, 5e4)])
+    def test_draws_match_reference(self, R, L_T, L_R, x0):
+        """Bitwise the draws of the whole-array evaluator, in every
+        scenario, on 50 seeds."""
+        for seed in range(50):
+            x = R * (seed + 1) / 50.0 if x0 is None else x0
+            for scenario in (PARTIAL_R_PLUS, PARTIAL_R_MINUS, FULL_VISIBILITY,
+                             CONDITIONAL_ON_X0):
+                c = cfg(R=R, L_T=L_T, L_R=L_R, scenario=scenario,
+                        x0=x if scenario == CONDITIONAL_ON_X0 else None)
+                assert np.array_equal(monte_carlo(c, 10_000, seed=seed),
+                                      _reference_draws(c, 10_000, seed)), (scenario, seed)
 
     def test_minimum_sample_count(self):
         with pytest.raises(ValueError):
