@@ -74,8 +74,9 @@ REQUIRED = object()  # fails every test: a section key without a default
 # ((test, domain), default) of every config field and of every key of the
 # ``sweep`` and ``stats`` sections; a section's domain is its own table of
 # keys, and the section defaults to null.  What depends on two values
-# stays a library refusal: the conditional x0 <= R (exit 2), and
-# svd_spacing's lambda/2 and matrix-size caps and zeta_ref's aperture (exit 1).
+# stays a library refusal: stats.x0 only in the conditional scenario and
+# there <= R (exit 2), and svd_spacing's lambda/2 and matrix-size caps
+# and zeta_ref's aperture (exit 1).
 DOMAINS = {
     "frequency_hz": (POSITIVE, 30e9), "L_T_m": (POSITIVE, 0.2),
     "L_R_m": (POSITIVE, 5.0), "x0_m": (FINITE, 10.0), "y0_m": (FINITE, 0.0),
@@ -295,8 +296,8 @@ def cmd_stats(cfg, args):
         scen_cfg = stats.ScenarioConfig(
             R=float(section["R"]), L_T=cfg["L_T_m"], L_R=cfg["L_R_m"], x0=section["x0"],
             frequency=cfg["frequency_hz"], scenario=section["scenario"])
-    except ValueError as e:  # the conditional x0 <= R, which takes two values
-        raise UsageError(str(e))
+    except ValueError as e:  # x0 against R or the scenario: two values each
+        raise UsageError(f"stats.{e}")
     grid_points, mc_samples = section["grid_points"], section["mc_samples"]
     header, columns, quadrature = curve_rows(scen_cfg, grid_points, mc_samples,
                                              cfg["seed"])

@@ -20,7 +20,11 @@ Faddeeva function w (``erfc(t) = exp(-t^2) w(j t)``, or ``2 - erfc(-t)``
 when Re t < 0, so that w is only taken in the upper half-plane) folds
 that factor into exp(-j phi(-/+h)), the integrand's own phase at the
 aperture ends.  Every term is then bounded, from the near field into the
-far field, where the kernel tends to the familiar sinc.  The constant
+far field, where the kernel tends to the familiar sinc.  w is taken
+only on the ray x exp(3i pi / 4), x >= 0, inside the upper half-plane,
+from ``numerics.faddeeva``: Weideman's rational approximation with
+N = 40 terms, in numpy alone, within 6e-14 relative of 30-digit mpmath
+on that ray, so a kernel scan loads no scipy.  The constant
 ``2 exp(j k drho^2 / (4 drho_t))`` survives only when the stationary
 point -drho / (2 drho_t) lies inside the aperture (drho_t < 0 is
 handled by conjugation).  Two regimes are evaluated differently:
@@ -128,12 +132,13 @@ def _aperture_integral(drho, drho_t, wavelength, l_T):
     p = np.where(neg, -drho[closed], drho[closed])
     s = np.abs(drho_t[closed])
     scale = np.exp(0.25j * np.pi) * np.sqrt(k) / (2.0 * np.sqrt(s))
-    total = np.zeros(p.shape, dtype=complex)
-    for end, eta_e in ((1.0, -h), (-1.0, h)):
-        slope = p + 2.0 * s * eta_e          # phi'(eta_e) / k
-        sign = np.where(slope >= 0.0, 1.0, -1.0)
-        total += (end * sign * np.exp(-1j * k * (p * eta_e + s * eta_e * eta_e))
-                  * faddeeva(1j * sign * scale * slope))
+    # both aperture ends, -h then h, in one faddeeva call
+    eta_e = np.array([[-h], [h]])
+    slope = p + 2.0 * s * eta_e          # phi'(eta_e) / k
+    sign = np.where(slope >= 0.0, 1.0, -1.0)
+    ends = (sign * np.exp(-1j * k * (p * eta_e + s * eta_e * eta_e))
+            * faddeeva(1j * sign * scale * slope))
+    total = ends[0] - ends[1]
     inside = (p - 2.0 * s * h < 0.0) & (p + 2.0 * s * h >= 0.0)
     total[inside] += 2.0 * np.exp(1j * k * p[inside] ** 2 / (4.0 * s[inside]))
     val = (np.sqrt(np.pi) / (2.0 * np.exp(0.25j * np.pi) * np.sqrt(k * s))

@@ -74,7 +74,9 @@ MIN_MC_SAMPLES = 10_000
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Deployment scenario: disk radius, array lengths, carrier, and which
-    visibility branch is conditioned on."""
+    visibility branch is conditioned on; the centre distance ``x0`` is
+    given in the conditional-on-x0 scenario, the one that reads it, and
+    in no other."""
 
     R: float
     L_T: float
@@ -86,14 +88,19 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        if self.x0 is not None and not math.isfinite(self.x0):
+            raise ValueError("x0 must be finite")
         if self.scenario == CONDITIONAL_ON_X0:
             if self.x0 is None or not (0.0 < self.x0 <= self.R):
-                raise ValueError("conditional scenario needs x0 in (0, R]")
+                raise ValueError(f"x0 must be in (0, R] in the {CONDITIONAL_ON_X0!r} "
+                                 f"scenario, got {self.x0!r} with R = {self.R!r}")
+        elif self.x0 is not None:
+            raise ValueError(f"x0 must be given only in the {CONDITIONAL_ON_X0!r} "
+                             f"scenario, which alone reads it, got {self.x0!r} "
+                             f"in {self.scenario!r}")
         if not all(math.isfinite(v) and v > 0
                    for v in (self.R, self.L_T, self.L_R, self.frequency)):
             raise ValueError("R, lengths, and frequency must be positive and finite")
-        if self.x0 is not None and not math.isfinite(self.x0):
-            raise ValueError("x0 must be finite")
 
     @property
     def wavelength(self):

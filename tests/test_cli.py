@@ -201,6 +201,9 @@ class TestConfigHandling:
         # a section is checked whether or not the command reads it
         ("dof", {"sweep": {"parameter": "bogus"}}, "sweep.parameter"),
         ("stats", {"stats": {"x0": -3.0, **_SMALL_STATS}}, "stats.x0"),
+        # a value no step reads: only the conditional scenario reads x0
+        ("stats", {"stats": {"scenario": "full-visibility", "x0": 5.0,
+                             **_SMALL_STATS}}, "stats.x0"),
         # lengths and frequency, once refused by the link (exit 1)
         ("dof --l-t -1", {}, "L_T_m"),
         ("dof", {"frequency_hz": 0}, "frequency_hz"),
@@ -210,7 +213,8 @@ class TestConfigHandling:
             "sweep-start-nan", "stats-r-nan", "zeta-ref-nan", "steps-above-cap",
             "n-samples-above-cap", "grid-points-above-cap", "mc-samples-above-cap",
             "steps-fraction", "steps-text", "stats-r-text", "dof-bad-sweep",
-            "stats-x0-negative-unused", "length-flag-negative", "frequency-zero"])
+            "stats-x0-negative-unused", "stats-x0-unread", "length-flag-negative",
+            "frequency-zero"])
     def test_value_outside_domain_exit_2(self, tmp_path, capsys, command, config,
                                          key):
         """A field of the wrong kind or out of range exits 2 and names the
@@ -519,14 +523,18 @@ class TestFigureCommand:
         them and its loop runs on them."""
         loop, bindings = FIGURES["fig10"]
         assert (bindings["R"], bindings["scenario"]) == (20.0, stats.CONDITIONAL_ON_X0)
-        p = {**bindings, "R": 30.0, "scenario": stats.FULL_VISIBILITY,
-             "cases": [[5.0, 2.0]], "grid_points": 5, "mc_samples": 0}
+        # x0 = 25 m lies inside R = 30 m but outside the bound 20 m
+        p = {**bindings, "R": 30.0, "cases": [[25.0, 2.0]], "grid_points": 5,
+             "mc_samples": 0}
         _, cols, _ = loop(p, 0)
-        cfg = stats.ScenarioConfig(R=30.0, L_T=0.2, L_R=2.0, x0=5.0, frequency=30e9,
-                                   scenario=stats.FULL_VISIBILITY)
+        cfg = stats.ScenarioConfig(R=30.0, L_T=0.2, L_R=2.0, x0=25.0, frequency=30e9,
+                                   scenario=stats.CONDITIONAL_ON_X0)
         expected = curve_rows(cfg, 5, 0, 0)[1]
         for got, want in zip(cols[2:], expected):
             np.testing.assert_array_equal(got, want)
+        # a scenario that reads no x0 refuses the cases' x0
+        with pytest.raises(ValueError, match="x0 must be given only"):
+            loop({**p, "scenario": stats.FULL_VISIBILITY}, 0)
 
     def test_curve_figure_warns_on_large_error_estimate(self, capsys, monkeypatch):
         from dataclasses import replace
@@ -784,14 +792,19 @@ class TestReentrancy:
 
 
 class TestImports:
-    def test_sweep_loads_neither_scipy_nor_mpmath(self, tmp_path):
-        """Importing the CLI and running a sweep loads neither scipy nor
-        mpmath: only the kernel and the test references need them."""
+    @pytest.mark.parametrize("command, config", [
+        (["sweep"], {"sweep": {"parameter": "theta_T", "start": -3.14,
+                               "stop": 3.14, "steps": 721}}),
+        (["kernel-scan", "--theta-t", "0.3"], None),
+        (["figure", "--id", "fig3a"], None),
+    ], ids=["sweep", "kernel-scan", "fig3a"])
+    def test_sweep_loads_neither_scipy_nor_mpmath(self, tmp_path, command, config):
+        """Importing the CLI and running a sweep, a kernel scan or a kernel
+        figure loads neither scipy nor mpmath: only ``erfi``,
+        ``integrate`` and the test references need them."""
         entry = ("import sys; from nfdof.cli import main; code = main(); "
                  "print(code, sorted(m for m in sys.modules "
                  "if m.partition('.')[0] in ('scipy', 'mpmath')))")
-        sweep = {"sweep": {"parameter": "theta_T", "start": -3.14, "stop": 3.14,
-                           "steps": 721}}
-        argv = ["sweep", *_config_args(tmp_path, sweep),
-                "--out", str(tmp_path / "sweep.csv")]
+        argv = [*command, *_config_args(tmp_path, config),
+                "--out", str(tmp_path / "out.csv")]
         assert _fresh_process(argv, entry) == (0, "0 []\n", "")

@@ -104,6 +104,27 @@ class TestFaddeeva:
             faddeeva(np.array([1.0, float("nan")]))
 
 
+class TestFaddeevaOnTheKernelRay:
+    """The kernel takes w only on z = x exp(3i pi / 4), x >= 0."""
+
+    def test_against_mpmath_on_the_ray(self):
+        """Dense where Weideman's approximation is weakest, x in [4, 14]."""
+        x = np.concatenate(([0.0], np.linspace(0.0, 4.0, 60),
+                            np.linspace(4.0, 14.0, 400), np.logspace(1.2, 9.0, 140)))
+        z = x * np.exp(0.75j * np.pi)
+        got = faddeeva(z)
+        assert np.all(np.abs(got) <= 1.0)
+        with mpmath.workdps(30):
+            for zi, wi in zip(z, got):
+                zz = mpmath.mpc(zi.real, zi.imag)
+                ref = complex(mpmath.exp(-zz * zz) * mpmath.erfc(-1j * zz))
+                assert abs(wi - ref) <= 1e-13 * abs(ref)
+
+    def test_lower_half_plane_refused(self):
+        with pytest.raises(ValueError, match="upper half-plane"):
+            faddeeva(np.array([1.0 + 1.0j, 1.0 - 1e-300j]))
+
+
 class TestIntegrate:
     def test_constant(self):
         assert integrate(lambda x: 1.0, 0.0, 1.0).value == pytest.approx(1.0, abs=1e-12)

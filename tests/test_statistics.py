@@ -39,6 +39,15 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             cfg(scenario=CONDITIONAL_ON_X0, x0=25.0)
 
+    @pytest.mark.parametrize("scenario", [FULL_VISIBILITY, PARTIAL_R_PLUS,
+                                          PARTIAL_R_MINUS])
+    def test_x0_only_where_read(self, scenario):
+        """Only the conditional scenario reads x0; the others refuse one
+        rather than carry a value the curve never used."""
+        with pytest.raises(ValueError, match="x0 must be given only in the "
+                                             "'conditional-on-x0' scenario"):
+            cfg(scenario=scenario, x0=5.0)
+
     def test_positive_parameters(self):
         with pytest.raises(ValueError):
             cfg(R=0.0)
