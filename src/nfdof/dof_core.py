@@ -13,12 +13,15 @@ All angles ``a`` are measured from the effective transmit center to the
 receive point, quadrant-correct.
 
 ``dof_arrays`` evaluates the count for every link of a ``LinkGeometry``
-of arrays at once: ``classify_arrays`` for the visibility, then the
-boundary angles, ``rho_c``, ``m_plus``/``m_minus``, ``m_real`` and
-``m_int`` as numpy expressions over the whole arrays: a sweep is one
-call and one ``DofResult`` of arrays.  ``dof`` runs the same mode-span
-expressions on one link, after the scalar ``classify_visibility``, so
-the count has one path and every link's numbers are bitwise the sweep's.
+of arrays at once, of any shape (0-d arrays give 0-d fields):
+``classify_arrays`` for the visibility, then the boundary angles,
+``rho_c``, ``m_plus``/``m_minus``, ``m_real`` and ``m_int`` as numpy
+expressions over the whole arrays: a sweep is one call and one
+``DofResult`` of arrays.  ``dof`` runs the same mode-span expressions on
+one link, after the scalar ``classify_visibility``.  Both classifiers
+read one visibility decision (``geometry._decide``, the array path
+through its table), so the count has one path and every link's numbers
+are bitwise the sweep's.
 Every point on an array comes from ``geometry.point_on``.
 ``taylor_coeffs`` takes one link's report and refuses a report of arrays.
 """
@@ -152,8 +155,9 @@ def dof_arrays(links: LinkGeometry) -> DofResult:
     span = [np.where(visible, v, np.nan) for v in span]
     m_real = span[-1]
     # Python ints, as dof's round() gives: exact past 2**63, and a
-    # non-finite count raises round()'s error
-    m_int = _to_int(np.where(visible, np.rint(m_real), 0.0))
+    # non-finite count raises round()'s error; ``out`` keeps 0-d an array
+    m_int = _to_int(np.where(visible, np.rint(m_real), 0.0),
+                    out=np.empty(m_real.shape, dtype=object))
     touching = vis.status == geometry.TOUCHING
     m_real[~visible & ~touching] = 0.0
     m_int[touching] = None

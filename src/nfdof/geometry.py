@@ -45,20 +45,18 @@ visible, and likewise on the transmit array.
 
 Arrays of links
 ---------------
-``link_arrays`` is ``make_link`` over parameter arrays (a sweep is one
-call): the same ``LinkGeometry``, its fields arrays of one shape.
-``classify_arrays`` classifies all of them at once with numpy masks and
-returns the same ``VisibilityReport`` with arrays for fields.  It
-repeats ``classify_visibility`` expression for expression and branch
-for branch, so each link's status, endpoint and effective segment are
-bitwise the scalar report's (the overlap test stays ``math.hypot``,
-which ``np.hypot`` differs from in the last bit).
-A single link has one path, ``make_link`` then ``classify_visibility``:
-a one-element ``classify_arrays`` call takes ~110 us against ~3 us,
-which the kernel scan, the channel matrix, ``dof`` and the tests'
-oracles would pay on every link.
+``link_arrays`` is ``make_link`` over parameter arrays of any shape, 0-d
+too (a sweep is one call).  Both classifiers read one decision,
+``_decide`` of the six signs of d(R+), d(R-), d(T+), d(T-), a and b:
+``classify_visibility`` calls it, and ``classify_arrays`` looks it up in
+a table of its 3**6 values built at import.  The other expressions are
+the same on both paths, so each link's report is bitwise the scalar one
+(the overlap test stays ``math.hypot``; ``np.hypot`` differs in the last
+bit).  One link takes ``make_link`` then ``classify_visibility``: a
+one-element ``classify_arrays`` call costs some 40 times as much.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -84,6 +82,7 @@ VISIBLE = (FULL, PARTIAL_TX, PARTIAL_RX)  # the statuses of links with modes
 # half-width of the zero band of a signed distance, per metre of
 # |x0| + |y0| + (L_T + L_R) / 2: eight units of rounding
 _ZERO_BAND = 8 * 2.0 ** -52
+_COLLINEAR = "collinear"  # _decide's marker, settled by the overlap test
 
 
 def wrap_angle(theta):
@@ -158,15 +157,37 @@ class VisibilityReport:
     zeta_c: float = 0.0
 
 
-def _partial_segment(L, s_i, plus_visible):
-    """Effective length and signed center of a partially visible array.
+def _decide(r_plus, r_minus, t_plus, t_minus, sign_a, sign_b):
+    """Status and visible endpoint from the signs (-1, 0 or 1) of d(R+),
+    d(R-), d(T+), d(T-), a and b, for both classifiers; a collinear link
+    (all four distances zero) gets ``_COLLINEAR``."""
+    if r_plus == r_minus == t_plus == t_minus == 0:
+        return _COLLINEAR, None
+    crosses_tx, crosses_rx = t_plus * t_minus, r_plus * r_minus
+    if crosses_tx <= 0 and crosses_rx <= 0:
+        return TOUCHING, None
+    if crosses_tx < 0 and sign_a > 0:
+        return PARTIAL_TX, "T+" if t_plus > 0 else "T-"
+    if crosses_rx < 0 and sign_b > 0:
+        return PARTIAL_RX, "R+" if r_plus > 0 else "R-"
+    if crosses_tx < 0 or crosses_rx < 0 or sign_a <= 0 or sign_b <= 0:
+        return NO_VISIBILITY, None
+    return FULL, None
 
-    The visible interval is [s_i, L/2] when the + endpoint is visible and
-    [-L/2, s_i] when the - endpoint is visible.
-    """
-    if plus_visible:
-        return L / 2.0 - s_i, (s_i + L / 2.0) / 2.0
-    return s_i + L / 2.0, (s_i - L / 2.0) / 2.0
+
+# _decide at the index that reads its arguments + 1 as base-3 digits, in order
+_DECISIONS = [_decide(*signs) for signs in itertools.product((-1, 0, 1), repeat=6)]
+_STATUSES = np.array([status for status, _ in _DECISIONS])
+_ENDPOINTS = np.array([endpoint for _, endpoint in _DECISIONS], dtype=object)
+
+
+def _partial_segment(L, d, sd, plus):
+    """Effective length and signed center of a partially visible array of
+    length ``L``, ``plus`` the sign of its visible endpoint, cut where the
+    other line crosses it: at ``d / sd``, through the line parameter 0.5 +
+    q (0 at the - endpoint, 1 at the + one), the rounding the CLI carries."""
+    cut = ((0.5 + d / (L * sd)) - 0.5) * L
+    return L / 2.0 - plus * cut, (cut + plus * L / 2.0) / 2.0
 
 
 def classify_visibility(link: LinkGeometry) -> VisibilityReport:
@@ -184,30 +205,19 @@ def classify_visibility(link: LinkGeometry) -> VisibilityReport:
 
     r_plus, r_minus = sign(a + 0.5 * LR * sd), sign(a - 0.5 * LR * sd)
     t_plus, t_minus = sign(b - 0.5 * LT * sd), sign(b + 0.5 * LT * sd)
-    if r_plus == r_minus == t_plus == t_minus == 0:
+    status, endpoint = _decide(r_plus, r_minus, t_plus, t_minus, sign(a), sign(b))
+    if status == _COLLINEAR:
         overlap = math.hypot(x0, y0) <= 0.5 * (LT + LR)
         return VisibilityReport(TOUCHING if overlap else NO_VISIBILITY)
-    crosses_tx, crosses_rx = t_plus * t_minus, r_plus * r_minus
-    if crosses_tx <= 0 and crosses_rx <= 0:
-        return VisibilityReport(TOUCHING)
-    if crosses_tx < 0 or crosses_rx < 0:
-        # one line crosses the other segment (sd != 0 here); the crossing
-        # coordinates go through the line parameter 0.5 + q (0 at the -
-        # endpoint, 1 at the + one), the rounding the CLI outputs carry
-        eta_cut = ((0.5 + b / (LT * sd)) - 0.5) * LT
-        zeta_cut = ((0.5 - a / (LR * sd)) - 0.5) * LR
-        if crosses_tx < 0 and sign(a) > 0:
-            l_T, eta_c = _partial_segment(LT, eta_cut, t_plus > 0)
-            return VisibilityReport(PARTIAL_TX, "T+" if t_plus > 0 else "T-",
-                                    l_T=l_T, l_R=LR, eta_c=eta_c)
-        if crosses_rx < 0 and sign(b) > 0:
-            l_R, zeta_c = _partial_segment(LR, zeta_cut, r_plus > 0)
-            return VisibilityReport(PARTIAL_RX, "R+" if r_plus > 0 else "R-",
-                                    l_T=LT, l_R=l_R, zeta_c=zeta_c)
-        return VisibilityReport(NO_VISIBILITY)
-    if sign(a) > 0 and sign(b) > 0:
-        return VisibilityReport(FULL, l_T=LT, l_R=LR)
-    return VisibilityReport(NO_VISIBILITY)
+    if status == PARTIAL_TX:
+        l_T, eta_c = _partial_segment(LT, b, sd, t_plus)
+        return VisibilityReport(status, endpoint, l_T=l_T, l_R=LR, eta_c=eta_c)
+    if status == PARTIAL_RX:
+        l_R, zeta_c = _partial_segment(LR, -a, sd, r_plus)
+        return VisibilityReport(status, endpoint, l_T=LT, l_R=l_R, zeta_c=zeta_c)
+    if status == FULL:
+        return VisibilityReport(status, l_T=LT, l_R=LR)
+    return VisibilityReport(status)
 
 
 def link_arrays(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkGeometry:
@@ -234,15 +244,9 @@ def link_arrays(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkGeometry:
     return LinkGeometry(p["L_T"], p["L_R"], thT, thR, p["x0"], p["y0"], lam)
 
 
-def _partial_segments(L, s_i, plus_visible):
-    """``_partial_segment`` over arrays."""
-    return (np.where(plus_visible, L / 2.0 - s_i, s_i + L / 2.0),
-            np.where(plus_visible, (s_i + L / 2.0) / 2.0, (s_i - L / 2.0) / 2.0))
-
-
 def classify_arrays(links: LinkGeometry) -> VisibilityReport:
-    """``classify_visibility`` of every link in ``links``: the same
-    expressions, with the branches as masks taken in the same order."""
+    """``classify_visibility`` of every link in ``links``: the same signs
+    and segment expressions, the decision read from ``_decide``'s table."""
     thT, thR, LT, LR = links.theta_T, links.theta_R, links.L_T, links.L_R
     x0, y0 = links.x0, links.y0
     with np.errstate(all="ignore"):
@@ -256,31 +260,23 @@ def classify_arrays(links: LinkGeometry) -> VisibilityReport:
 
         r_plus, r_minus = sign(a + 0.5 * LR * sd), sign(a - 0.5 * LR * sd)
         t_plus, t_minus = sign(b - 0.5 * LT * sd), sign(b + 0.5 * LT * sd)
-        collinear = (r_plus == 0) & (r_minus == 0) & (t_plus == 0) & (t_minus == 0)
-        overlap = np.zeros(collinear.shape, dtype=bool)
-        overlap[collinear] = np.array(
-            [math.hypot(x, y) for x, y in zip(x0[collinear].tolist(),
-                                              y0[collinear].tolist())],
-            dtype=float) <= 0.5 * (LT[collinear] + LR[collinear])
-        crosses_tx, crosses_rx = t_plus * t_minus, r_plus * r_minus
-        # collinear, or each line meets the other segment
-        settled = collinear | ((crosses_tx <= 0) & (crosses_rx <= 0))
-        crossing = ~settled & ((crosses_tx < 0) | (crosses_rx < 0))
-        a_ahead, b_ahead = sign(a) > 0, sign(b) > 0
-        partial_tx = crossing & (crosses_tx < 0) & a_ahead
-        partial_rx = crossing & (crosses_rx < 0) & b_ahead
-        full = ~settled & ~crossing & a_ahead & b_ahead
-        eta_cut = ((0.5 + b / (LT * sd)) - 0.5) * LT
-        zeta_cut = ((0.5 - a / (LR * sd)) - 0.5) * LR
-        l_T_part, eta_c = _partial_segments(LT, eta_cut, t_plus > 0)
-        l_R_part, zeta_c = _partial_segments(LR, zeta_cut, r_plus > 0)
-    touching = np.where(collinear, overlap, settled)
+        index = np.zeros(np.shape(a), dtype=np.intp)
+        for digit in (r_plus, r_minus, t_plus, t_minus, sign(a), sign(b)):
+            index = 3 * index + (digit + 1)
+        l_T_part, eta_c = _partial_segment(LT, b, sd, t_plus)
+        l_R_part, zeta_c = _partial_segment(LR, -a, sd, r_plus)
+    # a flat index: the lookup is a copy, and an array, for 0-d links too
+    flat, shape = index.reshape(-1), index.shape
+    status = _STATUSES[flat].reshape(shape)
+    collinear = status == _COLLINEAR
+    d0 = [math.hypot(x, y)
+          for x, y in zip(x0[collinear].tolist(), y0[collinear].tolist())]
+    overlap = np.array(d0) <= 0.5 * (LT + LR)[collinear]
+    status[collinear] = np.where(overlap, TOUCHING, NO_VISIBILITY)
+    partial_tx, partial_rx = status == PARTIAL_TX, status == PARTIAL_RX
+    full = status == FULL
     return VisibilityReport(
-        status=np.select([touching, full, partial_tx, partial_rx],
-                         [TOUCHING, FULL, PARTIAL_TX, PARTIAL_RX], NO_VISIBILITY),
-        visible_endpoint=np.select([partial_tx & (t_plus > 0), partial_tx,
-                                    partial_rx & (r_plus > 0), partial_rx],
-                                   ["T+", "T-", "R+", "R-"], None),
+        status=status, visible_endpoint=_ENDPOINTS[flat].reshape(shape),
         l_T=np.where(partial_tx, l_T_part, np.where(full | partial_rx, LT, 0.0)),
         l_R=np.where(partial_rx, l_R_part, np.where(full | partial_tx, LR, 0.0)),
         eta_c=np.where(partial_tx, eta_c, 0.0),

@@ -87,7 +87,9 @@ def check(links):
 def test_one_record_per_kind():
     """One link and many give the same records: ``VisibilityReport`` from
     both classifiers, ``DofResult`` from ``dof`` and ``dof_arrays``, the
-    array path's warnings left empty."""
+    array path's warnings left empty.  Scalar parameters give the array
+    core 0-d links, and it returns 0-d fields bitwise the scalar path's,
+    for a link of each status."""
     args = (0.2, 5.0, 0.0, np.pi, 0.5, 0.0, F)
     one, many = make_link(*args), link_arrays(*args[:4], [0.5, 10.0], *args[5:])
     assert type(classify_arrays(many)) is type(classify_visibility(one)) is VisibilityReport
@@ -95,6 +97,18 @@ def test_one_record_per_kind():
     assert type(arrays) is type(scalar) is DofResult
     assert type(arrays.visibility) is type(scalar.visibility) is VisibilityReport
     assert scalar.warnings and arrays.warnings == []
+    for params in (args, (0.2, 5.0, 0.0, np.pi, 10.0, 0.0, F),      # full
+                   (0.2, 5.0, 0.0, 0.0, 0.0, 1.0, F),               # touching
+                   (0.2, 5.0, 0.0, 0.0, 10.0, 0.0, F),              # no-visibility
+                   (1.0, 0.2, 0.3, 2.0, 0.5, 0.3, F),               # partial-tx
+                   (0.5, 5.0, 0.6, np.pi - 0.5, 0.3, 0.0, F)):      # partial-rx
+        scalar, point = dof(make_link(*params)), dof_arrays(link_arrays(*params))
+        fields = [(getattr(point, name), getattr(scalar, name)) for name in DOF_FIELDS]
+        fields += [(getattr(point.visibility, name), getattr(scalar.visibility, name))
+                   for name in ("status", "visible_endpoint", *SEGMENT_FIELDS)]
+        for got, want in fields:
+            assert type(got) is np.ndarray and got.ndim == 0, params
+            assert same(got.item(), want), params
 
 
 def rotated(phi, L_T, L_R, thT, thR, x0, y0):
