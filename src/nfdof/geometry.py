@@ -31,9 +31,10 @@ Parallel lines give d(T+) = d(T-) and d(R+) = d(R-), so they need no
 branch of their own.  Every sign comes from one predicate: a distance
 within ``8 * 2**-52 * (|x0| + |y0| + (L_T + L_R) / 2)`` of zero, the
 rounding level of its terms, counts as zero, so a decision never rests
-on rounding noise.  When all four distances are zero the segments are
-collinear, and they touch if they overlap (``d0 <= (L_T + L_R) / 2``)
-and see nothing otherwise.
+on rounding noise; nor does a cut end (below), which takes a or b as 0
+where its sign is zero.  When all four distances are zero the segments
+are collinear, and they touch if they overlap (``d0 <= (L_T + L_R) /
+2``) and see nothing otherwise.
 
 For partial cases the visible sub-segment is reported through its
 effective length and its signed center offset along the array, measured
@@ -205,15 +206,16 @@ def classify_visibility(link: LinkGeometry) -> VisibilityReport:
 
     r_plus, r_minus = sign(a + 0.5 * LR * sd), sign(a - 0.5 * LR * sd)
     t_plus, t_minus = sign(b - 0.5 * LT * sd), sign(b + 0.5 * LT * sd)
-    status, endpoint = _decide(r_plus, r_minus, t_plus, t_minus, sign(a), sign(b))
+    sign_a, sign_b = sign(a), sign(b)
+    status, endpoint = _decide(r_plus, r_minus, t_plus, t_minus, sign_a, sign_b)
     if status == _COLLINEAR:
         overlap = math.hypot(x0, y0) <= 0.5 * (LT + LR)
         return VisibilityReport(TOUCHING if overlap else NO_VISIBILITY)
     if status == PARTIAL_TX:
-        l_T, eta_c = _partial_segment(LT, b, sd, t_plus)
+        l_T, eta_c = _partial_segment(LT, b if sign_b else 0.0, sd, t_plus)
         return VisibilityReport(status, endpoint, l_T=l_T, l_R=LR, eta_c=eta_c)
     if status == PARTIAL_RX:
-        l_R, zeta_c = _partial_segment(LR, -a, sd, r_plus)
+        l_R, zeta_c = _partial_segment(LR, -a if sign_a else 0.0, sd, r_plus)
         return VisibilityReport(status, endpoint, l_T=LT, l_R=l_R, zeta_c=zeta_c)
     if status == FULL:
         return VisibilityReport(status, l_T=LT, l_R=LR)
@@ -260,11 +262,12 @@ def classify_arrays(links: LinkGeometry) -> VisibilityReport:
 
         r_plus, r_minus = sign(a + 0.5 * LR * sd), sign(a - 0.5 * LR * sd)
         t_plus, t_minus = sign(b - 0.5 * LT * sd), sign(b + 0.5 * LT * sd)
+        sign_a, sign_b = sign(a), sign(b)
         index = np.zeros(np.shape(a), dtype=np.intp)
-        for digit in (r_plus, r_minus, t_plus, t_minus, sign(a), sign(b)):
+        for digit in (r_plus, r_minus, t_plus, t_minus, sign_a, sign_b):
             index = 3 * index + (digit + 1)
-        l_T_part, eta_c = _partial_segment(LT, b, sd, t_plus)
-        l_R_part, zeta_c = _partial_segment(LR, -a, sd, r_plus)
+        l_T_part, eta_c = _partial_segment(LT, np.where(sign_b, b, 0.0), sd, t_plus)
+        l_R_part, zeta_c = _partial_segment(LR, np.where(sign_a, -a, 0.0), sd, r_plus)
     # a flat index: the lookup is a copy, and an array, for 0-d links too
     flat, shape = index.reshape(-1), index.shape
     status = _STATUSES[flat].reshape(shape)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nfdof import geometry
 from nfdof.geometry import classify_visibility, make_link, point_on, wrap_angle
@@ -186,6 +186,10 @@ class TestDegenerateLinks:
        thT=st.floats(-3.0, 3.0), thR=st.floats(-3.0, 3.0),
        x0=st.floats(-15, 15), y0=st.floats(-15, 15))
 @settings(max_examples=150, deadline=None)
+# a = 0 unrotated and a rounding residue rotated: a cut end taken from the
+# raw a moved l_R by 6e-9 and 4e-5
+@example(phi=1e-8, thT=0.0, thR=1e-8, x0=0.0, y0=-1.0)
+@example(phi=3.229110206140325e-12, thT=0.0, thR=-3.229110206140325e-12, x0=0.0, y0=1.0)
 def test_rotation_invariance(phi, thT, thR, x0, y0):
     """Jointly rotating the scene about the origin preserves the report."""
     if np.hypot(x0, y0) < 1.0:
