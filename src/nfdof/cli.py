@@ -8,9 +8,10 @@ section key; with the flags applied ``_check`` holds config and flag
 values alike to it, so an unknown key, a value of the wrong kind or one
 outside its domain exits 2, naming the field, before anything is computed.
 Every file output is accompanied by a ``<name>.manifest.json`` echoing
-the full parameter set and seed (for ``figure``, the recipe's bindings
-and the seed, which are all that it uses), and reruns with identical
-inputs are byte-identical.
+the full parameter set and seed (for ``stats``, the ``STATS_FIELDS``
+that its curve reads; for ``figure``, the recipe's bindings and the
+seed, which are all that it uses), and reruns with identical inputs are
+byte-identical.
 
 Output is columnar from the computation to the bytes: each command
 takes the columns of one shared loop in ``figures`` and formats each
@@ -44,6 +45,9 @@ from .kernel import MIN_SCAN_SAMPLES
 from .svd_oracle import DEFAULT_SUM_RULE_FRACTION
 
 SWEEPABLE = ("theta_T", "theta_R", "x0", "y0", "L_T", "L_R", "frequency")
+# the config fields that ``stats`` reads and its manifest records, so that
+# a flag it ignores (``--x0``) leaves the manifest as it was
+STATS_FIELDS = ("L_T_m", "L_R_m", "frequency_hz", "seed", "stats")
 # config field -> its flag: ``--seed`` takes an integer, the others floats
 FLAGS = {"seed": "--seed", "frequency_hz": "--frequency-hz", "L_T_m": "--l-t",
          "L_R_m": "--l-r", "x0_m": "--x0", "y0_m": "--y0", "theta_T": "--theta-t",
@@ -302,9 +306,10 @@ def cmd_stats(cfg, args):
     header, columns, quadrature = curve_rows(scen_cfg, grid_points, mc_samples,
                                              cfg["seed"])
     _warn_quadrature(quadrature)
+    parameters = {key: cfg[key] for key in STATS_FIELDS}
     _emit(header + ["mc_samples", "seed"],
           columns + [[mc_samples] * grid_points, [cfg["seed"]] * grid_points], args,
-          _manifest("stats", parameters=cfg, scenario=asdict(scen_cfg),
+          _manifest("stats", parameters=parameters, scenario=asdict(scen_cfg),
                     quadrature=quadrature))
     return 0
 

@@ -444,6 +444,21 @@ class TestStatsCommand:
         assert code == 0
         assert "error estimate 2.00e-09" in err
 
+    def test_manifest_records_what_the_curve_reads(self, tmp_path):
+        """Flags that the curve ignores change neither the data nor the
+        manifest."""
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"stats": {"grid_points": 5, "mc_samples": 0}}))
+        outs = [tmp_path / "plain.csv", tmp_path / "flags.csv"]
+        for out, flags in zip(outs, ([], ["--x0", "5", "--theta-t", "1"])):
+            argv = ["stats", "--config", str(cfgfile), *flags, "--out", str(out)]
+            assert main(argv) == 0
+        plain, flags = (Path(f"{out}.manifest.json").read_bytes() for out in outs)
+        assert plain == flags
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert sorted(json.loads(plain)["parameters"]) == sorted(
+            ["L_T_m", "L_R_m", "frequency_hz", "seed", "stats"])
+
     def test_bad_scenario_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps({"stats": {"scenario": "bogus"}}))
