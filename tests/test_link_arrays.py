@@ -99,6 +99,7 @@ def test_one_record_per_kind():
     assert scalar.warnings and arrays.warnings == []
     for params in (args, (0.2, 5.0, 0.0, np.pi, 10.0, 0.0, F),      # full
                    (0.2, 5.0, 0.0, 0.0, 0.0, 1.0, F),               # touching
+                   (0.2, 5.0, 0.0, 0.0, 0.0, 12.7, F),              # collinear apart
                    (0.2, 5.0, 0.0, 0.0, 10.0, 0.0, F),              # no-visibility
                    (1.0, 0.2, 0.3, 2.0, 0.5, 0.3, F),               # partial-tx
                    (0.5, 5.0, 0.6, np.pi - 0.5, 0.3, 0.0, F)):      # partial-rx
