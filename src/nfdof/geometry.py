@@ -33,8 +33,8 @@ within ``8 * 2**-52 * (|x0| + |y0| + (L_T + L_R) / 2)`` of zero, the
 rounding level of its terms, counts as zero, so a decision never rests
 on rounding noise; nor does a cut end (below), which takes a or b as 0
 where its sign is zero.  When all four distances are zero the segments
-are collinear, and they touch if they overlap (``d0 <= (L_T + L_R) /
-2``) and see nothing otherwise.
+are collinear: they touch if they overlap, ``LinkGeometry.d0 <= (L_T +
+L_R) / 2`` on both paths, and see nothing otherwise.
 
 For partial cases the visible sub-segment is reported through its
 effective length and its signed center offset along the array, measured
@@ -48,13 +48,13 @@ Arrays of links
 ---------------
 ``link_arrays`` is ``make_link`` over parameter arrays of any shape, 0-d
 too (a sweep is one call).  Both classifiers read one decision,
-``_decide`` of the six signs of d(R+), d(R-), d(T+), d(T-), a and b:
-``classify_visibility`` calls it, and ``classify_arrays`` looks it up in
-a table of its 3**6 values built at import.  The other expressions are
-the same on both paths, so each link's report is bitwise the scalar one
-(the overlap test stays ``math.hypot``; ``np.hypot`` differs in the last
-bit).  One link takes ``make_link`` then ``classify_visibility``: a
-one-element ``classify_arrays`` call costs some 40 times as much.
+``_decide`` of the six signs of d(R+), d(R-), d(T+), d(T-), a and b and
+of the overlap: ``classify_visibility`` calls it, and ``classify_arrays``
+looks it up in a table of its 3**6 * 2 values built at import.  The
+other expressions are the same on both paths, so each link's report is
+bitwise the scalar one.  One link takes ``make_link`` then
+``classify_visibility``: a one-element ``classify_arrays`` call costs
+some 40 times as much.
 """
 
 import itertools
@@ -83,7 +83,6 @@ VISIBLE = (FULL, PARTIAL_TX, PARTIAL_RX)  # the statuses of links with modes
 # half-width of the zero band of a signed distance, per metre of
 # |x0| + |y0| + (L_T + L_R) / 2: eight units of rounding
 _ZERO_BAND = 8 * 2.0 ** -52
-_COLLINEAR = "collinear"  # _decide's marker, settled by the overlap test
 
 
 def wrap_angle(theta):
@@ -158,12 +157,13 @@ class VisibilityReport:
     zeta_c: float = 0.0
 
 
-def _decide(r_plus, r_minus, t_plus, t_minus, sign_a, sign_b):
+def _decide(r_plus, r_minus, t_plus, t_minus, sign_a, sign_b, overlap):
     """Status and visible endpoint from the signs (-1, 0 or 1) of d(R+),
-    d(R-), d(T+), d(T-), a and b, for both classifiers; a collinear link
-    (all four distances zero) gets ``_COLLINEAR``."""
+    d(R-), d(T+), d(T-), a and b, for both classifiers.  ``overlap`` (``d0
+    <= (L_T + L_R) / 2``) is read only for a collinear link, all four
+    distances zero: it touches if it overlaps and sees nothing otherwise."""
     if r_plus == r_minus == t_plus == t_minus == 0:
-        return _COLLINEAR, None
+        return (TOUCHING if overlap else NO_VISIBILITY), None
     crosses_tx, crosses_rx = t_plus * t_minus, r_plus * r_minus
     if crosses_tx <= 0 and crosses_rx <= 0:
         return TOUCHING, None
@@ -176,10 +176,12 @@ def _decide(r_plus, r_minus, t_plus, t_minus, sign_a, sign_b):
     return FULL, None
 
 
-# _decide at the index that reads its arguments + 1 as base-3 digits, in order
-_DECISIONS = [_decide(*signs) for signs in itertools.product((-1, 0, 1), repeat=6)]
+# _decide's status, endpoint and partial-tx/partial-rx/full masks at the
+# index that reads its six signs + 1 as base-3 digits, then the overlap bit
+_DECISIONS = [_decide(*x) for x in itertools.product(*[(-1, 0, 1)] * 6, (0, 1))]
 _STATUSES = np.array([status for status, _ in _DECISIONS])
 _ENDPOINTS = np.array([endpoint for _, endpoint in _DECISIONS], dtype=object)
+_MASKS = np.array([_STATUSES == s for s in (PARTIAL_TX, PARTIAL_RX, FULL)])
 
 
 def _partial_segment(L, d, sd, plus):
@@ -207,19 +209,16 @@ def classify_visibility(link: LinkGeometry) -> VisibilityReport:
     r_plus, r_minus = sign(a + 0.5 * LR * sd), sign(a - 0.5 * LR * sd)
     t_plus, t_minus = sign(b - 0.5 * LT * sd), sign(b + 0.5 * LT * sd)
     sign_a, sign_b = sign(a), sign(b)
-    status, endpoint = _decide(r_plus, r_minus, t_plus, t_minus, sign_a, sign_b)
-    if status == _COLLINEAR:
-        overlap = math.hypot(x0, y0) <= 0.5 * (LT + LR)
-        return VisibilityReport(TOUCHING if overlap else NO_VISIBILITY)
+    # d0 only for a collinear link, the one case where _decide reads it
+    overlap = not (r_plus or r_minus or t_plus or t_minus) and link.d0 <= 0.5 * (LT + LR)
+    status, endpoint = _decide(r_plus, r_minus, t_plus, t_minus, sign_a, sign_b, overlap)
+    l_T, l_R = (LT, LR) if status in VISIBLE else (0.0, 0.0)
+    eta_c = zeta_c = 0.0
     if status == PARTIAL_TX:
         l_T, eta_c = _partial_segment(LT, b if sign_b else 0.0, sd, t_plus)
-        return VisibilityReport(status, endpoint, l_T=l_T, l_R=LR, eta_c=eta_c)
     if status == PARTIAL_RX:
         l_R, zeta_c = _partial_segment(LR, -a if sign_a else 0.0, sd, r_plus)
-        return VisibilityReport(status, endpoint, l_T=LT, l_R=l_R, zeta_c=zeta_c)
-    if status == FULL:
-        return VisibilityReport(status, l_T=LT, l_R=LR)
-    return VisibilityReport(status)
+    return VisibilityReport(status, endpoint, l_T, l_R, eta_c, zeta_c)
 
 
 def link_arrays(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkGeometry:
@@ -266,18 +265,13 @@ def classify_arrays(links: LinkGeometry) -> VisibilityReport:
         index = np.zeros(np.shape(a), dtype=np.intp)
         for digit in (r_plus, r_minus, t_plus, t_minus, sign_a, sign_b):
             index = 3 * index + (digit + 1)
+        index = 2 * index + (links.d0 <= 0.5 * (LT + LR))
         l_T_part, eta_c = _partial_segment(LT, np.where(sign_b, b, 0.0), sd, t_plus)
         l_R_part, zeta_c = _partial_segment(LR, np.where(sign_a, -a, 0.0), sd, r_plus)
     # a flat index: the lookup is a copy, and an array, for 0-d links too
     flat, shape = index.reshape(-1), index.shape
     status = _STATUSES[flat].reshape(shape)
-    collinear = status == _COLLINEAR
-    d0 = [math.hypot(x, y)
-          for x, y in zip(x0[collinear].tolist(), y0[collinear].tolist())]
-    overlap = np.array(d0) <= 0.5 * (LT + LR)[collinear]
-    status[collinear] = np.where(overlap, TOUCHING, NO_VISIBILITY)
-    partial_tx, partial_rx = status == PARTIAL_TX, status == PARTIAL_RX
-    full = status == FULL
+    partial_tx, partial_rx, full = _MASKS.take(flat, axis=1).reshape((3,) + shape)
     return VisibilityReport(
         status=status, visible_endpoint=_ENDPOINTS[flat].reshape(shape),
         l_T=np.where(partial_tx, l_T_part, np.where(full | partial_rx, LT, 0.0)),

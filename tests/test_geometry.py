@@ -172,6 +172,23 @@ class TestDegenerateLinks:
                 assert self.statuses(0.2, 5.0, 0.0, thR, 0.0, y0) \
                     == {geometry.NO_VISIBILITY}
 
+    @pytest.mark.parametrize("theta,x0,y0", [
+        # d0 is 2.6000000000000005 (math.hypot reads 2.6)
+        (-0.7387669856632635, 1.7507798281236127, 1.9221784499456482),
+        # d0 is 2.6 (math.hypot reads 2.6000000000000005)
+        (-0.1288822567533714, 0.3341669506785004, 2.5784360471173673),
+    ])
+    def test_collinear_overlap_reads_d0(self, theta, x0, y0):
+        """Collinear links on the overlap edge (L_T + L_R) / 2 = 2.6 are
+        decided on the link's own ``d0``, by both classifiers."""
+        lk = make_link(0.2, 5.0, theta, theta, x0, y0, frequency=F)
+        rep = classify_visibility(lk)
+        overlap = lk.d0 <= 0.5 * (lk.L_T + lk.L_R)
+        assert rep.status == (geometry.TOUCHING if overlap else geometry.NO_VISIBILITY)
+        many = geometry.classify_arrays(geometry.link_arrays(
+            0.2, 5.0, [theta], [theta], [x0], [y0], F))
+        assert many.status.tolist() == [rep.status]
+
     @pytest.mark.parametrize("thR,x0,status", [
         (np.pi, 10.0, geometry.FULL),            # facing each other
         (0.0, 10.0, geometry.NO_VISIBILITY),     # receive array faces away

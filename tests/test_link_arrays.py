@@ -199,8 +199,8 @@ def test_collinear_calls():
 
 def test_collinear_overlap_edge():
     """Collinear links whose centre distance rounds onto the overlap edge
-    (L_T + L_R) / 2: the decision follows ``math.hypot``, which differs
-    from ``np.hypot`` in the last bit on some of these rotations."""
+    (L_T + L_R) / 2: the decision follows the link's ``d0``, on both
+    paths."""
     half = 0.5 * (0.2 + 5.0)
     links = [rotated(phi, 0.2, 5.0, 0.0, 0.0, 0.0, d)
              for d in (half, np.nextafter(half, 3.0))
