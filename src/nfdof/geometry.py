@@ -187,9 +187,8 @@ _MASKS = np.array([_STATUSES == s for s in (PARTIAL_TX, PARTIAL_RX, FULL)])
 def _partial_segment(L, d, sd, plus):
     """Effective length and signed center of a partially visible array of
     length ``L``, ``plus`` the sign of its visible endpoint, cut where the
-    other line crosses it: at ``d / sd``, through the line parameter 0.5 +
-    q (0 at the - endpoint, 1 at the + one), the rounding the CLI carries."""
-    cut = ((0.5 + d / (L * sd)) - 0.5) * L
+    other line crosses it, at ``d / sd`` from its centre."""
+    cut = d / sd
     return L / 2.0 - plus * cut, (cut + plus * L / 2.0) / 2.0
 
 
