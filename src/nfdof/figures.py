@@ -198,7 +198,7 @@ def _conditional_curve_rows(p, seed):
 def _pov_rows(p, seed):
     x0, L_R = np.meshgrid(_grid(p["x0_grid"]), _grid(p["L_R_grid"]), indexing="ij")
     x0, L_R = x0.ravel(), L_R.ravel()
-    return ["x0", "L_R", "pov"], [x0, L_R, list(map(stats.pov, x0, L_R))], {}
+    return ["x0", "L_R", "pov"], [x0, L_R, stats.pov(x0, L_R)], {}
 
 
 _F, _LAM = 30e9, 0.01

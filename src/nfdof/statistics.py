@@ -283,9 +283,11 @@ def pdf(cfg: ScenarioConfig, mu):
 
 def pov(x0, L_R):
     """Probability that the receive array is at least partially visible:
-    1/2 + arctan(L_R / 2 x0) / pi."""
+    1/2 + arctan(L_R / 2 x0) / pi; a float for scalars, an array of the
+    broadcast shape for arrays."""
     _check_x0(x0)
-    return float(_mixture_weights(x0, L_R)[2])
+    v_total = _mixture_weights(x0, L_R)[2]
+    return float(v_total) if np.ndim(v_total) == 0 else v_total
 
 
 def _check_x0(x0):

@@ -150,10 +150,12 @@ def gram_powers(matrix: ChannelMatrix) -> ModePowers:
 def effective_dof(report, fraction=DEFAULT_SUM_RULE_FRACTION):
     """Smallest k whose leading-k cumulative singular power reaches
     ``fraction`` of the sum rule; ``report`` is an ``SvdReport`` or a
-    ``ModePowers``."""
+    ``ModePowers``.  The count is capped at the number of powers: the
+    running share may end a rounding short of 1."""
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must be in (0, 1)")
-    return int(np.searchsorted(report.cumulative_fraction, fraction) + 1)
+    cumulative = report.cumulative_fraction
+    return int(min(np.searchsorted(cumulative, fraction) + 1, cumulative.size))
 
 
 def svd_report(link: LinkGeometry, spacing=None) -> SvdReport:

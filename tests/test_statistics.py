@@ -171,6 +171,14 @@ class TestVisibilityProbability:
         with pytest.raises(ValueError):
             pov(0.0, 5.0)
 
+    def test_arrays_match_scalar_calls(self):
+        """pov of arrays is the scalar pov of each pair, bit for bit; a
+        scalar call returns a float."""
+        rng = np.random.default_rng(2)
+        x0, L_R = rng.uniform(0.01, 200.0, 1000), rng.uniform(0.1, 20.0, 1000)
+        assert pov(x0, L_R).tolist() == [pov(x, L) for x, L in zip(x0, L_R)]
+        assert type(pov(10.0, 5.0)) is float
+
     def test_against_mc(self):
         frac = visibility_fraction(10.0, 5.0, 200_000, seed=1)
         assert frac == pytest.approx(pov(10.0, 5.0), abs=5e-3)

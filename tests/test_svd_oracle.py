@@ -188,6 +188,13 @@ class TestEffectiveDof:
         with pytest.raises(ValueError):
             effective_dof(rep, 1.0)
 
+    def test_count_capped_at_the_modes(self):
+        """The running share of this SVD spectrum may end at 1 - 3.3e-16
+        (cumsum and sum round differently): a fraction above it still
+        counts no more modes than there are."""
+        rep = svd_report(make_link(0.2, 5.0, 0.0, np.pi, 10.0, 0.0, frequency=F))
+        assert effective_dof(rep, 0.9999999999999999) == rep.normalized_powers.size == 81
+
     def test_tilted_reference_spectrum(self):
         """Tilted receive array at half-wavelength sampling: the tenth
         mode is still strong, the eleventh decayed, ten modes carry just
