@@ -1,21 +1,25 @@
 """Independent mode count from the singular spectrum of the discretized
 channel matrix.
 
-``channel_matrix`` classifies its link itself, samples the effective
-segments of both arrays on uniform grids and fills the channel matrix H
-with the free-space Green's function (exact distances, no expansion).
-The number of effective modes is read off the singular-value sum rule:
-the smallest number of leading modes holding a given fraction of the
-total singular power ||H||_F^2.
+Both arrays' effective segments (``classify_visibility``'s report) are
+sampled on uniform grids, and the channel H between them is the
+free-space Green's function (exact distances, no expansion), written by
+one evaluator, ``_green``.  The number of effective modes is read off
+the singular-value sum rule: the smallest number of leading modes
+holding a given fraction of the total singular power ||H||_F^2.
 
-Two decompositions serve two kinds of caller.  A count needs only the
-total and the leading powers, so ``gram_powers`` takes the powers from
-the eigenvalues of the smaller Gram matrix (H^H H or H H^H), which costs
-a third of an SVD.  Squaring the condition number leaves the tail of
-those powers at rounding level (below ~1e-7 of the first one they may be
-off by orders of magnitude), so every caller that reports the spectrum
-itself uses ``singular_spectrum``, the SVD, which is also the tests'
-oracle for the count.
+Two paths serve two kinds of caller.  A count needs only the total and
+the leading powers, so ``mode_powers`` takes the powers from the
+eigenvalues of the smaller Gram matrix (H^H H or H H^H), which costs a
+third of an SVD.  It never holds H: the evaluator fills a block of a few
+hundred rows at a time in real arithmetic, and the Gram matrix is
+accumulated from the blocks.  Squaring the condition number leaves the
+tail of those powers at rounding level (below ~1e-7 of the first one
+they may be off by orders of magnitude), so every caller that reports
+the spectrum itself builds H with ``channel_matrix`` and decomposes it
+with ``singular_spectrum``, the SVD, which is also the tests' oracle for
+the count.  ``figures.svd_compare_rows`` runs the counts of a sweep on
+one thread per CPU.
 """
 
 import math
@@ -28,16 +32,19 @@ from .geometry import LinkGeometry, classify_visibility, point_on
 
 __all__ = [
     "ChannelMatrix", "SvdReport", "ModePowers",
-    "channel_matrix", "grid_shapes", "singular_spectrum", "gram_powers",
+    "channel_matrix", "grid_shapes", "singular_spectrum", "mode_powers",
     "effective_dof", "svd_report",
 ]
 
 DEFAULT_SUM_RULE_FRACTION = 0.96
-# the most entries a channel matrix may have: building and decomposing a
-# square one takes up to ~50 bytes per entry, so one at the cap needs ~0.5 GB
+# the most entries a channel matrix may have: ``singular_spectrum``'s path
+# holds H, and building and decomposing a square one takes up to ~50 bytes
+# per entry, so one at the cap needs ~0.5 GB
 MAX_MATRIX_ENTRIES = 10 ** 7
 # the most entries the channel matrices of one run may hold together
 MAX_RUN_ENTRIES = 10 ** 8
+# rows of the channel matrix that the count evaluates at a time
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -65,31 +72,49 @@ def channel_matrix(link: LinkGeometry, spacing=None) -> ChannelMatrix:
     """Green's-function matrix over the effective segments of ``link``
     (``classify_visibility``'s report), sampled on the grids that
     ``grid_shapes`` counts and checks."""
-    report = classify_visibility(link)
+    spacing, (tx_s, tx), (rx_s, rx) = _grids(link, classify_visibility(link), spacing)
+    H = np.empty((rx_s.size, tx_s.size), dtype=complex)
+    _green(2.0 * np.pi / link.wavelength, rx, tx, H.real, H.imag)
+    return ChannelMatrix(entries=H, tx_points=tx_s, rx_points=rx_s,
+                         spacing=float(spacing))
+
+
+def _grids(link, report, spacing):
+    """The spacing and, for the transmit then the receive grid, the signed
+    coordinates and the (x, y) points of the samples on ``report``'s
+    effective segments."""
     _require_visible(report)
     spacing = link.wavelength / 4.0 if spacing is None else spacing
     (n_r, n_t), = grid_shapes([report.l_T], [report.l_R], [link.wavelength], spacing)
     tx_s = report.eta_c + np.linspace(-report.l_T / 2.0, report.l_T / 2.0, n_t)
     rx_s = report.zeta_c + np.linspace(-report.l_R / 2.0, report.l_R / 2.0, n_r)
-    tx_x, tx_y = point_on(link.theta_T, tx_s)
-    rx_x, rx_y = point_on(link.theta_R, rx_s, (link.x0, link.y0))
-    # r = sqrt(dx^2 + dy^2) and H = exp(-j k r) / (4 pi r), evaluated in
-    # place: the same roundings with fewer full-size temporaries
-    r = rx_x[:, None] - tx_x
-    dy = rx_y[:, None] - tx_y
+    return (spacing, (tx_s, point_on(link.theta_T, tx_s)),
+            (rx_s, point_on(link.theta_R, rx_s, (link.x0, link.y0))))
+
+
+def _green(k, rows, cols, re, im):
+    """Write the real and imaginary parts of exp(-j k r) / (4 pi r), from
+    the (x, y) points ``cols`` to the points ``rows``, into ``re`` and
+    ``im`` (rows x cols).  These are the roundings of the complex
+    expression: numpy's complex exp of 0 - j k r is cos and sin of the
+    phase fl(-k r), and its complex-by-real division multiplies by the
+    reciprocal fl(1 / fl(4 pi r)).  Swapping ``rows`` and ``cols`` gives
+    the transpose, bit for bit."""
+    r = rows[0][:, None] - cols[0]
+    dy = rows[1][:, None] - cols[1]
     r *= r
     dy *= dy
     r += dy
     np.sqrt(r, out=r)
     if np.any(r == 0.0):
-        raise ValueError("channel_matrix: coincident sample points")
-    k = 2.0 * np.pi / link.wavelength
-    H = -1j * k * r
-    np.exp(H, out=H)
+        raise ValueError("coincident sample points")
+    phase = np.multiply(r, -k, out=dy)
     r *= 4.0 * np.pi
-    H /= r
-    return ChannelMatrix(entries=H, tx_points=tx_s, rx_points=rx_s,
-                         spacing=float(spacing))
+    np.reciprocal(r, out=r)
+    np.cos(phase, out=re)
+    re *= r
+    np.sin(phase, out=im)
+    im *= r
 
 
 def grid_shapes(l_T, l_R, wavelength, spacing=None):
@@ -133,18 +158,41 @@ def singular_spectrum(matrix: ChannelMatrix) -> SvdReport:
     )
 
 
-def gram_powers(matrix: ChannelMatrix) -> ModePowers:
-    """Descending singular powers from the eigenvalues of the smaller Gram
-    matrix, as shares of its trace ||H||_F^2; enough for the sum-rule
-    count, not for the spectrum's tail (see the module docstring)."""
-    H = matrix.entries
-    if H.size == 0:
-        raise ValueError("gram_powers: empty matrix")
-    G = H.conj().T @ H if H.shape[0] >= H.shape[1] else H @ H.conj().T
+def mode_powers(link: LinkGeometry, spacing=None) -> ModePowers:
+    """Descending singular powers of ``channel_matrix(link, spacing)`` from
+    the eigenvalues of its smaller Gram matrix, as shares of its trace
+    ||H||_F^2, without building H; enough for the sum-rule count, not for
+    the spectrum's tail (see the module docstring)."""
+    return _gram_powers(link, classify_visibility(link), spacing)
+
+
+def _gram_powers(link, report, spacing):
+    """``mode_powers`` of ``link`` with its visibility ``report`` given.
+    H = A + jB is evaluated ``_BLOCK_ROWS`` rows of its longer side at a
+    time, and the blocks accumulate S = A^T A + B^T B and K = A^T B, so
+    that the Gram matrix is S + j(K - K^T) in real arithmetic.  A wide
+    grid takes the transposed H, whose Gram matrix has the same powers."""
+    _, (_, tx), (_, rx) = _grids(link, report, spacing)
+    (x, y), cols = (rx, tx) if rx[0].size >= tx[0].size else (tx, rx)
+    n, k = cols[0].size, 2.0 * np.pi / link.wavelength
+    S, K = np.zeros((n, n)), np.zeros((n, n))
+    re, im = np.empty((_BLOCK_ROWS, n)), np.empty((_BLOCK_ROWS, n))
+    for start in range(0, x.size, _BLOCK_ROWS):
+        rows = x[start:start + _BLOCK_ROWS], y[start:start + _BLOCK_ROWS]
+        a, b = re[:rows[0].size], im[:rows[0].size]
+        _green(k, rows, cols, a, b)
+        S += a.T @ a   # numpy's a.T @ a is one syrk
+        S += b.T @ b
+        K += a.T @ b
+    total = np.trace(S)
+    G = np.empty((n, n), dtype=complex)
+    G.real = S
+    np.subtract(K, K.T, out=G.imag)
+    del S, K   # before the solver copies G
     # rounding can leave the smallest eigenvalues slightly negative
     p = np.maximum(np.linalg.eigvalsh(G)[::-1], 0.0)
     return ModePowers(normalized_powers=p / p[0],
-                      cumulative_fraction=np.cumsum(p) / np.trace(G).real)
+                      cumulative_fraction=np.cumsum(p) / total)
 
 
 def effective_dof(report, fraction=DEFAULT_SUM_RULE_FRACTION):

@@ -343,10 +343,10 @@ class TestSvdCompareCommand:
     def test_run_cap_exit_1(self, tmp_path, capsys, monkeypatch):
         """A sweep whose counted steps would build more than
         ``MAX_RUN_ENTRIES`` entries together is a numeric failure naming
-        the step count and the total, before the first matrix is built;
-        at the cap the run goes through."""
-        built, real = [], figures.channel_matrix
-        monkeypatch.setattr(figures, "channel_matrix",
+        the step count and the total, before the first count starts; at
+        the cap the run goes through."""
+        built, real = [], figures._gram_powers
+        monkeypatch.setattr(figures, "_gram_powers",
                             lambda *a, **k: built.append(a) or real(*a, **k))
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps(_THETA_R_SWEEP))

@@ -1,6 +1,10 @@
-"""Discretized Green's-function channel and its singular spectrum."""
+"""Discretized Green's-function channel, its singular spectrum and the
+sum-rule count, one sweep's counts on several threads among them."""
 
-import cmath
+import concurrent.futures
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,9 +12,9 @@ import pytest
 from nfdof.dof_core import dof
 from nfdof.geometry import classify_visibility, make_link
 from nfdof.geometry import FULL, PARTIAL_RX, PARTIAL_TX
-from nfdof import svd_oracle
+from nfdof import figures, svd_oracle
 from nfdof.svd_oracle import (
-    MAX_MATRIX_ENTRIES, channel_matrix, effective_dof, gram_powers,
+    MAX_MATRIX_ENTRIES, channel_matrix, effective_dof, mode_powers,
     singular_spectrum, svd_report,
 )
 
@@ -25,6 +29,18 @@ def green(point_t, point_r, k):
     if r == 0.0:
         raise ValueError("green: coincident points")
     return np.exp(-1j * k * r) / (4.0 * np.pi * r)
+
+
+def green_matrix(link, tx_points, rx_points):
+    """Reference channel matrix: exp(-1j k r) / (4 pi r) in numpy's complex
+    arithmetic between the samples at signed coordinates ``tx_points`` and
+    ``rx_points`` along the arrays of ``link``, r = sqrt(dx^2 + dy^2)."""
+    tx_x, tx_y = tx_points * -np.sin(link.theta_T), tx_points * np.cos(link.theta_T)
+    rx_x = link.x0 + rx_points * -np.sin(link.theta_R)
+    rx_y = link.y0 + rx_points * np.cos(link.theta_R)
+    r = np.sqrt((rx_x[:, None] - tx_x) ** 2 + (rx_y[:, None] - tx_y) ** 2)
+    k = 2 * np.pi / link.wavelength
+    return np.exp(-1j * k * r) / (4 * np.pi * r)
 
 
 def link(L_T=0.2, L_R=5.0, thT=0.0, thR=np.pi, x0=10.0, y0=0.0):
@@ -132,6 +148,16 @@ class TestChannelMatrix:
         pr = (np.array([10.0, 0.0])
               + np.array([-np.sin(thR), np.cos(thR)]) * cm.rx_points[i])
         assert cm.entries[i, j] == pytest.approx(green(pt, pr, k), rel=1e-12)
+
+    @pytest.mark.parametrize("spacing", [LAMBDA / 4, LAMBDA / 2])
+    def test_entries_bitwise_reference(self, spacing):
+        """The evaluator repeats the complex expression's roundings: every
+        entry equals the reference bit for bit."""
+        for lk in seeded_links(6, seed=17):
+            cm = channel_matrix(lk, spacing=spacing)
+            reference = green_matrix(lk, cm.tx_points, cm.rx_points)
+            assert np.array_equal(cm.entries.view(np.uint64),
+                                  reference.view(np.uint64))
 
     def test_requires_visibility(self):
         with pytest.raises(ValueError):
@@ -247,32 +273,152 @@ def seeded_links(n, seed=31):
     return links
 
 
-class TestGramPowers:
-    """The sum-rule count from Gram eigenvalues against the SVD oracle."""
+def count_link(n_rows, n_cols):
+    """A facing link whose grid at lambda/4 has ``n_rows`` receive and
+    ``n_cols`` transmit samples (an array of lambda/8 has one)."""
+    L_T, L_R = (max(n - 1, 0.5) * LAMBDA / 4 for n in (n_cols, n_rows))
+    lk = make_link(L_T, L_R, 0.0, np.pi, 10.0, 0.0, frequency=F)
+    rep = classify_visibility(lk)
+    assert svd_oracle.grid_shapes([rep.l_T], [rep.l_R], [LAMBDA]) == [(n_rows, n_cols)]
+    return lk
+
+
+def assert_count_matches_svd(lk, spacing=None):
+    """``mode_powers`` against the SVD oracle: the count at three
+    fractions, and the leading powers and shares."""
+    svd = singular_spectrum(channel_matrix(lk, spacing=spacing))
+    powers = mode_powers(lk, spacing=spacing)
+    assert powers.normalized_powers.size == svd.normalized_powers.size
+    for fraction in (0.9, 0.96, 0.99):
+        assert effective_dof(powers, fraction) == effective_dof(svd, fraction)
+    lead = effective_dof(svd) + 2
+    assert powers.normalized_powers[:lead] == pytest.approx(
+        svd.normalized_powers[:lead], abs=1e-10)
+    assert powers.cumulative_fraction[:lead] == pytest.approx(
+        svd.cumulative_fraction[:lead], abs=1e-10)
+
+
+class TestModePowers:
+    """The sum-rule count from Gram eigenvalues, accumulated from row
+    blocks, against the SVD oracle."""
 
     def test_count_and_leading_powers_match_svd(self):
         reference = make_link(0.2, 5.0, np.pi / 2, -np.deg2rad(53), -5.0, 5.0,
                               frequency=F)
-        cases = [(reference, LAMBDA / 2)] + [(lk, None) for lk in seeded_links(30)]
-        for lk, spacing in cases:
-            cm = channel_matrix(lk, spacing=spacing)
-            svd, gram = singular_spectrum(cm), gram_powers(cm)
-            for fraction in (0.96, 0.99):
-                assert effective_dof(gram, fraction) == effective_dof(svd, fraction)
-            lead = effective_dof(svd) + 2
-            assert gram.normalized_powers[:lead] == pytest.approx(
-                svd.normalized_powers[:lead], abs=1e-10)
-            assert gram.cumulative_fraction[:lead] == pytest.approx(
-                svd.cumulative_fraction[:lead], abs=1e-10)
+        assert_count_matches_svd(reference, LAMBDA / 2)
+        for lk in seeded_links(30):
+            assert_count_matches_svd(lk)
 
-    def test_wide_matrix_uses_the_smaller_gram(self):
-        # more transmit than receive samples: H H^H is the smaller Gram
-        lk = make_link(0.5, 0.3, 0.0, np.pi, 3.0, 0.0, frequency=F)
-        cm = channel_matrix(lk)
-        assert cm.entries.shape[0] < cm.entries.shape[1]
-        gram = gram_powers(cm)
-        assert gram.normalized_powers.size == cm.entries.shape[0]
-        svd = singular_spectrum(cm)
-        assert effective_dof(gram) == effective_dof(svd)
-        assert gram.normalized_powers[:5] == pytest.approx(
-            svd.normalized_powers[:5], abs=1e-10)
+    @pytest.mark.parametrize("n_rows", [
+        1, svd_oracle._BLOCK_ROWS - 1, svd_oracle._BLOCK_ROWS,
+        svd_oracle._BLOCK_ROWS + 1, 2 * svd_oracle._BLOCK_ROWS + 1])
+    def test_block_boundaries(self, n_rows):
+        assert_count_matches_svd(count_link(n_rows, min(n_rows, 21)))
+
+    def test_wide_grid(self):
+        """More transmit than receive samples: the blocks run along the
+        transmit side, and the powers are those of H H^H."""
+        lk = count_link(121, 2 * svd_oracle._BLOCK_ROWS + 1)
+        assert mode_powers(lk).normalized_powers.size == 121
+        assert_count_matches_svd(lk)
+
+    def test_total_is_frobenius_norm(self, monkeypatch):
+        """The shares are of trace(S) = ||H||_F^2: the largest power over
+        its share gives the total back."""
+        largest, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda G: largest.append((w := eigvalsh(G))[-1]) or w)
+        for lk in [link(), count_link(2 * svd_oracle._BLOCK_ROWS + 1, 101)]:
+            share = mode_powers(lk).cumulative_fraction[0]
+            frobenius = np.vdot(H := channel_matrix(lk).entries, H).real
+            assert largest.pop() / share == pytest.approx(frobenius, rel=1e-14)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="requires visibility"):
+            mode_powers(link(thT=np.pi / 2, thR=np.pi, x0=-5, y0=5))
+        with pytest.raises(ValueError, match="spacing must not exceed half"):
+            mode_powers(link(), spacing=0.6 * LAMBDA)
+        with pytest.raises(ValueError, match="a 5000000001 x 200000001 channel matrix"):
+            mode_powers(link(), spacing=1e-9)
+
+
+# a half-turn theta_R sweep of the fig7a link at lambda/2, 21 steps
+_SWEEP = ({"L_T": 0.2, "L_R": 5.0, "theta_T": 0.0, "x0": 10.0, "y0": 0.0,
+           "frequency": F}, "theta_R", np.linspace(np.pi / 2, 1.5 * np.pi, 21),
+          LAMBDA / 2, 0.96)
+
+
+class TestCountsOnThreads:
+    """``figures.svd_compare_rows`` counts its steps on one thread per CPU."""
+
+    def _workers(self, monkeypatch, cpus):
+        """Patch the host to ``cpus`` CPUs; returns the list that records
+        each pool's thread count."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pools, pool = [], concurrent.futures.ThreadPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda n: pools.append(n) or pool(n))
+        return pools
+
+    def test_one_and_four_cpus_agree(self, monkeypatch):
+        results = {}
+        for cpus in (1, 4):
+            pools = self._workers(monkeypatch, cpus)
+            results[cpus] = figures.svd_compare_rows(*_SWEEP)
+            assert pools == [cpus]
+        assert results[1] == results[4]
+        header, columns, record = results[1]
+        assert record == {"rows": 1001, "cols": 41}
+        assert sum(1 for ed in columns[2][:-1] if ed) > 4
+
+    def test_public_functions_run_in_the_calling_thread(self, monkeypatch):
+        """Each step's link is built and classified by the calling thread,
+        in step order; the pool calls none of the package's public
+        functions, which a tracer may wrap with a span stack that is not
+        thread-safe."""
+        self._workers(monkeypatch, 4)
+        calls = []
+        for module in (figures, svd_oracle):
+            for name in ("make_link", "classify_visibility", "channel_matrix",
+                         "singular_spectrum", "effective_dof"):
+                if hasattr(module, name):
+                    real = getattr(module, name)
+                    monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k: (
+                        calls.append((name, threading.current_thread(), a)) or real(*a, **k)))
+        _, columns, _ = figures.svd_compare_rows(*_SWEEP)
+        assert {thread for _, thread, _ in calls} == {threading.main_thread()}
+        built = [a[0] for name, _, a in calls if name == "classify_visibility"]
+        counted = [v for v, ed in zip(columns[0][:-1], columns[2][:-1]) if ed]
+        assert [lk.theta_R for lk in built] == [make_link(**{**_SWEEP[0], "theta_R": v}).theta_R
+                                                for v in counted]
+
+    def test_workers_capped_by_gram_entries(self, monkeypatch):
+        """The pool's Gram matrices hold at most ``MAX_MATRIX_ENTRIES``
+        entries together: two 41 x 41 ones here, then one alone."""
+        pools = self._workers(monkeypatch, 4)
+        monkeypatch.setattr(figures, "MAX_MATRIX_ENTRIES", 2 * 41 ** 2 + 40)
+        figures.svd_compare_rows(*_SWEEP)
+        monkeypatch.setattr(figures, "MAX_MATRIX_ENTRIES", 41 ** 2 - 1)
+        figures.svd_compare_rows(*_SWEEP)
+        assert pools == [2, 1]
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_first_failing_step_is_raised(self, monkeypatch, cpus):
+        """Two steps fail, the earlier one last in time: its error is the
+        one raised, on one CPU as on four."""
+        self._workers(monkeypatch, cpus)
+        real, (link, key, values, _, _) = figures._gram_powers, _SWEEP
+        # make_link wraps theta_R into (-pi, pi]
+        failing = [make_link(**{**link, key: values[i]}).theta_R for i in (8, 12)]
+        assert all(classify_visibility(make_link(**{**link, key: values[i]})).status
+                   == FULL for i in (8, 12))
+
+        def count(lk, report, spacing):
+            if lk.theta_R in failing:
+                time.sleep(0.2 if lk.theta_R == failing[0] else 0.0)
+                raise ValueError(f"step {failing.index(lk.theta_R)}")
+            return real(lk, report, spacing)
+
+        monkeypatch.setattr(figures, "_gram_powers", count)
+        with pytest.raises(ValueError, match="^step 0$"):
+            figures.svd_compare_rows(*_SWEEP)
