@@ -14,7 +14,6 @@ physical configuration, and hence all magnitudes, are identical).
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from . import statistics as stats
 from .dof_core import dof_arrays
 from .geometry import classify_visibility, link_arrays, make_link
 from .kernel import kernel_scan
+from .numerics import usable_cpus
 from .svd_oracle import (DEFAULT_SUM_RULE_FRACTION, MAX_MATRIX_ENTRIES,
                          _gram_powers, channel_matrix, effective_dof,
                          grid_shapes, singular_spectrum)
@@ -90,10 +90,8 @@ def _counts(link, key, steps, spacing, threshold, shapes):
     tell), but no more than hold Gram matrices of ``MAX_MATRIX_ENTRIES``
     entries together.  The first failing step's error is raised."""
     from concurrent.futures import ThreadPoolExecutor
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
     gram = max([1] + [min(s) ** 2 for s in shapes])
-    workers = max(1, min(cpus, MAX_MATRIX_ENTRIES // gram))
+    workers = max(1, min(usable_cpus(), MAX_MATRIX_ENTRIES // gram))
     futures = []
     with ThreadPoolExecutor(workers) as pool:
         try:

@@ -9,7 +9,8 @@ so that accuracy and reproducibility are controlled in one place:
 * ``erfi``   -- imaginary error function on the complex plane,
 * ``integrate`` -- adaptive 1D quadrature with an error report, the
   reference the test oracles check fixed-node rules against,
-* ``sample_stream`` -- counter-based uniform random generator.
+* ``sample_stream`` -- counter-based uniform random generator,
+* ``usable_cpus`` -- how many CPUs the thread pools may use.
 
 ``faddeeva`` follows J. A. C. Weideman, "Computation of the complex
 error function", SIAM J. Numer. Anal. 31 (1994): with N = 40 terms and
@@ -33,11 +34,13 @@ or scanning the kernel loads neither.
 """
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureResult", "faddeeva", "erfi", "integrate", "sample_stream"]
+__all__ = ["QuadratureResult", "faddeeva", "erfi", "integrate", "sample_stream",
+           "usable_cpus"]
 
 # erfi arguments beyond this radius are refused outright: erfi grows as
 # exp(|z|^2) off the real line, and silently returning garbage would be
@@ -166,9 +169,23 @@ def integrate(f, a, b, rel_tol=1e-8, points=None):
 def sample_stream(seed, substream=0):
     """Deterministic uniform sampler for a (seed, substream) pair.
 
-    Built on the counter-based Philox generator, so distinct substreams
-    are independent and the draw sequence does not depend on how work is
-    split across threads or processes.
+    Built on the counter-based Philox generator (Salmon, Moraes, Dror &
+    Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
+    distinct substreams are independent and any position of a stream
+    can be reached directly: ``bit_generator.advance(k)`` skips k blocks
+    of four doubles.  ``statistics.monte_carlo`` draws its chunks that way, and
+    ``tests/test_statistics.py`` checks that the draws do not depend on
+    how the work is split across threads: the chunks reproduce the
+    serial stream bit for bit, on one CPU and on four.
     """
     ss = np.random.SeedSequence((int(seed), int(substream)))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def usable_cpus():
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU of the machine.  The thread pools of
+    ``figures`` and ``statistics`` run one thread per CPU counted here."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

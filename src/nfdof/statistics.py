@@ -37,7 +37,10 @@ omega and psi lives in ``tests/deconditioning_oracle.py`` as the
 reference.
 
 Monte Carlo driven by the same branch structure cross-validates the
-analytic curves.  Its vectorized branch evaluator runs each formula on
+analytic curves.  It draws in fixed chunks of 2^15 on one thread per
+CPU.  Each chunk jumps straight to its own positions of the one
+counter-based Philox stream, so the draws are the same bits on any CPU
+count.  Its vectorized branch evaluator runs each formula on
 its own branch's draws only; ``tests/test_statistics.py`` replays the
 draws through the link engine ``dof_arrays``: they agree except where
 x0 <= (L_T / 2) |sin(theta_T)|, whose segments intersect, which the
@@ -51,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import wavelength_from_frequency
-from .numerics import sample_stream
+from .numerics import sample_stream, usable_cpus
 
 __all__ = [
     "PARTIAL_R_PLUS", "PARTIAL_R_MINUS", "FULL_VISIBILITY", "CONDITIONAL_ON_X0",
@@ -351,15 +354,36 @@ def _excess_dof(a, theta_T, C):
     return mu, b_plus, b_full, b_minus
 
 
-def _sample_x0(rng, R, n):
-    x0 = rng.random(n)                 # radius R sqrt(u), built in place
-    np.sqrt(x0, out=x0)
+def _disk_x0(u, v, R):
+    """Axis distances of disk placements from radius uniforms u and angle
+    uniforms v, built in place of them: |R sqrt(u) cos(2 pi v)|, floored
+    at 1e-12 R."""
+    x0 = np.sqrt(u, out=u)
     x0 *= R
-    phi = rng.random(n)
-    phi *= 2.0 * np.pi
-    x0 *= np.cos(phi, out=phi)
+    v *= 2.0 * np.pi
+    x0 *= np.cos(v, out=v)
     np.abs(x0, out=x0)
     return np.maximum(x0, 1e-12 * R, out=x0)
+
+
+def _sample_x0(rng, R, n):
+    """n axis distances from the next 2n uniforms of ``rng``."""
+    return _disk_x0(rng.random(n), rng.random(n), R)
+
+
+# draws per Monte Carlo chunk; the samples do not depend on it
+_CHUNK = 1 << 15
+
+
+def _uniforms(state, start, k):
+    """k uniforms of the fresh Philox stream whose state is ``state``, from
+    position ``start`` on: the counter skips the whole blocks of four
+    doubles before it, and the rest of its block is drawn and dropped."""
+    bits = np.random.Philox(counter=state["counter"], key=state["key"])
+    bits.advance(start // 4)
+    rng = np.random.Generator(bits)
+    rng.random(start % 4)
+    return rng.random(k)
 
 
 def monte_carlo(cfg: ScenarioConfig, n, seed=0):
@@ -370,21 +394,48 @@ def monte_carlo(cfg: ScenarioConfig, n, seed=0):
     theta_T uniformly over the scenario's branch interval, so every draw
     is accepted by construction.  Each branch formula of the vectorized
     evaluator runs only on its own branch's draws.
+
+    The draws are made in fixed chunks of 2^15, each from its own
+    positions of the one stream, on one thread per CPU (inline below two
+    chunks or with one CPU).  Every chunk reproduces the same slice of
+    the serial draws, so the samples are the same bits on any CPU count.
+    The threads call none of the package's public functions: the stream
+    is opened once, here.
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError("need at least 1e4 samples")
     n = int(n)
-    rng = sample_stream(seed, 0)
-    if cfg.scenario == CONDITIONAL_ON_X0:
-        a = _half_angle(float(cfg.x0), cfg.L_R)
+    state = sample_stream(seed, 0).bit_generator.state["state"]
+    out = np.empty(n)
+
+    def chunk(start):
+        """Draws [start, start + k): the radius, angle and theta_T
+        uniforms sit at stream positions start, n + start and 2n + start,
+        and with a fixed x0 theta_T takes position start."""
+        k = min(_CHUNK, n - start)
+        if cfg.scenario == CONDITIONAL_ON_X0:
+            a = _half_angle(float(cfg.x0), cfg.L_R)
+            theta_T = _uniforms(state, start, k)
+        else:
+            x0 = _disk_x0(_uniforms(state, start, k), _uniforms(state, n + start, k),
+                          cfg.R)
+            a = _half_angle(x0, cfg.L_R)
+            theta_T = _uniforms(state, 2 * n + start, k)
+        lo, hi = (edge(a) for edge in _BRANCHES[cfg.scenario])
+        theta_T *= hi - lo
+        theta_T += lo
+        out[start:start + k] = _excess_dof(a, theta_T, cfg.C)[0]
+
+    starts = range(0, n, _CHUNK)
+    workers = min(usable_cpus(), len(starts))
+    if workers == 1:
+        for start in starts:
+            chunk(start)
     else:
-        a = _half_angle(_sample_x0(rng, cfg.R, n), cfg.L_R)
-    lo, hi = (edge(a) for edge in _BRANCHES[cfg.scenario])
-    theta_T = rng.random(n)
-    theta_T *= hi - lo
-    theta_T += lo
-    del lo, hi
-    return _excess_dof(a, theta_T, cfg.C)[0]
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(chunk, starts))
+    return out
 
 
 def empirical_ccdf(samples, grid):

@@ -1,6 +1,11 @@
 """Analytic mode-count distributions against the Monte Carlo and the
 per-link engine."""
 
+import concurrent.futures
+import os
+import sys
+import threading
+
 import deconditioning_oracle as oracle
 import mpmath
 import numpy as np
@@ -435,6 +440,70 @@ class TestMonteCarlo:
     def test_empirical_ccdf_basics(self):
         vals = empirical_ccdf([1.0, 2.0, 3.0, 4.0], [0.0, 2.5, 10.0])
         assert vals == pytest.approx([1.0, 0.5, 0.0])
+
+
+def _scenarios():
+    """One config of each scenario, the conditional one at x0 = 10 m."""
+    return [cfg(scenario=s, x0=10.0 if s == CONDITIONAL_ON_X0 else None)
+            for s in (PARTIAL_R_PLUS, PARTIAL_R_MINUS, FULL_VISIBILITY,
+                      CONDITIONAL_ON_X0)]
+
+
+class TestChunkedDraws:
+    """``monte_carlo`` draws fixed chunks, each from its own positions of
+    the one stream, on one thread per CPU."""
+
+    def _cpus(self, monkeypatch, cpus):
+        """Patch the host to ``cpus`` CPUs; returns the list that records
+        each pool's thread count."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pools, pool = [], concurrent.futures.ThreadPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda n: pools.append(n) or pool(n))
+        return pools
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_chunk_streams_reproduce_the_serial_stream(self, seed):
+        n, k = 200_003, 1000
+        serial = sample_stream(seed, 0).random(3 * n)
+        state = sample_stream(seed, 0).bit_generator.state["state"]
+        for start in (0, 5, 4096, n - 7, n, n + 1, 2 * n + 3):
+            assert np.array_equal(stats._uniforms(state, start, k),
+                                  serial[start:start + k]), start
+
+    @pytest.mark.parametrize("n", [10_000, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1,
+                                   200_003])
+    def test_one_and_four_cpus_agree(self, monkeypatch, n):
+        """Up to four threads, switching often, write disjoint slices of
+        one array: a slice written twice or not at all would differ from
+        the inline draws, and both are the whole-array reference's."""
+        chunks = -(-n // stats._CHUNK)
+        interval = sys.getswitchinterval()
+        for c in _scenarios():
+            draws = {}
+            for cpus in (1, 4):
+                pools = self._cpus(monkeypatch, cpus)
+                sys.setswitchinterval(1e-6)
+                try:
+                    draws[cpus] = monte_carlo(c, n, seed=3)
+                finally:
+                    sys.setswitchinterval(interval)
+                # inline with one CPU or one chunk, else one thread per CPU
+                assert pools == ([] if cpus == 1 or chunks == 1
+                                 else [min(cpus, chunks)]), (c.scenario, cpus)
+            assert np.array_equal(draws[1], draws[4]), c.scenario
+            assert np.array_equal(draws[1], _reference_draws(c, n, 3)), c.scenario
+
+    def test_stream_opened_once_in_the_calling_thread(self, monkeypatch):
+        """The pool calls no traced function: ``sample_stream`` runs once
+        per call, in the calling thread."""
+        self._cpus(monkeypatch, 4)
+        calls, real = [], stats.sample_stream
+        monkeypatch.setattr(stats, "sample_stream", lambda *a, **k: (
+            calls.append(threading.current_thread()) or real(*a, **k)))
+        for i, c in enumerate(_scenarios(), start=1):
+            monte_carlo(c, 200_003, seed=i)
+            assert calls == [threading.main_thread()] * i, c.scenario
 
 
 def _mu_at_omega(c, x):
