@@ -21,9 +21,7 @@ from . import statistics as stats
 from .dof_core import dof_arrays
 from .geometry import classify_visibility, link_arrays, make_link
 from .kernel import kernel_scan
-from .numerics import usable_cpus
-from .svd_oracle import (DEFAULT_SUM_RULE_FRACTION, MAX_MATRIX_ENTRIES,
-                         _gram_powers, channel_matrix, effective_dof,
+from .svd_oracle import (DEFAULT_SUM_RULE_FRACTION, _count, channel_matrix,
                          grid_shapes, singular_spectrum)
 
 __all__ = [
@@ -63,46 +61,23 @@ def svd_compare_rows(link, key, values, spacing, threshold):
     sum-rule count of the channel matrix along a sweep, each column closed
     by its ``max`` entry.  The sweep's ``m_int`` picks the steps to count;
     ``grid_shapes`` checks their matrices from the sweep's segments before
-    any work starts, then ``_counts`` counts them, and links without modes
-    count 0 for both.  The record holds the shape of the largest matrix
-    (0 x 0 without any)."""
+    any work starts, then ``svd_oracle._count`` counts them one by one, in
+    step order, and links without modes count 0 for both.  The record
+    holds the shape of the largest matrix (0 x 0 without any)."""
     steps, (links, res, m_int) = values.tolist(), _dof_sweep(link, key, values)
     counted, vis = [m != 0 for m in m_int], res.visibility
     shapes = grid_shapes(*(v[counted].tolist() for v in (
         vis.l_T, vis.l_R, links.wavelength)), spacing)
-    counts = iter(_counts(link, key, [v for v, m in zip(steps, m_int) if m],
-                          spacing, threshold, shapes))
-    eds = [next(counts) if m else 0 for m in m_int]
+
+    def count(v, m):
+        lk = make_link(**{**link, key: v})
+        return _count(lk, classify_visibility(lk), spacing, threshold, m)
+    eds = [count(v, m) if m else 0 for v, m in zip(steps, m_int)]
     shape = max([(0, 0)] + shapes, key=math.prod)
     diffs = [abs(m - ed) for m, ed in zip(m_int, eds)]
     columns = [steps + ["max"], m_int + [""], eds + [""], diffs + [max(diffs)]]
     return ([key, "m_int", "effective_dof", "abs_diff"], columns,
             _grid_record(shape))
-
-
-def _counts(link, key, steps, spacing, threshold, shapes):
-    """Sum-rule counts of the links at ``steps`` of sweep ``key``, whose
-    matrices have ``shapes``, in step order.  Each link is built and
-    classified here, in step order; only its numeric part runs on a pool
-    of threads (numpy's trig ufuncs and BLAS release the GIL), and that
-    part calls no function that a tracer may wrap.  There is one thread
-    per CPU this process may use (all of them where the platform cannot
-    tell), but no more than hold Gram matrices of ``MAX_MATRIX_ENTRIES``
-    entries together.  The first failing step's error is raised."""
-    from concurrent.futures import ThreadPoolExecutor
-    gram = max([1] + [min(s) ** 2 for s in shapes])
-    workers = max(1, min(usable_cpus(), MAX_MATRIX_ENTRIES // gram))
-    futures = []
-    with ThreadPoolExecutor(workers) as pool:
-        try:
-            for v in steps:
-                lk = make_link(**{**link, key: v})
-                futures.append(pool.submit(_gram_powers, lk, classify_visibility(lk),
-                                           spacing))
-        finally:
-            # read in step order: an earlier step's error replaces a later one's
-            powers = [f.result() for f in futures]
-    return [effective_dof(p, threshold) for p in powers]
 
 
 def kernel_scan_rows(link, zeta_ref, n_samples):

@@ -140,7 +140,7 @@ def make_link(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkGeometry:
     _check_array(L_R, theta_R, x0, y0)
     if not (math.isfinite(wavelength) and wavelength > 0):
         raise ValueError("wavelength must be positive and finite")
-    return LinkGeometry(L_T, L_R, wrap_angle(theta_T), wrap_angle(theta_R),
+    return LinkGeometry(float(L_T), float(L_R), wrap_angle(theta_T), wrap_angle(theta_R),
                         float(x0), float(y0), float(wavelength))
 
 

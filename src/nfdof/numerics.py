@@ -10,7 +10,7 @@ so that accuracy and reproducibility are controlled in one place:
 * ``integrate`` -- adaptive 1D quadrature with an error report, the
   reference the test oracles check fixed-node rules against,
 * ``sample_stream`` -- counter-based uniform random generator,
-* ``usable_cpus`` -- how many CPUs the thread pools may use.
+* ``usable_cpus`` -- how many CPUs the Monte Carlo pool may use.
 
 ``faddeeva`` follows J. A. C. Weideman, "Computation of the complex
 error function", SIAM J. Numer. Anal. 31 (1994): with N = 40 terms and
@@ -184,8 +184,8 @@ def sample_stream(seed, substream=0):
 
 def usable_cpus():
     """CPUs this process may run on: its affinity set where the platform
-    has one, else every CPU of the machine.  The thread pools of
-    ``figures`` and ``statistics`` run one thread per CPU counted here."""
+    has one, else every CPU of the machine.  ``statistics.monte_carlo``
+    runs one thread per CPU counted here."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -18,10 +18,11 @@ tail of those powers at rounding level (below ~1e-7 of the first one
 they may be off by orders of magnitude), so every caller that reports
 the spectrum itself builds H with ``channel_matrix`` and decomposes it
 with ``singular_spectrum``, the SVD, which is also the tests' oracle for
-the count.  ``figures.svd_compare_rows`` runs the counts of a sweep on
-one thread per CPU.
+the count.  ``_count`` screens each ``svd-compare`` step on a Gauss rule
+over the longer grid's cells, and counts the grid only near a tie.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,9 @@ MAX_MATRIX_ENTRIES = 10 ** 7
 MAX_RUN_ENTRIES = 10 ** 8
 # rows of the channel matrix that the count evaluates at a time
 _BLOCK_ROWS = 256
+# how near the fraction a screened running share may come and still stand
+# (the screen's shares sit within ~1e-5 of the grid's, 5e-4 at worst)
+_SCREEN_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -169,18 +173,28 @@ def mode_powers(link: LinkGeometry, spacing=None) -> ModePowers:
 def _gram_powers(link, report, spacing):
     """``mode_powers`` of ``link`` with its visibility ``report`` given.
     H = A + jB is evaluated ``_BLOCK_ROWS`` rows of its longer side at a
-    time, and the blocks accumulate S = A^T A + B^T B and K = A^T B, so
-    that the Gram matrix is S + j(K - K^T) in real arithmetic.  A wide
-    grid takes the transposed H, whose Gram matrix has the same powers."""
+    time.  A wide grid takes the transposed H, whose Gram matrix has the
+    same powers."""
     _, (_, tx), (_, rx) = _grids(link, report, spacing)
     (x, y), cols = (rx, tx) if rx[0].size >= tx[0].size else (tx, rx)
     n, k = cols[0].size, 2.0 * np.pi / link.wavelength
-    S, K = np.zeros((n, n)), np.zeros((n, n))
     re, im = np.empty((_BLOCK_ROWS, n)), np.empty((_BLOCK_ROWS, n))
-    for start in range(0, x.size, _BLOCK_ROWS):
-        rows = x[start:start + _BLOCK_ROWS], y[start:start + _BLOCK_ROWS]
-        a, b = re[:rows[0].size], im[:rows[0].size]
-        _green(k, rows, cols, a, b)
+
+    def blocks():
+        for start in range(0, x.size, _BLOCK_ROWS):
+            rows = x[start:start + _BLOCK_ROWS], y[start:start + _BLOCK_ROWS]
+            a, b = re[:rows[0].size], im[:rows[0].size]
+            _green(k, rows, cols, a, b)
+            yield a, b
+    return _powers(blocks(), n)
+
+
+def _powers(blocks, n):
+    """Descending powers of H = A + jB, from row blocks (a, b) of ``n``
+    columns, as shares of ||H||_F^2: the Gram matrix is S + j(K - K^T),
+    S = A^T A + B^T B and K = A^T B summed over the blocks."""
+    S, K = np.zeros((n, n)), np.zeros((n, n))
+    for a, b in blocks:
         S += a.T @ a   # numpy's a.T @ a is one syrk
         S += b.T @ b
         K += a.T @ b
@@ -193,6 +207,57 @@ def _gram_powers(link, report, spacing):
     p = np.maximum(np.linalg.eigvalsh(G)[::-1], 0.0)
     return ModePowers(normalized_powers=p / p[0],
                       cumulative_fraction=np.cumsum(p) / total)
+
+
+def _count(link, report, spacing, fraction, m_int):
+    """``effective_dof(_gram_powers(link, report, spacing), fraction)``,
+    screened on a p-node Gauss-Legendre rule, weights over h, over the
+    cells of the longer side's rows (first sample - h/2 to last + h/2, h
+    the grid's step), p = 4 ceil(max(N, ``m_int``)) + 32 with N - 1 = |d(T+,
+    R-) + d(T-, R+) - d(T+, R+) - d(T-, R-)| / lambda.  The grid counts
+    where ``_screen`` gives up, the screened count exceeds (p - 32) / 2 or
+    a running share is within ``_SCREEN_MARGIN`` of the fraction."""
+    _, (_, tx), (_, rx) = _grids(link, report, spacing)
+    (x, y), cols = (rx, tx) if rx[0].size >= tx[0].size else (tx, rx)
+    t0, t1, r0, r1 = ((q[0][i], q[1][i]) for q in (tx, rx) for i in (0, -1))
+    N = 1.0 + abs(math.dist(t1, r0) + math.dist(t0, r1) - math.dist(t1, r1)
+                  - math.dist(t0, r0)) / link.wavelength
+    p = 4 * math.ceil(max(N, m_int)) + 32
+    if (powers := _screen(2.0 * np.pi / link.wavelength, (x, y), cols, p)) is not None:
+        count = effective_dof(powers, fraction)
+        if 2 * count <= p - 32 and not np.any(
+                np.abs(powers.cumulative_fraction - fraction) < _SCREEN_MARGIN):
+            return count
+    return effective_dof(_gram_powers(link, report, spacing), fraction)
+
+
+def _screen(k, grid, cols, p):
+    """``_count``'s screened powers of ``grid`` against the samples ``cols``,
+    or None where ``grid`` has no more than 2p rows or one of ``cols``
+    comes within a quarter of its length (too near for the rule)."""
+    (x, y), n = grid, cols[0].size
+    if 2 * p >= x.size:
+        return None
+    ex, ey = x[-1] - x[0], y[-1] - y[0]
+    dx, dy = cols[0] - x[0], cols[1] - y[0]
+    t = np.clip((dx * ex + dy * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+    if np.hypot(dx - t * ex, dy - t * ey).min() < math.hypot(ex, ey) / 4:
+        return None
+    nodes, weights = _gauss_legendre(p)
+    along = 0.5 + nodes * x.size / (2.0 * (x.size - 1))   # 0, 1 at the end samples
+    re, im = np.empty((p, n)), np.empty((p, n))
+    _green(k, (x[0] + along * ex, y[0] + along * ey), cols, re, im)
+    re, im = (v * np.sqrt(weights * (x.size / 2.0))[:, None] for v in (re, im))
+    return _powers([(re, im) if p >= n else (re.T, im.T)], min(p, n))
+
+
+@functools.lru_cache(maxsize=256)
+def _gauss_legendre(p):
+    """The p-point Gauss-Legendre rule on [-1, 1], read-only, cached by p."""
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = leggauss(p)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def effective_dof(report, fraction=DEFAULT_SUM_RULE_FRACTION):

@@ -345,8 +345,8 @@ class TestSvdCompareCommand:
         ``MAX_RUN_ENTRIES`` entries together is a numeric failure naming
         the step count and the total, before the first count starts; at
         the cap the run goes through."""
-        built, real = [], figures._gram_powers
-        monkeypatch.setattr(figures, "_gram_powers",
+        built, real = [], figures._count
+        monkeypatch.setattr(figures, "_count",
                             lambda *a, **k: built.append(a) or real(*a, **k))
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps(_THETA_R_SWEEP))

@@ -1,5 +1,6 @@
 """Distance expansion, boundary angles, and mode counting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -125,6 +126,17 @@ class TestDof:
         res = dof(link(L_R=5.0, thT=0.0, thR=np.pi / 2, x0=0.5, y0=0.0))
         assert math.isnan(res.m_real)
         assert res.m_int is None
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_numpy_scalar_parameter(self, index):
+        """Any of ``make_link``'s seven parameters may be a numpy scalar:
+        the link holds floats, and its count is the float link's."""
+        params = [0.2, 5.0, 1.4, np.pi, 10.0, 0.0, F]   # a partial receive link
+        want = dof(make_link(*params))
+        params[index] = np.float64(params[index])
+        lk = make_link(*params)
+        assert all(type(v) is float for v in dataclasses.astuple(lk))
+        assert dof(lk) == want and want.visibility.status == geometry.PARTIAL_RX
 
     def test_close_range_warning(self):
         res = dof(link(x0=3.0))

@@ -1,10 +1,9 @@
 """Discretized Green's-function channel, its singular spectrum and the
-sum-rule count, one sweep's counts on several threads among them."""
+sum-rule count, screened on a Gauss rule among them."""
 
-import concurrent.futures
+import json
 import os
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ import pytest
 from nfdof.dof_core import dof
 from nfdof.geometry import classify_visibility, make_link
 from nfdof.geometry import FULL, PARTIAL_RX, PARTIAL_TX
-from nfdof import figures, svd_oracle
+from nfdof import cli, figures, svd_oracle
 from nfdof.svd_oracle import (
     MAX_MATRIX_ENTRIES, channel_matrix, effective_dof, mode_powers,
     singular_spectrum, svd_report,
@@ -348,77 +347,145 @@ _SWEEP = ({"L_T": 0.2, "L_R": 5.0, "theta_T": 0.0, "x0": 10.0, "y0": 0.0,
           LAMBDA / 2, 0.96)
 
 
-class TestCountsOnThreads:
-    """``figures.svd_compare_rows`` counts its steps on one thread per CPU."""
-
-    def _workers(self, monkeypatch, cpus):
-        """Patch the host to ``cpus`` CPUs; returns the list that records
-        each pool's thread count."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        pools, pool = [], concurrent.futures.ThreadPoolExecutor
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            lambda n: pools.append(n) or pool(n))
-        return pools
+class TestCounts:
+    """``figures.svd_compare_rows`` counts its steps one after another in
+    the calling thread, the same on any number of CPUs."""
 
     def test_one_and_four_cpus_agree(self, monkeypatch):
         results = {}
         for cpus in (1, 4):
-            pools = self._workers(monkeypatch, cpus)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             results[cpus] = figures.svd_compare_rows(*_SWEEP)
-            assert pools == [cpus]
         assert results[1] == results[4]
         header, columns, record = results[1]
         assert record == {"rows": 1001, "cols": 41}
         assert sum(1 for ed in columns[2][:-1] if ed) > 4
 
-    def test_public_functions_run_in_the_calling_thread(self, monkeypatch):
+    def test_public_functions_run_in_the_calling_thread(self):
         """Each step's link is built and classified by the calling thread,
-        in step order; the pool calls none of the package's public
-        functions, which a tracer may wrap with a span stack that is not
-        thread-safe."""
-        self._workers(monkeypatch, 4)
+        in step order, and no public function runs on another thread: a
+        tracer may wrap them with a span stack that is not thread-safe."""
         calls = []
-        for module in (figures, svd_oracle):
-            for name in ("make_link", "classify_visibility", "channel_matrix",
-                         "singular_spectrum", "effective_dof"):
-                if hasattr(module, name):
-                    real = getattr(module, name)
-                    monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k: (
-                        calls.append((name, threading.current_thread(), a)) or real(*a, **k)))
-        _, columns, _ = figures.svd_compare_rows(*_SWEEP)
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (figures, svd_oracle):
+                for name in ("make_link", "classify_visibility", "channel_matrix",
+                             "singular_spectrum", "effective_dof"):
+                    if hasattr(module, name):
+                        real = getattr(module, name)
+                        mp.setattr(module, name, lambda *a, real=real, name=name, **k: (
+                            calls.append((name, threading.current_thread(), a))
+                            or real(*a, **k)))
+            _, columns, _ = figures.svd_compare_rows(*_SWEEP)
         assert {thread for _, thread, _ in calls} == {threading.main_thread()}
         built = [a[0] for name, _, a in calls if name == "classify_visibility"]
         counted = [v for v, ed in zip(columns[0][:-1], columns[2][:-1]) if ed]
         assert [lk.theta_R for lk in built] == [make_link(**{**_SWEEP[0], "theta_R": v}).theta_R
                                                 for v in counted]
 
-    def test_workers_capped_by_gram_entries(self, monkeypatch):
-        """The pool's Gram matrices hold at most ``MAX_MATRIX_ENTRIES``
-        entries together: two 41 x 41 ones here, then one alone."""
-        pools = self._workers(monkeypatch, 4)
-        monkeypatch.setattr(figures, "MAX_MATRIX_ENTRIES", 2 * 41 ** 2 + 40)
-        figures.svd_compare_rows(*_SWEEP)
-        monkeypatch.setattr(figures, "MAX_MATRIX_ENTRIES", 41 ** 2 - 1)
-        figures.svd_compare_rows(*_SWEEP)
-        assert pools == [2, 1]
-
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_first_failing_step_is_raised(self, monkeypatch, cpus):
-        """Two steps fail, the earlier one last in time: its error is the
-        one raised, on one CPU as on four."""
-        self._workers(monkeypatch, cpus)
-        real, (link, key, values, _, _) = figures._gram_powers, _SWEEP
+        """Two steps fail: the earlier one's error is raised, on one CPU
+        as on four, and no later step is counted."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        real, (link, key, values, _, _) = figures._count, _SWEEP
         # make_link wraps theta_R into (-pi, pi]
         failing = [make_link(**{**link, key: values[i]}).theta_R for i in (8, 12)]
         assert all(classify_visibility(make_link(**{**link, key: values[i]})).status
                    == FULL for i in (8, 12))
+        counted = []
 
-        def count(lk, report, spacing):
+        def count(lk, *args):
+            counted.append(lk.theta_R)
             if lk.theta_R in failing:
-                time.sleep(0.2 if lk.theta_R == failing[0] else 0.0)
                 raise ValueError(f"step {failing.index(lk.theta_R)}")
-            return real(lk, report, spacing)
+            return real(lk, *args)
 
-        monkeypatch.setattr(figures, "_gram_powers", count)
+        monkeypatch.setattr(figures, "_count", count)
         with pytest.raises(ValueError, match="^step 0$"):
             figures.svd_compare_rows(*_SWEEP)
+        assert counted[-1] == failing[0]
+
+
+def stress_links(n, seed=7):
+    """Links with a mode count, uniform rotations (partial links among
+    them), L_T from 0.1 to 1 m and centre distances 0.51 to 20 times L_T
+    + L_R, log-uniform (near-field ones among them), each paired with a
+    spacing: lambda/4 and lambda/2 in turn."""
+    rng = np.random.default_rng(seed)
+    links = []
+    while len(links) < n:
+        L_T, L_R = rng.choice([0.1, 0.2, 0.5, 1.0]), rng.uniform(0.5, 5.0)
+        d = (L_T + L_R) * np.exp(rng.uniform(np.log(0.51), np.log(20.0)))
+        phi = rng.uniform(-np.pi, np.pi)
+        lk = make_link(L_T, L_R, rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi),
+                       d * np.cos(phi), d * np.sin(phi), frequency=F)
+        if dof(lk).m_int:
+            links.append((lk, LAMBDA / (4, 2)[len(links) % 2]))
+    return links
+
+
+class TestScreen:
+    """``svd_oracle._count``: the full grid's count, screened on a Gauss
+    rule over the longer side's cells."""
+
+    @staticmethod
+    def _screen(lk, spacing, fraction=0.96):
+        """(count, the screen's powers or None where it did not run,
+        whether the full grid counted) of ``_count`` on ``lk``."""
+        built, fell_back = [], []
+        real_powers, real_gram = svd_oracle._powers, svd_oracle._gram_powers
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(svd_oracle, "_powers",
+                       lambda *a: built.append(real_powers(*a)) or built[-1])
+            mp.setattr(svd_oracle, "_gram_powers",
+                       lambda *a: fell_back.append(a) or real_gram(*a))
+            count = svd_oracle._count(lk, classify_visibility(lk), spacing, fraction,
+                                      dof(lk).m_int)
+        # each fallback builds one set of powers; the screen built one more
+        return count, built[0] if len(built) > len(fell_back) else None, bool(fell_back)
+
+    def test_counts_match_the_full_grid(self):
+        links, stood = stress_links(96), 0
+        statuses = {classify_visibility(lk).status for lk, _ in links}
+        assert {FULL, PARTIAL_RX, PARTIAL_TX} <= statuses
+        assert sum(lk.d0 < lk.L_T + lk.L_R for lk, _ in links) >= 10
+        for lk, spacing in links:
+            full = effective_dof(svd_oracle._gram_powers(lk, classify_visibility(lk), spacing))
+            count, _, fell_back = self._screen(lk, spacing)
+            assert count == full, (lk, spacing)
+            stood += not fell_back
+        assert stood >= 0.75 * len(links)
+
+    def test_shares_near_the_full_grid_at_the_crossing(self):
+        for lk, spacing in stress_links(48, seed=8):
+            full = svd_oracle._gram_powers(lk, classify_visibility(lk), spacing)
+            _, screened, _ = self._screen(lk, spacing)
+            if screened is None:
+                continue
+            k = effective_dof(full)
+            around = slice(max(k - 2, 0), min(k + 1, screened.cumulative_fraction.size))
+            assert screened.cumulative_fraction[around] == pytest.approx(
+                full.cumulative_fraction[around], abs=svd_oracle._SCREEN_MARGIN / 10)
+
+    def test_near_tie_falls_back(self, monkeypatch, tmp_path):
+        """A fraction at a running share of the full grid: the screened
+        share lies within the margin, the full grid counts, and the file
+        is the one the full grid's count writes."""
+        lk, spacing = link(), LAMBDA / 4
+        full = svd_oracle._gram_powers(lk, classify_visibility(lk), spacing)
+        fraction = float(full.cumulative_fraction[effective_dof(full) - 1])
+        count, _, fell_back = self._screen(lk, spacing, fraction)
+        assert fell_back and count == effective_dof(full, fraction)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "L_T_m": 0.2, "L_R_m": 5.0, "theta_T": 0.0, "x0_m": 10.0, "y0_m": 0.0,
+            "frequency_hz": F, "svd_threshold": fraction, "sweep": {
+            "parameter": "theta_R", "start": np.pi, "stop": np.pi, "steps": 1}}))
+        written = []
+        for name in ("screened", "full"):
+            out = tmp_path / f"{name}.csv"
+            assert cli.main(["svd-compare", "--config", str(cfg), "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+            monkeypatch.setattr(figures, "_count", lambda lk, rep, sp, f, m: effective_dof(
+                svd_oracle._gram_powers(lk, rep, sp), f))
+        assert written[0] == written[1]
