@@ -467,6 +467,18 @@ class TestScreen:
             assert screened.cumulative_fraction[around] == pytest.approx(
                 full.cumulative_fraction[around], abs=svd_oracle._SCREEN_MARGIN / 10)
 
+    @pytest.mark.parametrize("lk, spacing", [
+        # one array's end a millimetre from the other's
+        (make_link(0.2, 2.0, 0.0, -np.pi / 2, 0.5, 0.101, frequency=F), LAMBDA / 2),
+        # side by side, centres 0.19 (L_T + L_R) apart
+        (make_link(0.2, 2.0, 0.0, np.pi - 0.3, 0.296, 0.3, frequency=F), LAMBDA / 4)])
+    def test_near_arrays_count_on_the_grid(self, lk, spacing):
+        """Arrays closer than a quarter of the longer side count on the
+        grid: the rule alone reads 12 for 9 and 34 for 38 here."""
+        full = effective_dof(svd_oracle._gram_powers(lk, classify_visibility(lk), spacing))
+        count, screened, fell_back = self._screen(lk, spacing)
+        assert (count, screened, fell_back) == (full, None, True)
+
     def test_near_tie_falls_back(self, monkeypatch, tmp_path):
         """A fraction at a running share of the full grid: the screened
         share lies within the margin, the full grid counts, and the file
