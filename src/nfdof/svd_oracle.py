@@ -47,7 +47,7 @@ MAX_RUN_ENTRIES = 10 ** 8
 # rows of the channel matrix that the count evaluates at a time
 _BLOCK_ROWS = 256
 # how near the fraction a screened running share may come and still stand
-# (the screen's shares sit within ~1e-5 of the grid's, 5e-4 at worst)
+# (on random links the screen's shares sit ~1e-6 from the grid's, 5e-4 at worst)
 _SCREEN_MARGIN = 1e-3
 
 
@@ -254,8 +254,7 @@ def _screen(k, grid, cols, p):
 @functools.lru_cache(maxsize=256)
 def _gauss_legendre(p):
     """The p-point Gauss-Legendre rule on [-1, 1], read-only, cached by p."""
-    from numpy.polynomial.legendre import leggauss
-    nodes, weights = leggauss(p)
+    nodes, weights = np.polynomial.legendre.leggauss(p)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

@@ -361,21 +361,19 @@ class TestCounts:
         assert record == {"rows": 1001, "cols": 41}
         assert sum(1 for ed in columns[2][:-1] if ed) > 4
 
-    def test_public_functions_run_in_the_calling_thread(self):
+    def test_public_functions_run_in_the_calling_thread(self, monkeypatch):
         """Each step's link is built and classified by the calling thread,
         in step order, and no public function runs on another thread: a
         tracer may wrap them with a span stack that is not thread-safe."""
         calls = []
-        with pytest.MonkeyPatch.context() as mp:
-            for module in (figures, svd_oracle):
-                for name in ("make_link", "classify_visibility", "channel_matrix",
-                             "singular_spectrum", "effective_dof"):
-                    if hasattr(module, name):
-                        real = getattr(module, name)
-                        mp.setattr(module, name, lambda *a, real=real, name=name, **k: (
-                            calls.append((name, threading.current_thread(), a))
-                            or real(*a, **k)))
-            _, columns, _ = figures.svd_compare_rows(*_SWEEP)
+        for module in (figures, svd_oracle):
+            for name in ("make_link", "classify_visibility", "channel_matrix",
+                         "singular_spectrum", "effective_dof"):
+                if hasattr(module, name):
+                    real = getattr(module, name)
+                    monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k: (
+                        calls.append((name, threading.current_thread(), a)) or real(*a, **k)))
+        _, columns, _ = figures.svd_compare_rows(*_SWEEP)
         assert {thread for _, thread, _ in calls} == {threading.main_thread()}
         built = [a[0] for name, _, a in calls if name == "classify_visibility"]
         counted = [v for v, ed in zip(columns[0][:-1], columns[2][:-1]) if ed]
@@ -486,13 +484,13 @@ class TestScreen:
         lk, spacing = link(), LAMBDA / 4
         full = svd_oracle._gram_powers(lk, classify_visibility(lk), spacing)
         fraction = float(full.cumulative_fraction[effective_dof(full) - 1])
-        count, _, fell_back = self._screen(lk, spacing, fraction)
-        assert fell_back and count == effective_dof(full, fraction)
+        count, screened, fell_back = self._screen(lk, spacing, fraction)
+        assert screened is not None and fell_back and count == effective_dof(full, fraction)
+        sweep = {"parameter": "theta_R", "start": np.pi, "stop": np.pi, "steps": 1}
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
             "L_T_m": 0.2, "L_R_m": 5.0, "theta_T": 0.0, "x0_m": 10.0, "y0_m": 0.0,
-            "frequency_hz": F, "svd_threshold": fraction, "sweep": {
-            "parameter": "theta_R", "start": np.pi, "stop": np.pi, "steps": 1}}))
+            "frequency_hz": F, "svd_threshold": fraction, "sweep": sweep}))
         written = []
         for name in ("screened", "full"):
             out = tmp_path / f"{name}.csv"
