@@ -17,7 +17,7 @@ from .dof_core import (
     DofResult, dof, dof_full_visibility_closed_form, fraunhofer_distance,
 )
 from .kernel import kernel_exact, kernel_farfield, kernel_scan
-from .svd_oracle import channel_matrix, effective_dof, singular_spectrum, svd_report
+from .svd_oracle import channel_matrix, effective_dof, singular_spectrum
 from . import statistics
 
 __all__ = [
@@ -25,6 +25,6 @@ __all__ = [
     "LinkGeometry", "VisibilityReport", "classify_visibility", "make_link",
     "DofResult", "dof", "dof_full_visibility_closed_form", "fraunhofer_distance",
     "kernel_exact", "kernel_farfield", "kernel_scan",
-    "channel_matrix", "effective_dof", "singular_spectrum", "svd_report",
+    "channel_matrix", "effective_dof", "singular_spectrum",
     "statistics",
 ]

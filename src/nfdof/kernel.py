@@ -52,7 +52,7 @@ import numpy as np
 
 from .dof_core import taylor_coeffs, _require_visible
 from .geometry import LinkGeometry, VisibilityReport, classify_visibility
-from .numerics import faddeeva
+from .numerics import faddeeva, gauss_legendre
 
 __all__ = [
     "KernelSample", "KernelScan",
@@ -66,7 +66,7 @@ SINC_PHASE = 1e-15
 # total phase (rad) below which the Gauss-Legendre rule replaces the
 # closed form; 24 nodes integrate exp(-j phi) with phi <= 8 to rounding
 QUADRATURE_PHASE = 8.0
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_GL_NODES, _GL_WEIGHTS = gauss_legendre(24)
 
 # a local minimum must undercut its neighboring maxima by this factor to
 # count (the partial-visibility cases have non-zero minima)

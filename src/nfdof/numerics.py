@@ -9,6 +9,8 @@ so that accuracy and reproducibility are controlled in one place:
 * ``erfi``   -- imaginary error function on the complex plane,
 * ``integrate`` -- adaptive 1D quadrature with an error report, the
   reference the test oracles check fixed-node rules against,
+* ``gauss_legendre`` -- the fixed-node rules themselves, the one place
+  the kernel, the distributions and the SVD count take them from,
 * ``sample_stream`` -- counter-based uniform random generator,
 * ``usable_cpus`` -- how many CPUs the Monte Carlo pool may use.
 
@@ -39,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureResult", "faddeeva", "erfi", "integrate", "sample_stream",
-           "usable_cpus"]
+__all__ = ["QuadratureResult", "faddeeva", "erfi", "integrate", "gauss_legendre",
+           "sample_stream", "usable_cpus"]
 
 # erfi arguments beyond this radius are refused outright: erfi grows as
 # exp(|z|^2) off the real line, and silently returning garbage would be
@@ -164,6 +166,14 @@ def integrate(f, a, b, rel_tol=1e-8, points=None):
     value, abserr, info = out[0], out[1], out[2]
     converged = len(out) < 4
     return QuadratureResult(float(value), float(abserr), int(info["neval"]), converged)
+
+
+@functools.lru_cache(maxsize=256)
+def gauss_legendre(p):
+    """The p-point Gauss-Legendre rule on [-1, 1], read-only, cached by p."""
+    nodes, weights = np.polynomial.legendre.leggauss(p)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def sample_stream(seed, substream=0):

@@ -54,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import wavelength_from_frequency
-from .numerics import sample_stream, usable_cpus
+from .numerics import gauss_legendre, sample_stream, usable_cpus
 
 __all__ = [
     "PARTIAL_R_PLUS", "PARTIAL_R_MINUS", "FULL_VISIBILITY", "CONDITIONAL_ON_X0",
@@ -147,14 +147,9 @@ _CHECK_NODES = 64
 # than the unresolved sliver is worth (checked against 30-digit quadrature).
 _COINCIDENT = 1e-8
 
-
-def _gauss_rule(n):
-    """n-point Gauss-Legendre nodes and weights on (0, 1)."""
-    t, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (t + 1.0), 0.5 * w
-
-
-_RULES = {n: _gauss_rule(n) for n in (_NODES, _CHECK_NODES)}
+# n-point Gauss-Legendre nodes and weights on (0, 1)
+_RULES = {n: (0.5 * (t + 1.0), 0.5 * w)
+          for n in (_NODES, _CHECK_NODES) for t, w in [gauss_legendre(n)]}
 
 
 def _asinh_gap(a, b, h):
@@ -364,11 +359,6 @@ def _disk_x0(u, v, R):
     x0 *= np.cos(v, out=v)
     np.abs(x0, out=x0)
     return np.maximum(x0, 1e-12 * R, out=x0)
-
-
-def _sample_x0(rng, R, n):
-    """n axis distances from the next 2n uniforms of ``rng``."""
-    return _disk_x0(rng.random(n), rng.random(n), R)
 
 
 # draws per Monte Carlo chunk; the samples do not depend on it

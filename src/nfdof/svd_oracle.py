@@ -9,7 +9,7 @@ the singular-value sum rule: the smallest number of leading modes
 holding a given fraction of the total singular power ||H||_F^2.
 
 Two paths serve two kinds of caller.  A count needs only the total and
-the leading powers, so ``mode_powers`` takes the powers from the
+the leading powers, so ``_gram_powers`` takes the powers from the
 eigenvalues of the smaller Gram matrix (H^H H or H H^H), which costs a
 third of an SVD.  It never holds H: the evaluator fills a block of a few
 hundred rows at a time in real arithmetic, and the Gram matrix is
@@ -22,7 +22,6 @@ the count.  ``_count`` screens each ``svd-compare`` step on a Gauss rule
 over the longer grid's cells, and counts the grid only near a tie.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,11 +29,11 @@ import numpy as np
 
 from .dof_core import _require_visible
 from .geometry import LinkGeometry, classify_visibility, point_on
+from .numerics import gauss_legendre
 
 __all__ = [
-    "ChannelMatrix", "SvdReport", "ModePowers",
-    "channel_matrix", "grid_shapes", "singular_spectrum", "mode_powers",
-    "effective_dof", "svd_report",
+    "ChannelMatrix", "SvdReport",
+    "channel_matrix", "grid_shapes", "singular_spectrum", "effective_dof",
 ]
 
 DEFAULT_SUM_RULE_FRACTION = 0.96
@@ -64,12 +63,6 @@ class SvdReport:
     singular_values: np.ndarray
     normalized_powers: np.ndarray     # |s_j|^2 / |s_1|^2
     cumulative_fraction: np.ndarray   # running share of sum |s_j|^2
-
-
-@dataclass(frozen=True)
-class ModePowers:
-    normalized_powers: np.ndarray     # |s_j|^2 / |s_1|^2, leading ones exact
-    cumulative_fraction: np.ndarray   # running share of ||H||_F^2
 
 
 def channel_matrix(link: LinkGeometry, spacing=None) -> ChannelMatrix:
@@ -162,19 +155,13 @@ def singular_spectrum(matrix: ChannelMatrix) -> SvdReport:
     )
 
 
-def mode_powers(link: LinkGeometry, spacing=None) -> ModePowers:
-    """Descending singular powers of ``channel_matrix(link, spacing)`` from
-    the eigenvalues of its smaller Gram matrix, as shares of its trace
-    ||H||_F^2, without building H; enough for the sum-rule count, not for
-    the spectrum's tail (see the module docstring)."""
-    return _gram_powers(link, classify_visibility(link), spacing)
-
-
 def _gram_powers(link, report, spacing):
-    """``mode_powers`` of ``link`` with its visibility ``report`` given.
-    H = A + jB is evaluated ``_BLOCK_ROWS`` rows of its longer side at a
-    time.  A wide grid takes the transposed H, whose Gram matrix has the
-    same powers."""
+    """The spectrum of ``channel_matrix(link, spacing)`` (``report`` is
+    ``link``'s visibility) from the eigenvalues of its smaller Gram
+    matrix, without building H: enough for the sum-rule count, not for
+    the tail (see the module docstring).  H = A + jB is evaluated
+    ``_BLOCK_ROWS`` rows of its longer side at a time.  A wide grid takes
+    the transposed H, whose Gram matrix has the same powers."""
     _, (_, tx), (_, rx) = _grids(link, report, spacing)
     (x, y), cols = (rx, tx) if rx[0].size >= tx[0].size else (tx, rx)
     n, k = cols[0].size, 2.0 * np.pi / link.wavelength
@@ -190,8 +177,8 @@ def _gram_powers(link, report, spacing):
 
 
 def _powers(blocks, n):
-    """Descending powers of H = A + jB, from row blocks (a, b) of ``n``
-    columns, as shares of ||H||_F^2: the Gram matrix is S + j(K - K^T),
+    """``SvdReport`` of H = A + jB, from row blocks (a, b) of ``n``
+    columns, with shares of ||H||_F^2: the Gram matrix is S + j(K - K^T),
     S = A^T A + B^T B and K = A^T B summed over the blocks."""
     S, K = np.zeros((n, n)), np.zeros((n, n))
     for a, b in blocks:
@@ -205,8 +192,8 @@ def _powers(blocks, n):
     del S, K   # before the solver copies G
     # rounding can leave the smallest eigenvalues slightly negative
     p = np.maximum(np.linalg.eigvalsh(G)[::-1], 0.0)
-    return ModePowers(normalized_powers=p / p[0],
-                      cumulative_fraction=np.cumsum(p) / total)
+    return SvdReport(singular_values=np.sqrt(p), normalized_powers=p / p[0],
+                     cumulative_fraction=np.cumsum(p) / total)
 
 
 def _count(link, report, spacing, fraction, m_int):
@@ -243,7 +230,7 @@ def _screen(k, grid, cols, p):
     t = np.clip((dx * ex + dy * ey) / (ex * ex + ey * ey), 0.0, 1.0)
     if np.hypot(dx - t * ex, dy - t * ey).min() < math.hypot(ex, ey) / 4:
         return None
-    nodes, weights = _gauss_legendre(p)
+    nodes, weights = gauss_legendre(p)
     along = 0.5 + nodes * x.size / (2.0 * (x.size - 1))   # 0, 1 at the end samples
     re, im = np.empty((p, n)), np.empty((p, n))
     _green(k, (x[0] + along * ex, y[0] + along * ey), cols, re, im)
@@ -251,25 +238,12 @@ def _screen(k, grid, cols, p):
     return _powers([(re, im) if p >= n else (re.T, im.T)], min(p, n))
 
 
-@functools.lru_cache(maxsize=256)
-def _gauss_legendre(p):
-    """The p-point Gauss-Legendre rule on [-1, 1], read-only, cached by p."""
-    nodes, weights = np.polynomial.legendre.leggauss(p)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def effective_dof(report, fraction=DEFAULT_SUM_RULE_FRACTION):
     """Smallest k whose leading-k cumulative singular power reaches
-    ``fraction`` of the sum rule; ``report`` is an ``SvdReport`` or a
-    ``ModePowers``.  The count is capped at the number of powers: the
-    running share may end a rounding short of 1."""
+    ``fraction`` of the sum rule, read from the ``SvdReport`` ``report``.
+    The count is capped at the number of powers: the running share may
+    end a rounding short of 1."""
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must be in (0, 1)")
     cumulative = report.cumulative_fraction
     return int(min(np.searchsorted(cumulative, fraction) + 1, cumulative.size))
-
-
-def svd_report(link: LinkGeometry, spacing=None) -> SvdReport:
-    """Convenience wrapper: classify, discretize, decompose."""
-    return singular_spectrum(channel_matrix(link, spacing=spacing))

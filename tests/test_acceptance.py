@@ -15,7 +15,7 @@ from nfdof.dof_core import (
 from nfdof.geometry import FULL, PARTIAL_RX, PARTIAL_TX, classify_visibility, make_link, point_on
 from nfdof.kernel import find_minima, kernel_exact, kernel_scan
 from nfdof.numerics import integrate
-from nfdof.svd_oracle import effective_dof, svd_report
+from nfdof.svd_oracle import channel_matrix, effective_dof, singular_spectrum
 
 F = 30e9
 LAMBDA = 0.01
@@ -68,7 +68,7 @@ def test_criterion_2_kernel_svd_agreement():
             res = dof(lk)
             if res.m_int is None or res.m_int == 0:
                 continue
-            ed = effective_dof(svd_report(lk))
+            ed = effective_dof(singular_spectrum(channel_matrix(lk)))
             worst = max(worst, abs(res.m_int - ed))
             checked += 1
     elapsed = time.perf_counter() - t0
@@ -83,7 +83,7 @@ def test_criterion_3_singular_spectrum():
     t0 = time.perf_counter()
     lk = make_link(0.2, 5.0, np.pi / 2, -np.deg2rad(53.0), -5.0, 5.0,
                    frequency=F)
-    rep = svd_report(lk, spacing=LAMBDA / 2)
+    rep = singular_spectrum(channel_matrix(lk, spacing=LAMBDA / 2))
     elapsed = time.perf_counter() - t0
     p10, p11 = rep.normalized_powers[9], rep.normalized_powers[10]
     cum10 = rep.cumulative_fraction[9]

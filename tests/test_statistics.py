@@ -286,7 +286,7 @@ class TestBranchEvaluator:
                     x0=L_T / 4 if scenario == CONDITIONAL_ON_X0 else None)
             # monte_carlo's draws, replayed
             rng = sample_stream(seed, 0)
-            x0 = np.full(n, c.x0) if c.x0 else stats._sample_x0(rng, R, n)
+            x0 = np.full(n, c.x0) if c.x0 else stats._disk_x0(rng.random(n), rng.random(n), R)
             lo, hi = branch_interval(x0, L_R, scenario)
             thT = lo + rng.random(n) * (hi - lo)
             mu, b_p, b_f, b_m = excess_dof_branches(x0, thT, L_R, c.C)

@@ -13,8 +13,7 @@ from nfdof.geometry import classify_visibility, make_link
 from nfdof.geometry import FULL, PARTIAL_RX, PARTIAL_TX
 from nfdof import cli, figures, svd_oracle
 from nfdof.svd_oracle import (
-    MAX_MATRIX_ENTRIES, channel_matrix, effective_dof, mode_powers,
-    singular_spectrum, svd_report,
+    MAX_MATRIX_ENTRIES, channel_matrix, effective_dof, singular_spectrum,
 )
 
 F = 30e9
@@ -173,7 +172,7 @@ class TestSingularSpectrum:
         assert rep.cumulative_fraction[-1] == pytest.approx(1.0)
 
     def test_descending_order_and_sum_rule(self):
-        rep = svd_report(link(), spacing=LAMBDA / 2)
+        rep = singular_spectrum(channel_matrix(link(), spacing=LAMBDA / 2))
         s = rep.singular_values
         assert np.all(np.diff(s) <= 1e-12)
         cm = channel_matrix(link(), spacing=LAMBDA / 2)
@@ -193,21 +192,21 @@ class TestSingularSpectrum:
 
     def test_rotation_invariance_of_spectrum(self):
         phi = 0.7
-        a = svd_report(link(thT=0.3), spacing=LAMBDA / 2)
+        a = singular_spectrum(channel_matrix(link(thT=0.3), spacing=LAMBDA / 2))
         c, s = np.cos(phi), np.sin(phi)
-        b = svd_report(make_link(0.2, 5.0, 0.3 + phi, np.pi + phi,
-                                 10 * c, 10 * s, frequency=F),
-                       spacing=LAMBDA / 2)
+        b = singular_spectrum(channel_matrix(
+            make_link(0.2, 5.0, 0.3 + phi, np.pi + phi, 10 * c, 10 * s, frequency=F),
+            spacing=LAMBDA / 2))
         assert a.singular_values == pytest.approx(b.singular_values, rel=1e-9)
 
 
 class TestEffectiveDof:
     def test_tiny_fraction_gives_one(self):
-        rep = svd_report(link(), spacing=LAMBDA / 2)
+        rep = singular_spectrum(channel_matrix(link(), spacing=LAMBDA / 2))
         assert effective_dof(rep, 1e-6) == 1
 
     def test_fraction_validation(self):
-        rep = svd_report(link(), spacing=LAMBDA / 2)
+        rep = singular_spectrum(channel_matrix(link(), spacing=LAMBDA / 2))
         with pytest.raises(ValueError):
             effective_dof(rep, 0.0)
         with pytest.raises(ValueError):
@@ -217,7 +216,8 @@ class TestEffectiveDof:
         """The running share of this SVD spectrum may end at 1 - 3.3e-16
         (cumsum and sum round differently): a fraction above it still
         counts no more modes than there are."""
-        rep = svd_report(make_link(0.2, 5.0, 0.0, np.pi, 10.0, 0.0, frequency=F))
+        rep = singular_spectrum(channel_matrix(
+            make_link(0.2, 5.0, 0.0, np.pi, 10.0, 0.0, frequency=F)))
         assert effective_dof(rep, 0.9999999999999999) == rep.normalized_powers.size == 81
 
     def test_tilted_reference_spectrum(self):
@@ -226,7 +226,7 @@ class TestEffectiveDof:
         over 96 percent of the singular power."""
         lk = make_link(0.2, 5.0, np.pi / 2, -np.deg2rad(53), -5.0, 5.0,
                        frequency=F)
-        rep = svd_report(lk, spacing=LAMBDA / 2)
+        rep = singular_spectrum(channel_matrix(lk, spacing=LAMBDA / 2))
         assert rep.normalized_powers[9] == pytest.approx(0.450, abs=0.05)
         assert rep.normalized_powers[10] == pytest.approx(0.172, abs=0.05)
         assert rep.cumulative_fraction[9] == pytest.approx(0.96, abs=0.015)
@@ -237,8 +237,8 @@ class TestEffectiveDof:
         """The mode count is stable under grid refinement."""
         lk = make_link(0.2, 5.0, np.pi / 2, -np.deg2rad(53), -5.0, 5.0,
                        frequency=F)
-        d4 = effective_dof(svd_report(lk, spacing=LAMBDA / 4))
-        d8 = effective_dof(svd_report(lk, spacing=LAMBDA / 8))
+        d4 = effective_dof(singular_spectrum(channel_matrix(lk, spacing=LAMBDA / 4)))
+        d8 = effective_dof(singular_spectrum(channel_matrix(lk, spacing=LAMBDA / 8)))
         assert d8 == d4
 
     def test_agrees_with_mode_count_within_one(self):
@@ -251,7 +251,7 @@ class TestEffectiveDof:
         for L_T, L_R, thT, thR, x0, y0 in cases:
             lk = make_link(L_T, L_R, thT, thR, x0, y0, frequency=F)
             res = dof(lk)
-            ed = effective_dof(svd_report(lk))
+            ed = effective_dof(singular_spectrum(channel_matrix(lk)))
             assert abs(ed - res.m_int) <= 1, (thT, thR, ed, res.m_int)
 
 
@@ -283,10 +283,10 @@ def count_link(n_rows, n_cols):
 
 
 def assert_count_matches_svd(lk, spacing=None):
-    """``mode_powers`` against the SVD oracle: the count at three
+    """``_gram_powers`` against the SVD oracle: the count at three
     fractions, and the leading powers and shares."""
     svd = singular_spectrum(channel_matrix(lk, spacing=spacing))
-    powers = mode_powers(lk, spacing=spacing)
+    powers = svd_oracle._gram_powers(lk, classify_visibility(lk), spacing)
     assert powers.normalized_powers.size == svd.normalized_powers.size
     for fraction in (0.9, 0.96, 0.99):
         assert effective_dof(powers, fraction) == effective_dof(svd, fraction)
@@ -297,7 +297,7 @@ def assert_count_matches_svd(lk, spacing=None):
         svd.cumulative_fraction[:lead], abs=1e-10)
 
 
-class TestModePowers:
+class TestGramPowers:
     """The sum-rule count from Gram eigenvalues, accumulated from row
     blocks, against the SVD oracle."""
 
@@ -318,7 +318,8 @@ class TestModePowers:
         """More transmit than receive samples: the blocks run along the
         transmit side, and the powers are those of H H^H."""
         lk = count_link(121, 2 * svd_oracle._BLOCK_ROWS + 1)
-        assert mode_powers(lk).normalized_powers.size == 121
+        powers = svd_oracle._gram_powers(lk, classify_visibility(lk), None)
+        assert powers.normalized_powers.size == 121
         assert_count_matches_svd(lk)
 
     def test_total_is_frobenius_norm(self, monkeypatch):
@@ -328,17 +329,19 @@ class TestModePowers:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda G: largest.append((w := eigvalsh(G))[-1]) or w)
         for lk in [link(), count_link(2 * svd_oracle._BLOCK_ROWS + 1, 101)]:
-            share = mode_powers(lk).cumulative_fraction[0]
+            powers = svd_oracle._gram_powers(lk, classify_visibility(lk), None)
+            share = powers.cumulative_fraction[0]
             frobenius = np.vdot(H := channel_matrix(lk).entries, H).real
             assert largest.pop() / share == pytest.approx(frobenius, rel=1e-14)
 
     def test_refusals(self):
+        hidden = link(thT=np.pi / 2, thR=np.pi, x0=-5, y0=5)
         with pytest.raises(ValueError, match="requires visibility"):
-            mode_powers(link(thT=np.pi / 2, thR=np.pi, x0=-5, y0=5))
+            svd_oracle._gram_powers(hidden, classify_visibility(hidden), None)
         with pytest.raises(ValueError, match="spacing must not exceed half"):
-            mode_powers(link(), spacing=0.6 * LAMBDA)
+            svd_oracle._gram_powers(link(), classify_visibility(link()), 0.6 * LAMBDA)
         with pytest.raises(ValueError, match="a 5000000001 x 200000001 channel matrix"):
-            mode_powers(link(), spacing=1e-9)
+            svd_oracle._gram_powers(link(), classify_visibility(link()), 1e-9)
 
 
 # a half-turn theta_R sweep of the fig7a link at lambda/2, 21 steps
