@@ -430,9 +430,10 @@ class TestScreen:
     rule over the longer side's cells."""
 
     @staticmethod
-    def _screen(lk, spacing, fraction=0.96):
+    def _screen(lk, spacing, fraction=0.96, m_int=None):
         """(count, the screen's powers or None where it did not run,
-        whether the full grid counted) of ``_count`` on ``lk``."""
+        whether the full grid counted) of ``_count`` on ``lk``, given
+        ``m_int`` (by default the link's own)."""
         built, fell_back = [], []
         real_powers, real_gram = svd_oracle._powers, svd_oracle._gram_powers
         with pytest.MonkeyPatch.context() as mp:
@@ -441,7 +442,7 @@ class TestScreen:
             mp.setattr(svd_oracle, "_gram_powers",
                        lambda *a: fell_back.append(a) or real_gram(*a))
             count = svd_oracle._count(lk, classify_visibility(lk), spacing, fraction,
-                                      dof(lk).m_int)
+                                      dof(lk).m_int if m_int is None else m_int)
         # each fallback builds one set of powers; the screen built one more
         return count, built[0] if len(built) > len(fell_back) else None, bool(fell_back)
 
@@ -479,6 +480,29 @@ class TestScreen:
         full = effective_dof(svd_oracle._gram_powers(lk, classify_visibility(lk), spacing))
         count, screened, fell_back = self._screen(lk, spacing)
         assert (count, screened, fell_back) == (full, None, True)
+
+    def test_rule_sized_by_the_crossed_strings(self):
+        """An ``m_int`` several modes below the crossed-string N (1 against
+        N = 10.7 here) does not starve the rule: p is sized by N as well,
+        so the screen stands and counts as the grid does."""
+        lk, spacing = link(), LAMBDA / 4
+        full = effective_dof(svd_oracle._gram_powers(lk, classify_visibility(lk), spacing))
+        count, screened, fell_back = self._screen(lk, spacing, m_int=1)
+        assert (count, screened is not None, fell_back) == (full, True, False)
+        assert count == 10
+
+    def test_count_past_the_rule_falls_back(self, monkeypatch):
+        """A screened count above (p - 32) / 2 is past what the rule is
+        sized for, and the grid counts.  On a link of N = 1.5 (p = 40) the
+        fraction 1 - 1e-9 screens 5 modes; the margin is set aside, so
+        that it alone does not send the count to the grid."""
+        monkeypatch.setattr(svd_oracle, "_SCREEN_MARGIN", 0.0)
+        lk, spacing, fraction = link(L_T=0.1, L_R=1.0, x0=20.0), LAMBDA / 4, 1 - 1e-9
+        full = effective_dof(
+            svd_oracle._gram_powers(lk, classify_visibility(lk), spacing), fraction)
+        count, screened, fell_back = self._screen(lk, spacing, fraction)
+        assert effective_dof(screened, fraction) == 5 > (40 - 32) / 2
+        assert (count, fell_back) == (full, True)
 
     def test_near_tie_falls_back(self, monkeypatch, tmp_path):
         """A fraction at a running share of the full grid: the screened
