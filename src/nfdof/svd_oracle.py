@@ -18,8 +18,9 @@ tail of those powers at rounding level (below ~1e-7 of the first one
 they may be off by orders of magnitude), so every caller that reports
 the spectrum itself builds H with ``channel_matrix`` and decomposes it
 with ``singular_spectrum``, the SVD, which is also the tests' oracle for
-the count.  ``_count`` screens each ``svd-compare`` step on a Gauss rule
-over the longer grid's cells, and counts the grid only near a tie.
+the count.  ``_count`` decides each ``svd-compare`` count: it grids the
+step once, screens it on a Gauss rule over the longer side's cells, and
+hands the same grid to ``_gram_powers`` where the screen cannot decide.
 """
 
 import math
@@ -155,16 +156,14 @@ def singular_spectrum(matrix: ChannelMatrix) -> SvdReport:
     )
 
 
-def _gram_powers(link, report, spacing):
-    """The spectrum of ``channel_matrix(link, spacing)`` (``report`` is
-    ``link``'s visibility) from the eigenvalues of its smaller Gram
-    matrix, without building H: enough for the sum-rule count, not for
-    the tail (see the module docstring).  H = A + jB is evaluated
-    ``_BLOCK_ROWS`` rows of its longer side at a time.  A wide grid takes
-    the transposed H, whose Gram matrix has the same powers."""
-    _, (_, tx), (_, rx) = _grids(link, report, spacing)
-    (x, y), cols = (rx, tx) if rx[0].size >= tx[0].size else (tx, rx)
-    n, k = cols[0].size, 2.0 * np.pi / link.wavelength
+def _gram_powers(k, grid, cols):
+    """The spectrum of the channel matrix at wavenumber ``k`` between the
+    (x, y) samples ``grid``, its longer side, and ``cols``, from the
+    eigenvalues of its smaller Gram matrix, without building H: enough
+    for the sum-rule count, not for the tail (see the module docstring).
+    H = A + jB is evaluated ``_BLOCK_ROWS`` rows of ``grid`` at a time;
+    a wide grid's H is transposed, with the same powers."""
+    (x, y), n = grid, cols[0].size
     re, im = np.empty((_BLOCK_ROWS, n)), np.empty((_BLOCK_ROWS, n))
 
     def blocks():
@@ -197,45 +196,41 @@ def _powers(blocks, n):
 
 
 def _count(link, report, spacing, fraction, m_int):
-    """``effective_dof(_gram_powers(link, report, spacing), fraction)``,
-    screened on a p-node Gauss-Legendre rule, weights over h, over the
-    cells of the longer side's rows (first sample - h/2 to last + h/2, h
-    the grid's step), p = 4 ceil(max(N, ``m_int``)) + 32 with N - 1 = |d(T+,
-    R-) + d(T-, R+) - d(T+, R+) - d(T-, R-)| / lambda.  The grid counts
-    where ``_screen`` gives up, the screened count exceeds (p - 32) / 2 or
-    a running share is within ``_SCREEN_MARGIN`` of the fraction."""
+    """The sum-rule count at ``fraction`` of ``channel_matrix(link,
+    spacing)`` (``report`` is ``link``'s visibility), screened on a p-node
+    Gauss-Legendre rule, weights over h, over the cells of the longer
+    side's rows (first sample - h/2 to last + h/2, h the grid's step), p =
+    4 ceil(max(N, ``m_int``)) + 32 with N - 1 = |d(T+, R-) + d(T-, R+) -
+    d(T+, R+) - d(T-, R-)| / lambda.  ``_gram_powers`` counts the grid
+    where it has no more than 2p rows, the other side comes within a
+    quarter of its length (too near for the rule), the screened count
+    exceeds (p - 32) / 2 or a running share is within ``_SCREEN_MARGIN``
+    of the fraction."""
     _, (_, tx), (_, rx) = _grids(link, report, spacing)
-    (x, y), cols = (rx, tx) if rx[0].size >= tx[0].size else (tx, rx)
+    grid, cols = (rx, tx) if rx[0].size >= tx[0].size else (tx, rx)
+    (x, y), n, k = grid, cols[0].size, 2.0 * np.pi / link.wavelength
     t0, t1, r0, r1 = ((q[0][i], q[1][i]) for q in (tx, rx) for i in (0, -1))
     N = 1.0 + abs(math.dist(t1, r0) + math.dist(t0, r1) - math.dist(t1, r1)
                   - math.dist(t0, r0)) / link.wavelength
     p = 4 * math.ceil(max(N, m_int)) + 32
-    if (powers := _screen(2.0 * np.pi / link.wavelength, (x, y), cols, p)) is not None:
-        count = effective_dof(powers, fraction)
-        if 2 * count <= p - 32 and not np.any(
-                np.abs(powers.cumulative_fraction - fraction) < _SCREEN_MARGIN):
-            return count
-    return effective_dof(_gram_powers(link, report, spacing), fraction)
-
-
-def _screen(k, grid, cols, p):
-    """``_count``'s screened powers of ``grid`` against the samples ``cols``,
-    or None where ``grid`` has no more than 2p rows or one of ``cols``
-    comes within a quarter of its length (too near for the rule)."""
-    (x, y), n = grid, cols[0].size
-    if 2 * p >= x.size:
-        return None
-    ex, ey = x[-1] - x[0], y[-1] - y[0]
-    dx, dy = cols[0] - x[0], cols[1] - y[0]
-    t = np.clip((dx * ex + dy * ey) / (ex * ex + ey * ey), 0.0, 1.0)
-    if np.hypot(dx - t * ex, dy - t * ey).min() < math.hypot(ex, ey) / 4:
-        return None
-    nodes, weights = gauss_legendre(p)
-    along = 0.5 + nodes * x.size / (2.0 * (x.size - 1))   # 0, 1 at the end samples
-    re, im = np.empty((p, n)), np.empty((p, n))
-    _green(k, (x[0] + along * ex, y[0] + along * ey), cols, re, im)
-    re, im = (v * np.sqrt(weights * (x.size / 2.0))[:, None] for v in (re, im))
-    return _powers([(re, im) if p >= n else (re.T, im.T)], min(p, n))
+    # rows first: the proximity test divides by the squared length, 0 on one row
+    if 2 * p < x.size:
+        ex, ey = x[-1] - x[0], y[-1] - y[0]
+        dx, dy = cols[0] - x[0], cols[1] - y[0]
+        t = np.clip((dx * ex + dy * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+        if np.hypot(dx - t * ex, dy - t * ey).min() >= math.hypot(ex, ey) / 4:
+            nodes, weights = gauss_legendre(p)
+            along = 0.5 + nodes * x.size / (2.0 * (x.size - 1))  # 0, 1 at the end samples
+            re, im = np.empty((p, n)), np.empty((p, n))
+            _green(k, (x[0] + along * ex, y[0] + along * ey), cols, re, im)
+            re, im = (v * np.sqrt(weights * (x.size / 2.0))[:, None] for v in (re, im))
+            powers = _powers([(re, im) if p >= n else (re.T, im.T)], min(p, n))
+            del re, im   # freed before a fallback builds the grid's Gram matrix
+            count = effective_dof(powers, fraction)
+            if 2 * count <= p - 32 and not np.any(
+                    np.abs(powers.cumulative_fraction - fraction) < _SCREEN_MARGIN):
+                return count
+    return effective_dof(_gram_powers(k, grid, cols), fraction)
 
 
 def effective_dof(report, fraction=DEFAULT_SUM_RULE_FRACTION):

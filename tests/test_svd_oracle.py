@@ -282,11 +282,19 @@ def count_link(n_rows, n_cols):
     return lk
 
 
+def gram_powers(lk, spacing=None):
+    """The whole grid's spectrum of ``lk`` at ``spacing``: ``_gram_powers``
+    on the grids that ``_count`` builds, the longer side along the rows."""
+    _, (_, tx), (_, rx) = svd_oracle._grids(lk, classify_visibility(lk), spacing)
+    grid, cols = (rx, tx) if rx[0].size >= tx[0].size else (tx, rx)
+    return svd_oracle._gram_powers(2.0 * np.pi / lk.wavelength, grid, cols)
+
+
 def assert_count_matches_svd(lk, spacing=None):
     """``_gram_powers`` against the SVD oracle: the count at three
     fractions, and the leading powers and shares."""
     svd = singular_spectrum(channel_matrix(lk, spacing=spacing))
-    powers = svd_oracle._gram_powers(lk, classify_visibility(lk), spacing)
+    powers = gram_powers(lk, spacing)
     assert powers.normalized_powers.size == svd.normalized_powers.size
     for fraction in (0.9, 0.96, 0.99):
         assert effective_dof(powers, fraction) == effective_dof(svd, fraction)
@@ -318,7 +326,7 @@ class TestGramPowers:
         """More transmit than receive samples: the blocks run along the
         transmit side, and the powers are those of H H^H."""
         lk = count_link(121, 2 * svd_oracle._BLOCK_ROWS + 1)
-        powers = svd_oracle._gram_powers(lk, classify_visibility(lk), None)
+        powers = gram_powers(lk)
         assert powers.normalized_powers.size == 121
         assert_count_matches_svd(lk)
 
@@ -329,19 +337,10 @@ class TestGramPowers:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda G: largest.append((w := eigvalsh(G))[-1]) or w)
         for lk in [link(), count_link(2 * svd_oracle._BLOCK_ROWS + 1, 101)]:
-            powers = svd_oracle._gram_powers(lk, classify_visibility(lk), None)
+            powers = gram_powers(lk)
             share = powers.cumulative_fraction[0]
             frobenius = np.vdot(H := channel_matrix(lk).entries, H).real
             assert largest.pop() / share == pytest.approx(frobenius, rel=1e-14)
-
-    def test_refusals(self):
-        hidden = link(thT=np.pi / 2, thR=np.pi, x0=-5, y0=5)
-        with pytest.raises(ValueError, match="requires visibility"):
-            svd_oracle._gram_powers(hidden, classify_visibility(hidden), None)
-        with pytest.raises(ValueError, match="spacing must not exceed half"):
-            svd_oracle._gram_powers(link(), classify_visibility(link()), 0.6 * LAMBDA)
-        with pytest.raises(ValueError, match="a 5000000001 x 200000001 channel matrix"):
-            svd_oracle._gram_powers(link(), classify_visibility(link()), 1e-9)
 
 
 # a half-turn theta_R sweep of the fig7a link at lambda/2, 21 steps
@@ -452,7 +451,7 @@ class TestScreen:
         assert {FULL, PARTIAL_RX, PARTIAL_TX} <= statuses
         assert sum(lk.d0 < lk.L_T + lk.L_R for lk, _ in links) >= 10
         for lk, spacing in links:
-            full = effective_dof(svd_oracle._gram_powers(lk, classify_visibility(lk), spacing))
+            full = effective_dof(gram_powers(lk, spacing))
             count, _, fell_back = self._screen(lk, spacing)
             assert count == full, (lk, spacing)
             stood += not fell_back
@@ -460,7 +459,7 @@ class TestScreen:
 
     def test_shares_near_the_full_grid_at_the_crossing(self):
         for lk, spacing in stress_links(48, seed=8):
-            full = svd_oracle._gram_powers(lk, classify_visibility(lk), spacing)
+            full = gram_powers(lk, spacing)
             _, screened, _ = self._screen(lk, spacing)
             if screened is None:
                 continue
@@ -477,7 +476,7 @@ class TestScreen:
     def test_near_arrays_count_on_the_grid(self, lk, spacing):
         """Arrays closer than a quarter of the longer side count on the
         grid: the rule alone reads 12 for 9 and 34 for 38 here."""
-        full = effective_dof(svd_oracle._gram_powers(lk, classify_visibility(lk), spacing))
+        full = effective_dof(gram_powers(lk, spacing))
         count, screened, fell_back = self._screen(lk, spacing)
         assert (count, screened, fell_back) == (full, None, True)
 
@@ -486,7 +485,7 @@ class TestScreen:
         N = 10.7 here) does not starve the rule: p is sized by N as well,
         so the screen stands and counts as the grid does."""
         lk, spacing = link(), LAMBDA / 4
-        full = effective_dof(svd_oracle._gram_powers(lk, classify_visibility(lk), spacing))
+        full = effective_dof(gram_powers(lk, spacing))
         count, screened, fell_back = self._screen(lk, spacing, m_int=1)
         assert (count, screened is not None, fell_back) == (full, True, False)
         assert count == 10
@@ -499,7 +498,7 @@ class TestScreen:
         monkeypatch.setattr(svd_oracle, "_SCREEN_MARGIN", 0.0)
         lk, spacing, fraction = link(L_T=0.1, L_R=1.0, x0=20.0), LAMBDA / 4, 1 - 1e-9
         full = effective_dof(
-            svd_oracle._gram_powers(lk, classify_visibility(lk), spacing), fraction)
+            gram_powers(lk, spacing), fraction)
         count, screened, fell_back = self._screen(lk, spacing, fraction)
         assert effective_dof(screened, fraction) == 5 > (40 - 32) / 2
         assert (count, fell_back) == (full, True)
@@ -509,7 +508,7 @@ class TestScreen:
         share lies within the margin, the full grid counts, and the file
         is the one the full grid's count writes."""
         lk, spacing = link(), LAMBDA / 4
-        full = svd_oracle._gram_powers(lk, classify_visibility(lk), spacing)
+        full = gram_powers(lk, spacing)
         fraction = float(full.cumulative_fraction[effective_dof(full) - 1])
         count, screened, fell_back = self._screen(lk, spacing, fraction)
         assert screened is not None and fell_back and count == effective_dof(full, fraction)
@@ -524,5 +523,48 @@ class TestScreen:
             assert cli.main(["svd-compare", "--config", str(cfg), "--out", str(out)]) == 0
             written.append(out.read_bytes())
             monkeypatch.setattr(figures, "_count", lambda lk, rep, sp, f, m: effective_dof(
-                svd_oracle._gram_powers(lk, rep, sp), f))
+                gram_powers(lk, sp), f))
         assert written[0] == written[1]
+
+    def test_one_gridding_per_counted_step(self, monkeypatch):
+        """A sweep through a near-tie step, which falls back to the whole
+        grid: each counted step is gridded once, and the fallback counts on
+        the grid that the screen had."""
+        lk, spacing = link(), LAMBDA / 4
+        full = gram_powers(lk, spacing)
+        fraction = float(full.cumulative_fraction[effective_dof(full) - 1])
+        grids, fell_back = [], []
+        real_grids, real_gram = svd_oracle._grids, svd_oracle._gram_powers
+        monkeypatch.setattr(svd_oracle, "_grids",
+                            lambda *a: grids.append(a[0]) or real_grids(*a))
+        monkeypatch.setattr(svd_oracle, "_gram_powers",
+                            lambda *a: fell_back.append(a) or real_gram(*a))
+        sweep = ({"L_T": 0.2, "L_R": 5.0, "theta_T": 0.0, "x0": 10.0, "y0": 0.0,
+                  "frequency": F}, "theta_R", np.linspace(np.pi - 0.2, np.pi + 0.2, 5))
+        _, columns, _ = figures.svd_compare_rows(*sweep, spacing, fraction)
+        counted = [ed for ed in columns[2][:-1] if ed]
+        assert len(counted) == 5 and 1 <= len(fell_back) < 5
+        assert len(grids) == len(counted)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_rows", [1, 2, 3])
+    def test_short_grids(self, n_rows):
+        """Grids of no more than 2p rows count on the grid, and the rows
+        are tested before the proximity test, which divides by the grid's
+        squared length: 0 on one row, a RuntimeWarning here."""
+        lk = count_link(n_rows, n_rows)
+        count, screened, fell_back = self._screen(lk, None)
+        assert (count, screened, fell_back) == (effective_dof(gram_powers(lk)), None, True)
+        assert count == effective_dof(singular_spectrum(channel_matrix(lk)))
+
+    def test_refusals(self):
+        """``_count`` grids each step, and the grid refuses a link without
+        visibility, a spacing above half a wavelength and a matrix past
+        the size cap."""
+        hidden = link(thT=np.pi / 2, thR=np.pi, x0=-5, y0=5)
+        with pytest.raises(ValueError, match="requires visibility"):
+            svd_oracle._count(hidden, classify_visibility(hidden), None, 0.96, 1)
+        with pytest.raises(ValueError, match="spacing must not exceed half"):
+            svd_oracle._count(link(), classify_visibility(link()), 0.6 * LAMBDA, 0.96, 10)
+        with pytest.raises(ValueError, match="a 5000000001 x 200000001 channel matrix"):
+            svd_oracle._count(link(), classify_visibility(link()), 1e-9, 0.96, 10)
