@@ -30,17 +30,17 @@ integral, clipped to R, is one fixed 48-node Gauss-Legendre rule in a
 variable that makes the square-root behaviour at psi and R and the scale
 h next to x0 = 0 smooth, and the whole threshold grid is one
 (grid x nodes) numpy evaluation.  The CCDF difference from a 64-node
-rule is the error estimate carried by ``DistributionCurve``.  The
-conditional-on-x0 scenario evaluates the same per-x0 laws at its fixed
-x0.  The per-point adaptive quadrature with explicit breakpoints at
-omega and psi lives in ``tests/deconditioning_oracle.py`` as the
-reference.
+rule is the error estimate carried by ``DistributionCurve``, and a curve
+that is not finite is refused.  The conditional-on-x0 scenario evaluates
+the same per-x0 laws at its fixed x0.  The per-point adaptive quadrature
+with explicit breakpoints at omega and psi lives in
+``tests/deconditioning_oracle.py`` as the reference.
 
 Monte Carlo driven by the same branch structure cross-validates the
-analytic curves.  It draws in fixed chunks of 2^15 on one thread per
-CPU.  Each chunk jumps straight to its own positions of the one
-counter-based Philox stream, so the draws are the same bits on any CPU
-count.  Its vectorized branch evaluator runs each formula on
+analytic curves.  It draws in fixed chunks of 2^15 on a pool of one
+thread per CPU.  Each chunk jumps straight to its own positions of the
+one counter-based Philox stream, so the draws are the same bits on any
+CPU count.  Its vectorized branch evaluator runs each formula on
 its own branch's draws only; ``tests/test_statistics.py`` replays the
 draws through the link engine ``dof_arrays``: they agree except where
 x0 <= (L_T / 2) |sin(theta_T)|, whose segments intersect, which the
@@ -247,7 +247,7 @@ def _at_x0(mu, x0, C, h):
     omega, psi = _support_edges(mu, C, h)
     in_partial = x0 < omega
     in_full = (omega < x0) & (x0 < psi)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         pdf_p, cc_p = _partial_law(mu, x0, omega, omega - x0, C, h)
         pdf_f, cc_f = _full_law(mu, x0, psi, psi - x0, C, h)
     return (np.where(in_partial, pdf_p, 0.0), np.where(in_partial, cc_p, 0.0),
@@ -256,7 +256,9 @@ def _at_x0(mu, x0, C, h):
 
 
 def _curve(cfg: ScenarioConfig, mu, nodes=_NODES):
-    """(PDF, CCDF) of the scenario on an array of thresholds."""
+    """(PDF, CCDF) of the scenario on an array of thresholds; a value that
+    is not finite (R * R overflows past R ~ 1.3e154 and underflows below
+    ~1.5e-154) is refused."""
     mu = np.asarray(mu, dtype=float)
     C, h = cfg.C, cfg.L_R / 2.0
     inside = (mu > 0.0) & (mu < 2.0 * C)
@@ -269,8 +271,11 @@ def _curve(cfg: ScenarioConfig, mu, nodes=_NODES):
         pdf[inside] = (2.0 * v_partial * pdf_p + v_full * pdf_f) / v_total
         cc[inside] = (2.0 * v_partial * cc_p + v_full * cc_f) / v_total
     else:
-        pdf[inside], cc[inside] = _deconditioned(m, cfg.R, C, h,
-                                                 cfg.scenario, nodes)
+        with np.errstate(all="ignore"):   # a curve that is not finite is refused
+            pdf[inside], cc[inside] = _deconditioned(m, cfg.R, C, h,
+                                                     cfg.scenario, nodes)
+    if not (np.all(np.isfinite(pdf)) and np.all(np.isfinite(cc))):
+        raise ValueError(f"the analytic curve is not finite at R = {cfg.R!r}")
     return pdf, cc
 
 
@@ -386,8 +391,8 @@ def monte_carlo(cfg: ScenarioConfig, n, seed=0):
     evaluator runs only on its own branch's draws.
 
     The draws are made in fixed chunks of 2^15, each from its own
-    positions of the one stream, on one thread per CPU (inline below two
-    chunks or with one CPU).  Every chunk reproduces the same slice of
+    positions of the one stream, on a pool of one thread per CPU, and no
+    more threads than chunks.  Every chunk reproduces the same slice of
     the serial draws, so the samples are the same bits on any CPU count.
     The threads call none of the package's public functions: the stream
     is opened once, here.
@@ -416,15 +421,10 @@ def monte_carlo(cfg: ScenarioConfig, n, seed=0):
         theta_T += lo
         out[start:start + k] = _excess_dof(a, theta_T, cfg.C)[0]
 
+    from concurrent.futures import ThreadPoolExecutor
     starts = range(0, n, _CHUNK)
-    workers = min(usable_cpus(), len(starts))
-    if workers == 1:
-        for start in starts:
-            chunk(start)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(chunk, starts))
+    with ThreadPoolExecutor(min(usable_cpus(), len(starts))) as pool:
+        list(pool.map(chunk, starts))
     return out
 
 

@@ -459,6 +459,36 @@ class TestStatsCommand:
         assert sorted(json.loads(plain)["parameters"]) == sorted(
             ["L_T_m", "L_R_m", "frequency_hz", "seed", "stats"])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scenario", [
+        "partial-r-plus", "partial-r-minus", "full-visibility"])
+    @pytest.mark.parametrize("R", [1e155, 1e-158, 1e-300])
+    def test_radius_past_the_float_range(self, tmp_path, capsys, R, scenario):
+        """A disk radius whose square overflows, or underflows to a
+        subnormal or 0, leaves the deconditioned curve not finite: a
+        numeric failure of one line, with no numpy warning and no data
+        file."""
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"stats": {"R": R, "scenario": scenario}}))
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "stats", "--config", str(cfgfile), "--out", str(out))
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("numeric failure: ")
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_conditional_at_a_huge_radius(self, tmp_path, capsys):
+        """At x0 = R = 1e155 the conditional laws stay finite: the full
+        law's overflow lies outside its support and is masked, without a
+        numpy warning, and the curve is written."""
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"stats": {
+            "R": 1e155, "x0": 1e155, "scenario": "conditional-on-x0",
+            "grid_points": 5, "mc_samples": 0}}))
+        code, out, err = run(capsys, "stats", "--config", str(cfgfile))
+        assert (code, err) == (0, "")
+        assert [line.split(",")[2] for line in out.split()[1:]] == ["1", "0", "0", "0", "0"]
+
     def test_bad_scenario_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps({"stats": {"scenario": "bogus"}}))

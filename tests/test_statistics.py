@@ -476,7 +476,7 @@ class TestChunkedDraws:
     def test_one_and_four_cpus_agree(self, monkeypatch, n):
         """Up to four threads, switching often, write disjoint slices of
         one array: a slice written twice or not at all would differ from
-        the inline draws, and both are the whole-array reference's."""
+        the one-thread draws, and both are the whole-array reference's."""
         chunks = -(-n // stats._CHUNK)
         interval = sys.getswitchinterval()
         for c in _scenarios():
@@ -488,9 +488,8 @@ class TestChunkedDraws:
                     draws[cpus] = monte_carlo(c, n, seed=3)
                 finally:
                     sys.setswitchinterval(interval)
-                # inline with one CPU or one chunk, else one thread per CPU
-                assert pools == ([] if cpus == 1 or chunks == 1
-                                 else [min(cpus, chunks)]), (c.scenario, cpus)
+                # one pool of one thread per CPU, and no more than the chunks
+                assert pools == [min(cpus, chunks)], (c.scenario, cpus)
             assert np.array_equal(draws[1], draws[4]), c.scenario
             assert np.array_equal(draws[1], _reference_draws(c, n, 3)), c.scenario
 
