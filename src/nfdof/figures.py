@@ -19,7 +19,7 @@ import numpy as np
 
 from . import statistics as stats
 from .dof_core import dof_arrays
-from .geometry import classify_visibility, link_arrays, make_link
+from .geometry import link_arrays, make_link
 from .kernel import kernel_scan
 from .svd_oracle import (DEFAULT_SUM_RULE_FRACTION, _count, channel_matrix,
                          grid_shapes, singular_spectrum)
@@ -68,11 +68,8 @@ def svd_compare_rows(link, key, values, spacing, threshold):
     counted, vis = [m != 0 for m in m_int], res.visibility
     shapes = grid_shapes(*(v[counted].tolist() for v in (
         vis.l_T, vis.l_R, links.wavelength)), spacing)
-
-    def count(v, m):
-        lk = make_link(**{**link, key: v})
-        return _count(lk, classify_visibility(lk), spacing, threshold, m)
-    eds = [count(v, m) if m else 0 for v, m in zip(steps, m_int)]
+    eds = [_count(make_link(**{**link, key: v}), spacing, threshold, m) if m else 0
+           for v, m in zip(steps, m_int)]
     shape = max([(0, 0)] + shapes, key=math.prod)
     diffs = [abs(m - ed) for m, ed in zip(m_int, eds)]
     columns = [steps + ["max"], m_int + [""], eds + [""], diffs + [max(diffs)]]

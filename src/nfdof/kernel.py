@@ -42,7 +42,8 @@ peak l_T / (4 pi d0)^2 on every regime and at every switch.
 
 ``kernel_exact``, ``kernel_farfield`` and ``kernel_scan`` share one pass
 that evaluates the coefficients once for the exact kernel, the far-field
-(sinc) kernel and the sinc-limit samples, with one set of refusals.
+(sinc) kernel and the sinc-limit samples, with one set of refusals; the
+sinc-limit mask is the one ``_aperture_integral`` evaluated with.
 """
 
 from dataclasses import dataclass
@@ -109,17 +110,13 @@ def _delta_coeffs(zeta, zeta_ref, link, report):
             (co.rho_tilde[:-1] - co.rho_tilde[-1]).reshape(shape))
 
 
-def _sinc_limit(drho_t, wavelength, l_T):
-    k = 2.0 * np.pi / wavelength
-    return k * np.abs(drho_t) * (l_T / 2.0) ** 2 <= SINC_PHASE
-
-
 def _aperture_integral(drho, drho_t, wavelength, l_T):
-    """Integral over [-h, h] of exp(-j k (drho eta + drho_t eta^2))."""
+    """(integral over [-h, h] of exp(-j k (drho eta + drho_t eta^2)), the
+    mask of the points taken in the sinc limit)."""
     k = 2.0 * np.pi / wavelength
     h = l_T / 2.0
     out = np.empty(drho.shape, dtype=complex)
-    sinc = _sinc_limit(drho_t, wavelength, l_T)
+    sinc = k * np.abs(drho_t) * h ** 2 <= SINC_PHASE
     quad = ~sinc & (k * (np.abs(drho) * h + np.abs(drho_t) * h * h)
                     <= QUADRATURE_PHASE)
     closed = ~(sinc | quad)
@@ -144,7 +141,7 @@ def _aperture_integral(drho, drho_t, wavelength, l_T):
     val = (np.sqrt(np.pi) / (2.0 * np.exp(0.25j * np.pi) * np.sqrt(k * s))
            * total)
     out[closed] = np.where(neg, np.conj(val), val)
-    return out
+    return out, sinc
 
 
 def _kernel(zeta, zeta_ref, link, report):
@@ -156,12 +153,12 @@ def _kernel(zeta, zeta_ref, link, report):
         raise ValueError("zeta outside the effective receive aperture")
     drho, drho_t = _delta_coeffs(zeta, zeta_ref, link, report)
     amplitude = 1.0 / (4.0 * np.pi * link.d0) ** 2
-    exact = amplitude * _aperture_integral(drho, drho_t, link.wavelength,
-                                           report.l_T)
+    integral, sinc = _aperture_integral(drho, drho_t, link.wavelength, report.l_T)
+    exact = amplitude * integral
     if not np.all(np.isfinite(exact)):
         raise OverflowError("kernel_exact: non-finite result")
     far = amplitude * report.l_T * np.sinc(report.l_T / link.wavelength * drho)
-    return exact, far, _sinc_limit(drho_t, link.wavelength, report.l_T)
+    return exact, far, sinc
 
 
 def kernel_farfield(zeta, zeta_ref, link: LinkGeometry, report: VisibilityReport):

@@ -104,6 +104,8 @@ class ScenarioConfig:
         if not all(math.isfinite(v) and v > 0
                    for v in (self.R, self.L_T, self.L_R, self.frequency)):
             raise ValueError("R, lengths, and frequency must be positive and finite")
+        if not math.isfinite(self.wavelength):   # 3e8 / frequency overflowed
+            raise OverflowError("wavelength must be positive and finite")
 
     @property
     def wavelength(self):
@@ -230,7 +232,8 @@ def _deconditioned(mu, R, C, h, scenario, nodes):
     x = h * np.sinh(s)
     drop = 2.0 * h * np.cosh(s + 0.5 * d) * np.sinh(0.5 * d)   # hi - x
     r_gap = (R - hi)[:, None] + drop
-    dens = (4.0 * h / (np.pi * R * R)) * np.sqrt(r_gap * (R + x)) * np.cosh(s) * dd * w
+    area = np.float64(np.pi * R * R)   # 0 below R ~ 1e-162: inf, which _curve refuses
+    dens = (4.0 * h / area) * np.sqrt(r_gap * (R + x)) * np.cosh(s) * dd * w
     mu = mu[:, None]
     if scenario == FULL_VISIBILITY:
         pdf, cc = _full_law(mu, x, psi[:, None], (psi - hi)[:, None] + drop, C, h)

@@ -21,6 +21,7 @@ with ``singular_spectrum``, the SVD, which is also the tests' oracle for
 the count.  ``_count`` decides each ``svd-compare`` count: it grids the
 step once, screens it on a Gauss rule over the longer side's cells, and
 hands the same grid to ``_gram_powers`` where the screen cannot decide.
+Like ``channel_matrix``, it takes a link alone: ``_grids`` classifies it.
 """
 
 import math
@@ -70,17 +71,18 @@ def channel_matrix(link: LinkGeometry, spacing=None) -> ChannelMatrix:
     """Green's-function matrix over the effective segments of ``link``
     (``classify_visibility``'s report), sampled on the grids that
     ``grid_shapes`` counts and checks."""
-    spacing, (tx_s, tx), (rx_s, rx) = _grids(link, classify_visibility(link), spacing)
+    spacing, (tx_s, tx), (rx_s, rx) = _grids(link, spacing)
     H = np.empty((rx_s.size, tx_s.size), dtype=complex)
     _green(2.0 * np.pi / link.wavelength, rx, tx, H.real, H.imag)
     return ChannelMatrix(entries=H, tx_points=tx_s, rx_points=rx_s,
                          spacing=float(spacing))
 
 
-def _grids(link, report, spacing):
+def _grids(link, spacing):
     """The spacing and, for the transmit then the receive grid, the signed
-    coordinates and the (x, y) points of the samples on ``report``'s
-    effective segments."""
+    coordinates and the (x, y) points of the samples on the effective
+    segments of ``link`` (classified here)."""
+    report = classify_visibility(link)
     _require_visible(report)
     spacing = link.wavelength / 4.0 if spacing is None else spacing
     (n_r, n_t), = grid_shapes([report.l_T], [report.l_R], [link.wavelength], spacing)
@@ -195,9 +197,9 @@ def _powers(blocks, n):
                      cumulative_fraction=np.cumsum(p) / total)
 
 
-def _count(link, report, spacing, fraction, m_int):
+def _count(link, spacing, fraction, m_int):
     """The sum-rule count at ``fraction`` of ``channel_matrix(link,
-    spacing)`` (``report`` is ``link``'s visibility), screened on a p-node
+    spacing)`` (``link`` classified by ``_grids``), screened on a p-node
     Gauss-Legendre rule, weights over h, over the cells of the longer
     side's rows (first sample - h/2 to last + h/2, h the grid's step), p =
     4 ceil(max(N, ``m_int``)) + 32 with N - 1 = |d(T+, R-) + d(T-, R+) -
@@ -206,7 +208,7 @@ def _count(link, report, spacing, fraction, m_int):
     quarter of its length (too near for the rule), the screened count
     exceeds (p - 32) / 2 or a running share is within ``_SCREEN_MARGIN``
     of the fraction."""
-    _, (_, tx), (_, rx) = _grids(link, report, spacing)
+    _, (_, tx), (_, rx) = _grids(link, spacing)
     grid, cols = (rx, tx) if rx[0].size >= tx[0].size else (tx, rx)
     (x, y), n, k = grid, cols[0].size, 2.0 * np.pi / link.wavelength
     t0, t1, r0, r1 = ((q[0][i], q[1][i]) for q in (tx, rx) for i in (0, -1))

@@ -473,8 +473,18 @@ class TestStatsCommand:
         out = tmp_path / "s.csv"
         code, _, err = run(capsys, "stats", "--config", str(cfgfile), "--out", str(out))
         assert code == 1
-        assert err.count("\n") == 1 and err.startswith("numeric failure: ")
+        assert err == f"numeric failure: the analytic curve is not finite at R = {R!r}\n"
         assert list(tmp_path.iterdir()) == [cfgfile]
+
+    @pytest.mark.parametrize("command", ["stats", "dof"])
+    def test_frequency_whose_wavelength_overflows(self, tmp_path, capsys, command):
+        """At 1e-300 Hz the wavelength overflows: ``stats`` refuses it as
+        ``dof`` does, a numeric failure of one line, and writes no file."""
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, command, "--frequency-hz", "1e-300", "--out", str(out))
+        assert code == 1
+        assert err == "numeric failure: wavelength must be positive and finite\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_conditional_at_a_huge_radius(self, tmp_path, capsys):

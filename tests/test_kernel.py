@@ -12,7 +12,7 @@ from nfdof.dof_core import dof, minima_lattice_count, taylor_coeffs
 from nfdof.geometry import (classify_arrays, classify_visibility, link_arrays,
                             make_link)
 from nfdof.kernel import (
-    _aperture_integral, _delta_coeffs, _sinc_limit, find_minima, kernel_exact,
+    _aperture_integral, _delta_coeffs, find_minima, kernel_exact,
     kernel_farfield, kernel_scan,
 )
 from nfdof.numerics import integrate
@@ -291,7 +291,7 @@ class TestApertureIntegral:
         cases = self.cases()
         drho = np.array([c[0] for c in cases])
         drho_t = np.array([c[1] for c in cases])
-        got = _aperture_integral(drho, drho_t, LAMBDA, 2 * self.H)
+        got = _aperture_integral(drho, drho_t, LAMBDA, 2 * self.H)[0]
         for (p, q), g in zip(cases, got):
             want = aperture_integral_mpmath(p, q, self.K, self.H)
             assert abs(g - want) <= 1e-14 * 2 * self.H, (p, q)
@@ -414,7 +414,9 @@ class TestScanSinglePass:
         assert np.array_equal(scan.farfield,
                               kernel_farfield(scan.zeta, zeta_ref, lk, rep))
         drho_t = _delta_coeffs(scan.zeta, zeta_ref, lk, rep)[1]
-        sinc = np.count_nonzero(_sinc_limit(drho_t, lk.wavelength, rep.l_T))
+        # the quadratic phase across the aperture against kernel.SINC_PHASE
+        phase = 2.0 * np.pi / lk.wavelength * np.abs(drho_t) * (rep.l_T / 2.0) ** 2
+        sinc = np.count_nonzero(phase <= kernel.SINC_PHASE)
         assert scan.sinc_fallback == sinc == (zeta_ref == 0.0)
         assert scan.minima == find_minima(np.abs(scan.values))
 

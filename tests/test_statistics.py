@@ -67,6 +67,13 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="finite"):
             ScenarioConfig(**{**fields, field: value})
 
+    def test_wavelength_that_overflows(self):
+        """3e8 / 1e-300 Hz overflows to an infinite wavelength and C = 0:
+        refused with ``make_link``'s message, not a degenerate curve."""
+        with pytest.raises(OverflowError, match="^wavelength must be positive and finite$"):
+            ScenarioConfig(R=20.0, L_T=0.2, L_R=5.0, frequency=1e-300,
+                           scenario=FULL_VISIBILITY)
+
 
 def density(c, mu):
     """The scenario's density of mu at one threshold, as a float."""

@@ -285,7 +285,7 @@ def count_link(n_rows, n_cols):
 def gram_powers(lk, spacing=None):
     """The whole grid's spectrum of ``lk`` at ``spacing``: ``_gram_powers``
     on the grids that ``_count`` builds, the longer side along the rows."""
-    _, (_, tx), (_, rx) = svd_oracle._grids(lk, classify_visibility(lk), spacing)
+    _, (_, tx), (_, rx) = svd_oracle._grids(lk, spacing)
     grid, cols = (rx, tx) if rx[0].size >= tx[0].size else (tx, rx)
     return svd_oracle._gram_powers(2.0 * np.pi / lk.wavelength, grid, cols)
 
@@ -440,7 +440,7 @@ class TestScreen:
                        lambda *a: built.append(real_powers(*a)) or built[-1])
             mp.setattr(svd_oracle, "_gram_powers",
                        lambda *a: fell_back.append(a) or real_gram(*a))
-            count = svd_oracle._count(lk, classify_visibility(lk), spacing, fraction,
+            count = svd_oracle._count(lk, spacing, fraction,
                                       dof(lk).m_int if m_int is None else m_int)
         # each fallback builds one set of powers; the screen built one more
         return count, built[0] if len(built) > len(fell_back) else None, bool(fell_back)
@@ -522,7 +522,7 @@ class TestScreen:
             out = tmp_path / f"{name}.csv"
             assert cli.main(["svd-compare", "--config", str(cfg), "--out", str(out)]) == 0
             written.append(out.read_bytes())
-            monkeypatch.setattr(figures, "_count", lambda lk, rep, sp, f, m: effective_dof(
+            monkeypatch.setattr(figures, "_count", lambda lk, sp, f, m: effective_dof(
                 gram_powers(lk, sp), f))
         assert written[0] == written[1]
 
@@ -563,8 +563,8 @@ class TestScreen:
         the size cap."""
         hidden = link(thT=np.pi / 2, thR=np.pi, x0=-5, y0=5)
         with pytest.raises(ValueError, match="requires visibility"):
-            svd_oracle._count(hidden, classify_visibility(hidden), None, 0.96, 1)
+            svd_oracle._count(hidden, None, 0.96, 1)
         with pytest.raises(ValueError, match="spacing must not exceed half"):
-            svd_oracle._count(link(), classify_visibility(link()), 0.6 * LAMBDA, 0.96, 10)
+            svd_oracle._count(link(), 0.6 * LAMBDA, 0.96, 10)
         with pytest.raises(ValueError, match="a 5000000001 x 200000001 channel matrix"):
-            svd_oracle._count(link(), classify_visibility(link()), 1e-9, 0.96, 10)
+            svd_oracle._count(link(), 1e-9, 0.96, 10)
