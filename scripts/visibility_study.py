@@ -37,7 +37,7 @@ def main(argv=None):
     link = {"L_T": args.l_t, "L_R": args.l_r, "theta_R": args.theta_r,
             "x0": args.x0, "y0": args.y0, "frequency": args.frequency_hz}
     values = np.linspace(-np.pi, np.pi, args.steps)
-    _, (_, m_real, m_int, status) = sweep_rows(link, "theta_T", values)
+    _, (_, m_real, m_int, status), _ = sweep_rows(link, "theta_T", values)
     head = f"{'theta_T':>9}{'status':>15}{'m_real':>9}{'m_int':>6}"
     if args.svd:
         _, (_, _, svd, _), _ = svd_compare_rows(link, "theta_T", values, None,

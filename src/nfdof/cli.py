@@ -13,12 +13,13 @@ that its curve reads; for ``figure``, the recipe's bindings and the
 seed, which are all that it uses), and reruns with identical inputs are
 byte-identical.
 
-Output is columnar from the computation to the bytes: each command
-takes the columns of one shared loop in ``figures`` and formats each
-column once, by what it holds.  CSV cells are floats to 9 significant
-digits (``nan`` for NaN), integers in full, strings as they are, an
-empty cell for no value and lists joined by ``;``.  JSON output is a
-list of records, NaN as null.
+Output is columnar from the computation to the bytes: every command but
+``dof`` hands the (header, columns, record) of one shared loop in
+``figures`` to ``_write_rows``, which formats each column once, by what
+it holds, and puts the record, keyed as the manifest writes it, into the
+manifest.  CSV cells are floats to 9 significant digits (``nan`` for
+NaN), integers in full, strings as they are, an empty cell for no value
+and lists joined by ``;``.  JSON output is a list of records, NaN as null.
 
 ``main`` builds its argument parser once per process and may be called
 repeatedly in one process.
@@ -262,35 +263,33 @@ def _sweep_values(cfg):
         float(sweep["start"]), float(sweep["stop"]), sweep["steps"]))
 
 
-def cmd_sweep(cfg, args):
-    header, columns = sweep_rows(link_params(cfg), *_sweep_values(cfg))
-    _emit(header, columns, args, _manifest("sweep", parameters=cfg))
-    return 0
-
-
-def cmd_svd_compare(cfg, args):
-    header, columns, svd_grid = svd_compare_rows(
-        link_params(cfg), *_sweep_values(cfg), cfg["svd_spacing"],
-        cfg["svd_threshold"])
-    _emit(header, columns, args,
-          _manifest("svd-compare", parameters=cfg,
-                    threshold=cfg["svd_threshold"], svd_grid=svd_grid))
-    return 0
-
-
-def cmd_kernel_scan(cfg, args):
-    header, columns, kernel = kernel_scan_rows(link_params(cfg),
-                                               cfg["zeta_ref"], cfg["n_samples"])
-    _emit(header, columns, args,
-          _manifest("kernel-scan", parameters=cfg, kernel=kernel))
-    return 0
-
-
-def _warn_quadrature(quadrature):
-    estimate = quadrature["abs_error_estimate"]
+def _write_rows(command, rows, args, **fields):
+    """Write a loop's (header, columns, record) with the command's own
+    manifest ``fields``, warning first on a quadrature estimate above
+    ``QUADRATURE_WARN_ABS``."""
+    header, columns, record = rows
+    estimate = record.get("quadrature", {}).get("abs_error_estimate", -math.inf)
     if estimate > QUADRATURE_WARN_ABS:
         print(f"warning: deconditioning error estimate {estimate:.2e} "
               f"exceeds {QUADRATURE_WARN_ABS:g}", file=sys.stderr)
+    _emit(header, columns, args, _manifest(command, **fields, **record))
+    return 0
+
+
+def cmd_sweep(cfg, args):
+    return _write_rows("sweep", sweep_rows(link_params(cfg), *_sweep_values(cfg)),
+                       args, parameters=cfg)
+
+
+def cmd_svd_compare(cfg, args):
+    return _write_rows("svd-compare", svd_compare_rows(
+        link_params(cfg), *_sweep_values(cfg), cfg["svd_spacing"],
+        cfg["svd_threshold"]), args, parameters=cfg, threshold=cfg["svd_threshold"])
+
+
+def cmd_kernel_scan(cfg, args):
+    return _write_rows("kernel-scan", kernel_scan_rows(
+        link_params(cfg), cfg["zeta_ref"], cfg["n_samples"]), args, parameters=cfg)
 
 
 def cmd_stats(cfg, args):
@@ -303,29 +302,21 @@ def cmd_stats(cfg, args):
     except ValueError as e:  # x0 against R or the scenario: two values each
         raise UsageError(f"stats.{e}")
     grid_points, mc_samples = section["grid_points"], section["mc_samples"]
-    header, columns, quadrature = curve_rows(scen_cfg, grid_points, mc_samples,
-                                             cfg["seed"])
-    _warn_quadrature(quadrature)
-    parameters = {key: cfg[key] for key in STATS_FIELDS}
-    _emit(header + ["mc_samples", "seed"],
-          columns + [[mc_samples] * grid_points, [cfg["seed"]] * grid_points], args,
-          _manifest("stats", parameters=parameters, scenario=asdict(scen_cfg),
-                    quadrature=quadrature))
-    return 0
+    header, columns, record = curve_rows(scen_cfg, grid_points, mc_samples, cfg["seed"])
+    columns += [[mc_samples] * grid_points, [cfg["seed"]] * grid_points]
+    return _write_rows("stats", (header + ["mc_samples", "seed"], columns, record),
+                       args, parameters={key: cfg[key] for key in STATS_FIELDS},
+                       scenario=asdict(scen_cfg))
 
 
 def cmd_figure(cfg, args):
     fig_id = args.id
     if fig_id not in FIGURE_IDS:
         raise UsageError(f"unknown figure id {fig_id!r}; choose from {FIGURE_IDS}")
-    header, columns, record = figure_rows(fig_id, seed=cfg["seed"])
-    if "quadrature" in record:
-        _warn_quadrature(record["quadrature"])
     # the recipe's bindings and the seed are all that a figure reads
-    _emit(header, columns, args, _manifest(
-        f"figure {fig_id}", figure=fig_id, bindings=FIGURES[fig_id][1],
-        seed=cfg["seed"], **record))
-    return 0
+    return _write_rows(f"figure {fig_id}", figure_rows(fig_id, seed=cfg["seed"]),
+                       args, figure=fig_id, bindings=FIGURES[fig_id][1],
+                       seed=cfg["seed"])
 
 
 # built once per process: parse_args leaves the parser as it was, so every

@@ -5,7 +5,9 @@ bindings, and nothing else decides a recipe: ``figure_rows`` runs the
 loop on the bindings, and the ``figure`` manifest records the same
 bindings with the seed.  The loops are the commands' own (the sweep, the
 SVD compare, the kernel scan and the distribution curve) plus the
-singular spectrum and the visibility-probability surface; a binding
+singular spectrum and the visibility-probability surface.  Every loop
+returns (header, columns, record), the record keyed as the manifest
+writes it: empty, ``svd_grid``, ``kernel`` or ``quadrature``.  A binding
 named like a field or ``stats`` key of the CLI's ``DOMAINS`` means what
 it means there.  Rotation angles follow this package's
 counter-clockwise-positive convention; captions quoted from
@@ -50,63 +52,64 @@ def _dof_sweep(link, key, values):
 
 
 def sweep_rows(link, key, values):
-    """(header, columns) of a DoF sweep; ``m_int`` is 0 where it is None."""
+    """(header, columns, {}) of a DoF sweep; ``m_int`` is 0 where None."""
     _, res, m_int = _dof_sweep(link, key, values)
     return ([key, "m_real", "m_int", "status"],
-            [values, res.m_real, m_int, res.visibility.status])
+            [values, res.m_real, m_int, res.visibility.status], {})
 
 
 def svd_compare_rows(link, key, values, spacing, threshold):
-    """(header, columns, grid record) of the mode count against the
-    sum-rule count of the channel matrix along a sweep, each column closed
-    by its ``max`` entry.  The sweep's ``m_int`` picks the steps to count;
+    """(header, columns, record) of the mode count against the sum-rule
+    count of the channel matrix along a sweep, each column closed by its
+    ``max`` entry.  The sweep's ``m_int`` picks the steps to count;
     ``grid_shapes`` checks their matrices from the sweep's segments before
     any work starts, then ``svd_oracle._count`` counts them one by one, in
-    step order, and links without modes count 0 for both.  The record
-    holds the shape of the largest matrix (0 x 0 without any)."""
+    step order, and links without modes count 0 for both.  The record's
+    ``svd_grid`` holds the shape of the largest matrix (0 x 0 without any)."""
     steps, (links, res, m_int) = values.tolist(), _dof_sweep(link, key, values)
     counted, vis = [m != 0 for m in m_int], res.visibility
     shapes = grid_shapes(*(v[counted].tolist() for v in (
         vis.l_T, vis.l_R, links.wavelength)), spacing)
     eds = [_count(make_link(**{**link, key: v}), spacing, threshold, m) if m else 0
            for v, m in zip(steps, m_int)]
-    shape = max([(0, 0)] + shapes, key=math.prod)
+    rows, cols = max([(0, 0)] + shapes, key=math.prod)
     diffs = [abs(m - ed) for m, ed in zip(m_int, eds)]
     columns = [steps + ["max"], m_int + [""], eds + [""], diffs + [max(diffs)]]
     return ([key, "m_int", "effective_dof", "abs_diff"], columns,
-            _grid_record(shape))
+            {"svd_grid": {"rows": rows, "cols": cols}})
 
 
 def kernel_scan_rows(link, zeta_ref, n_samples):
-    """(header, columns, kernel record) of the exact and far-field kernel
-    across the effective receive aperture, with its significant minima
-    flagged; the record counts the samples and the sinc-limit ones."""
+    """(header, columns, record) of the exact and far-field kernel across
+    the effective receive aperture, with its significant minima flagged;
+    the record's ``kernel`` counts the samples and the sinc-limit ones."""
     scan = kernel_scan(make_link(**link), zeta_ref=zeta_ref, n_samples=n_samples)
     is_min = np.zeros(scan.zeta.size, dtype=int)
     is_min[scan.minima] = 1
     v = scan.values
     columns = [scan.zeta, v.real, v.imag, np.abs(v), np.abs(scan.farfield), is_min]
-    record = {"samples": scan.zeta.size, "sinc_fallback": scan.sinc_fallback}
-    return ["zeta", "re", "im", "magnitude", "magnitude_farfield",
-            "is_minimum"], columns, record
+    return (["zeta", "re", "im", "magnitude", "magnitude_farfield", "is_minimum"],
+            columns, {"kernel": {"samples": scan.zeta.size,
+                                 "sinc_fallback": scan.sinc_fallback}})
 
 
 def curve_rows(cfg, grid_points, mc_samples, seed):
-    """(header, columns, quadrature record) of the analytic and Monte
-    Carlo CCDF of ``cfg`` on ``grid_points`` thresholds across [0, 2C];
-    the Monte Carlo column is NaN without samples."""
+    """(header, columns, record) of the analytic and Monte Carlo CCDF of
+    ``cfg`` on ``grid_points`` thresholds across [0, 2C]; the Monte Carlo
+    column is NaN without samples, and the record's ``quadrature`` holds
+    the nodes and the error estimate."""
     grid = np.linspace(0.0, 2.0 * cfg.C, grid_points)
     curve = stats.ccdf(cfg, grid, mc_samples=mc_samples, seed=seed)
     mc = curve.mc_ccdf if curve.mc_ccdf is not None else np.full(grid.size, np.nan)
-    quadrature = {"nodes": curve.quadrature_nodes,
-                  "abs_error_estimate": curve.abs_error_estimate}
     return (["mu_th", "pdf", "ccdf_analytic", "ccdf_mc"],
-            [curve.grid, curve.pdf, curve.ccdf, mc], quadrature)
+            [curve.grid, curve.pdf, curve.ccdf, mc],
+            {"quadrature": {"nodes": curve.quadrature_nodes,
+                            "abs_error_estimate": curve.abs_error_estimate}})
 
 
 def figure_rows(fig_id, seed=0):
-    """(header, columns, the loop's own record) of the data file behind
-    recipe ``fig_id``: its ``FIGURES`` loop run on its bindings."""
+    """(header, columns, record) of the data file behind recipe
+    ``fig_id``: its ``FIGURES`` loop run on its bindings."""
     loop, bindings = FIGURES[fig_id]
     return loop(bindings, seed)
 
@@ -123,21 +126,16 @@ def _stack(blocks):
         [np.full(len(cols[0]), v) for v in case] + cols for case, cols in blocks))]
 
 
-def _grid_record(shape):
-    return {"rows": shape[0], "cols": shape[1]}
-
-
-# The table's loops: each takes (bindings, seed) and returns (header,
-# columns, record), the record holding what goes into the manifest.
+# The table's loops, each run on (bindings, seed).
 
 def _minima_rows(p, seed):
-    _, cols, kernel = kernel_scan_rows(link_params(p), p["zeta_ref"], p["n_samples"])
+    _, cols, record = kernel_scan_rows(link_params(p), p["zeta_ref"], p["n_samples"])
     return (["zeta", "magnitude_exact", "magnitude_farfield", "is_minimum"],
-            [cols[0], cols[3], cols[4], cols[5]], {"kernel": kernel})
+            [cols[0], cols[3], cols[4], cols[5]], record)
 
 
 def _theta_R_rows(p, seed):
-    return (*sweep_rows(link_params(p), "theta_R", _grid(p["theta_R_sweep"])), {})
+    return sweep_rows(link_params(p), "theta_R", _grid(p["theta_R_sweep"]))
 
 
 def _range_rows(p, seed):
@@ -150,19 +148,17 @@ def _range_rows(p, seed):
 
 
 def _svd_rows(p, seed):
-    header, cols, svd_grid = svd_compare_rows(
-        link_params(p), "theta_R", _grid(p["theta_R_sweep"]), p["spacing"],
-        p["threshold"])
-    return header, cols, {"svd_grid": svd_grid}
+    return svd_compare_rows(link_params(p), "theta_R", _grid(p["theta_R_sweep"]),
+                            p["spacing"], p["threshold"])
 
 
 def _spectrum_rows(p, seed):
     cm = channel_matrix(make_link(**link_params(p)), spacing=p["spacing"])
-    rep = singular_spectrum(cm)
+    rep, (rows, cols) = singular_spectrum(cm), cm.entries.shape
     index = np.arange(1, len(rep.singular_values) + 1)
     return (["index", "singular_value", "normalized_power", "cumulative_fraction"],
             [index, rep.singular_values, rep.normalized_powers,
-             rep.cumulative_fraction], {"svd_grid": _grid_record(cm.entries.shape)})
+             rep.cumulative_fraction], {"svd_grid": {"rows": rows, "cols": cols}})
 
 
 def _curve_family(case_header, cases, p, seed):
@@ -173,12 +169,12 @@ def _curve_family(case_header, cases, p, seed):
     for case, scenario in cases:
         cfg = stats.ScenarioConfig(L_T=p["L_T_m"], frequency=p["frequency_hz"],
                                    **scenario)
-        header, block, quadrature = curve_rows(cfg, p["grid_points"],
-                                               p["mc_samples"], seed)
+        header, block, record = curve_rows(cfg, p["grid_points"],
+                                           p["mc_samples"], seed)
         blocks.append((case, block))
-        estimates.append(quadrature["abs_error_estimate"])
+        estimates.append(record["quadrature"]["abs_error_estimate"])
     return case_header + header, _stack(blocks), {"quadrature": {
-        "nodes": quadrature["nodes"], "abs_error_estimate": max(estimates)}}
+        **record["quadrature"], "abs_error_estimate": max(estimates)}}
 
 
 def _radius_curve_rows(p, seed):

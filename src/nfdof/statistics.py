@@ -260,8 +260,8 @@ def _at_x0(mu, x0, C, h):
 
 def _curve(cfg: ScenarioConfig, mu, nodes=_NODES):
     """(PDF, CCDF) of the scenario on an array of thresholds; a value that
-    is not finite (R * R overflows past R ~ 1.3e154 and underflows below
-    ~1.5e-154) is refused."""
+    is not finite, as past R ~ 1.3e154 or below ~1.5e-154 (R * R leaves the
+    float range) or at an extreme C, is refused, naming R, C and L_R."""
     mu = np.asarray(mu, dtype=float)
     C, h = cfg.C, cfg.L_R / 2.0
     inside = (mu > 0.0) & (mu < 2.0 * C)
@@ -278,7 +278,8 @@ def _curve(cfg: ScenarioConfig, mu, nodes=_NODES):
             pdf[inside], cc[inside] = _deconditioned(m, cfg.R, C, h,
                                                      cfg.scenario, nodes)
     if not (np.all(np.isfinite(pdf)) and np.all(np.isfinite(cc))):
-        raise ValueError(f"the analytic curve is not finite at R = {cfg.R!r}")
+        raise ValueError(f"the analytic curve is not finite at R = {cfg.R!r}, "
+                         f"C = L_T/lambda = {C!r}, L_R = {cfg.L_R!r}")
     return pdf, cc
 
 

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import nfdof
-from nfdof import figures, svd_oracle
+from nfdof import cli, figures, svd_oracle
 from nfdof import statistics as stats
 from nfdof.cli import (DOMAINS, MAX_GRID_POINTS, MAX_MC_SAMPLES, MAX_SCAN_SAMPLES,
                        MAX_SWEEP_STEPS, REQUIRED, main)
+from nfdof.constants import wavelength_from_frequency
 from nfdof.figures import FIGURES, curve_rows
 
 
@@ -466,15 +467,30 @@ class TestStatsCommand:
     def test_radius_past_the_float_range(self, tmp_path, capsys, R, scenario):
         """A disk radius whose square overflows, or underflows to a
         subnormal or 0, leaves the deconditioned curve not finite: a
-        numeric failure of one line, with no numpy warning and no data
-        file."""
+        numeric failure of one line that names R, C and L_R, with no numpy
+        warning and no data file."""
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps({"stats": {"R": R, "scenario": scenario}}))
         out = tmp_path / "s.csv"
         code, _, err = run(capsys, "stats", "--config", str(cfgfile), "--out", str(out))
+        C = 0.2 / wavelength_from_frequency(30e9)
         assert code == 1
-        assert err == f"numeric failure: the analytic curve is not finite at R = {R!r}\n"
+        assert err == ("numeric failure: the analytic curve is not finite at "
+                       f"R = {R!r}, C = L_T/lambda = {C!r}, L_R = 5.0\n")
         assert list(tmp_path.iterdir()) == [cfgfile]
+
+    @pytest.mark.parametrize("frequency", ["1e300", "1e-200"])
+    def test_frequency_past_the_float_range(self, tmp_path, capsys, frequency):
+        """At these frequencies C = L_T/lambda is about 7e290 or 7e-210,
+        and the curve at the default radius is not finite: the one line
+        names C beside R and L_R, and no file is written."""
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "stats", "--frequency-hz", frequency, "--out", str(out))
+        C = 0.2 / wavelength_from_frequency(float(frequency))
+        assert code == 1
+        assert err == ("numeric failure: the analytic curve is not finite at R = 20.0, "
+                       f"C = L_T/lambda = {C!r}, L_R = 5.0\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["stats", "dof"])
     def test_frequency_whose_wavelength_overflows(self, tmp_path, capsys, command):
@@ -599,6 +615,25 @@ class TestFigureCommand:
         code, _, err = run(capsys, "figure", "--id", "fig10")
         assert code == 0
         assert "error estimate 2.00e-09" in err
+
+
+class TestQuadratureWarning:
+    @pytest.mark.parametrize("argv", [["stats"], ["figure", "--id", "fig10"]])
+    def test_one_line_and_the_same_bytes(self, tmp_path, capsys, monkeypatch, argv):
+        """With every estimate past the threshold, ``stats`` and a curve
+        figure each print one warning line and write the bytes of a run
+        that does not warn."""
+        written = []
+        for threshold in (cli.QUADRATURE_WARN_ABS, -1.0):
+            monkeypatch.setattr(cli, "QUADRATURE_WARN_ABS", threshold)
+            out = tmp_path / f"{len(written)}.csv"
+            code, _, err = run(capsys, *argv, "--out", str(out))
+            assert code == 0
+            manifest = Path(f"{out}.manifest.json")
+            written.append((out.read_bytes(), manifest.read_bytes()))
+        assert written[0] == written[1]
+        assert len(err.splitlines()) == 1
+        assert err.startswith("warning: deconditioning error estimate ")
 
 
 def _bindings_config(tmp_path, fig_id, **fields):

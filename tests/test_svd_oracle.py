@@ -360,7 +360,7 @@ class TestCounts:
             results[cpus] = figures.svd_compare_rows(*_SWEEP)
         assert results[1] == results[4]
         header, columns, record = results[1]
-        assert record == {"rows": 1001, "cols": 41}
+        assert record == {"svd_grid": {"rows": 1001, "cols": 41}}
         assert sum(1 for ed in columns[2][:-1] if ed) > 4
 
     def test_public_functions_run_in_the_calling_thread(self, monkeypatch):
