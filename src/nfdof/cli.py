@@ -15,8 +15,8 @@ byte-identical.
 
 Output is columnar from the computation to the bytes: every command but
 ``dof`` hands the (header, columns, record) of one shared loop in
-``figures`` to ``_write_rows``, which formats each column once, by what
-it holds, and puts the record, keyed as the manifest writes it, into the
+``figures`` to ``_write_rows``, which formats each table in one ``%``
+call and puts the record, keyed as the manifest writes it, into the
 manifest.  CSV cells are floats to 9 significant digits (``nan`` for
 NaN), integers in full, strings as they are, an empty cell for no value
 and lists joined by ``;``.  JSON output is a list of records, NaN as null.
@@ -33,6 +33,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
@@ -179,19 +180,16 @@ def _fmt(x):
     return f"{float(x):.9g}"
 
 
-def _cells(column):
-    """The CSV cells of one column, formatted by what it holds: floats to
-    9 significant digits (``nan`` for NaN), integers in full (Python ints
-    past 2**63 too), strings as they are, a mix cell by cell."""
+def _spec(column):
+    """The ``%`` spec and the cells of one column, by what it holds; a
+    column that mixes kinds goes cell by cell through ``_fmt``."""
     values = column.tolist() if isinstance(column, np.ndarray) else column
     kinds = set(map(type, values))
     if kinds <= {float}:
-        return map("{:.9g}".format, values)
-    if kinds <= {int}:
-        return map(str, values)
-    if kinds <= {str}:
-        return values
-    return map(_fmt, values)
+        return "%.9g", values
+    if kinds <= {int} or kinds <= {str}:
+        return "%s", values
+    return "%s", map(_fmt, values)
 
 
 def _jsonable(x):
@@ -216,8 +214,10 @@ def _json_text(obj):
 def _emit(header, columns, args, manifest):
     """Write equal-length ``columns`` under ``header`` as CSV or JSON."""
     if args.format == "csv":
-        lines = map(",".join, zip(*map(_cells, columns)))
-        text = "\n".join([",".join(header), *lines]) + "\n"
+        specs, values = zip(*map(_spec, columns))
+        # template, cells and filled rows are temporaries, freed before the write
+        text = (",".join(header) + "\n" + (",".join(specs) + "\n") * len(columns[0])
+                % tuple(chain.from_iterable(zip(*values))))
     else:
         records = [dict(zip(header, row)) for row in zip(*map(_jsonable, columns))]
         text = _json_text(records)

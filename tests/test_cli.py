@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config handling, exit codes,
 and reproducible outputs."""
 
+import argparse
 import json
 import math
 import os
@@ -719,6 +720,29 @@ _DOF_HEADER = ("status,visible_endpoint,l_T,l_R,eta_c,zeta_c,a_plus,a_minus,"
                "a_zero,rho_c,m_plus,m_minus,m_real,m_int,warnings\n")
 
 
+_EXTREME_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                   1.7976931348623157e308, 1 / 3, 1e16]
+# columns of every kind a loop hands to the writer, and cells that _fmt
+# alone formats: None, lists, bools and numpy scalars among other kinds
+_ORACLE_TABLES = {
+    "kinds": (["py_float", "np_float", "py_int", "np_int64", "np_str", "mixed",
+               "py_bool", "np_bool", "np_float_list", "lists", "float_or_none"], [
+        _EXTREME_FLOATS, np.array(_EXTREME_FLOATS),
+        [2 ** 64 + 1, -2 ** 70, -5, 0, 1, 2 ** 63, 2 ** 63 - 1, -1],
+        np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -3, 0, 1, 2, 3, 4]),
+        np.array(["full", "no-visibility", "", "a;b", "x", "touching", "partial-tx",
+                  "max"]),
+        [None, 3, 2.5, "max", [1, np.float64(0.25)], (), True, np.int64(7)],
+        [True, False] * 4, np.array([True, False] * 4),
+        [np.float64(x) for x in _EXTREME_FLOATS],
+        [["w1", "w2"], [], [np.float64(-0.0)], [None], ["x"], [2 ** 70], [1.5], []],
+        [None, 1.5, math.nan, None, -0.0, 2.0, None, 1e-300],
+    ]),
+    "one-row": (["status", "m_real", "m_int", "warnings"],
+                [["full"], [10.70142500145332], [11], [["a", "b"]]]),
+}
+
+
 class TestOutputFormat:
     """Cells of every kind, byte for byte: NaN, no value, -0, counts past
     2**63, the svd-compare ``max`` row and a ';'-joined warning list."""
@@ -827,6 +851,18 @@ class TestOutputFormat:
     def test_json_report_cells(self, capsys, argv, line):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and line in out
+
+    @pytest.mark.parametrize("table", [
+        *_ORACLE_TABLES, "fig3a", "fig4", "fig5", "fig8", "fig11"])
+    def test_table_matches_cell_oracle(self, capsys, table):
+        """The whole-table CSV text is ``_fmt`` on every cell, joined by
+        ',' and '\\n': for every kind of column and the real loops."""
+        header, columns = (_ORACLE_TABLES[table] if table in _ORACLE_TABLES
+                           else figures.figure_rows(table)[:2])
+        expected = [",".join(header), *(
+            ",".join(map(cli._fmt, row)) for row in zip(*columns)), ""]
+        cli._emit(header, columns, argparse.Namespace(format="csv", out=None), {})
+        assert capsys.readouterr().out.split("\n") == expected
 
 
 def _config_args(tmp_path, config):
