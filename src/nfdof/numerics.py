@@ -183,7 +183,8 @@ def sample_stream(seed, substream=0):
     Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
     distinct substreams are independent and any position of a stream
     can be reached directly: ``bit_generator.advance(k)`` skips k blocks
-    of four doubles.  ``statistics.monte_carlo`` draws its chunks that way, and
+    of four doubles.  The Monte Carlo chunks of ``statistics.monte_carlo``
+    and ``statistics.ccdf`` are drawn that way, and
     ``tests/test_statistics.py`` checks that the draws do not depend on
     how the work is split across threads: the chunks reproduce the
     serial stream bit for bit, on one CPU and on four.
@@ -194,8 +195,9 @@ def sample_stream(seed, substream=0):
 
 def usable_cpus():
     """CPUs this process may run on: its affinity set where the platform
-    has one, else every CPU of the machine.  ``statistics.monte_carlo``
-    runs one thread per CPU counted here."""
+    has one, else every CPU of the machine.  The Monte Carlo chunks of
+    ``statistics.monte_carlo`` and ``statistics.ccdf`` run on one thread
+    per CPU counted here."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

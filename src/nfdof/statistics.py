@@ -40,11 +40,11 @@ Monte Carlo driven by the same branch structure cross-validates the
 analytic curves.  It draws in fixed chunks of 2^15 on a pool of one
 thread per CPU.  Each chunk jumps straight to its own positions of the
 one counter-based Philox stream, so the draws are the same bits on any
-CPU count.  Its vectorized branch evaluator runs each formula on
-its own branch's draws only; ``tests/test_statistics.py`` replays the
-draws through the link engine ``dof_arrays``: they agree except where
-x0 <= (L_T / 2) |sin(theta_T)|, whose segments intersect, which the
-engine calls touching.
+CPU count, and ``ccdf`` counts each chunk on the thread that drew it.
+Its vectorized branch evaluator runs each formula on its own branch's
+draws only; ``tests/test_statistics.py`` replays the draws through the
+link engine ``dof_arrays``: they agree except where x0 <= (L_T / 2)
+|sin(theta_T)|, whose segments intersect, which the engine calls touching.
 """
 
 import math
@@ -385,27 +385,17 @@ def _uniforms(state, start, k):
     return rng.random(k)
 
 
-def monte_carlo(cfg: ScenarioConfig, n, seed=0):
-    """mu samples of the scenario, deterministic for a given seed.
-
-    The axis distance is drawn from the disk-placement density (or fixed
-    for the conditional scenario, whose edges are then scalars) and
-    theta_T uniformly over the scenario's branch interval, so every draw
-    is accepted by construction.  Each branch formula of the vectorized
-    evaluator runs only on its own branch's draws.
-
-    The draws are made in fixed chunks of 2^15, each from its own
-    positions of the one stream, on a pool of one thread per CPU, and no
-    more threads than chunks.  Every chunk reproduces the same slice of
-    the serial draws, so the samples are the same bits on any CPU count.
-    The threads call none of the package's public functions: the stream
-    is opened once, here.
-    """
+def _chunked(cfg: ScenarioConfig, n, seed, each):
+    """The results of ``each(start, mu)`` on every chunk of the n draws,
+    in chunk order; mu holds draws [start, start + 2^15) or the rest.  The
+    chunks run on one thread per CPU, no more threads than chunks, and
+    ``each`` on the thread that drew its chunk.  Each chunk jumps to its
+    own positions of the one stream, opened once, here: the draws are the
+    same bits on any CPU count, and the threads call no public function."""
     if n < MIN_MC_SAMPLES:
         raise ValueError("need at least 1e4 samples")
     n = int(n)
     state = sample_stream(seed, 0).bit_generator.state["state"]
-    out = np.empty(n)
 
     def chunk(start):
         """Draws [start, start + k): the radius, angle and theta_T
@@ -423,12 +413,29 @@ def monte_carlo(cfg: ScenarioConfig, n, seed=0):
         lo, hi = (edge(a) for edge in _BRANCHES[cfg.scenario])
         theta_T *= hi - lo
         theta_T += lo
-        out[start:start + k] = _excess_dof(a, theta_T, cfg.C)[0]
+        return each(start, _excess_dof(a, theta_T, cfg.C)[0])
 
     from concurrent.futures import ThreadPoolExecutor
     starts = range(0, n, _CHUNK)
     with ThreadPoolExecutor(min(usable_cpus(), len(starts))) as pool:
-        list(pool.map(chunk, starts))
+        return list(pool.map(chunk, starts))
+
+
+def monte_carlo(cfg: ScenarioConfig, n, seed=0):
+    """mu samples of the scenario, deterministic for a given seed.
+
+    The axis distance is drawn from the disk-placement density (or fixed
+    for the conditional scenario, whose edges are then scalars) and
+    theta_T uniformly over the scenario's branch interval, so every draw
+    is accepted by construction.  Each branch formula of the vectorized
+    evaluator runs only on its own branch's draws.  Each chunk of
+    ``_chunked`` writes its own slice of the result."""
+    out = np.empty(max(int(n), 0))
+
+    def write(start, mu):
+        out[start:start + mu.size] = mu
+
+    _chunked(cfg, n, seed, write)
     return out
 
 
@@ -450,7 +457,8 @@ def visibility_fraction(x0, L_R, n, seed=0):
 
 def ccdf(cfg: ScenarioConfig, grid, mc_samples=0, seed=0) -> DistributionCurve:
     """Analytic PDF/CCDF of mu on ``grid`` plus an optional Monte Carlo
-    overlay with ``mc_samples`` draws.
+    overlay with ``mc_samples`` draws, each chunk of them counted at every
+    threshold on its own, so no draw array is held or sorted whole.
 
     Deconditioned scenarios also carry the quadrature node count and an
     error estimate: the largest CCDF difference over the grid from a
@@ -468,6 +476,8 @@ def ccdf(cfg: ScenarioConfig, grid, mc_samples=0, seed=0) -> DistributionCurve:
         err = float(np.max(np.abs(cc - _curve(cfg, grid, _CHECK_NODES)[1])))
     mc = None
     if mc_samples:
-        mc = empirical_ccdf(monte_carlo(cfg, mc_samples, seed=seed), grid)
+        le = sum(_chunked(cfg, mc_samples, seed,
+                          lambda start, mu: np.searchsorted(np.sort(mu), grid, "right")))
+        mc = 1.0 - le / int(mc_samples)
     return DistributionCurve(grid=grid, pdf=pdf_, ccdf=cc, mc_ccdf=mc,
                              quadrature_nodes=nodes, abs_error_estimate=err)

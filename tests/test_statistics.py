@@ -5,6 +5,7 @@ import concurrent.futures
 import os
 import sys
 import threading
+import tracemalloc
 
 import deconditioning_oracle as oracle
 import mpmath
@@ -441,8 +442,10 @@ class TestMonteCarlo:
                                       _reference_draws(c, 10_000, seed)), (scenario, seed)
 
     def test_minimum_sample_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 1e4 samples"):
             monte_carlo(cfg(), 100)
+        with pytest.raises(ValueError, match="need at least 1e4 samples"):
+            ccdf(cfg(), np.linspace(0.0, 1.0, 5), mc_samples=100)
 
     def test_empirical_ccdf_basics(self):
         vals = empirical_ccdf([1.0, 2.0, 3.0, 4.0], [0.0, 2.5, 10.0])
@@ -458,7 +461,8 @@ def _scenarios():
 
 class TestChunkedDraws:
     """``monte_carlo`` draws fixed chunks, each from its own positions of
-    the one stream, on one thread per CPU."""
+    the one stream, on one thread per CPU, and ``ccdf`` counts each chunk
+    on the thread that drew it."""
 
     def _cpus(self, monkeypatch, cpus):
         """Patch the host to ``cpus`` CPUs; returns the list that records
@@ -500,16 +504,49 @@ class TestChunkedDraws:
             assert np.array_equal(draws[1], draws[4]), c.scenario
             assert np.array_equal(draws[1], _reference_draws(c, n, 3)), c.scenario
 
+    @pytest.mark.parametrize("n", [10_000, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1,
+                                   200_003])
+    def test_ccdf_counts_as_one_sort_of_the_draws(self, monkeypatch, n):
+        """The per-chunk counts give the bytes of the whole-array CCDF, on
+        one CPU and on four, at thresholds that tie: below 0, 0 (the
+        value of a draw outside every branch), 2C, one past 2C, and some
+        of the draws themselves."""
+        for c in _scenarios():
+            draws = monte_carlo(c, n, seed=3)
+            grid = np.sort(np.concatenate((
+                [-1.0, 0.0, 2.0 * c.C, np.nextafter(2.0 * c.C, np.inf)],
+                draws[::997], np.linspace(0.0, 2.0 * c.C, 51))))
+            expected = empirical_ccdf(draws, grid).tobytes()
+            for cpus in (1, 4):
+                self._cpus(monkeypatch, cpus)
+                assert ccdf(c, grid, n, seed=3).mc_ccdf.tobytes() == expected, (
+                    c.scenario, cpus)
+
+    def test_ccdf_holds_no_draw_array(self, monkeypatch):
+        """On two CPUs the traced peak of a 10^6-draw ``ccdf`` stays below
+        8e6 bytes, the size of those draws in one array."""
+        self._cpus(monkeypatch, 2)
+        for c in _scenarios():
+            grid = np.linspace(0.0, 2.0 * c.C, 201)
+            tracemalloc.start()
+            try:
+                ccdf(c, grid, 10 ** 6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 10 ** 6, (c.scenario, peak)
+
     def test_stream_opened_once_in_the_calling_thread(self, monkeypatch):
         """The pool calls no traced function: ``sample_stream`` runs once
-        per call, in the calling thread."""
+        per ``monte_carlo`` or ``ccdf`` call, in the calling thread."""
         self._cpus(monkeypatch, 4)
         calls, real = [], stats.sample_stream
         monkeypatch.setattr(stats, "sample_stream", lambda *a, **k: (
             calls.append(threading.current_thread()) or real(*a, **k)))
         for i, c in enumerate(_scenarios(), start=1):
             monte_carlo(c, 200_003, seed=i)
-            assert calls == [threading.main_thread()] * i, c.scenario
+            ccdf(c, np.linspace(0.0, 2.0 * c.C, 11), 200_003, seed=i)
+            assert calls == [threading.main_thread()] * (2 * i), c.scenario
 
 
 def _mu_at_omega(c, x):
