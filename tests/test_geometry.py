@@ -207,46 +207,19 @@ class TestDegenerateLinks:
 # raw a moved l_R by 6e-9 and 4e-5
 @example(phi=1e-8, thT=0.0, thR=1e-8, x0=0.0, y0=-1.0)
 @example(phi=3.229110206140325e-12, thT=0.0, thR=-3.229110206140325e-12, x0=0.0, y0=1.0)
-# arrays 1.2e-7 rad from parallel, a cut 0.25 m from R-: the rotated
-# inputs' exact l_R (200-bit mpmath) is 1.9e-9 below the unrotated one's
-@example(phi=1.0, thT=-1.192092896e-07, thR=0.0, x0=-1.192092896e-07, y0=-3.0)
 def test_rotation_invariance(phi, thT, thR, x0, y0):
-    """Jointly rotating the scene about the origin preserves the report.
-
-    A cut end sits at d / sin(theta_T - theta_R) from its array's centre,
-    so the rounding of the rotated inputs (a few units of 2**-52 times
-    |x0| + |y0| + (L_T + L_R) / 2 in d, and in the sine times a cut of
-    at most L / 2) moves it by that much over |sin(theta_T - theta_R)|:
-    near-parallel links move it by more than 1e-9 in exact arithmetic
-    (11.7 such units at most in 3.4e5 constructed near-parallel partial
-    links), so the lengths are compared to 1e-9 plus 32 of those units."""
+    """Jointly rotating the scene about the origin preserves the report."""
     if np.hypot(x0, y0) < 1.0:
         return
-    lk = link(thT=thT, thR=thR, x0=x0, y0=y0)
-    base = classify_visibility(lk)
+    base = classify_visibility(link(thT=thT, thR=thR, x0=x0, y0=y0))
     c, s = np.cos(phi), np.sin(phi)
     x0r, y0r = c * x0 - s * y0, s * x0 + c * y0
     rot = classify_visibility(link(thT=thT + phi, thR=thR + phi, x0=x0r, y0=y0r))
     assert rot.status == base.status
-    sd = abs(np.sin(lk.theta_T - lk.theta_R))
-    scale = abs(lk.x0) + abs(lk.y0) + 0.5 * (lk.L_T + lk.L_R)
-    tol = 1e-9 + (32 * 2.0 ** -52 * scale / sd if sd else 0.0)
-    assert rot.l_T == pytest.approx(base.l_T, abs=tol)
-    assert rot.l_R == pytest.approx(base.l_R, abs=tol)
-    assert abs(rot.eta_c) == pytest.approx(abs(base.eta_c), abs=tol)
-    assert abs(rot.zeta_c) == pytest.approx(abs(base.zeta_c), abs=tol)
-
-
-@pytest.mark.parametrize("phi,thR,y0", [
-    (1e-8, 1e-8, -1.0), (3.229110206140325e-12, -3.229110206140325e-12, 1.0)])
-def test_rotation_keeps_a_cut_at_the_centre(phi, thR, y0):
-    """A receive centre on the transmit line (a = 0) stays on it within
-    the zero band after a rotation: the cut end is the centre in both
-    frames, to the bit, however near parallel the arrays are."""
-    base = classify_visibility(link(thT=0.0, thR=thR, x0=0.0, y0=y0))
-    rot = classify_visibility(rotated(phi, 0.2, 5.0, 0.0, thR, 0.0, y0))
-    assert base.status == geometry.PARTIAL_RX
-    assert rot == base
+    assert rot.l_T == pytest.approx(base.l_T, abs=1e-9)
+    assert rot.l_R == pytest.approx(base.l_R, abs=1e-9)
+    assert abs(rot.eta_c) == pytest.approx(abs(base.eta_c), abs=1e-9)
+    assert abs(rot.zeta_c) == pytest.approx(abs(base.zeta_c), abs=1e-9)
 
 
 @given(thT=st.floats(-3.0, 3.0), thR=st.floats(-3.0, 3.0),
