@@ -48,6 +48,7 @@ link engine ``dof_arrays``: they agree except where x0 <= (L_T / 2)
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -386,12 +387,12 @@ def _uniforms(state, start, k):
 
 
 def _chunked(cfg: ScenarioConfig, n, seed, each):
-    """The results of ``each(start, mu)`` on every chunk of the n draws,
-    in chunk order; mu holds draws [start, start + 2^15) or the rest.  The
-    chunks run on one thread per CPU, no more threads than chunks, and
-    ``each`` on the thread that drew its chunk.  Each chunk jumps to its
-    own positions of the one stream, opened once, here: the draws are the
-    same bits on any CPU count, and the threads call no public function."""
+    """Call ``each(start, mu)`` on every chunk of the n draws, mu holding
+    draws [start, start + 2^15) or the rest, on one thread per CPU (no more
+    than chunks); ``each`` runs on the thread that drew its chunk and keeps
+    its result in place.  Each chunk jumps to its own positions of the one
+    stream, opened once, here: the draws are the same bits on any CPU
+    count, and the threads call no public function."""
     if n < MIN_MC_SAMPLES:
         raise ValueError("need at least 1e4 samples")
     n = int(n)
@@ -406,19 +407,18 @@ def _chunked(cfg: ScenarioConfig, n, seed, each):
             a = _half_angle(float(cfg.x0), cfg.L_R)
             theta_T = _uniforms(state, start, k)
         else:
-            x0 = _disk_x0(_uniforms(state, start, k), _uniforms(state, n + start, k),
-                          cfg.R)
+            x0 = _disk_x0(_uniforms(state, start, k), _uniforms(state, n + start, k), cfg.R)
             a = _half_angle(x0, cfg.L_R)
             theta_T = _uniforms(state, 2 * n + start, k)
         lo, hi = (edge(a) for edge in _BRANCHES[cfg.scenario])
         theta_T *= hi - lo
         theta_T += lo
-        return each(start, _excess_dof(a, theta_T, cfg.C)[0])
+        each(start, _excess_dof(a, theta_T, cfg.C)[0])
 
     from concurrent.futures import ThreadPoolExecutor
     starts = range(0, n, _CHUNK)
     with ThreadPoolExecutor(min(usable_cpus(), len(starts))) as pool:
-        return list(pool.map(chunk, starts))
+        list(pool.map(chunk, starts))
 
 
 def monte_carlo(cfg: ScenarioConfig, n, seed=0):
@@ -427,15 +427,10 @@ def monte_carlo(cfg: ScenarioConfig, n, seed=0):
     The axis distance is drawn from the disk-placement density (or fixed
     for the conditional scenario, whose edges are then scalars) and
     theta_T uniformly over the scenario's branch interval, so every draw
-    is accepted by construction.  Each branch formula of the vectorized
-    evaluator runs only on its own branch's draws.  Each chunk of
-    ``_chunked`` writes its own slice of the result."""
+    is accepted by construction; each branch formula runs only on its own
+    branch's draws, and each chunk writes its own slice of the result."""
     out = np.empty(max(int(n), 0))
-
-    def write(start, mu):
-        out[start:start + mu.size] = mu
-
-    _chunked(cfg, n, seed, write)
+    _chunked(cfg, n, seed, lambda start, mu: np.copyto(out[start:start + mu.size], mu))
     return out
 
 
@@ -476,8 +471,13 @@ def ccdf(cfg: ScenarioConfig, grid, mc_samples=0, seed=0) -> DistributionCurve:
         err = float(np.max(np.abs(cc - _curve(cfg, grid, _CHECK_NODES)[1])))
     mc = None
     if mc_samples:
-        le = sum(_chunked(cfg, mc_samples, seed,
-                          lambda start, mu: np.searchsorted(np.sort(mu), grid, "right")))
+        le, lock = np.zeros(grid.size, np.intp), threading.Lock()
+
+        def count(start, mu):
+            c = np.searchsorted(np.sort(mu), grid, "right")
+            with lock:
+                np.add(le, c, out=le)
+        _chunked(cfg, mc_samples, seed, count)
         mc = 1.0 - le / int(mc_samples)
     return DistributionCurve(grid=grid, pdf=pdf_, ccdf=cc, mc_ccdf=mc,
                              quadrature_nodes=nodes, abs_error_estimate=err)

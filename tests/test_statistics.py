@@ -459,6 +459,16 @@ def _scenarios():
                       CONDITIONAL_ON_X0)]
 
 
+def _traced_peak(f):
+    """The peak of the memory traced while ``f()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestChunkedDraws:
     """``monte_carlo`` draws fixed chunks, each from its own positions of
     the one stream, on one thread per CPU, and ``ccdf`` counts each chunk
@@ -528,13 +538,18 @@ class TestChunkedDraws:
         self._cpus(monkeypatch, 2)
         for c in _scenarios():
             grid = np.linspace(0.0, 2.0 * c.C, 201)
-            tracemalloc.start()
-            try:
-                ccdf(c, grid, 10 ** 6)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = _traced_peak(lambda: ccdf(c, grid, 10 ** 6))
             assert peak < 8 * 10 ** 6, (c.scenario, peak)
+
+    def test_ccdf_holds_counts_of_no_more_chunks_than_threads(self, monkeypatch):
+        """On two CPUs and a 2e4-point grid, 123 chunks peak within 4 MB of
+        31: the 92 more chunks' counts (160 kB each, 14.7 MB) are added up
+        as they are made, not held until the last chunk is drawn."""
+        self._cpus(monkeypatch, 2)
+        c = cfg(scenario=CONDITIONAL_ON_X0, x0=10.0)
+        grid = np.linspace(0.0, 2.0 * c.C, 20_000)
+        few, many = (_traced_peak(lambda: ccdf(c, grid, n)) for n in (10 ** 6, 4 * 10 ** 6))
+        assert many < few + 4 * 10 ** 6, (few, many)
 
     def test_stream_opened_once_in_the_calling_thread(self, monkeypatch):
         """The pool calls no traced function: ``sample_stream`` runs once
