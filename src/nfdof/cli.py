@@ -181,15 +181,20 @@ def _fmt(x):
 
 
 def _spec(column):
-    """The ``%`` spec and the cells of one column, by what it holds; a
-    column that mixes kinds goes cell by cell through ``_fmt``."""
-    values = column.tolist() if isinstance(column, np.ndarray) else column
-    kinds = set(map(type, values))
+    """The ``%`` spec and the cells of one column: a float, int or str
+    numpy column's by its dtype, any other column's by what it holds; a
+    column of bools, or one that mixes kinds, goes cell by cell through
+    ``_fmt``."""
+    if isinstance(column, np.ndarray):
+        kind, column = column.dtype.kind, column.tolist()
+        if kind in "fiuU":
+            return ("%.9g" if kind == "f" else "%s"), column
+    kinds = set(map(type, column))
     if kinds <= {float}:
-        return "%.9g", values
+        return "%.9g", column
     if kinds <= {int} or kinds <= {str}:
-        return "%s", values
-    return "%s", map(_fmt, values)
+        return "%s", column
+    return "%s", map(_fmt, column)
 
 
 def _jsonable(x):

@@ -13,16 +13,20 @@ All angles ``a`` are measured from the effective transmit center to the
 receive point, quadrant-correct.
 
 ``dof_arrays`` evaluates the count for every link of a ``LinkGeometry``
-of arrays at once, of any shape (0-d arrays give 0-d fields):
-``classify_arrays`` for the visibility, then the boundary angles,
-``rho_c``, ``m_plus``/``m_minus``, ``m_real`` and ``m_int`` as numpy
-expressions over the whole arrays: a sweep is one call and one
-``DofResult`` of arrays.  ``dof`` runs the same mode-span expressions on
-one link, after the scalar ``classify_visibility``.  Both classifiers
-read one visibility decision (``geometry._decide``, the array path
-through its table), so the count has one path and every link's numbers
-are bitwise the sweep's.
-Every point on an array comes from ``geometry.point_on``.
+of arrays at once, its fields of any shapes that broadcast together (a
+sweep's fixed parameters 0-d; 0-d links give 0-d fields): the array
+classifier for the visibility, then the boundary angles, ``rho_c``,
+``m_plus``/``m_minus`` and ``m_real`` as numpy expressions over the
+visible links alone, a fixed parameter staying 0-d, and ``m_int``
+through int64; every field has the links' broadcast shape.  A sweep is
+one call and one ``DofResult`` of arrays.  ``dof`` runs the same
+mode-span expressions on one link, after the scalar
+``classify_visibility``.  Both classifiers read one visibility decision
+(``geometry._decide``, the array path through its table), so the count
+has one path and every link's numbers are bitwise the sweep's.
+Every point on an array comes from ``geometry.point_on``, or from the
+same expression on the rotations' sines and cosines that classified the
+link (``geometry._turns``).
 ``taylor_coeffs`` takes one link's report and refuses a report of arrays.
 """
 
@@ -33,8 +37,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import geometry
-from .geometry import (LinkGeometry, VisibilityReport, classify_arrays,
-                       classify_visibility, point_on)
+from .geometry import (LinkGeometry, VisibilityReport, _along, _classify_many,
+                       _turns, classify_visibility, point_on)
 
 __all__ = [
     "TaylorCoefficients", "DofResult",
@@ -100,16 +104,17 @@ def taylor_coeffs(link: LinkGeometry, zeta, report: VisibilityReport) -> TaylorC
     return TaylorCoefficients(*co)
 
 
-def _mode_span(link, vis):
+def _mode_span(link, vis, turns):
     """(a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real) of the
     visible links of ``link``, one or many as ``vis`` holds floats or
     arrays: the angles from the effective transmit center to the
-    effective receive endpoints and center, then the mode indices."""
-    thT = link.theta_T
-    tx_x, tx_y = point_on(thT, vis.eta_c)  # the effective transmit center
+    effective receive endpoints and center, then the mode indices.  The
+    points come from the rotations' ``geometry._turns``."""
+    thT, (sin_T, cos_T, sin_R, cos_R) = link.theta_T, turns
+    tx_x, tx_y = _along(sin_T, cos_T, vis.eta_c)  # the effective transmit center
 
     def angle(zeta):
-        x, y = point_on(link.theta_R, vis.zeta_c + zeta, (link.x0, link.y0))
+        x, y = _along(sin_R, cos_R, vis.zeta_c + zeta, (link.x0, link.y0))
         return np.arctan2(y - tx_y, x - tx_x)
 
     a_plus, a_minus, a_zero = angle(+vis.l_R / 2.0), angle(-vis.l_R / 2.0), angle(0.0)
@@ -123,7 +128,8 @@ def _mode_span(link, vis):
 
 def dof(link: LinkGeometry) -> DofResult:
     """Full DoF evaluation: visibility -> boundary angles -> mode count."""
-    report = classify_visibility(link)
+    turns = _turns(link, math)
+    report = classify_visibility(link, turns)
     warnings = []
     d_min = AMPLITUDE_DISTANCE_FACTOR * (link.L_T + link.L_R)
     if link.d0 < d_min:
@@ -136,7 +142,7 @@ def dof(link: LinkGeometry) -> DofResult:
         return DofResult(0.0, 0, nan, nan, nan, nan, nan, nan, report, warnings)
     if report.status == geometry.TOUCHING:
         return DofResult(nan, None, nan, nan, nan, nan, nan, nan, report, warnings)
-    span = map(float, _mode_span(link, report))
+    span = map(float, _mode_span(link, report, turns))
     a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real = span
     return DofResult(m_real, round(m_real), m_plus, m_minus, a_plus,
                      a_minus, a_zero, rho_c, report, warnings)
@@ -147,21 +153,38 @@ _to_int = np.frompyfunc(int, 1, 1)
 
 def dof_arrays(links: LinkGeometry) -> DofResult:
     """``dof`` of every link in ``links`` at once; link ``i``'s values are
-    bitwise those of ``dof`` on ``make_link`` of its parameters."""
-    vis = classify_arrays(links)
-    visible = np.isin(vis.status, geometry.VISIBLE)
+    bitwise those of ``dof`` on ``make_link`` of its parameters, and every
+    field has the links' broadcast shape."""
+    turns = _turns(links, np)
+    vis, visible, touching = _classify_many(links, turns)
+
+    shown = np.flatnonzero(visible)
+
+    def at(v):
+        """``v`` on the visible links, flat; a 0-d ``v`` as it is."""
+        return v if np.ndim(v) == 0 else np.broadcast_to(v, visible.shape).reshape(-1)[shown]
+
+    # the span of the visible links alone, the others NaN; arrays, 0-d
+    # ones for 0-d links
+    span = np.full((7, visible.size), np.nan)
     with np.errstate(all="ignore"):
-        span = _mode_span(links, vis)
-    span = [np.where(visible, v, np.nan) for v in span]
-    m_real = span[-1]
-    # Python ints, as dof's round() gives: exact past 2**63, and a
-    # non-finite count raises round()'s error; ``out`` keeps 0-d an array
-    m_int = _to_int(np.where(visible, np.rint(m_real), 0.0),
-                    out=np.empty(m_real.shape, dtype=object))
-    touching = vis.status == geometry.TOUCHING
-    m_real[~visible & ~touching] = 0.0
+        for row, v in zip(span, _mode_span(
+                LinkGeometry(*map(at, vars(links).values())),
+                VisibilityReport(None, None, *map(at, (vis.l_T, vis.l_R, vis.eta_c, vis.zeta_c))),
+                tuple(map(at, turns)))):
+            row[shown] = v
+    a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real = (
+        v[...] for v in span.reshape((7,) + visible.shape))
+    # Python ints, as dof's round() gives: through int64 below 2**62, and
+    # ``int`` past it, exact past 2**63 and raising round()'s error on a
+    # count that is not finite
+    rounded = np.where(visible, np.rint(m_real), 0.0)
+    exact = np.abs(rounded) < 2.0 ** 62
+    m_int = np.where(exact, rounded, 0.0).astype(np.int64).astype(object)
+    if not exact.all():
+        m_int[~exact] = _to_int(rounded[~exact])
     m_int[touching] = None
-    a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, _ = span
+    m_real = np.where(visible | touching, m_real, 0.0)
     return DofResult(m_real, m_int, m_plus, m_minus, a_plus, a_minus,
                      a_zero, rho_c, vis)
 

@@ -68,8 +68,9 @@ def svd_compare_rows(link, key, values, spacing, threshold):
     ``svd_grid`` holds the shape of the largest matrix (0 x 0 without any)."""
     steps, (links, res, m_int) = values.tolist(), _dof_sweep(link, key, values)
     counted, vis = [m != 0 for m in m_int], res.visibility
+    wavelength = np.broadcast_to(links.wavelength, vis.l_T.shape)
     shapes = grid_shapes(*(v[counted].tolist() for v in (
-        vis.l_T, vis.l_R, links.wavelength)), spacing)
+        vis.l_T, vis.l_R, wavelength)), spacing)
     eds = [_count(make_link(**{**link, key: v}), spacing, threshold, m) if m else 0
            for v, m in zip(steps, m_int)]
     rows, cols = max([(0, 0)] + shapes, key=math.prod)

@@ -47,14 +47,18 @@ visible, and likewise on the transmit array.
 Arrays of links
 ---------------
 ``link_arrays`` is ``make_link`` over parameter arrays of any shape, 0-d
-too (a sweep is one call).  Both classifiers take s, the zero band and
-the six signed distances d(R+), d(R-), d(T+), d(T-), a and b from
-``_distances`` (``math`` for one link, numpy for many) and read one
-decision, ``_decide`` of the six signs and of the overlap:
-``classify_visibility`` calls it, and ``classify_arrays`` looks it up in
-a table of its 3**6 * 2 values built at import.  The cut expressions
-are the same on both paths, so each link's report is bitwise the scalar
-one.  One link takes ``make_link`` then ``classify_visibility``: a
+too (a sweep is one call).  Each field keeps its own parameter's shape
+and the fields broadcast together: a sweep's fixed parameters stay 0-d,
+so they are checked, wrapped and turned into a sine and cosine once.
+Both classifiers take s, the zero band and the six signed distances
+d(R+), d(R-), d(T+), d(T-), a and b from ``_distances`` (``math`` for
+one link, numpy for many), given each rotation's (sin, cos) from
+``_turns``, and read one decision, ``_decide`` of the six signs and of
+the overlap: ``classify_visibility`` calls it, and ``classify_arrays``
+looks it up in a table of its 3**6 * 2 values built at import, which
+also holds the visible and touching masks; only that lookup is
+broadcast to the links' shape.  The cut expressions are the same on
+both paths, so each link's report is bitwise the scalar one.  One link takes ``make_link`` then ``classify_visibility``: a
 one-element ``classify_arrays`` call costs some 40 times as much.
 """
 
@@ -101,7 +105,12 @@ def point_on(rotation, s, center=(0.0, 0.0)):
     ``rotation`` centred at ``center``, for every caller: ``center + s *
     (-sin, cos)`` of the rotation, the unit vector toward the + endpoint.
     All arguments broadcast (many links, many points)."""
-    return center[0] + s * -np.sin(rotation), center[1] + s * np.cos(rotation)
+    return _along(np.sin(rotation), np.cos(rotation), s, center)
+
+
+def _along(sin, cos, s, center=(0.0, 0.0)):
+    """``point_on`` from the rotation's ``sin`` and ``cos``."""
+    return center[0] + s * -sin, center[1] + s * cos
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,8 @@ class LinkGeometry:
     """The seven numbers of a link: array lengths (m), rotations (rad,
     wrapped into (-pi, pi]), receive centre (m, m) and wavelength (m).
     ``make_link`` fills the fields with floats (one link), ``link_arrays``
-    with float arrays of one shape (many links)."""
+    with float arrays, each of its parameter's shape, that broadcast
+    together (many links)."""
 
     L_T: float
     L_R: float
@@ -163,7 +173,7 @@ def _decide(r_plus, r_minus, t_plus, t_minus, sign_a, sign_b, overlap):
     d(R-), d(T+), d(T-), a and b, for both classifiers.  ``overlap`` (``d0
     <= (L_T + L_R) / 2``) is read only for a collinear link, all four
     distances zero: it touches if it overlaps and sees nothing otherwise."""
-    if r_plus == r_minus == t_plus == t_minus == 0:
+    if not (r_plus or r_minus or t_plus or t_minus):
         return (TOUCHING if overlap else NO_VISIBILITY), None
     crosses_tx, crosses_rx = t_plus * t_minus, r_plus * r_minus
     if crosses_tx <= 0 and crosses_rx <= 0:
@@ -177,12 +187,14 @@ def _decide(r_plus, r_minus, t_plus, t_minus, sign_a, sign_b, overlap):
     return FULL, None
 
 
-# _decide's status, endpoint and partial-tx/partial-rx/full masks at the
-# index that reads its six signs + 1 as base-3 digits, then the overlap bit
+# _decide's status, endpoint and partial-tx, partial-rx, visible and
+# touching masks at the index that reads its six signs + 1 as base-3
+# digits, then the overlap bit
 _DECISIONS = [_decide(*x) for x in itertools.product(*[(-1, 0, 1)] * 6, (0, 1))]
 _STATUSES = np.array([status for status, _ in _DECISIONS])
 _ENDPOINTS = np.array([endpoint for _, endpoint in _DECISIONS], dtype=object)
-_MASKS = np.array([_STATUSES == s for s in (PARTIAL_TX, PARTIAL_RX, FULL)])
+_MASKS = np.array([_STATUSES == PARTIAL_TX, _STATUSES == PARTIAL_RX,
+                   np.isin(_STATUSES, VISIBLE), _STATUSES == TOUCHING])
 
 
 def _partial_segment(L, d, sd, plus):
@@ -193,29 +205,40 @@ def _partial_segment(L, d, sd, plus):
     return L / 2.0 - plus * cut, (cut + plus * L / 2.0) / 2.0
 
 
-def _distances(link, trig):
+def _turns(link, trig):
+    """The (sin, cos) of theta_T and of theta_R of ``link``, taken once and
+    shared by ``_distances`` and the mode span's points: ``trig`` is
+    ``math`` for one link, ``numpy`` for many."""
+    thT, thR = link.theta_T, link.theta_R
+    return trig.sin(thT), trig.cos(thT), trig.sin(thR), trig.cos(thR)
+
+
+def _distances(link, trig, turns):
     """(sin(theta_T - theta_R), a, b, the zero band, and the six signed
     distances d(R+), d(R-), d(T+), d(T-), a and b) of ``link``, for both
-    classifiers: ``trig`` is ``math`` for one link, ``numpy`` for many."""
-    thT, thR, LT, LR = link.theta_T, link.theta_R, link.L_T, link.L_R
-    x0, y0 = link.x0, link.y0
-    sd = trig.sin(thT - thR)
-    a = x0 * trig.cos(thT) + y0 * trig.sin(thT)
-    b = -(x0 * trig.cos(thR) + y0 * trig.sin(thR))
+    classifiers, given its ``_turns``."""
+    sin_T, cos_T, sin_R, cos_R = turns
+    LT, LR, x0, y0 = link.L_T, link.L_R, link.x0, link.y0
+    sd = trig.sin(link.theta_T - link.theta_R)
+    a = x0 * cos_T + y0 * sin_T
+    b = -(x0 * cos_R + y0 * sin_R)
     tol = _ZERO_BAND * (abs(x0) + abs(y0) + 0.5 * (LT + LR))
-    return sd, a, b, tol, (a + 0.5 * LR * sd, a - 0.5 * LR * sd,
-                           b - 0.5 * LT * sd, b + 0.5 * LT * sd, a, b)
+    half_R, half_T = 0.5 * LR * sd, 0.5 * LT * sd
+    return sd, a, b, tol, (a + half_R, a - half_R, b - half_T, b + half_T, a, b)
 
 
-def classify_visibility(link: LinkGeometry) -> VisibilityReport:
+def classify_visibility(link: LinkGeometry, turns=None) -> VisibilityReport:
     """Classify mutual visibility and compute the effective segments from
-    the signs of the four endpoint distances (see the module docstring)."""
+    the signs of the four endpoint distances (see the module docstring);
+    ``turns``, the link's ``_turns``, if the caller has taken them."""
     LT, LR = link.L_T, link.L_R
-    sd, a, b, tol, (rp, rm, tp, tm, _, _) = _distances(link, math)
+    sd, a, b, tol, (rp, rm, tp, tm, _, _) = _distances(link, math,
+                                                       turns or _turns(link, math))
     # the sign predicate written out: a loop or a call per sign is 15-25% slower
-    r_plus, r_minus = (rp > tol) - (rp < -tol), (rm > tol) - (rm < -tol)
-    t_plus, t_minus = (tp > tol) - (tp < -tol), (tm > tol) - (tm < -tol)
-    sign_a, sign_b = (a > tol) - (a < -tol), (b > tol) - (b < -tol)
+    lo = -tol
+    r_plus, r_minus = (rp > tol) - (rp < lo), (rm > tol) - (rm < lo)
+    t_plus, t_minus = (tp > tol) - (tp < lo), (tm > tol) - (tm < lo)
+    sign_a, sign_b = (a > tol) - (a < lo), (b > tol) - (b < lo)
     # d0 only for a collinear link, the one case where _decide reads it
     overlap = not (r_plus or r_minus or t_plus or t_minus) and link.d0 <= 0.5 * (LT + LR)
     status, endpoint = _decide(r_plus, r_minus, t_plus, t_minus, sign_a, sign_b, overlap)
@@ -229,50 +252,65 @@ def classify_visibility(link: LinkGeometry) -> VisibilityReport:
 
 
 def link_arrays(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkGeometry:
-    """``make_link`` over arrays: the same ``LinkGeometry`` with float
-    arrays of the parameters' broadcast shape for fields, and every link
-    checked as ``make_link`` checks it.  The first link that fails is
-    handed to ``make_link``, which raises its error, so an array fails
-    exactly as a loop over its links would."""
+    """``make_link`` over arrays: the same ``LinkGeometry`` with each field
+    a float array of its own parameter's shape (0-d for a scalar), so the
+    fields broadcast together and a sweep checks and wraps its constants
+    once.  Every link is checked as ``make_link`` checks it: the first
+    link that fails, in broadcast order, is handed to ``make_link``, which
+    raises its error, so an array fails exactly as a loop over its links
+    would."""
     p = {"L_T": L_T, "L_R": L_R, "theta_T": theta_T, "theta_R": theta_R,
          "x0": x0, "y0": y0, "frequency": frequency}
-    p = dict(zip(p, np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                          for v in p.values()))))
+    p = {k: np.asarray(v, dtype=float) for k, v in p.items()}
     with np.errstate(all="ignore"):
-        lam = SPEED_OF_LIGHT / p["frequency"]
-        bad = p["frequency"] <= 0
-        for v in (p["L_T"], p["L_R"], lam):
-            bad = bad | ~(np.isfinite(v) & (v > 0))
-        for v in (p["theta_T"], p["theta_R"], p["x0"], p["y0"]):
-            bad = bad | ~np.isfinite(v)
+        lam = np.asarray(SPEED_OF_LIGHT / p["frequency"])
+        bad = [(p["frequency"] <= 0) | ~(np.isfinite(lam) & (lam > 0))]
+        bad += [~(np.isfinite(p[k]) & (p[k] > 0)) for k in ("L_T", "L_R")]
+        bad += [~np.isfinite(p[k]) for k in ("theta_T", "theta_R", "x0", "y0")]
         thT, thR = wrap_angle(p["theta_T"]), wrap_angle(p["theta_R"])
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        make_link(**{k: float(v.flat[i]) for k, v in p.items()})
+    if any(map(np.any, bad)):
+        i = np.flatnonzero(np.logical_or.reduce(np.broadcast_arrays(*bad)))[0]
+        make_link(**{k: float(v.flat[i])
+                     for k, v in zip(p, np.broadcast_arrays(*p.values()))})
     return LinkGeometry(p["L_T"], p["L_R"], thT, thR, p["x0"], p["y0"], lam)
 
 
 def classify_arrays(links: LinkGeometry) -> VisibilityReport:
     """``classify_visibility`` of every link in ``links``: the same signs
-    and segment expressions, the decision read from ``_decide``'s table."""
+    and segment expressions, the decision read from ``_decide``'s table;
+    every field has the links' broadcast shape."""
+    return _classify_many(links, _turns(links, np))[0]
+
+
+def _classify_many(links, turns):
+    """(``classify_arrays`` of ``links`` given its ``_turns``, then its
+    visible and touching masks).  The signs and cuts take the shapes of
+    the geometry's fields; the decision index alone is broadcast to the
+    links' shape, which the wavelength may widen."""
     LT, LR = links.L_T, links.L_R
     with np.errstate(all="ignore"):
-        sd, a, b, tol, distances = _distances(links, np)
-        signs = [(d > tol).astype(np.int8) - (d < -tol) for d in distances]
-        r_plus, _, t_plus, _, sign_a, sign_b = signs
-        index = np.zeros(np.shape(a), dtype=np.intp)
+        sd, a, b, tol, distances = _distances(links, np, turns)
+        lo = -tol
+        signs = [(d > tol).astype(np.int8) - (d < lo) for d in distances]
+        r_plus, r_minus, t_plus, t_minus, sign_a, sign_b = signs
+        index = np.zeros(np.shape(a), dtype=np.int16)  # below 3**6 * 2
         for digit in signs:
             index = 3 * index + (digit + 1)
-        index = 2 * index + (links.d0 <= 0.5 * (LT + LR))
+        index = 2 * index
+        # d0 only if some link is collinear, the one case where _decide reads it
+        if not np.all(r_plus | r_minus | t_plus | t_minus):
+            index = index + (links.d0 <= 0.5 * (LT + LR))
         l_T_part, eta_c = _partial_segment(LT, np.where(sign_b, b, 0.0), sd, t_plus)
         l_R_part, zeta_c = _partial_segment(LR, np.where(sign_a, -a, 0.0), sd, r_plus)
     # a flat index: the lookup is a copy, and an array, for 0-d links too
-    flat, shape = index.reshape(-1), index.shape
-    status = _STATUSES[flat].reshape(shape)
-    partial_tx, partial_rx, full = _MASKS.take(flat, axis=1).reshape((3,) + shape)
+    shape = np.broadcast_shapes(*map(np.shape, vars(links).values()))
+    flat = np.broadcast_to(index, shape).reshape(-1)
+    partial_tx, partial_rx, visible, touching = _MASKS.take(flat, axis=1).reshape(
+        (4,) + shape)
     return VisibilityReport(
-        status=status, visible_endpoint=_ENDPOINTS[flat].reshape(shape),
-        l_T=np.where(partial_tx, l_T_part, np.where(full | partial_rx, LT, 0.0)),
-        l_R=np.where(partial_rx, l_R_part, np.where(full | partial_tx, LR, 0.0)),
+        status=_STATUSES[flat].reshape(shape),
+        visible_endpoint=_ENDPOINTS[flat].reshape(shape),
+        l_T=np.where(partial_tx, l_T_part, np.where(visible, LT, 0.0)),
+        l_R=np.where(partial_rx, l_R_part, np.where(visible, LR, 0.0)),
         eta_c=np.where(partial_tx, eta_c, 0.0),
-        zeta_c=np.where(partial_rx, zeta_c, 0.0))
+        zeta_c=np.where(partial_rx, zeta_c, 0.0)), visible, touching

@@ -738,6 +738,15 @@ _ORACLE_TABLES = {
         [["w1", "w2"], [], [np.float64(-0.0)], [None], ["x"], [2 ** 70], [1.5], []],
         [None, 1.5, math.nan, None, -0.0, 2.0, None, 1e-300],
     ]),
+    # numpy columns whose spec comes from their dtype alone
+    "dtypes": (["np_float32", "np_int32", "np_bool", "np_unicode", "np_nan_zero"], [
+        np.array(_EXTREME_FLOATS[:5] + [3.4028235e38, 1 / 3, 16777217.0],
+                 dtype=np.float32),
+        np.array([np.iinfo(np.int32).min, np.iinfo(np.int32).max, -1, 0, 1, 7, 8, 9],
+                 dtype=np.int32),
+        np.array([False, True] * 4),
+        np.array(["full", "", "touching", "R+", "a;b", "max", "-0", "nan"]),
+        np.array([math.nan, -0.0, 0.0, -math.nan, -0.0, math.nan, 1e-300, -2.5])]),
     "one-row": (["status", "m_real", "m_int", "warnings"],
                 [["full"], [10.70142500145332], [11], [["a", "b"]]]),
 }

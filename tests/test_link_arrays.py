@@ -165,6 +165,48 @@ def test_sweeps(base, key, steps, data):
     check([{**base, key: float(v)} for v in np.linspace(start, stop, steps)])
 
 
+def check_sweep(base, key, values):
+    """A sweep of ``key`` over ``values`` with the six other parameters
+    scalars: those fields stay 0-d, and every ``DofResult`` and
+    ``VisibilityReport`` field has the sweep's shape and the values of the
+    same links built from lists, bit for bit."""
+    sweep = link_arrays(**{**base, key: values})
+    field = "wavelength" if key == "frequency" else key
+    assert [name for name, v in vars(sweep).items() if np.ndim(v)] == [field]
+    got = dof_arrays(sweep)
+    want = dof_arrays(link_arrays(**{k: [base[k]] * len(values) for k in KEYS
+                                     if k != key}, **{key: values.tolist()}))
+    assert got.warnings == want.warnings == []
+    pairs = [(getattr(got, name), getattr(want, name)) for name in DOF_FIELDS]
+    pairs += [(getattr(got.visibility, name), getattr(want.visibility, name))
+              for name in ("status", "visible_endpoint", *SEGMENT_FIELDS)]
+    for g, w in pairs:
+        assert g.shape == w.shape == (len(values),), key
+        assert all(map(same, g.tolist(), w.tolist())), key
+
+
+@pytest.mark.parametrize("x0", [-2.0, -5.0])
+@pytest.mark.parametrize("steps", [1, 721])
+@pytest.mark.parametrize("key", KEYS)
+def test_sweep_constants_stay_0d(key, steps, x0):
+    """Each parameter swept over its whole CLI benchmark range, and in one
+    step, on two links whose theta_R sweeps cross every visibility branch
+    between them (touching at x0 = -2, partial-tx at -5)."""
+    base = dict(L_T=0.2, L_R=5.0, theta_T=np.pi / 2, theta_R=-0.9, x0=x0, y0=1.0,
+                frequency=F)
+    check_sweep(base, key, np.linspace(*SWEEP_RANGES[key], steps))
+
+
+@given(base=random_link, key=st.sampled_from(KEYS), steps=st.integers(1, 60),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_sweep_constants_stay_0d(base, key, steps, data):
+    lo, hi = SWEEP_RANGES[key]
+    start = data.draw(st.floats(lo, hi))
+    stop = data.draw(st.floats(lo, hi))
+    check_sweep(base, key, np.linspace(start, stop, steps))
+
+
 # the families of TestDegenerateLinks, each over the whole rotation circle
 PHIS = np.linspace(-np.pi, np.pi, 97)
 SEED24 = (0.2, 5.0, 0.0, 0.0, 0.0, 12.696287677267755)

@@ -627,6 +627,28 @@ class TestDeconditioningCore:
         # (R - omega)^1.5, so one rounding of omega moves it by ~10%
         assert curve.pdf[0] == pytest.approx(want_pdf, rel=1e-6, abs=1e-18)
 
+    @pytest.mark.parametrize("scenario", [FULL_VISIBILITY, PARTIAL_R_PLUS])
+    def test_curve_at_the_grid_cap_in_bounded_memory(self, scenario):
+        """A curve at the CLI's cap of 10^5 thresholds, without Monte
+        Carlo, is evaluated in blocks: its traced peak stays below 64 MB
+        (the whole grid at once peaked at about 730 MB)."""
+        c = cfg(scenario=scenario)
+        grid = np.linspace(0.0, 2 * c.C, 100_000)
+        assert _traced_peak(lambda: ccdf(c, grid)) < 64e6
+
+    @pytest.mark.parametrize("scenario", [FULL_VISIBILITY, PARTIAL_R_PLUS, PARTIAL_R_MINUS])
+    def test_blocks_keep_the_whole_grid_bytes(self, scenario):
+        """On a grid that is not a whole number of blocks, the curve is
+        byte for byte the whole grid evaluated at once."""
+        c = cfg(scenario=scenario)
+        grid = np.linspace(0.0, 2 * c.C, 3 * stats._BLOCK + 7)
+        inside = (grid > 0.0) & (grid < 2 * c.C)
+        with np.errstate(all="ignore"):
+            want = stats._deconditioned(grid[inside], c.R, c.C, c.L_R / 2.0,
+                                        scenario, stats._NODES)
+        for got, whole in zip(stats._curve(c, grid), want):
+            assert got[inside].tobytes() == whole.tobytes()
+
     def test_disk_cdf_stable_at_rim(self):
         R = 20.0
         for share in (0.5, 1 - 1e-6, 1 - 1e-15, 1.0):
