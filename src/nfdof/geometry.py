@@ -193,8 +193,8 @@ def _decide(r_plus, r_minus, t_plus, t_minus, sign_a, sign_b, overlap):
 _DECISIONS = [_decide(*x) for x in itertools.product(*[(-1, 0, 1)] * 6, (0, 1))]
 _STATUSES = np.array([status for status, _ in _DECISIONS])
 _ENDPOINTS = np.array([endpoint for _, endpoint in _DECISIONS], dtype=object)
-_MASKS = np.array([_STATUSES == PARTIAL_TX, _STATUSES == PARTIAL_RX,
-                   np.isin(_STATUSES, VISIBLE), _STATUSES == TOUCHING])
+_MASKS = np.array([[status in kind for status, _ in _DECISIONS]
+                   for kind in ((PARTIAL_TX,), (PARTIAL_RX,), VISIBLE, (TOUCHING,))])
 
 
 def _partial_segment(L, d, sd, plus):
