@@ -273,10 +273,9 @@ def _curve(cfg: ScenarioConfig, mu, nodes=_NODES):
     inside = (mu > 0.0) & (mu < 2.0 * C)
     pdf = np.zeros(mu.shape)
     cc = np.where(mu <= 0.0, 1.0, 0.0)
-    m = mu[inside]
     if cfg.scenario == CONDITIONAL_ON_X0:
         v_partial, v_full, v_total = _mixture_weights(cfg.x0, cfg.L_R)
-        pdf_p, cc_p, pdf_f, cc_f = _at_x0(m, cfg.x0, C, h)
+        pdf_p, cc_p, pdf_f, cc_f = _at_x0(mu[inside], cfg.x0, C, h)
         pdf[inside] = (2.0 * v_partial * pdf_p + v_full * pdf_f) / v_total
         cc[inside] = (2.0 * v_partial * cc_p + v_full * cc_f) / v_total
     else:
