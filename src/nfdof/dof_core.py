@@ -162,7 +162,9 @@ def dof_arrays(links: LinkGeometry) -> DofResult:
 
     def at(v):
         """``v`` on the visible links, flat; a 0-d ``v`` as it is."""
-        return v if np.ndim(v) == 0 else np.broadcast_to(v, visible.shape).reshape(-1)[shown]
+        if np.shape(v) not in ((), visible.shape):
+            v = np.broadcast_to(v, visible.shape)
+        return v if np.ndim(v) == 0 else v.reshape(-1)[shown]
 
     # the span of the visible links alone, the others NaN; arrays, 0-d
     # ones for 0-d links

@@ -268,7 +268,7 @@ def link_arrays(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkGeometry:
         bad += [~(np.isfinite(p[k]) & (p[k] > 0)) for k in ("L_T", "L_R")]
         bad += [~np.isfinite(p[k]) for k in ("theta_T", "theta_R", "x0", "y0")]
         thT, thR = wrap_angle(p["theta_T"]), wrap_angle(p["theta_R"])
-    if any(map(np.any, bad)):
+    if any(b.any() for b in bad):
         i = np.flatnonzero(np.logical_or.reduce(np.broadcast_arrays(*bad)))[0]
         make_link(**{k: float(v.flat[i])
                      for k, v in zip(p, np.broadcast_arrays(*p.values()))})
