@@ -157,7 +157,6 @@ def dof_arrays(links: LinkGeometry) -> DofResult:
     field has the links' broadcast shape."""
     turns = _turns(links, np)
     vis, visible, touching = _classify_many(links, turns)
-
     shown = np.flatnonzero(visible)
 
     def at(v):

@@ -58,8 +58,9 @@ the overlap: ``classify_visibility`` calls it, and ``classify_arrays``
 looks it up in a table of its 3**6 * 2 values built at import, which
 also holds the visible and touching masks; only that lookup is
 broadcast to the links' shape.  The cut expressions are the same on
-both paths, so each link's report is bitwise the scalar one.  One link takes ``make_link`` then ``classify_visibility``: a
-one-element ``classify_arrays`` call costs some 40 times as much.
+both paths, so each link's report is bitwise the scalar one.  One link
+takes ``make_link`` then ``classify_visibility``: a one-element
+``classify_arrays`` call costs some 40 times as much.
 """
 
 import itertools
