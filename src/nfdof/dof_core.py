@@ -31,14 +31,14 @@ link (``geometry._turns``).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
 
 from . import geometry
 from .geometry import (LinkGeometry, VisibilityReport, _along, _classify_many,
-                       _turns, classify_visibility, point_on)
+                       _take, _turns, classify_visibility, point_on)
 
 __all__ = [
     "TaylorCoefficients", "DofResult",
@@ -155,15 +155,23 @@ def dof_arrays(links: LinkGeometry) -> DofResult:
     """``dof`` of every link in ``links`` at once; link ``i``'s values are
     bitwise those of ``dof`` on ``make_link`` of its parameters, and every
     field has the links' broadcast shape."""
+    res, touching = _dof_many(links)
+    m_int = res.m_int.astype(object)
+    m_int[touching] = None
+    return replace(res, m_int=m_int)
+
+
+def _dof_many(links):
+    """(``dof_arrays`` of ``links`` with ``m_int`` as the tables write it,
+    then the touching mask).  The table's ``m_int`` holds 0 for a touching
+    link: int64 counts, or Python ints in an object array once a count
+    reaches 2**62."""
     turns = _turns(links, np)
     vis, visible, touching = _classify_many(links, turns)
     shown = np.flatnonzero(visible)
 
     def at(v):
-        """``v`` on the visible links, flat; a 0-d ``v`` as it is."""
-        if np.shape(v) not in ((), visible.shape):
-            v = np.broadcast_to(v, visible.shape)
-        return v if np.ndim(v) == 0 else v.reshape(-1)[shown]
+        return _take(v, visible.shape, shown)
 
     # the span of the visible links alone, the others NaN; arrays, 0-d
     # ones for 0-d links
@@ -176,18 +184,18 @@ def dof_arrays(links: LinkGeometry) -> DofResult:
             row[shown] = v
     a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real = (
         v[...] for v in span.reshape((7,) + visible.shape))
-    # Python ints, as dof's round() gives: through int64 below 2**62, and
-    # ``int`` past it, exact past 2**63 and raising round()'s error on a
-    # count that is not finite
+    # dof's round(): through int64 below 2**62, and Python ``int`` past
+    # it, exact past 2**63 and raising round()'s error on a count that is
+    # not finite
     rounded = np.where(visible, np.rint(m_real), 0.0)
     exact = np.abs(rounded) < 2.0 ** 62
-    m_int = np.where(exact, rounded, 0.0).astype(np.int64).astype(object)
+    m_int = np.where(exact, rounded, 0.0).astype(np.int64)
     if not exact.all():
+        m_int = m_int.astype(object)
         m_int[~exact] = _to_int(rounded[~exact])
-    m_int[touching] = None
     m_real = np.where(visible | touching, m_real, 0.0)
     return DofResult(m_real, m_int, m_plus, m_minus, a_plus, a_minus,
-                     a_zero, rho_c, vis)
+                     a_zero, rho_c, vis), touching
 
 
 def minima_lattice_count(m_plus, m_minus):

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import statistics as stats
-from .dof_core import dof_arrays
+from .dof_core import _dof_many
 from .geometry import link_arrays, make_link
 from .kernel import kernel_scan
 from .svd_oracle import (DEFAULT_SUM_RULE_FRACTION, _count, channel_matrix,
@@ -43,19 +43,19 @@ def link_params(bindings):
     return {kw: bindings[name] for name, kw in _LINK_KEYS if name in bindings}
 
 
-def _dof_sweep(link, key, values):
-    """Links, ``dof_arrays`` (one call) and ``m_int`` as the tables write
-    it, 0 for None, of a sweep of ``make_link`` keyword ``key``."""
-    links = link_arrays(**{**link, key: values})
-    res = dof_arrays(links)
-    return links, res, [m or 0 for m in res.m_int.tolist()]
+def _dof_sweep(link, **swept):
+    """Links and their ``dof_arrays`` in one call, ``m_int`` as the tables
+    write it (0 where touching), of ``link`` with the ``make_link``
+    keywords ``swept`` set to arrays."""
+    links = link_arrays(**{**link, **swept})
+    return links, _dof_many(links)[0]
 
 
 def sweep_rows(link, key, values):
-    """(header, columns, {}) of a DoF sweep; ``m_int`` is 0 where None."""
-    _, res, m_int = _dof_sweep(link, key, values)
+    """(header, columns, {}) of a DoF sweep; ``m_int`` is 0 where touching."""
+    _, res = _dof_sweep(link, **{key: values})
     return ([key, "m_real", "m_int", "status"],
-            [values, res.m_real, m_int, res.visibility.status], {})
+            [values, res.m_real, res.m_int, res.visibility.status], {})
 
 
 def svd_compare_rows(link, key, values, spacing, threshold):
@@ -66,7 +66,8 @@ def svd_compare_rows(link, key, values, spacing, threshold):
     any work starts, then ``svd_oracle._count`` counts them one by one, in
     step order, and links without modes count 0 for both.  The record's
     ``svd_grid`` holds the shape of the largest matrix (0 x 0 without any)."""
-    steps, (links, res, m_int) = values.tolist(), _dof_sweep(link, key, values)
+    steps, (links, res) = values.tolist(), _dof_sweep(link, **{key: values})
+    m_int = res.m_int.tolist()
     counted, vis = [m != 0 for m in m_int], res.visibility
     wavelength = np.broadcast_to(links.wavelength, vis.l_T.shape)
     shapes = grid_shapes(*(v[counted].tolist() for v in (
@@ -100,8 +101,12 @@ def curve_rows(cfg, grid_points, mc_samples, seed):
     column is NaN without samples, and the record's ``quadrature`` holds
     the nodes and the error estimate."""
     grid = np.linspace(0.0, 2.0 * cfg.C, grid_points)
-    curve = stats.ccdf(cfg, grid, mc_samples=mc_samples, seed=seed)
-    mc = curve.mc_ccdf if curve.mc_ccdf is not None else np.full(grid.size, np.nan)
+    return _curve_table(stats.ccdf(cfg, grid, mc_samples=mc_samples, seed=seed))
+
+
+def _curve_table(curve):
+    """(header, columns, record) of one ``DistributionCurve``."""
+    mc = curve.mc_ccdf if curve.mc_ccdf is not None else np.full(curve.grid.size, np.nan)
     return (["mu_th", "pdf", "ccdf_analytic", "ccdf_mc"],
             [curve.grid, curve.pdf, curve.ccdf, mc],
             {"quadrature": {"nodes": curve.quadrature_nodes,
@@ -140,12 +145,16 @@ def _theta_R_rows(p, seed):
 
 
 def _range_rows(p, seed):
-    """theta_R sweeps at each x0 / L_R, stacked behind that ratio."""
-    blocks = []
-    for ratio in p["x0_over_LR"]:
-        header, block, _ = _theta_R_rows({**p, "x0_m": ratio * p["L_R_m"]}, seed)
-        blocks.append(((ratio,), block))
-    return ["x0_over_LR"] + header, _stack(blocks), {}
+    """theta_R sweeps at each x0 / L_R, stacked behind that ratio, as one
+    array-core call on the (ratios x theta_R) links: x0 is a column of
+    ratios times L_R against the row of theta_R, and each block of rows is
+    bitwise that ratio's own ``sweep_rows``."""
+    ratios, theta_R = np.asarray(p["x0_over_LR"], dtype=float), _grid(p["theta_R_sweep"])
+    _, res = _dof_sweep(link_params(p), x0=ratios[:, None] * p["L_R_m"],
+                        theta_R=theta_R)
+    return (["x0_over_LR", "theta_R", "m_real", "m_int", "status"],
+            [np.repeat(ratios, theta_R.size), np.tile(theta_R, ratios.size),
+             *(v.ravel() for v in (res.m_real, res.m_int, res.visibility.status))], {})
 
 
 def _svd_rows(p, seed):
@@ -165,17 +174,18 @@ def _spectrum_rows(p, seed):
 def _curve_family(case_header, cases, p, seed):
     """Curves of several (case values, scenario keywords) pairs stacked
     with the case values in front, and one quadrature record holding the
-    largest error estimate."""
-    blocks, estimates = [], []
-    for case, scenario in cases:
-        cfg = stats.ScenarioConfig(L_T=p["L_T_m"], frequency=p["frequency_hz"],
-                                   **scenario)
-        header, block, record = curve_rows(cfg, p["grid_points"],
-                                           p["mc_samples"], seed)
-        blocks.append((case, block))
-        estimates.append(record["quadrature"]["abs_error_estimate"])
-    return case_header + header, _stack(blocks), {"quadrature": {
-        **record["quadrature"], "abs_error_estimate": max(estimates)}}
+    largest error estimate.  The cases share L_T, the carrier and so the
+    threshold grid, and their Monte Carlo overlays are one ``_chunked``
+    family: each chunk's uniforms are drawn once for all the curves."""
+    cfgs = [stats.ScenarioConfig(L_T=p["L_T_m"], frequency=p["frequency_hz"], **scenario)
+            for _, scenario in cases]
+    grid = np.linspace(0.0, 2.0 * cfgs[0].C, p["grid_points"])
+    curves = stats._ccdfs(cfgs, grid, p["mc_samples"], seed)
+    header, _, record = _curve_table(curves[0])
+    blocks = [(case, _curve_table(curve)[1]) for (case, _), curve in zip(cases, curves)]
+    record["quadrature"]["abs_error_estimate"] = max(
+        curve.abs_error_estimate for curve in curves)
+    return case_header + header, _stack(blocks), record
 
 
 def _radius_curve_rows(p, seed):

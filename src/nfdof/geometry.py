@@ -283,11 +283,22 @@ def classify_arrays(links: LinkGeometry) -> VisibilityReport:
     return _classify_many(links, _turns(links, np))[0]
 
 
+def _take(v, shape, index):
+    """``v``, of a shape that broadcasts to the links' ``shape``, at the
+    links' flat ``index``; a 0-d ``v`` as it is."""
+    if np.ndim(v) == 0:
+        return v
+    if np.shape(v) != shape:
+        v = np.broadcast_to(v, shape)
+    return v.reshape(-1)[index]
+
+
 def _classify_many(links, turns):
     """(``classify_arrays`` of ``links`` given its ``_turns``, then its
-    visible and touching masks).  The signs and cuts take the shapes of
-    the geometry's fields; the decision index alone is broadcast to the
-    links' shape, which the wavelength may widen."""
+    visible and touching masks).  The signs take the shapes of the
+    geometry's fields; the decision index alone is broadcast to the links'
+    shape, which the wavelength may widen, and the cuts are taken on the
+    partial links alone."""
     LT, LR = links.L_T, links.L_R
     with np.errstate(all="ignore"):
         sd, a, b, tol, distances = _distances(links, np, turns)
@@ -301,17 +312,26 @@ def _classify_many(links, turns):
         # d0 only if some link is collinear, the one case where _decide reads it
         if not np.all(r_plus | r_minus | t_plus | t_minus):
             index = index + (links.d0 <= 0.5 * (LT + LR))
-        l_T_part, eta_c = _partial_segment(LT, np.where(sign_b, b, 0.0), sd, t_plus)
-        l_R_part, zeta_c = _partial_segment(LR, np.where(sign_a, -a, 0.0), sd, r_plus)
     # a flat index: the lookup is a copy, and an array, for 0-d links too
     shape = np.broadcast_shapes(*map(np.shape, vars(links).values()))
     flat = np.broadcast_to(index, shape).reshape(-1)
     partial_tx, partial_rx, visible, touching = _MASKS.take(flat, axis=1).reshape(
         (4,) + shape)
+    l_T, l_R = np.where(visible, LT, 0.0), np.where(visible, LR, 0.0)
+    eta_c, zeta_c = np.zeros(shape), np.zeros(shape)
+    # the cuts on the partial links alone, from b (transmit) and -a (receive)
+    # as the scalar path takes them
+    with np.errstate(all="ignore"):
+        for mask, L, sign, d, flip, plus, length, center in (
+                (partial_tx, LT, sign_b, b, 1.0, t_plus, l_T, eta_c),
+                (partial_rx, LR, sign_a, a, -1.0, r_plus, l_R, zeta_c)):
+            at = np.flatnonzero(mask)
+            if at.size:
+                L, sign, d, sd_at, plus = (_take(v, shape, at)
+                                           for v in (L, sign, d, sd, plus))
+                length.flat[at], center.flat[at] = _partial_segment(
+                    L, np.where(sign, flip * d, 0.0), sd_at, plus)
     return VisibilityReport(
         status=_STATUSES[flat].reshape(shape),
         visible_endpoint=_ENDPOINTS[flat].reshape(shape),
-        l_T=np.where(partial_tx, l_T_part, np.where(visible, LT, 0.0)),
-        l_R=np.where(partial_rx, l_R_part, np.where(visible, LR, 0.0)),
-        eta_c=np.where(partial_tx, eta_c, 0.0),
-        zeta_c=np.where(partial_rx, zeta_c, 0.0)), visible, touching
+        l_T=l_T, l_R=l_R, eta_c=eta_c, zeta_c=zeta_c), visible, touching

@@ -41,6 +41,10 @@ analytic curves.  It draws in fixed chunks of 2^15 on a pool of one
 thread per CPU.  Each chunk jumps straight to its own positions of the
 one counter-based Philox stream, so the draws are the same bits on any
 CPU count, and ``ccdf`` counts each chunk on the thread that drew it.
+A recipe's curves (several radii, or several fixed x0 and L_R, at one
+seed and draw count) open the same stream, so they share each chunk's
+draws: the chunk draws its uniforms once for all of them, and each curve
+is bitwise its own ``ccdf``.
 Its vectorized branch evaluator runs each formula on its own branch's
 draws only; ``tests/test_statistics.py`` replays the draws through the
 link engine ``dof_arrays``: they agree except where x0 <= (L_T / 2)
@@ -366,14 +370,12 @@ def _excess_dof(a, theta_T, C):
     return mu, b_plus, b_full, b_minus
 
 
-def _disk_x0(u, v, R):
-    """Axis distances of disk placements from radius uniforms u and angle
-    uniforms v, built in place of them: |R sqrt(u) cos(2 pi v)|, floored
-    at 1e-12 R."""
-    x0 = np.sqrt(u, out=u)
-    x0 *= R
-    v *= 2.0 * np.pi
-    x0 *= np.cos(v, out=v)
+def _disk_x0(s, c, R, in_place=False):
+    """Axis distances of disk placements of radius R from s = sqrt(u) of
+    the radius uniforms and c = cos(2 pi v) of the angle uniforms:
+    |R s c|, floored at 1e-12 R, built in place of s if ``in_place``."""
+    x0 = np.multiply(s, R, out=s if in_place else None)
+    x0 *= c
     np.abs(x0, out=x0)
     return np.maximum(x0, 1e-12 * R, out=x0)
 
@@ -393,34 +395,67 @@ def _uniforms(state, start, k):
     return rng.random(k)
 
 
-def _chunked(cfg: ScenarioConfig, n, seed, each):
-    """Call ``each(start, mu)`` on every chunk of the n draws, mu holding
-    draws [start, start + 2^15) or the rest, on one thread per CPU (no more
-    than chunks); ``each`` runs on the thread that drew its chunk and keeps
-    its result in place.  Each chunk jumps to its own positions of the one
-    stream, opened once, here: the draws are the same bits on any CPU
-    count, and the threads call no public function."""
+def _chunked(cfgs, n, seed, each):
+    """Call ``each(i, start, mu)`` on every chunk of the n draws of every
+    config ``cfgs[i]``, mu holding draws [start, start + 2^15) or the rest,
+    on one thread per CPU (no more than chunks); ``each`` runs on the
+    thread that drew its chunk and keeps its result in place.
+
+    The configs are one family: they share the seed and n, and either all
+    draw x0 from the disk or all fix it, so every config reads the same
+    uniforms.  Each chunk draws them once, and with x0 drawn from the disk
+    also takes sqrt(u) and cos(2 pi v) once; then, config by config in
+    order, it scales them to the config's x0 and theta_T.  Each chunk jumps
+    to its own positions of the one stream, opened once, here: the draws
+    are the same bits on any CPU count and in any family, and the threads
+    call no public function."""
     if n < MIN_MC_SAMPLES:
         raise ValueError("need at least 1e4 samples")
-    n = int(n)
+    fixed = {cfg.scenario == CONDITIONAL_ON_X0 for cfg in cfgs}
+    if len(fixed) != 1:
+        raise ValueError("a family of curves either draws x0 from the disk "
+                         "for every curve or fixes it for every curve")
+    fixed, n = fixed.pop(), int(n)
     state = sample_stream(seed, 0).bit_generator.state["state"]
 
     def chunk(start):
         """Draws [start, start + k): the radius, angle and theta_T
         uniforms sit at stream positions start, n + start and 2n + start,
-        and with a fixed x0 theta_T takes position start."""
+        and with a fixed x0 theta_T takes position start.  The last config
+        reads the draws last and builds its x0 and theta_T in place of
+        them."""
         k = min(_CHUNK, n - start)
-        if cfg.scenario == CONDITIONAL_ON_X0:
-            a = _half_angle(float(cfg.x0), cfg.L_R)
-            theta_T = _uniforms(state, start, k)
-        else:
-            x0 = _disk_x0(_uniforms(state, start, k), _uniforms(state, n + start, k), cfg.R)
-            a = _half_angle(x0, cfg.L_R)
-            theta_T = _uniforms(state, 2 * n + start, k)
-        lo, hi = (edge(a) for edge in _BRANCHES[cfg.scenario])
-        theta_T *= hi - lo
-        theta_T += lo
-        each(start, _excess_dof(a, theta_T, cfg.C)[0])
+        if not fixed:
+            s = _uniforms(state, start, k)
+            np.sqrt(s, out=s)
+            c = _uniforms(state, n + start, k)
+            c *= 2.0 * np.pi
+            np.cos(c, out=c)
+        u_theta = None
+        for i, cfg in enumerate(cfgs):
+            last = i == len(cfgs) - 1
+            if fixed:
+                a = _half_angle(float(cfg.x0), cfg.L_R)
+            else:
+                x0 = _disk_x0(s, c, cfg.R, in_place=last)
+                if last:
+                    s = c = None            # x0 holds s's buffer; c is read no more
+                a = _half_angle(x0, cfg.L_R)
+            # theta_T's uniforms are drawn after the first half angle, and
+            # the last config holds x0, a and the edges until its counts are
+            # in: of the orders measured, this one leaves the thread's heap
+            # so that a one-config call in a long-running process (the
+            # benchmark's) takes about half the page faults per chunk.  The
+            # earlier configs of a family let go of what they no longer read.
+            if u_theta is None:
+                u_theta = _uniforms(state, (0 if fixed else 2 * n) + start, k)
+            lo, hi = (edge(a) for edge in _BRANCHES[cfg.scenario])
+            theta_T = np.multiply(u_theta, hi - lo, out=u_theta if last else None)
+            theta_T += lo
+            if not last:
+                x0 = lo = hi = None
+            each(i, start, _excess_dof(a, theta_T, cfg.C)[0])
+            a = theta_T = None
 
     from concurrent.futures import ThreadPoolExecutor
     starts = range(0, n, _CHUNK)
@@ -437,7 +472,8 @@ def monte_carlo(cfg: ScenarioConfig, n, seed=0):
     is accepted by construction; each branch formula runs only on its own
     branch's draws, and each chunk writes its own slice of the result."""
     out = np.empty(max(int(n), 0))
-    _chunked(cfg, n, seed, lambda start, mu: np.copyto(out[start:start + mu.size], mu))
+    _chunked([cfg], n, seed,
+             lambda i, start, mu: np.copyto(out[start:start + mu.size], mu))
     return out
 
 
@@ -466,25 +502,37 @@ def ccdf(cfg: ScenarioConfig, grid, mc_samples=0, seed=0) -> DistributionCurve:
     error estimate: the largest CCDF difference over the grid from a
     64-node rule (the reported curve stays the 48-node one).  The
     conditional scenario is closed form (0 nodes)."""
+    return _ccdfs([cfg], grid, mc_samples, seed)[0]
+
+
+def _ccdfs(cfgs, grid, mc_samples, seed):
+    """``ccdf`` of every config of one ``_chunked`` family on one grid, the
+    Monte Carlo overlays counted on the family's shared draws; curve i is
+    bitwise ``ccdf(cfgs[i], grid, mc_samples, seed)``."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty threshold grid")
     if np.any(np.diff(grid) < 0):
         raise ValueError("grid must be ascending")
-    pdf_, cc = _curve(cfg, grid)
-    nodes, err = 0, 0.0
-    if cfg.scenario != CONDITIONAL_ON_X0:
-        nodes = _NODES
-        err = float(np.max(np.abs(cc - _curve(cfg, grid, _CHECK_NODES)[1])))
-    mc = None
+    analytic = []
+    for cfg in cfgs:
+        pdf_, cc = _curve(cfg, grid)
+        nodes, err = 0, 0.0
+        if cfg.scenario != CONDITIONAL_ON_X0:
+            nodes = _NODES
+            err = float(np.max(np.abs(cc - _curve(cfg, grid, _CHECK_NODES)[1])))
+        analytic.append((pdf_, cc, nodes, err))
+    mc = [None] * len(cfgs)
     if mc_samples:
-        le, lock = np.zeros(grid.size, np.intp), threading.Lock()
+        le, lock = np.zeros((len(cfgs), grid.size), np.intp), threading.Lock()
 
-        def count(start, mu):
-            c = np.searchsorted(np.sort(mu), grid, "right")
+        def count(i, start, mu):
+            mu.sort()                  # the chunk's own draws, read by nothing else
+            c = np.searchsorted(mu, grid, "right")
             with lock:
-                np.add(le, c, out=le)
-        _chunked(cfg, mc_samples, seed, count)
+                np.add(le[i], c, out=le[i])
+        _chunked(cfgs, mc_samples, seed, count)
         mc = 1.0 - le / int(mc_samples)
-    return DistributionCurve(grid=grid, pdf=pdf_, ccdf=cc, mc_ccdf=mc,
-                             quadrature_nodes=nodes, abs_error_estimate=err)
+    return [DistributionCurve(grid=grid, pdf=pdf_, ccdf=cc, mc_ccdf=overlay,
+                              quadrature_nodes=nodes, abs_error_estimate=err)
+            for (pdf_, cc, nodes, err), overlay in zip(analytic, mc)]

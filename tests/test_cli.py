@@ -610,9 +610,9 @@ class TestFigureCommand:
 
     def test_curve_figure_warns_on_large_error_estimate(self, capsys, monkeypatch):
         from dataclasses import replace
-        real = stats.ccdf
-        monkeypatch.setattr(stats, "ccdf", lambda *a, **k: replace(
-            real(*a, **k), abs_error_estimate=2e-9))
+        real = stats._ccdfs   # a curve figure's family of curves
+        monkeypatch.setattr(stats, "_ccdfs", lambda *a, **k: [
+            replace(curve, abs_error_estimate=2e-9) for curve in real(*a, **k)])
         code, _, err = run(capsys, "figure", "--id", "fig10")
         assert code == 0
         assert "error estimate 2.00e-09" in err
@@ -681,6 +681,28 @@ class TestFigureParity:
         assert code == 0
         block = [r[1:] for r in _data_rows(fig) if float(r[0]) == ratio]
         assert _data_rows(out) == block
+
+    def test_fig8_one_call_is_the_stacked_sweeps(self, capsys):
+        """fig8's rows, one array-core call on every (ratio, theta_R) link,
+        are the five per-ratio ``sweep_rows`` stacked behind their ratio:
+        bitwise on every column, and as CSV text."""
+        p = FIGURES["fig8"][1]
+        header, columns, record = figures.figure_rows("fig8")
+        blocks = [figures.sweep_rows(figures.link_params({**p, "x0_m": ratio * p["L_R_m"]}),
+                                     "theta_R", figures._grid(p["theta_R_sweep"]))
+                  for ratio in p["x0_over_LR"]]
+        assert header == ["x0_over_LR"] + blocks[0][0] and record == {}
+        stacked = [np.concatenate([np.full(len(cols[0]), ratio) for ratio, (_, cols, _)
+                                   in zip(p["x0_over_LR"], blocks)])]
+        stacked += [np.concatenate([np.asarray(cols[j]) for _, cols, _ in blocks])
+                    for j in range(4)]
+        for got, want in zip(columns, stacked, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        text = []
+        for cols in (columns, stacked):
+            cli._emit(header, cols, argparse.Namespace(format="csv", out=None), {})
+            text.append(capsys.readouterr().out)
+        assert text[0] == text[1]
 
 
 class TestReproducibility:

@@ -226,6 +226,12 @@ def _where_branches(x0, theta_T, L_R, C):
     return mu, b_plus, b_full, b_minus
 
 
+def _disk_x0(u, v, R):
+    """Axis distances of disk placements from radius uniforms u and angle
+    uniforms v, out of place: |R sqrt(u) cos(2 pi v)|, floored at 1e-12 R."""
+    return np.maximum(np.abs(R * np.sqrt(u) * np.cos(2.0 * np.pi * v)), 1e-12 * R)
+
+
 def _reference_draws(c, n, seed):
     """``monte_carlo``'s draws made out of place, the conditional x0
     filled into an array of the draws' length, through
@@ -234,9 +240,7 @@ def _reference_draws(c, n, seed):
     if c.scenario == CONDITIONAL_ON_X0:
         x0 = np.full(n, float(c.x0))
     else:
-        radius = c.R * np.sqrt(rng.random(n))
-        phi = 2.0 * np.pi * rng.random(n)
-        x0 = np.maximum(np.abs(radius * np.cos(phi)), 1e-12 * c.R)
+        x0 = _disk_x0(rng.random(n), rng.random(n), c.R)
     a = np.arctan(c.L_R / (2.0 * x0))
     lo, hi = {PARTIAL_R_PLUS: (-a - np.pi / 2.0, a - np.pi / 2.0),
               PARTIAL_R_MINUS: (np.pi / 2.0 - a, np.pi / 2.0 + a),
@@ -294,7 +298,7 @@ class TestBranchEvaluator:
                     x0=L_T / 4 if scenario == CONDITIONAL_ON_X0 else None)
             # monte_carlo's draws, replayed
             rng = sample_stream(seed, 0)
-            x0 = np.full(n, c.x0) if c.x0 else stats._disk_x0(rng.random(n), rng.random(n), R)
+            x0 = np.full(n, c.x0) if c.x0 else _disk_x0(rng.random(n), rng.random(n), R)
             lo, hi = branch_interval(x0, L_R, scenario)
             thT = lo + rng.random(n) * (hi - lo)
             mu, b_p, b_f, b_m = excess_dof_branches(x0, thT, L_R, c.C)
@@ -562,6 +566,60 @@ class TestChunkedDraws:
             monte_carlo(c, 200_003, seed=i)
             ccdf(c, np.linspace(0.0, 2.0 * c.C, 11), 200_003, seed=i)
             assert calls == [threading.main_thread()] * (2 * i), c.scenario
+
+    # fig9a's radii (x0 drawn from the disk) and fig10's cases (x0 fixed)
+    _FAMILIES = {
+        "disk": [cfg(R=R, scenario=s) for R, s in (
+            (5.0, PARTIAL_R_PLUS), (10.0, FULL_VISIBILITY), (20.0, PARTIAL_R_MINUS),
+            (200.0, PARTIAL_R_PLUS))],
+        "fixed": [cfg(R=20.0, L_R=L_R, x0=x0, scenario=CONDITIONAL_ON_X0)
+                  for x0 in (5.0, 10.0) for L_R in (2.0, 5.0)]}
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_family_curves_are_their_own_ccdfs(self, monkeypatch, family, cpus):
+        """Every curve of a family, whose chunks draw the uniforms once
+        for all its curves, is bitwise its own ``ccdf``, with threads
+        switching often: one pool and one ``sample_stream`` call, in the
+        calling thread, per family call."""
+        cfgs, n = self._FAMILIES[family], 200_003
+        grid = np.linspace(0.0, 2.0 * cfgs[0].C, 201)
+        alone = [ccdf(c, grid, n, seed=5) for c in cfgs]
+        pools = self._cpus(monkeypatch, cpus)
+        calls, real = [], stats.sample_stream
+        monkeypatch.setattr(stats, "sample_stream", lambda *a, **k: (
+            calls.append(threading.current_thread()) or real(*a, **k)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            curves = stats._ccdfs(cfgs, grid, n, 5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [cpus] and calls == [threading.main_thread()]
+        for c, got, want in zip(cfgs, curves, alone):
+            for field in ("grid", "pdf", "ccdf", "mc_ccdf"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (
+                    c, field)
+            assert (got.quadrature_nodes, got.abs_error_estimate) == (
+                want.quadrature_nodes, want.abs_error_estimate)
+
+    def test_mixed_family_refused(self):
+        """A family draws x0 from the disk for every curve or for none."""
+        mixed = [self._FAMILIES["disk"][0], self._FAMILIES["fixed"][0]]
+        with pytest.raises(ValueError, match="a family of curves"):
+            stats._ccdfs(mixed, np.linspace(0.0, 1.0, 5), 10_000, 0)
+        with pytest.raises(ValueError, match="a family of curves"):
+            stats._chunked(mixed, 10_000, 0, lambda i, start, mu: None)
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_family_holds_no_draw_array(self, monkeypatch, family):
+        """On two CPUs the traced peak of a four-curve family at 10^6 draws
+        stays below 8e6 bytes, the size of one curve's draws in one array."""
+        self._cpus(monkeypatch, 2)
+        cfgs = self._FAMILIES[family]
+        grid = np.linspace(0.0, 2.0 * cfgs[0].C, 201)
+        peak = _traced_peak(lambda: stats._ccdfs(cfgs, grid, 10 ** 6, 0))
+        assert peak < 8 * 10 ** 6, (family, peak)
 
 
 def _mu_at_omega(c, x):
