@@ -168,7 +168,7 @@ def _run_config(args):
 
 
 def _fmt(x):
-    """One CSV cell of a column that mixes kinds."""
+    """One CSV cell of a column without a float, int or str dtype."""
     if x is None:
         return ""
     if isinstance(x, (list, tuple)):
@@ -182,18 +182,12 @@ def _fmt(x):
 
 def _spec(column):
     """The ``%`` spec and the cells of one column: a float, int or str
-    numpy column's by its dtype, any other column's by what it holds; a
-    column of bools, or one that mixes kinds, goes cell by cell through
-    ``_fmt``."""
+    numpy column's by its dtype; any other column, a list or a numpy
+    column of objects or bools, cell by cell through ``_fmt``."""
     if isinstance(column, np.ndarray):
         kind, column = column.dtype.kind, column.tolist()
         if kind in "fiuU":
             return ("%.9g" if kind == "f" else "%s"), column
-    kinds = set(map(type, column))
-    if kinds <= {float}:
-        return "%.9g", column
-    if kinds <= {int} or kinds <= {str}:
-        return "%s", column
     return "%s", map(_fmt, column)
 
 
@@ -308,7 +302,7 @@ def cmd_stats(cfg, args):
         raise UsageError(f"stats.{e}")
     grid_points, mc_samples = section["grid_points"], section["mc_samples"]
     header, columns, record = curve_rows(scen_cfg, grid_points, mc_samples, cfg["seed"])
-    columns += [[mc_samples] * grid_points, [cfg["seed"]] * grid_points]
+    columns += [np.full(grid_points, mc_samples), np.full(grid_points, cfg["seed"])]
     return _write_rows("stats", (header + ["mc_samples", "seed"], columns, record),
                        args, parameters={key: cfg[key] for key in STATS_FIELDS},
                        scenario=asdict(scen_cfg))

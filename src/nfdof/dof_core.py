@@ -18,12 +18,13 @@ sweep's fixed parameters 0-d; 0-d links give 0-d fields): the array
 classifier for the visibility, then the boundary angles, ``rho_c``,
 ``m_plus``/``m_minus`` and ``m_real`` as numpy expressions over the
 visible links alone, a fixed parameter staying 0-d, and ``m_int``
-through int64; every field has the links' broadcast shape.  A sweep is
-one call and one ``DofResult`` of arrays.  ``dof`` runs the same
-mode-span expressions on one link, after the scalar
-``classify_visibility``.  Both classifiers read one visibility decision
-(``geometry._decide``, the array path through its table), so the count
-has one path and every link's numbers are bitwise the sweep's.
+through int64, 0 where a link touches.  It is the one array entry: a
+sweep table is one call, its columns the ``DofResult``'s arrays.
+``dof`` runs the same mode-span expressions on one link, after the
+scalar ``classify_visibility``, and counts a touching link None.  Both
+classifiers read one visibility decision (``geometry._decide``, the
+array path through its table), so the count has one path and every
+link's numbers are bitwise the sweep's.
 Every point on an array comes from ``geometry.point_on``, or from the
 same expression on the rotations' sines and cosines that classified the
 link (``geometry._turns``).
@@ -31,7 +32,7 @@ link (``geometry._turns``).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -68,8 +69,8 @@ class TaylorCoefficients:
 class DofResult:
     """Mode count, mode indices, boundary angles and visibility: floats
     from ``dof`` (one link), arrays of one shape from ``dof_arrays`` (many
-    links, ``m_int`` Python ints in an object array).  ``m_int`` is None
-    for a touching link on both; ``warnings`` is empty on the array path."""
+    links).  ``m_int`` is None for a touching link from ``dof`` alone; the
+    array path counts it 0 and leaves ``warnings`` empty."""
 
     m_real: float
     m_int: Optional[int]
@@ -153,19 +154,10 @@ _to_int = np.frompyfunc(int, 1, 1)
 
 def dof_arrays(links: LinkGeometry) -> DofResult:
     """``dof`` of every link in ``links`` at once; link ``i``'s values are
-    bitwise those of ``dof`` on ``make_link`` of its parameters, and every
-    field has the links' broadcast shape."""
-    res, touching = _dof_many(links)
-    m_int = res.m_int.astype(object)
-    m_int[touching] = None
-    return replace(res, m_int=m_int)
-
-
-def _dof_many(links):
-    """(``dof_arrays`` of ``links`` with ``m_int`` as the tables write it,
-    then the touching mask).  The table's ``m_int`` holds 0 for a touching
-    link: int64 counts, or Python ints in an object array once a count
-    reaches 2**62."""
+    bitwise those of ``dof`` on ``make_link`` of its parameters, but for
+    ``m_int``, which is 0 where ``dof`` gives None (a touching link).
+    Every field has the links' broadcast shape; ``m_int`` holds int64
+    counts, or Python ints in an object array once a count reaches 2**62."""
     turns = _turns(links, np)
     vis, visible, touching = _classify_many(links, turns)
     shown = np.flatnonzero(visible)
@@ -195,7 +187,7 @@ def _dof_many(links):
         m_int[~exact] = _to_int(rounded[~exact])
     m_real = np.where(visible | touching, m_real, 0.0)
     return DofResult(m_real, m_int, m_plus, m_minus, a_plus, a_minus,
-                     a_zero, rho_c, vis), touching
+                     a_zero, rho_c, vis)
 
 
 def minima_lattice_count(m_plus, m_minus):

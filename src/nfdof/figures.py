@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import statistics as stats
-from .dof_core import _dof_many
+from .dof_core import dof_arrays
 from .geometry import link_arrays, make_link
 from .kernel import kernel_scan
 from .svd_oracle import (DEFAULT_SUM_RULE_FRACTION, _count, channel_matrix,
@@ -44,11 +44,10 @@ def link_params(bindings):
 
 
 def _dof_sweep(link, **swept):
-    """Links and their ``dof_arrays`` in one call, ``m_int`` as the tables
-    write it (0 where touching), of ``link`` with the ``make_link``
-    keywords ``swept`` set to arrays."""
+    """Links and their ``dof_arrays`` in one call, of ``link`` with the
+    ``make_link`` keywords ``swept`` set to arrays."""
     links = link_arrays(**{**link, **swept})
-    return links, _dof_many(links)[0]
+    return links, dof_arrays(links)
 
 
 def sweep_rows(link, key, values):

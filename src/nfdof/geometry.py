@@ -54,13 +54,14 @@ Both classifiers take s, the zero band and the six signed distances
 d(R+), d(R-), d(T+), d(T-), a and b from ``_distances`` (``math`` for
 one link, numpy for many), given each rotation's (sin, cos) from
 ``_turns``, and read one decision, ``_decide`` of the six signs and of
-the overlap: ``classify_visibility`` calls it, and ``classify_arrays``
-looks it up in a table of its 3**6 * 2 values built at import, which
-also holds the visible and touching masks; only that lookup is
-broadcast to the links' shape.  The cut expressions are the same on
-both paths, so each link's report is bitwise the scalar one.  One link
-takes ``make_link`` then ``classify_visibility``: a one-element
-``classify_arrays`` call costs some 40 times as much.
+the overlap: ``classify_visibility`` calls it, and the array classifier
+that ``dof_core.dof_arrays`` runs looks it up in a table of its 3**6 * 2
+values built at import, which also holds the visible and touching
+masks; only that lookup is broadcast to the links' shape.  The cut
+expressions are the same on both paths, so each link's report is
+bitwise the scalar one.  One link takes ``make_link`` then
+``classify_visibility`` or ``dof``: a one-link ``dof_arrays`` call costs
+some 10 to 15 times as much as ``dof``.
 """
 
 import itertools
@@ -76,7 +77,7 @@ __all__ = [
     "FULL", "NO_VISIBILITY", "PARTIAL_TX", "PARTIAL_RX", "TOUCHING", "VISIBLE",
     "LinkGeometry", "VisibilityReport",
     "wrap_angle", "point_on",
-    "classify_visibility", "make_link", "link_arrays", "classify_arrays",
+    "classify_visibility", "make_link", "link_arrays",
 ]
 
 FULL = "full"
@@ -276,13 +277,6 @@ def link_arrays(L_T, L_R, theta_T, theta_R, x0, y0, frequency) -> LinkGeometry:
     return LinkGeometry(p["L_T"], p["L_R"], thT, thR, p["x0"], p["y0"], lam)
 
 
-def classify_arrays(links: LinkGeometry) -> VisibilityReport:
-    """``classify_visibility`` of every link in ``links``: the same signs
-    and segment expressions, the decision read from ``_decide``'s table;
-    every field has the links' broadcast shape."""
-    return _classify_many(links, _turns(links, np))[0]
-
-
 def _take(v, shape, index):
     """``v``, of a shape that broadcasts to the links' ``shape``, at the
     links' flat ``index``; a 0-d ``v`` as it is."""
@@ -294,7 +288,8 @@ def _take(v, shape, index):
 
 
 def _classify_many(links, turns):
-    """(``classify_arrays`` of ``links`` given its ``_turns``, then its
+    """(``classify_visibility`` of every link in ``links`` given its
+    ``_turns``, the decision read from ``_decide``'s table, then its
     visible and touching masks).  The signs take the shapes of the
     geometry's fields; the decision index alone is broadcast to the links'
     shape, which the wavelength may widen, and the cuts are taken on the

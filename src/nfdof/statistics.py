@@ -304,15 +304,18 @@ def pov(x0, L_R):
     """Probability that the receive array is at least partially visible:
     1/2 + arctan(L_R / 2 x0) / pi; a float for scalars, an array of the
     broadcast shape for arrays."""
-    _check_x0(x0)
+    _check_placement(x0, L_R)
     v_total = _mixture_weights(x0, L_R)[2]
     return float(v_total) if np.ndim(v_total) == 0 else v_total
 
 
-def _check_x0(x0):
-    """Refuse an axis distance that is not positive and finite."""
+def _check_placement(x0, L_R):
+    """Refuse an axis distance, then a receive length, that is not
+    positive and finite."""
     if not np.all(np.isfinite(x0) & np.greater(x0, 0.0)):
         raise ValueError("x0 must be positive")
+    if not np.all(np.isfinite(L_R) & np.greater(L_R, 0.0)):
+        raise ValueError("L_R must be positive and finite")
 
 
 def _mixture_weights(x0, L_R):
@@ -335,7 +338,7 @@ def branch_interval(x0, L_R, scenario):
     """theta_T interval (lo, hi) of the scenario's visibility branch."""
     if scenario not in _BRANCHES:
         raise ValueError(f"unknown scenario {scenario!r}")
-    _check_x0(x0)
+    _check_placement(x0, L_R)
     a = _half_angle(x0, L_R)
     return tuple(edge(a) for edge in _BRANCHES[scenario])
 

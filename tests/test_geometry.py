@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nfdof import geometry
+from nfdof.dof_core import dof_arrays
 from nfdof.geometry import classify_visibility, make_link, point_on, wrap_angle
 
 F = 30e9
@@ -185,8 +186,8 @@ class TestDegenerateLinks:
         rep = classify_visibility(lk)
         overlap = lk.d0 <= 0.5 * (lk.L_T + lk.L_R)
         assert rep.status == (geometry.TOUCHING if overlap else geometry.NO_VISIBILITY)
-        many = geometry.classify_arrays(geometry.link_arrays(
-            0.2, 5.0, [theta], [theta], [x0], [y0], F))
+        many = dof_arrays(geometry.link_arrays(
+            0.2, 5.0, [theta], [theta], [x0], [y0], F)).visibility
         assert many.status.tolist() == [rep.status]
 
     @pytest.mark.parametrize("thR,x0,status", [

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from nfdof import geometry, kernel
-from nfdof.dof_core import dof, minima_lattice_count, taylor_coeffs
-from nfdof.geometry import (classify_arrays, classify_visibility, link_arrays,
-                            make_link)
+from nfdof.dof_core import dof, dof_arrays, minima_lattice_count, taylor_coeffs
+from nfdof.geometry import classify_visibility, link_arrays, make_link
 from nfdof.kernel import (
     _aperture_integral, _delta_coeffs, find_minima, kernel_exact,
     kernel_farfield, kernel_scan,
@@ -148,10 +147,10 @@ class TestKernelValues:
     @pytest.mark.parametrize("x0", [[10.0], [10.0, 12.0]])
     def test_refuses_a_report_of_arrays(self, x0):
         """The coefficients and the kernel take one link's report; a
-        ``classify_arrays`` report is refused with a ValueError that says
-        so, for one link as for two."""
+        ``dof_arrays`` report is refused with a ValueError that says so,
+        for one link as for two."""
         links = link_arrays(0.2, 5.0, 0.0, np.pi, x0, 0.0, F)
-        rep = classify_arrays(links)
+        rep = dof_arrays(links).visibility
         with pytest.raises(ValueError, match="one link's visibility report"):
             taylor_coeffs(links, 0.0, rep)
         with pytest.raises(ValueError, match="one link's visibility report"):

@@ -18,11 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dof_oracle import mode_span
-from nfdof import geometry
+from nfdof import dof_core, figures, geometry
 from nfdof.dof_core import DofResult, dof, dof_arrays
-from nfdof.geometry import (LinkGeometry, VisibilityReport, classify_arrays,
-                            classify_visibility, link_arrays, make_link,
-                            point_on)
+from nfdof.geometry import (LinkGeometry, VisibilityReport, classify_visibility,
+                            link_arrays, make_link, point_on)
 
 F = 30e9
 KEYS = ("L_T", "L_R", "theta_T", "theta_R", "x0", "y0", "frequency")
@@ -80,8 +79,51 @@ def check(links):
         scalar = dof(lk)
         for name in DOF_FIELDS:
             assert same(getattr(scalar, name), want[name]), (name, params)
-            assert same(cols[name][i], want[name]), (name, params)
+            assert same(cols[name][i], counted(name, want[name])), (name, params)
     return res
+
+
+def counted(name, value):
+    """The array path's value of a scalar ``DofResult`` field: ``m_int``
+    None (a touching link) reads 0."""
+    return 0 if name == "m_int" and value is None else value
+
+
+class TestCountColumn:
+    """``dof_arrays``' ``m_int`` is the count every sweep table writes:
+    int64, 0 where no mode is counted, Python ints only from 2**62."""
+
+    def test_int64_and_zero_without_modes(self):
+        res = dof_arrays(link_arrays(0.2, 5.0, 0.0, np.pi, [-10.0, 0.0, 10.0], 0.0, F))
+        assert res.visibility.status.tolist() == [
+            geometry.NO_VISIBILITY, geometry.TOUCHING, geometry.FULL]
+        assert type(res.m_int) is np.ndarray and res.m_int.dtype == np.int64
+        full = dof(make_link(0.2, 5.0, 0.0, np.pi, 10.0, 0.0, F)).m_int
+        assert res.m_int.tolist() == [0, 0, full]
+
+    @pytest.mark.parametrize("frequency, low, high, dtype", [
+        (1e17, 2 ** 53, 2 ** 62, np.int64),
+        (3e17, 2 ** 62, 2 ** 63, object),
+        (1e18, 2 ** 63, 2 ** 65, object),
+    ], ids=["below-2**62", "below-2**63", "past-2**63"])
+    def test_object_array_only_from_2_62(self, frequency, low, high, dtype):
+        # a 1e10 m transmit array: the count grows with the frequency, and
+        # past 2**63 (at 1e18 Hz) it is still round()'s exact integer
+        args = (1e10, 5.0, 0.0, np.pi, 10.0, 0.0)
+        want = dof(make_link(*args, frequency=frequency)).m_int
+        assert low <= want < high
+        got = dof_arrays(link_arrays(*args, frequency=[F, frequency])).m_int
+        assert got.dtype == dtype
+        assert got.tolist() == [dof(make_link(*args, frequency=F)).m_int, want]
+
+    def test_sweep_rows_writes_the_core_count(self):
+        link = dict(L_T=0.2, L_R=5.0, theta_T=0.0, theta_R=np.pi, y0=0.0, frequency=F)
+        values = np.array([-10.0, 0.0, 10.0])
+        header, columns, _ = figures.sweep_rows(link, "x0", values)
+        m_int = columns[header.index("m_int")]
+        assert type(m_int) is np.ndarray and m_int.dtype == np.int64
+        assert np.array_equal(m_int, dof_arrays(link_arrays(x0=values, **link)).m_int)
+        assert figures.dof_arrays is dof_core.dof_arrays
 
 
 def test_one_record_per_kind():
@@ -89,10 +131,10 @@ def test_one_record_per_kind():
     both classifiers, ``DofResult`` from ``dof`` and ``dof_arrays``, the
     array path's warnings left empty.  Scalar parameters give the array
     core 0-d links, and it returns 0-d fields bitwise the scalar path's,
-    for a link of each status."""
+    for a link of each status, ``m_int`` 0 where the scalar's is None."""
     args = (0.2, 5.0, 0.0, np.pi, 0.5, 0.0, F)
     one, many = make_link(*args), link_arrays(*args[:4], [0.5, 10.0], *args[5:])
-    assert type(classify_arrays(many)) is type(classify_visibility(one)) is VisibilityReport
+    assert type(classify_visibility(one)) is VisibilityReport
     scalar, arrays = dof(one), dof_arrays(many)
     assert type(arrays) is type(scalar) is DofResult
     assert type(arrays.visibility) is type(scalar.visibility) is VisibilityReport
@@ -104,7 +146,8 @@ def test_one_record_per_kind():
                    (1.0, 0.2, 0.3, 2.0, 0.5, 0.3, F),               # partial-tx
                    (0.5, 5.0, 0.6, np.pi - 0.5, 0.3, 0.0, F)):      # partial-rx
         scalar, point = dof(make_link(*params)), dof_arrays(link_arrays(*params))
-        fields = [(getattr(point, name), getattr(scalar, name)) for name in DOF_FIELDS]
+        fields = [(getattr(point, name), counted(name, getattr(scalar, name)))
+                  for name in DOF_FIELDS]
         fields += [(getattr(point.visibility, name), getattr(scalar.visibility, name))
                    for name in ("status", "visible_endpoint", *SEGMENT_FIELDS)]
         for got, want in fields:
@@ -330,16 +373,6 @@ class TestValidation:
             dof(make_link(*args, frequency=1.7e308))
         with pytest.raises(OverflowError, match="cannot convert float infinity"):
             dof_arrays(link_arrays(*args, frequency=[F, 1.7e308]))
-
-    def test_count_past_int64(self):
-        # a 1e10 m transmit array at 1e18 Hz: m_real ~ 3e19 > 2**63, which
-        # round() still gives exactly
-        args = (1e10, 5.0, 0.0, np.pi, 10.0, 0.0)
-        want = dof(make_link(*args, frequency=1e18))
-        assert want.m_int >= 2 ** 63
-        got = dof_arrays(link_arrays(*args, frequency=[F, 1e18]))
-        assert got.m_int.tolist() == [dof(make_link(*args, frequency=F)).m_int,
-                                      want.m_int]
 
     def test_first_bad_link_decides(self):
         # link 1 fails on its frequency, link 2 on its length: link 1 wins,

@@ -208,6 +208,19 @@ class TestVisibilityProbability:
         with pytest.raises(ValueError, match="x0 must be positive"):
             pov(x0, 2.0)
 
+    @pytest.mark.parametrize("L_R", [-1.0, 0.0, -0.0, np.inf, np.nan,
+                                     np.array([1.0, -1.0])])
+    def test_bad_L_R_refused(self, L_R):
+        """A receive length that is not positive and finite is refused, not
+        turned into a fraction or an interval wider than the facing
+        half-turn."""
+        with pytest.raises(ValueError, match="L_R must be positive and finite"):
+            visibility_fraction(10.0, L_R, 10_000)
+        with pytest.raises(ValueError, match="L_R must be positive and finite"):
+            branch_interval(10.0, L_R, FULL_VISIBILITY)
+        with pytest.raises(ValueError, match="L_R must be positive and finite"):
+            pov(10.0, L_R)
+
 
 def _where_branches(x0, theta_T, L_R, C):
     """Reference branch evaluator: every formula over every draw, one

@@ -254,6 +254,18 @@ class TestEffectiveDof:
             ed = effective_dof(singular_spectrum(channel_matrix(lk)))
             assert abs(ed - res.m_int) <= 1, (thT, thR, ed, res.m_int)
 
+    def test_sum_rule_gap_grows_with_the_aperture(self):
+        """The sum-rule gap m_int - count on a 1 m transmit array: a
+        spectrum with a plateau of about m_int modes counts about f * m_int
+        at fraction f, so the gap is ~ (1 - f) m_int, at least 2 modes at
+        0.96 and at most 1 at 0.99 here (the 2001 x 401 lambda/4 grid)."""
+        lk = make_link(1.0, 5.0, 0.0, np.pi, 10.0, 0.0, frequency=F)
+        m_int = dof(lk).m_int
+        rep = singular_spectrum(channel_matrix(lk))
+        assert m_int == 50
+        assert m_int - effective_dof(rep, 0.96) >= 2
+        assert m_int - effective_dof(rep, 0.99) <= 1
+
 
 def seeded_links(n, seed=31):
     """Visible links with the receiver facing the transmitter, L_T 0.2 or
