@@ -150,16 +150,17 @@ def _check(cfg):
 def _run_config(args):
     """The run's fields: the defaults, then the config file, then the
     flags, all held to ``DOMAINS`` before any computation; ``--deg`` then
-    turns the angles into radians."""
-    cfg = {key: default for key, (_, default) in DOMAINS.items()}
-    if args.config:
-        cfg.update(_load_config(args.config))
-    cfg.update((key, value) for key in FLAGS
-               if (value := getattr(args, key)) is not None)
+    turns the angles given in the config file or a flag into radians, and
+    a default angle stays in radians."""
+    given = _load_config(args.config) if args.config else {}
+    given.update((key, value) for key in FLAGS
+                 if (value := getattr(args, key)) is not None)
+    cfg = {key: given.get(key, default) for key, (_, default) in DOMAINS.items()}
     _check(cfg)
     if args.deg:
         for key in ("theta_T", "theta_R"):
-            cfg[key] = math.radians(cfg[key])
+            if key in given:
+                cfg[key] = math.radians(cfg[key])
         sweep = cfg["sweep"]
         if sweep and sweep["parameter"] in ("theta_T", "theta_R"):
             cfg["sweep"] = {**sweep, "start": math.radians(sweep["start"]),

@@ -18,7 +18,7 @@ sweep's fixed parameters 0-d; 0-d links give 0-d fields): the array
 classifier for the visibility, then the boundary angles, ``rho_c``,
 ``m_plus``/``m_minus`` and ``m_real`` as numpy expressions over the
 visible links alone, a fixed parameter staying 0-d, and ``m_int``
-through int64, 0 where a link touches.  It is the one array entry: a
+in one conversion, 0 where a link touches.  It is the one array entry: a
 sweep table is one call, its columns the ``DofResult``'s arrays.
 ``dof`` runs the same mode-span expressions on one link, after the
 scalar ``classify_visibility``, and counts a touching link None.  Both
@@ -26,8 +26,7 @@ classifiers read one visibility decision (``geometry._decide``, the
 array path through its table), so the count has one path and every
 link's numbers are bitwise the sweep's.
 Every point on an array comes from ``geometry.point_on``, or from the
-same expression on the rotations' sines and cosines that classified the
-link (``geometry._turns``).
+same expression on the rotations' sines and cosines (``geometry._turns``).
 ``taylor_coeffs`` takes one link's report and refuses a report of arrays.
 """
 
@@ -129,8 +128,7 @@ def _mode_span(link, vis, turns):
 
 def dof(link: LinkGeometry) -> DofResult:
     """Full DoF evaluation: visibility -> boundary angles -> mode count."""
-    turns = _turns(link, math)
-    report = classify_visibility(link, turns)
+    report = classify_visibility(link)
     warnings = []
     d_min = AMPLITUDE_DISTANCE_FACTOR * (link.L_T + link.L_R)
     if link.d0 < d_min:
@@ -143,7 +141,7 @@ def dof(link: LinkGeometry) -> DofResult:
         return DofResult(0.0, 0, nan, nan, nan, nan, nan, nan, report, warnings)
     if report.status == geometry.TOUCHING:
         return DofResult(nan, None, nan, nan, nan, nan, nan, nan, report, warnings)
-    span = map(float, _mode_span(link, report, turns))
+    span = map(float, _mode_span(link, report, _turns(link, math)))
     a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real = span
     return DofResult(m_real, round(m_real), m_plus, m_minus, a_plus,
                      a_minus, a_zero, rho_c, report, warnings)
@@ -156,8 +154,8 @@ def dof_arrays(links: LinkGeometry) -> DofResult:
     """``dof`` of every link in ``links`` at once; link ``i``'s values are
     bitwise those of ``dof`` on ``make_link`` of its parameters, but for
     ``m_int``, which is 0 where ``dof`` gives None (a touching link).
-    Every field has the links' broadcast shape; ``m_int`` holds int64
-    counts, or Python ints in an object array once a count reaches 2**62."""
+    Every field has the links' broadcast shape; ``m_int`` is int64, or
+    Python ints in an object array once any count reaches 2**62."""
     turns = _turns(links, np)
     vis, visible, touching = _classify_many(links, turns)
     shown = np.flatnonzero(visible)
@@ -176,15 +174,12 @@ def dof_arrays(links: LinkGeometry) -> DofResult:
             row[shown] = v
     a_plus, a_minus, a_zero, rho_c, m_plus, m_minus, m_real = (
         v[...] for v in span.reshape((7,) + visible.shape))
-    # dof's round(): through int64 below 2**62, and Python ``int`` past
-    # it, exact past 2**63 and raising round()'s error on a count that is
-    # not finite
+    # dof's round(): int64 while every count is below 2**62, else Python
+    # ``int`` over the column, exact past 2**63 and raising round()'s
+    # error on a count that is not finite
     rounded = np.where(visible, np.rint(m_real), 0.0)
-    exact = np.abs(rounded) < 2.0 ** 62
-    m_int = np.where(exact, rounded, 0.0).astype(np.int64)
-    if not exact.all():
-        m_int = m_int.astype(object)
-        m_int[~exact] = _to_int(rounded[~exact])
+    m_int = (rounded.astype(np.int64) if (np.abs(rounded) < 2.0 ** 62).all()
+             else np.asarray(_to_int(rounded), dtype=object))
     m_real = np.where(visible | touching, m_real, 0.0)
     return DofResult(m_real, m_int, m_plus, m_minus, a_plus, a_minus,
                      a_zero, rho_c, vis)

@@ -60,7 +60,7 @@ values built at import, which also holds the visible and touching
 masks; only that lookup is broadcast to the links' shape.  The cut
 expressions are the same on both paths, so each link's report is
 bitwise the scalar one.  One link takes ``make_link`` then
-``classify_visibility`` or ``dof``: a one-link ``dof_arrays`` call costs
+``classify_visibility(link)`` or ``dof``: a one-link ``dof_arrays`` call costs
 some 10 to 15 times as much as ``dof``.
 """
 
@@ -208,9 +208,9 @@ def _partial_segment(L, d, sd, plus):
 
 
 def _turns(link, trig):
-    """The (sin, cos) of theta_T and of theta_R of ``link``, taken once and
-    shared by ``_distances`` and the mode span's points: ``trig`` is
-    ``math`` for one link, ``numpy`` for many."""
+    """The (sin, cos) of theta_T and of theta_R of ``link``: ``trig`` is
+    ``math`` for one link (``classify_visibility`` and ``dof`` each take
+    their own), ``numpy`` for many (shared by the classifier and span)."""
     thT, thR = link.theta_T, link.theta_R
     return trig.sin(thT), trig.cos(thT), trig.sin(thR), trig.cos(thR)
 
@@ -229,13 +229,11 @@ def _distances(link, trig, turns):
     return sd, a, b, tol, (a + half_R, a - half_R, b - half_T, b + half_T, a, b)
 
 
-def classify_visibility(link: LinkGeometry, turns=None) -> VisibilityReport:
+def classify_visibility(link: LinkGeometry) -> VisibilityReport:
     """Classify mutual visibility and compute the effective segments from
-    the signs of the four endpoint distances (see the module docstring);
-    ``turns``, the link's ``_turns``, if the caller has taken them."""
+    the signs of the four endpoint distances (see the module docstring)."""
     LT, LR = link.L_T, link.L_R
-    sd, a, b, tol, (rp, rm, tp, tm, _, _) = _distances(link, math,
-                                                       turns or _turns(link, math))
+    sd, a, b, tol, (rp, rm, tp, tm, _, _) = _distances(link, math, _turns(link, math))
     # the sign predicate written out: a loop or a call per sign is 15-25% slower
     lo = -tol
     r_plus, r_minus = (rp > tol) - (rp < lo), (rm > tol) - (rm < lo)

@@ -481,15 +481,21 @@ def monte_carlo(cfg: ScenarioConfig, n, seed=0):
 
 
 def empirical_ccdf(samples, grid):
-    """P[sample > threshold] for each threshold in ``grid``."""
+    """P[sample > threshold] for each threshold in ``grid``; an empty
+    sample is refused."""
     s = np.sort(np.asarray(samples))
+    if s.size == 0:
+        raise ValueError("samples must not be empty")
     grid = np.asarray(grid, dtype=float)
     return 1.0 - np.searchsorted(s, grid, side="right") / len(s)
 
 
 def visibility_fraction(x0, L_R, n, seed=0):
     """Monte Carlo estimate of the visibility probability at fixed x0
-    with a globally uniform theta_T (cross-check for ``pov``)."""
+    with a globally uniform theta_T (cross-check for ``pov``) from ``n``
+    >= 1 draws."""
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     rng = sample_stream(seed, 1)
     theta_T = -np.pi + 2.0 * np.pi * rng.random(int(n))
     lo, hi = branch_interval(x0, L_R, CONDITIONAL_ON_X0)

@@ -64,6 +64,20 @@ class TestDofCommand:
         assert json.loads(out_r)["m_real"] == pytest.approx(
             json.loads(out_d)["m_real"])
 
+    @pytest.mark.parametrize("argv,radians", [
+        (["dof"], ["dof"]),
+        (["dof", "--format", "csv"], ["dof", "--format", "csv"]),
+        (["kernel-scan", "--theta-t", "10"],
+         ["kernel-scan", "--theta-t", str(math.radians(10))]),
+    ], ids=["dof-json", "dof-csv", "kernel-scan"])
+    def test_degrees_flag_leaves_default_angles(self, capsys, argv, radians):
+        """--deg converts the angles that were given, never a default: the
+        default theta_R stays pi rad, not pi degrees."""
+        code_r, out_r, _ = run(capsys, *radians)
+        code_d, out_d, err_d = run(capsys, *argv, "--deg")
+        assert code_r == code_d == 0, err_d
+        assert out_d == out_r
+
     def test_touching_reports_null_count(self, capsys):
         code, out, _ = run(capsys, "dof", "--theta-r", str(math.pi / 2),
                            "--x0", "0.5", "--y0", "0")
@@ -128,6 +142,20 @@ class TestConfigHandling:
         bad.write_text(json.dumps({"no_such_field": 1}))
         code, _, err = run(capsys, "dof", "--config", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("missing.json", None, "cannot read config"),
+        ("list.json", "[1, 2]", "top level must be an object"),
+    ], ids=["unreadable", "not-an-object"])
+    def test_config_refusals_exit_2(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(capsys, "dof", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and message in err
 
     def test_empty_config_exit_2(self, capsys):
         code, _, err = run(capsys, "dof", "--config", "/dev/null")
@@ -287,6 +315,31 @@ class TestSweepCommand:
         assert lines[3] == "0,nan,0,touching"
         assert lines[1].endswith(",no-visibility")
         assert lines[5].endswith(",11,full")
+
+    @pytest.mark.parametrize("parameter,start,stop", [
+        ("theta_R", 150.0, 210.0), ("theta_T", -30.0, 30.0)])
+    def test_angle_sweep_in_degrees(self, tmp_path, parameter, start, stop):
+        """A sweep given in degrees writes the rows of the radian sweep
+        between math.radians of its endpoints, and its manifest records
+        the radians."""
+        outs = []
+        for deg, ends in ((True, (start, stop)),
+                          (False, (math.radians(start), math.radians(stop)))):
+            cfgfile = tmp_path / f"{deg}.json"
+            cfgfile.write_text(json.dumps({"sweep": {
+                "parameter": parameter, "start": ends[0], "stop": ends[1],
+                "steps": 7}}))
+            out = tmp_path / f"{deg}.csv"
+            assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]
+                        + ["--deg"] * deg) == 0
+            outs.append((out.read_text(),
+                         json.loads(Path(f"{out}.manifest.json").read_text())))
+        (rows_d, manifest_d), (rows_r, manifest_r) = outs
+        assert rows_d == rows_r
+        assert "full" in rows_d
+        assert manifest_d == manifest_r
+        assert manifest_d["parameters"]["sweep"]["start"] == math.radians(start)
+        assert manifest_d["parameters"]["theta_R"] == math.pi
 
     def test_unknown_parameter_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"

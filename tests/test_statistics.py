@@ -196,6 +196,13 @@ class TestVisibilityProbability:
         frac = visibility_fraction(10.0, 5.0, 200_000, seed=1)
         assert frac == pytest.approx(pov(10.0, 5.0), abs=5e-3)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_no_draws_refused(self, n):
+        """A draw count below 1 is refused by name, not turned into NaN or
+        into numpy's negative-dimensions error."""
+        with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+            visibility_fraction(10.0, 5.0, n)
+
     @pytest.mark.parametrize("x0", [-5.0, 0.0, -0.0, np.inf, np.nan,
                                     np.array([1.0, -1.0])])
     def test_non_positive_x0_refused(self, x0):
@@ -467,6 +474,11 @@ class TestMonteCarlo:
     def test_empirical_ccdf_basics(self):
         vals = empirical_ccdf([1.0, 2.0, 3.0, 4.0], [0.0, 2.5, 10.0])
         assert vals == pytest.approx([1.0, 0.5, 0.0])
+
+    def test_empirical_ccdf_refuses_an_empty_sample(self):
+        """An empty sample is refused by name, not turned into NaN."""
+        with pytest.raises(ValueError, match="samples must not be empty"):
+            empirical_ccdf([], [0.0, 1.0])
 
 
 def _scenarios():
