@@ -205,10 +205,13 @@ def dof_full_visibility_closed_form(x0, theta_T, L_T, L_R, wavelength):
         m = 1 + (2 L_T / lambda) cos(theta_T) sin(arctan(L_R / 2 x0))
 
     valid while theta_T stays within the full-visibility range
-    [a - pi/2, pi/2 - a] with a = arctan(L_R / 2 x0).
+    [a - pi/2, pi/2 - a] with a = arctan(L_R / 2 x0).  A distance, length
+    or wavelength that is not positive and finite, or a theta_T that is
+    not finite, is refused by name.
     """
-    if x0 <= 0:
-        raise ValueError("x0 must be positive")
+    _refuse_unless(_positive, "positive and finite", x0=x0)
+    _refuse_unless(math.isfinite, "finite", theta_T=theta_T)
+    _refuse_unless(_positive, "positive and finite", L_T=L_T, L_R=L_R, wavelength=wavelength)
     a = np.arctan(L_R / (2.0 * x0))
     if not (a - np.pi / 2.0 - 1e-12 <= theta_T <= np.pi / 2.0 - a + 1e-12):
         raise ValueError("theta_T outside the full-visibility range")
@@ -216,10 +219,25 @@ def dof_full_visibility_closed_form(x0, theta_T, L_T, L_R, wavelength):
 
 
 def fraunhofer_distance(L_T, L_R, wavelength):
-    """Far-field boundary 2 (L_T + L_R)^2 / lambda."""
-    if L_T < 0 or L_R < 0 or wavelength <= 0:
-        raise ValueError("lengths must be nonnegative and wavelength positive")
+    """Far-field boundary 2 (L_T + L_R)^2 / lambda; a length that is not
+    nonnegative and finite, or a wavelength that is not positive and
+    finite, is refused by name."""
+    _refuse_unless(lambda v: math.isfinite(v) and v >= 0, "nonnegative and finite",
+                   L_T=L_T, L_R=L_R)
+    _refuse_unless(_positive, "positive and finite", wavelength=wavelength)
     return float(2.0 * (L_T + L_R) ** 2 / wavelength)
+
+
+def _positive(v):
+    return math.isfinite(v) and v > 0
+
+
+def _refuse_unless(holds, what, **values):
+    """Raise ValueError naming the first of ``values`` for which ``holds``
+    is false."""
+    for name, v in values.items():
+        if not holds(v):
+            raise ValueError(f"{name} must be {what}, got {v!r}")
 
 
 def _require_visible(report: VisibilityReport):

@@ -37,10 +37,14 @@ with explicit breakpoints at omega and psi lives in
 ``tests/deconditioning_oracle.py`` as the reference.
 
 Monte Carlo driven by the same branch structure cross-validates the
-analytic curves.  It draws in fixed chunks of 2^15 on a pool of one
-thread per CPU.  Each chunk jumps straight to its own positions of the
-one counter-based Philox stream, so the draws are the same bits on any
-CPU count, and ``ccdf`` counts each chunk on the thread that drew it.
+analytic curves.  It draws in fixed chunks of 2^15 on worker threads,
+one per CPU, started on the first Monte Carlo call and kept for the
+process (a forked child starts its own).  Each worker writes every chunk
+into one set of chunk-sized buffers that it keeps, about 2.5 MB, so a
+call allocates no chunk-sized array and faults no pages in.  Each chunk
+jumps straight to its own positions of the one counter-based Philox
+stream, so the draws are the same bits on any CPU count, and ``ccdf``
+counts each chunk on the thread that drew it.
 A recipe's curves (several radii, or several fixed x0 and L_R, at one
 seed and draw count) open the same stream, so they share each chunk's
 draws: the chunk draws its uniforms once for all of them, and each curve
@@ -52,6 +56,7 @@ link engine ``dof_arrays``: they agree except where x0 <= (L_T / 2)
 """
 
 import math
+import os
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -137,8 +142,11 @@ class DistributionCurve:
     abs_error_estimate: float = 0.0
 
 
-def _half_angle(x0, L_R):
-    return np.arctan(L_R / (2.0 * x0))
+def _half_angle(x0, L_R, out=None):
+    """arctan(L_R / 2 x0), built in ``out`` if given."""
+    a = np.multiply(2.0, x0, out=out)
+    a = np.divide(L_R, a, out=out)
+    return np.arctan(a, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +335,19 @@ def _mixture_weights(x0, L_R):
     return v_partial, v_full, v_total
 
 
-# theta_T edges (lo, hi) of each scenario's branch, a = arctan(L_R / 2 x0)
-_BRANCHES = {PARTIAL_R_PLUS: (lambda a: -a - np.pi / 2.0, lambda a: a - np.pi / 2.0),
-             PARTIAL_R_MINUS: (lambda a: np.pi / 2.0 - a, lambda a: np.pi / 2.0 + a),
-             FULL_VISIBILITY: (lambda a: a - np.pi / 2.0, lambda a: np.pi / 2.0 - a),
-             CONDITIONAL_ON_X0: (lambda a: -a - np.pi / 2.0, lambda a: np.pi / 2.0 + a)}
+# theta_T edges (lo, hi) of each scenario's branch, a = arctan(L_R / 2 x0),
+# each written (sign, offset) for offset + sign * a
+_BRANCHES = {PARTIAL_R_PLUS: ((-1, -np.pi / 2.0), (1, -np.pi / 2.0)),
+             PARTIAL_R_MINUS: ((-1, np.pi / 2.0), (1, np.pi / 2.0)),
+             FULL_VISIBILITY: ((1, -np.pi / 2.0), (-1, np.pi / 2.0)),
+             CONDITIONAL_ON_X0: ((-1, -np.pi / 2.0), (1, np.pi / 2.0))}
+
+
+def _edge(a, sign, offset, out=None):
+    """The branch edge offset + sign * a, as -a - pi/2, a - pi/2, pi/2 - a
+    or pi/2 + a round it (x - y is x + (-y) in floating point), built in
+    ``out`` if given."""
+    return np.add(np.negative(a, out=out) if sign < 0 else a, offset, out=out)
 
 
 def branch_interval(x0, L_R, scenario):
@@ -340,44 +356,90 @@ def branch_interval(x0, L_R, scenario):
         raise ValueError(f"unknown scenario {scenario!r}")
     _check_placement(x0, L_R)
     a = _half_angle(x0, L_R)
-    return tuple(edge(a) for edge in _BRANCHES[scenario])
+    return tuple(_edge(a, *edge) for edge in _BRANCHES[scenario])
 
 
 def excess_dof_branches(x0, theta_T, L_R, C):
     """Vectorized mu over the three visibility branches (axis-aligned
     deployment family), the endpoint ones open and the full one closed.
     Returns (mu, in_rplus, in_full, in_rminus); mu = 0 outside them."""
-    x0 = np.asarray(x0, dtype=float)
-    return _excess_dof(_half_angle(x0, L_R), np.asarray(theta_T, dtype=float), C)
+    x0, theta_T = np.asarray(x0, dtype=float), np.asarray(theta_T, dtype=float)
+    shape = np.broadcast_shapes(x0.shape, theta_T.shape)
+    a = _half_angle(x0, L_R)
+    if np.ndim(a):
+        a = np.broadcast_to(a, shape).ravel()
+    buf = _Buffers(shape)
+    _excess_dof(a, np.broadcast_to(theta_T, shape).ravel(), C, buf)
+    if not shape:                     # scalars: a 0-d mu and numpy-bool masks
+        return (buf.mu,) + tuple(b[()] for b in buf.masks[:3])
+    return (buf.mu,) + buf.masks[:3]
 
 
-def _excess_dof(a, theta_T, C):
-    """``excess_dof_branches`` at the half angle a; a scalar a gives its
-    edges and sin(a) once.  Each formula runs on its own branch's draws,
-    written r-plus, full, r-minus, so a later branch wins where two meet."""
-    # each edge is compared as it is made: it is as long as the draws (~1e6)
-    lo, hi = _BRANCHES[PARTIAL_R_PLUS]
-    b_plus = (theta_T > lo(a)) & (theta_T < hi(a))
-    lo, hi = _BRANCHES[FULL_VISIBILITY]
-    b_full = (theta_T >= lo(a)) & (theta_T <= hi(a))
-    lo, hi = _BRANCHES[PARTIAL_R_MINUS]
-    b_minus = (theta_T > lo(a)) & (theta_T < hi(a))
-    mu = np.zeros(np.shape(b_plus))
+class _Buffers:
+    """Arrays of one shape: those ``_excess_dof`` writes (mu, one theta_T
+    edge, two branch gathers, the three branch masks and one more), and
+    those a Monte Carlo chunk draws into (its radius, angle and theta_T
+    uniforms, or sqrt(u) and cos(2 pi v) made of them, its half angle and
+    its theta_T)."""
 
-    def on(v, b):
-        return v if np.ndim(v) == 0 else np.broadcast_to(v, mu.shape)[b]
+    def __init__(self, shape):
+        self.mu, self.edge, self.t, self.x = (np.empty(shape) for _ in range(4))
+        self.masks = tuple(np.empty(shape, bool) for _ in range(4))
+        self.s, self.c, self.u, self.a, self.theta = (np.empty(shape) for _ in range(5))
 
-    mu[b_plus] = C * (1.0 + np.sin(on(theta_T, b_plus) + on(a, b_plus)))
-    mu[b_full] = 2.0 * C * np.sin(on(a, b_full)) * np.cos(on(theta_T, b_full))
-    mu[b_minus] = C * (1.0 + np.sin(on(a, b_minus) - on(theta_T, b_minus)))
+
+# the branches in the order _excess_dof writes them, and whether their
+# edges belong to them
+_WRITTEN = ((PARTIAL_R_PLUS, False), (FULL_VISIBILITY, True), (PARTIAL_R_MINUS, False))
+
+
+def _excess_dof(a, theta_T, C, buf):
+    """``excess_dof_branches`` of the k flat theta_T at the half angle a,
+    an array as long or a scalar (whose edges and sin(a) are then taken
+    once), written into the first k of each of ``buf``'s arrays; returns
+    the views of mu and the three masks.  Each formula runs on its own
+    branch's draws, gathered into ``buf``, written r-plus, full, r-minus,
+    so a later branch wins where two meet."""
+    k, scalar = theta_T.size, np.ndim(a) == 0
+    mu, edge, cut = (v.reshape(-1)[:k] for v in (buf.mu, buf.edge, buf.masks[3]))
+    masks = []
+    for (scenario, closed), b in zip(_WRITTEN, buf.masks):
+        b = b.reshape(-1)[:k]
+        lo, hi = _BRANCHES[scenario]
+        above, below = (np.greater_equal, np.less_equal) if closed else (np.greater, np.less)
+        above(theta_T, _edge(a, *lo, out=None if scalar else edge), out=b)
+        below(theta_T, _edge(a, *hi, out=None if scalar else edge), out=cut)
+        masks.append(np.logical_and(b, cut, out=b))
+    b_plus, b_full, b_minus = masks
+
+    def gather(b):
+        """The indices of branch b, and theta_T and a on it, a left whole
+        if scalar (``clip`` only keeps ``take`` from buffering its output:
+        every index is in range)."""
+        at = np.flatnonzero(b)
+        t = np.take(theta_T, at, out=buf.t.reshape(-1)[:at.size], mode="clip")
+        x = a if scalar else np.take(a, at, out=buf.x.reshape(-1)[:at.size], mode="clip")
+        return at, t, x
+
+    mu.fill(0.0)
+    at, t, x = gather(b_plus)                    # C (1 + sin(theta_T + a))
+    v = np.add(t, x, out=t)
+    mu[at] = np.multiply(C, np.add(1.0, np.sin(v, out=v), out=v), out=v)
+    at, t, x = gather(b_full)                    # 2 C sin(a) cos(theta_T)
+    keep = None if scalar else x
+    x = np.multiply(2.0 * C, np.sin(x, out=keep), out=keep)
+    mu[at] = np.multiply(x, np.cos(t, out=t), out=t)
+    at, t, x = gather(b_minus)                   # C (1 + sin(a - theta_T))
+    v = np.subtract(x, t, out=t)
+    mu[at] = np.multiply(C, np.add(1.0, np.sin(v, out=v), out=v), out=v)
     return mu, b_plus, b_full, b_minus
 
 
-def _disk_x0(s, c, R, in_place=False):
+def _disk_x0(s, c, R, out):
     """Axis distances of disk placements of radius R from s = sqrt(u) of
     the radius uniforms and c = cos(2 pi v) of the angle uniforms:
-    |R s c|, floored at 1e-12 R, built in place of s if ``in_place``."""
-    x0 = np.multiply(s, R, out=s if in_place else None)
+    |R s c|, floored at 1e-12 R, built in ``out``."""
+    x0 = np.multiply(s, R, out=out)
     x0 *= c
     np.abs(x0, out=x0)
     return np.maximum(x0, 1e-12 * R, out=x0)
@@ -387,22 +449,83 @@ def _disk_x0(s, c, R, in_place=False):
 _CHUNK = 1 << 15
 
 
-def _uniforms(state, start, k):
-    """k uniforms of the fresh Philox stream whose state is ``state``, from
-    position ``start`` on: the counter skips the whole blocks of four
-    doubles before it, and the rest of its block is drawn and dropped."""
+def _uniforms(state, start, out):
+    """Uniforms of the fresh Philox stream whose state is ``state``, from
+    position ``start`` on, written into ``out``: the counter skips the
+    whole blocks of four doubles before it, and the rest of its block is
+    drawn and dropped."""
     bits = np.random.Philox(counter=state["counter"], key=state["key"])
     bits.advance(start // 4)
     rng = np.random.Generator(bits)
     rng.random(start % 4)
-    return rng.random(k)
+    return rng.random(out=out)
+
+
+# The Monte Carlo workers: one job queue each, started on the first call
+# that needs them and kept for the process, each with its own chunk
+# buffers.  A forked child has none of its parent's threads, so it forgets
+# them and starts its own.
+_workers = []
+_workers_lock = threading.Lock()
+_fork_hooked = False
+
+
+def _forget_workers():
+    global _workers_lock
+    _workers.clear()
+    _workers_lock = threading.Lock()
+
+
+def _worker(jobs):
+    """Make one set of chunk buffers, then run every job on them, each
+    reporting its exception, or None, on its own queue."""
+    buf = _Buffers(_CHUNK)
+    while True:
+        loop, done = jobs.get()
+        try:
+            loop(buf)
+        except BaseException as exc:   # raised again in the calling thread
+            done.put(exc)
+        else:
+            done.put(None)
+
+
+def _run(loop, width):
+    """Call ``loop(buffers)`` on each of the first ``width`` workers,
+    starting those that do not run yet, and wait for every call; the first
+    exception is raised here."""
+    import queue
+    global _fork_hooked
+    with _workers_lock:
+        if not _fork_hooked and hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=_forget_workers)
+            _fork_hooked = True
+        while len(_workers) < width:
+            _workers.append(queue.SimpleQueue())
+            threading.Thread(target=_worker, args=(_workers[-1],), daemon=True,
+                             name=f"nfdof-monte-carlo-{len(_workers)}").start()
+        chosen = _workers[:width]
+    done = queue.SimpleQueue()
+    for jobs in chosen:
+        jobs.put((loop, done))
+    errors = [exc for exc in [done.get() for _ in chosen] if exc is not None]
+    if errors:
+        raise errors[0]
 
 
 def _chunked(cfgs, n, seed, each):
     """Call ``each(i, start, mu)`` on every chunk of the n draws of every
-    config ``cfgs[i]``, mu holding draws [start, start + 2^15) or the rest,
-    on one thread per CPU (no more than chunks); ``each`` runs on the
-    thread that drew its chunk and keeps its result in place.
+    config ``cfgs[i]``, mu a view of draws [start, start + 2^15) or the
+    rest that ``each`` may sort in place, on one thread per CPU (no more
+    than chunks); ``each`` runs on the thread that drew its chunk and
+    keeps its result in place.
+
+    The threads are workers kept for the process (``_run``), each with one
+    set of chunk buffers (``_Buffers``, 9 float and 4 bool arrays of 2^15,
+    2.5 MB) made on the first call that starts it: every chunk is written
+    into them, so a call allocates no chunk-sized array.  A call hands
+    each of min(CPUs, chunks) workers a loop that takes chunk starts from
+    one shared counter.
 
     The configs are one family: they share the seed and n, and either all
     draw x0 from the disk or all fix it, so every config reads the same
@@ -421,49 +544,43 @@ def _chunked(cfgs, n, seed, each):
     fixed, n = fixed.pop(), int(n)
     state = sample_stream(seed, 0).bit_generator.state["state"]
 
-    def chunk(start):
+    def chunk(start, buf):
         """Draws [start, start + k): the radius, angle and theta_T
         uniforms sit at stream positions start, n + start and 2n + start,
-        and with a fixed x0 theta_T takes position start.  The last config
-        reads the draws last and builds its x0 and theta_T in place of
-        them."""
+        and with a fixed x0 theta_T takes position start."""
         k = min(_CHUNK, n - start)
         if not fixed:
-            s = _uniforms(state, start, k)
-            np.sqrt(s, out=s)
-            c = _uniforms(state, n + start, k)
+            s = np.sqrt(_uniforms(state, start, buf.s[:k]), out=buf.s[:k])
+            c = _uniforms(state, n + start, buf.c[:k])
             c *= 2.0 * np.pi
             np.cos(c, out=c)
-        u_theta = None
+        u = _uniforms(state, (0 if fixed else 2 * n) + start, buf.u[:k])
+        # with x0 drawn, x0 and then a are built in buf.a, lo in buf.edge,
+        # and hi, then the width and theta_T in buf.theta
+        spare = (None, None) if fixed else (buf.edge[:k], buf.theta[:k])
         for i, cfg in enumerate(cfgs):
-            last = i == len(cfgs) - 1
             if fixed:
                 a = _half_angle(float(cfg.x0), cfg.L_R)
             else:
-                x0 = _disk_x0(s, c, cfg.R, in_place=last)
-                if last:
-                    s = c = None            # x0 holds s's buffer; c is read no more
-                a = _half_angle(x0, cfg.L_R)
-            # theta_T's uniforms are drawn after the first half angle, and
-            # the last config holds x0, a and the edges until its counts are
-            # in: of the orders measured, this one leaves the thread's heap
-            # so that a one-config call in a long-running process (the
-            # benchmark's) takes about half the page faults per chunk.  The
-            # earlier configs of a family let go of what they no longer read.
-            if u_theta is None:
-                u_theta = _uniforms(state, (0 if fixed else 2 * n) + start, k)
-            lo, hi = (edge(a) for edge in _BRANCHES[cfg.scenario])
-            theta_T = np.multiply(u_theta, hi - lo, out=u_theta if last else None)
+                a = _half_angle(_disk_x0(s, c, cfg.R, buf.a[:k]), cfg.L_R, buf.a[:k])
+            lo, hi = (_edge(a, *edge, out=o) for edge, o in zip(_BRANCHES[cfg.scenario], spare))
+            width = np.subtract(hi, lo, out=spare[1])
+            theta_T = np.multiply(u, width, out=buf.theta[:k])
             theta_T += lo
-            if not last:
-                x0 = lo = hi = None
-            each(i, start, _excess_dof(a, theta_T, cfg.C)[0])
-            a = theta_T = None
+            each(i, start, _excess_dof(a, theta_T, cfg.C, buf)[0])
 
-    from concurrent.futures import ThreadPoolExecutor
-    starts = range(0, n, _CHUNK)
-    with ThreadPoolExecutor(min(usable_cpus(), len(starts))) as pool:
-        list(pool.map(chunk, starts))
+    starts, take = iter(range(0, n, _CHUNK)), threading.Lock()
+
+    def loop(buf):
+        """Draw and hand on chunks until none is left."""
+        while True:
+            with take:
+                start = next(starts, None)
+            if start is None:
+                return
+            chunk(start, buf)
+
+    _run(loop, min(usable_cpus(), -(-n // _CHUNK)))
 
 
 def monte_carlo(cfg: ScenarioConfig, n, seed=0):

@@ -1000,6 +1000,30 @@ class TestReentrancy:
         assert (fig.read_bytes(), Path(f"{fig}.manifest.json").read_bytes()) \
             == figure_bytes
 
+    def test_stats_after_another_scenario_match_a_fresh_process(self, tmp_path):
+        """Full visibility, then conditional on x0, then full visibility
+        again in this process: the Monte Carlo workers keep their chunk
+        buffers from call to call, and nothing of one curve may reach the
+        next, so the first and third files are identical and equal a fresh
+        process's."""
+        full = _config_args(tmp_path, {"stats": {"scenario": "full-visibility",
+                                                 "mc_samples": 200_000}})
+        conditional = ("--config", str(tmp_path / "conditional.json"))
+        Path(conditional[1]).write_text(json.dumps(
+            {"stats": {"scenario": "conditional-on-x0", "x0": 10.0,
+                       "mc_samples": 200_000}}))
+
+        def written(name):
+            out = tmp_path / name
+            return out.read_bytes(), Path(f"{out}.manifest.json").read_bytes()
+
+        for i, args in enumerate((full, conditional, full)):
+            assert main(["stats", *args, "--out", str(tmp_path / f"{i}.csv")]) == 0
+        code, _, err = _fresh_process(["stats", *full, "--out", str(tmp_path / "fresh.csv")])
+        assert code == 0, err
+        assert written("0.csv") == written("2.csv") == written("fresh.csv")
+        assert written("1.csv")[0] != written("0.csv")[0]
+
 
 class TestImports:
     @pytest.mark.parametrize("command, config", [

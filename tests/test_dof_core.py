@@ -203,6 +203,22 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             dof_full_visibility_closed_form(-1.0, 0.0, 0.2, 5.0, LAMBDA)
 
+    @pytest.mark.parametrize("args, name", [
+        ((10.0, 0.0, 0.2, 5.0, 0.0), "wavelength"),      # was ZeroDivisionError
+        ((10.0, 0.0, 0.2, 5.0, -0.01), "wavelength"),    # was -8.70
+        ((10.0, 0.0, 0.2, 5.0, math.inf), "wavelength"),
+        ((10.0, 0.0, -0.2, 5.0, LAMBDA), "L_T"),         # was -8.70
+        ((10.0, 0.0, math.nan, 5.0, LAMBDA), "L_T"),     # was nan
+        ((10.0, 0.0, 0.2, -5.0, LAMBDA), "L_R"),
+        ((10.0, 0.0, 0.2, math.nan, LAMBDA), "L_R"),
+        ((math.nan, 0.0, 0.2, 5.0, LAMBDA), "x0"),       # was "theta_T outside ..."
+        ((math.inf, 0.0, 0.2, 5.0, LAMBDA), "x0"),       # was 1.0
+        ((10.0, math.nan, 0.2, 5.0, LAMBDA), "theta_T"),
+    ])
+    def test_impossible_inputs_refused_by_name(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            dof_full_visibility_closed_form(*args)
+
     def test_large_receive_limit(self):
         # as the receive array grows, sin(arctan(...)) -> 1 and the count
         # approaches the aperture bound 1 + 2 L_T / lambda
@@ -219,6 +235,18 @@ class TestFraunhofer:
             fraunhofer_distance(0.2, 2.0, 0.0)
         with pytest.raises(ValueError):
             fraunhofer_distance(-0.1, 2.0, LAMBDA)
+
+    @pytest.mark.parametrize("args, name", [
+        ((0.2, math.nan, LAMBDA), "L_R"),                # was nan
+        ((0.2, math.inf, LAMBDA), "L_R"),
+        ((math.inf, 2.0, LAMBDA), "L_T"),
+        ((0.2, 2.0, math.inf), "wavelength"),
+        ((0.2, 2.0, math.nan), "wavelength"),
+        ((0.2, 2.0, -LAMBDA), "wavelength"),
+    ])
+    def test_impossible_inputs_refused_by_name(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            fraunhofer_distance(*args)
 
 
 class TestMinimaLatticeCount:
