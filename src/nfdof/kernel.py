@@ -149,7 +149,8 @@ def _kernel(zeta, zeta_ref, link, report):
     from one ``_delta_coeffs`` evaluation."""
     _require_visible(report)
     half = report.l_R / 2.0 + 1e-12
-    if np.any(np.abs(zeta) > half) or abs(zeta_ref) > half:
+    # written so that a NaN point fails it too
+    if not (np.all(np.abs(zeta) <= half) and abs(zeta_ref) <= half):
         raise ValueError("zeta outside the effective receive aperture")
     drho, drho_t = _delta_coeffs(zeta, zeta_ref, link, report)
     amplitude = 1.0 / (4.0 * np.pi * link.d0) ** 2

@@ -37,11 +37,11 @@ with explicit breakpoints at omega and psi lives in
 ``tests/deconditioning_oracle.py`` as the reference.
 
 Monte Carlo driven by the same branch structure cross-validates the
-analytic curves.  It draws in fixed chunks of 2^15 on worker threads,
-one per CPU, started on the first Monte Carlo call and kept for the
-process (a forked child starts its own).  Each worker writes every chunk
-into one set of chunk-sized buffers that it keeps, about 2.5 MB, so a
-call allocates no chunk-sized array and faults no pages in.  Each chunk
+analytic curves.  It draws in fixed chunks of 2^15 on one stock thread
+pool per CPU count, made on the first Monte Carlo call and kept for the
+process (a forked child makes its own).  Each pool thread writes every
+chunk into one set of chunk-sized buffers that it keeps, about 2.5 MB,
+so a call allocates no chunk-sized array and faults no pages in.  Each chunk
 jumps straight to its own positions of the one counter-based Philox
 stream, so the draws are the same bits on any CPU count, and ``ccdf``
 counts each chunk on the thread that drew it.
@@ -55,6 +55,7 @@ link engine ``dof_arrays``: they agree except where x0 <= (L_T / 2)
 |sin(theta_T)|, whose segments intersect, which the engine calls touching.
 """
 
+import functools
 import math
 import os
 import threading
@@ -305,7 +306,15 @@ def _curve(cfg: ScenarioConfig, mu, nodes=_NODES):
 
 def pdf(cfg: ScenarioConfig, mu):
     """Density of mu under the scenario, for a scalar or array of mu."""
-    return _curve(cfg, mu)[0]
+    return _curve(cfg, _thresholds(mu))[0]
+
+
+def _thresholds(mu):
+    """mu as a float array; a NaN threshold is refused (+-inf are valid)."""
+    mu = np.asarray(mu, dtype=float)
+    if np.any(np.isnan(mu)):
+        raise ValueError("threshold grid must not contain NaN")
+    return mu
 
 
 def pov(x0, L_R):
@@ -461,71 +470,35 @@ def _uniforms(state, start, out):
     return rng.random(out=out)
 
 
-# The Monte Carlo workers: one job queue each, started on the first call
-# that needs them and kept for the process, each with its own chunk
-# buffers.  A forked child has none of its parent's threads, so it forgets
-# them and starts its own.
-_workers = []
-_workers_lock = threading.Lock()
-_fork_hooked = False
+@functools.cache
+def _pool(width):
+    """The Monte Carlo ``ThreadPoolExecutor`` of ``width`` threads."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(width, thread_name_prefix="nfdof-monte-carlo")
 
 
-def _forget_workers():
-    global _workers_lock
-    _workers.clear()
-    _workers_lock = threading.Lock()
+# a forked child has none of its parent's threads, so it forgets the pools
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
-
-def _worker(jobs):
-    """Make one set of chunk buffers, then run every job on them, each
-    reporting its exception, or None, on its own queue."""
-    buf = _Buffers(_CHUNK)
-    while True:
-        loop, done = jobs.get()
-        try:
-            loop(buf)
-        except BaseException as exc:   # raised again in the calling thread
-            done.put(exc)
-        else:
-            done.put(None)
-
-
-def _run(loop, width):
-    """Call ``loop(buffers)`` on each of the first ``width`` workers,
-    starting those that do not run yet, and wait for every call; the first
-    exception is raised here."""
-    import queue
-    global _fork_hooked
-    with _workers_lock:
-        if not _fork_hooked and hasattr(os, "register_at_fork"):
-            os.register_at_fork(after_in_child=_forget_workers)
-            _fork_hooked = True
-        while len(_workers) < width:
-            _workers.append(queue.SimpleQueue())
-            threading.Thread(target=_worker, args=(_workers[-1],), daemon=True,
-                             name=f"nfdof-monte-carlo-{len(_workers)}").start()
-        chosen = _workers[:width]
-    done = queue.SimpleQueue()
-    for jobs in chosen:
-        jobs.put((loop, done))
-    errors = [exc for exc in [done.get() for _ in chosen] if exc is not None]
-    if errors:
-        raise errors[0]
+# each pool thread's chunk buffers, made on its first chunk
+_local = threading.local()
 
 
 def _chunked(cfgs, n, seed, each):
     """Call ``each(i, start, mu)`` on every chunk of the n draws of every
     config ``cfgs[i]``, mu a view of draws [start, start + 2^15) or the
-    rest that ``each`` may sort in place, on one thread per CPU (no more
-    than chunks); ``each`` runs on the thread that drew its chunk and
-    keeps its result in place.
+    rest that ``each`` may sort in place, on at most one thread per CPU
+    and per chunk; ``each`` runs on the thread that drew its chunk and
+    keeps its result in place.  A chunk's exception, the first in chunk
+    order, is raised here.  ``each`` must not call ``_chunked``: its
+    chunks would wait for the threads that wait for them.
 
-    The threads are workers kept for the process (``_run``), each with one
-    set of chunk buffers (``_Buffers``, 9 float and 4 bool arrays of 2^15,
-    2.5 MB) made on the first call that starts it: every chunk is written
-    into them, so a call allocates no chunk-sized array.  A call hands
-    each of min(CPUs, chunks) workers a loop that takes chunk starts from
-    one shared counter.
+    The threads are those of the pool of one thread per CPU (``_pool``),
+    kept for the process, each with one set of chunk buffers
+    (``_Buffers``, 9 float and 4 bool arrays of 2^15, 2.5 MB) made on its
+    first chunk: every chunk is written into them, so a call allocates no
+    chunk-sized array.
 
     The configs are one family: they share the seed and n, and either all
     draw x0 from the disk or all fix it, so every config reads the same
@@ -544,10 +517,13 @@ def _chunked(cfgs, n, seed, each):
     fixed, n = fixed.pop(), int(n)
     state = sample_stream(seed, 0).bit_generator.state["state"]
 
-    def chunk(start, buf):
+    def chunk(start):
         """Draws [start, start + k): the radius, angle and theta_T
         uniforms sit at stream positions start, n + start and 2n + start,
         and with a fixed x0 theta_T takes position start."""
+        buf = getattr(_local, "buf", None)
+        if buf is None:
+            buf = _local.buf = _Buffers(_CHUNK)
         k = min(_CHUNK, n - start)
         if not fixed:
             s = np.sqrt(_uniforms(state, start, buf.s[:k]), out=buf.s[:k])
@@ -569,18 +545,7 @@ def _chunked(cfgs, n, seed, each):
             theta_T += lo
             each(i, start, _excess_dof(a, theta_T, cfg.C, buf)[0])
 
-    starts, take = iter(range(0, n, _CHUNK)), threading.Lock()
-
-    def loop(buf):
-        """Draw and hand on chunks until none is left."""
-        while True:
-            with take:
-                start = next(starts, None)
-            if start is None:
-                return
-            chunk(start, buf)
-
-    _run(loop, min(usable_cpus(), -(-n // _CHUNK)))
+    list(_pool(usable_cpus()).map(chunk, range(0, n, _CHUNK)))
 
 
 def monte_carlo(cfg: ScenarioConfig, n, seed=0):
@@ -635,7 +600,7 @@ def _ccdfs(cfgs, grid, mc_samples, seed):
     """``ccdf`` of every config of one ``_chunked`` family on one grid, the
     Monte Carlo overlays counted on the family's shared draws; curve i is
     bitwise ``ccdf(cfgs[i], grid, mc_samples, seed)``."""
-    grid = np.asarray(grid, dtype=float)
+    grid = _thresholds(grid)
     if grid.size == 0:
         raise ValueError("empty threshold grid")
     if np.any(np.diff(grid) < 0):

@@ -1035,10 +1035,13 @@ class TestImports:
     def test_sweep_loads_neither_scipy_nor_mpmath(self, tmp_path, command, config):
         """Importing the CLI and running a sweep, a kernel scan or a kernel
         figure loads neither scipy nor mpmath: only ``erfi``,
-        ``integrate`` and the test references need them."""
-        entry = ("import sys; from nfdof.cli import main; code = main(); "
+        ``integrate`` and the test references need them.  Nor does it
+        load ``concurrent.futures`` or start a thread: only Monte Carlo
+        makes its pool."""
+        entry = ("import sys, threading; from nfdof.cli import main; code = main(); "
                  "print(code, sorted(m for m in sys.modules "
-                 "if m.partition('.')[0] in ('scipy', 'mpmath')))")
+                 "if m.partition('.')[0] in ('scipy', 'mpmath')), "
+                 "'concurrent.futures' in sys.modules, threading.active_count())")
         argv = [*command, *_config_args(tmp_path, config),
                 "--out", str(tmp_path / "out.csv")]
-        assert _fresh_process(argv, entry) == (0, "0 []\n", "")
+        assert _fresh_process(argv, entry) == (0, "0 [] False 1\n", "")

@@ -2,6 +2,7 @@
 mode-index lattice prediction."""
 
 import cmath
+import warnings
 
 import mpmath
 import numpy as np
@@ -137,6 +138,19 @@ class TestKernelValues:
             kernel_farfield(rep.l_R, 0.0, lk, rep)
         with pytest.raises(ValueError, match="outside the effective receive aperture"):
             kernel_scan(lk, zeta_ref=rep.l_R)
+
+    def test_nan_receive_point_refused(self):
+        """A NaN receive or reference point fails the aperture check, with
+        no numeric warning before the refusal."""
+        lk, rep = make("parallel-broadside")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: kernel_exact(np.nan, 0.0, lk, rep),
+                         lambda: kernel_exact(np.array([0.0, np.nan]), 0.0, lk, rep),
+                         lambda: kernel_exact(0.0, np.nan, lk, rep),
+                         lambda: kernel_scan(lk, zeta_ref=np.nan)):
+                with pytest.raises(ValueError, match="outside the effective receive aperture"):
+                    call()
 
     def test_requires_visibility(self):
         lk = make_link(0.2, 5.0, np.pi / 2, np.pi, -5.0, 5.0, frequency=F)

@@ -433,6 +433,18 @@ class TestCcdfCurves:
         with pytest.raises(ValueError):
             ccdf(c, np.array([1.0, 0.5]))
 
+    def test_nan_threshold_refused(self):
+        """A NaN threshold is refused by name, also where it hides a
+        descent from the ascending check; +-inf are valid thresholds."""
+        c = cfg()
+        for grid, mc in (([0.0, np.nan, 1.0], 10_000), ([0.0, 2.0, np.nan, 1.0], 0)):
+            with pytest.raises(ValueError, match="threshold grid must not contain NaN"):
+                ccdf(c, grid, mc)
+        with pytest.raises(ValueError, match="threshold grid must not contain NaN"):
+            stats.pdf(c, np.nan)
+        curve = ccdf(c, [-np.inf, np.inf], 10_000)
+        assert curve.ccdf.tolist() == curve.mc_ccdf.tolist() == [1.0, 0.0]
+
 
 class TestMonteCarlo:
     def test_deterministic(self):
@@ -506,34 +518,36 @@ def _traced_peak(f):
 
 class TestChunkedDraws:
     """``monte_carlo`` draws fixed chunks, each from its own positions of
-    the one stream, on one thread per CPU, and ``ccdf`` counts each chunk
-    on the thread that drew it."""
+    the one stream, on at most one thread per CPU, and ``ccdf`` counts
+    each chunk on the thread that drew it."""
 
     def _cpus(self, monkeypatch, cpus):
         """Patch the host to ``cpus`` CPUs; returns the list that records,
-        for each Monte Carlo call, the thread of every worker loop it
-        started."""
+        for each Monte Carlo call, the set of threads that drew its
+        chunks."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        calls, run = [], stats._run
+        calls, pool = [], stats._pool
 
-        def recorded(loop, width):
-            threads = []
-            calls.append(threads)
+        class Recorded:
+            def __init__(self, width):
+                self.pool = pool(width)
 
-            def traced(buf):
-                threads.append(threading.get_ident())
-                loop(buf)
-            run(traced, width)
-        monkeypatch.setattr(stats, "_run", recorded)
+            def map(self, chunk, starts):
+                threads = set()
+                calls.append(threads)
+
+                def traced(start):
+                    threads.add(threading.get_ident())
+                    return chunk(start)
+                return self.pool.map(traced, starts)
+        monkeypatch.setattr(stats, "_pool", Recorded)
         return calls
 
     @staticmethod
-    def _loops(calls):
-        """The number of worker loops of each recorded call, after checking
-        that no two of a call's loops ran on one thread."""
-        for threads in calls:
-            assert len(set(threads)) == len(threads), threads
-        return [len(threads) for threads in calls]
+    def _threads(calls, most):
+        """Whether there was one recorded Monte Carlo call and at least
+        one and at most ``most`` threads drew its chunks."""
+        return len(calls) == 1 and 1 <= len(calls[0]) <= most
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_chunk_streams_reproduce_the_serial_stream(self, seed):
@@ -555,15 +569,14 @@ class TestChunkedDraws:
         for c in _scenarios():
             draws = {}
             for cpus in (1, 4):
-                loops = self._cpus(monkeypatch, cpus)
+                drawn = self._cpus(monkeypatch, cpus)
                 sys.setswitchinterval(1e-6)
                 try:
                     draws[cpus] = monte_carlo(c, n, seed=3)
                 finally:
                     sys.setswitchinterval(interval)
-                # one worker loop per CPU, and no more than the chunks, each
-                # on a thread of its own
-                assert self._loops(loops) == [min(cpus, chunks)], (c.scenario, cpus)
+                # no more threads than CPUs or than chunks
+                assert self._threads(drawn, min(cpus, chunks)), (c.scenario, cpus, drawn)
             assert np.array_equal(draws[1], draws[4]), c.scenario
             assert np.array_equal(draws[1], _reference_draws(c, n, 3)), c.scenario
 
@@ -629,12 +642,12 @@ class TestChunkedDraws:
     def test_family_curves_are_their_own_ccdfs(self, monkeypatch, family, cpus):
         """Every curve of a family, whose chunks draw the uniforms once
         for all its curves, is bitwise its own ``ccdf``, with threads
-        switching often: one worker loop per CPU and one ``sample_stream``
-        call, in the calling thread, per family call."""
+        switching often: at most one thread per CPU and one
+        ``sample_stream`` call, in the calling thread, per family call."""
         cfgs, n = self._FAMILIES[family], 200_003
         grid = np.linspace(0.0, 2.0 * cfgs[0].C, 201)
         alone = [ccdf(c, grid, n, seed=5) for c in cfgs]
-        loops = self._cpus(monkeypatch, cpus)
+        drawn = self._cpus(monkeypatch, cpus)
         calls, real = [], stats.sample_stream
         monkeypatch.setattr(stats, "sample_stream", lambda *a, **k: (
             calls.append(threading.current_thread()) or real(*a, **k)))
@@ -644,7 +657,7 @@ class TestChunkedDraws:
             curves = stats._ccdfs(cfgs, grid, n, 5)
         finally:
             sys.setswitchinterval(interval)
-        assert self._loops(loops) == [cpus] and calls == [threading.main_thread()]
+        assert self._threads(drawn, cpus) and calls == [threading.main_thread()], drawn
         for c, got, want in zip(cfgs, curves, alone):
             for field in ("grid", "pdf", "ccdf", "mc_ccdf"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (
@@ -672,8 +685,8 @@ class TestChunkedDraws:
 
 
 class TestWorkers:
-    """The Monte Carlo workers and their chunk buffers last for the
-    process; a forked child starts its own."""
+    """The Monte Carlo pool and its threads' chunk buffers last for the
+    process, through a chunk's error; a forked child makes its own."""
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts the minor page faults that Linux reports")
@@ -712,6 +725,31 @@ class TestWorkers:
                               check=True)
         per_call = json.loads(proc.stdout)
         assert all(v < 100 for v in per_call.values()), per_call
+
+    def test_chunk_error_reaches_the_caller(self):
+        """An exception in the chunk at 2^15 is raised in the calling thread
+        with its type and message, and a ``ccdf`` after it gives the bytes
+        of a fresh process."""
+        c = cfg(scenario=FULL_VISIBILITY)
+        grid = np.linspace(0.0, 2.0 * c.C, 201)
+
+        def each(i, start, mu):
+            if start == 2 ** 15:
+                raise ZeroDivisionError(f"chunk {start} on {threading.current_thread().name}")
+        with pytest.raises(ZeroDivisionError, match="^chunk 32768 on nfdof-monte-carlo"):
+            stats._chunked([c], 200_003, 4, each)
+        got = ccdf(c, grid, 200_003, seed=4).mc_ccdf.tobytes().hex()
+        entry = ("import numpy as np; from nfdof import statistics as stats; "
+                 "c = stats.ScenarioConfig(R=20.0, L_T=0.2, L_R=5.0, frequency=30e9, "
+                 "scenario=stats.FULL_VISIBILITY); "
+                 "grid = np.linspace(0.0, 2.0 * c.C, 201); "
+                 "print(stats.ccdf(c, grid, 200_003, seed=4).mc_ccdf.tobytes().hex())")
+        src = str(Path(stats.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", entry], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120,
+                              check=True)
+        assert got == proc.stdout.strip()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_draws_as_its_parent(self):
