@@ -22,7 +22,11 @@ NaN), integers in full, strings as they are, an empty cell for no value
 and lists joined by ``;``.  JSON output is a list of records, NaN as null.
 
 ``main`` builds its argument parser once per process and may be called
-repeatedly in one process.
+repeatedly in one process.  A command runs only the module bodies it uses
+(see ``nfdof``): ``dof`` and ``sweep`` run ``geometry``, ``dof_core`` and
+``figures``; ``kernel-scan`` and ``svd-compare`` add ``numerics`` and
+``kernel`` or ``svd_oracle``; ``stats`` runs ``figures``, ``statistics``
+and ``numerics``; ``figure`` runs what its recipe's loop uses.
 
 Exit codes: 0 success, 1 numeric failure, 2 usage/config error.
 """
@@ -37,14 +41,10 @@ from itertools import chain
 
 import numpy as np
 
-from . import __version__
+from . import __version__, dof_core, figures, geometry
 from . import statistics as stats
-from .dof_core import dof
-from .figures import (FIGURE_IDS, FIGURES, curve_rows, figure_rows,
-                      kernel_scan_rows, link_params, svd_compare_rows, sweep_rows)
-from .geometry import make_link
-from .kernel import MIN_SCAN_SAMPLES
-from .svd_oracle import DEFAULT_SUM_RULE_FRACTION
+from .constants import (DEFAULT_SUM_RULE_FRACTION, FULL_VISIBILITY, MIN_MC_SAMPLES,
+                        MIN_SCAN_SAMPLES, SCENARIOS)
 
 SWEEPABLE = ("theta_T", "theta_R", "x0", "y0", "L_T", "L_R", "frequency")
 # the config fields that ``stats`` reads and its manifest records, so that
@@ -92,12 +92,12 @@ DOMAINS = {
                "start": (FINITE, REQUIRED), "stop": (FINITE, REQUIRED),
                "steps": (_count(1, MAX_SWEEP_STEPS), REQUIRED)}, None),
     "stats": ({"R": (POSITIVE, 20.0),
-               "scenario": ((lambda v: v in stats.SCENARIOS,
-                             f"one of {stats.SCENARIOS}"), stats.FULL_VISIBILITY),
+               "scenario": ((lambda v: v in SCENARIOS, f"one of {SCENARIOS}"),
+                            FULL_VISIBILITY),
                "x0": (POSITIVE_OR_NULL, None),
                "grid_points": (_count(2, MAX_GRID_POINTS), 201),
-               "mc_samples": (_count(stats.MIN_MC_SAMPLES, MAX_MC_SAMPLES,
-                                     zero=True), 100_000)}, None),
+               "mc_samples": (_count(MIN_MC_SAMPLES, MAX_MC_SAMPLES, zero=True),
+                              100_000)}, None),
     "svd_threshold": ((lambda v: FINITE[0](v) and 0 < v < 1, "a number in (0, 1)"),
                       DEFAULT_SUM_RULE_FRACTION),
     "svd_spacing": (POSITIVE_OR_NULL, None),
@@ -239,7 +239,7 @@ def _manifest(command, **record):
 
 
 def cmd_dof(cfg, args):
-    res = dof(make_link(**link_params(cfg)))
+    res = dof_core.dof(geometry.make_link(**figures.link_params(cfg)))
     report = {
         **asdict(res.visibility),
         "a_plus": res.a_plus, "a_minus": res.a_minus, "a_zero": res.a_zero,
@@ -277,19 +277,20 @@ def _write_rows(command, rows, args, **fields):
 
 
 def cmd_sweep(cfg, args):
-    return _write_rows("sweep", sweep_rows(link_params(cfg), *_sweep_values(cfg)),
-                       args, parameters=cfg)
+    return _write_rows("sweep", figures.sweep_rows(
+        figures.link_params(cfg), *_sweep_values(cfg)), args, parameters=cfg)
 
 
 def cmd_svd_compare(cfg, args):
-    return _write_rows("svd-compare", svd_compare_rows(
-        link_params(cfg), *_sweep_values(cfg), cfg["svd_spacing"],
+    return _write_rows("svd-compare", figures.svd_compare_rows(
+        figures.link_params(cfg), *_sweep_values(cfg), cfg["svd_spacing"],
         cfg["svd_threshold"]), args, parameters=cfg, threshold=cfg["svd_threshold"])
 
 
 def cmd_kernel_scan(cfg, args):
-    return _write_rows("kernel-scan", kernel_scan_rows(
-        link_params(cfg), cfg["zeta_ref"], cfg["n_samples"]), args, parameters=cfg)
+    return _write_rows("kernel-scan", figures.kernel_scan_rows(
+        figures.link_params(cfg), cfg["zeta_ref"], cfg["n_samples"]), args,
+        parameters=cfg)
 
 
 def cmd_stats(cfg, args):
@@ -302,7 +303,8 @@ def cmd_stats(cfg, args):
     except ValueError as e:  # x0 against R or the scenario: two values each
         raise UsageError(f"stats.{e}")
     grid_points, mc_samples = section["grid_points"], section["mc_samples"]
-    header, columns, record = curve_rows(scen_cfg, grid_points, mc_samples, cfg["seed"])
+    header, columns, record = figures.curve_rows(
+        scen_cfg, grid_points, mc_samples, cfg["seed"])
     columns += [np.full(grid_points, mc_samples), np.full(grid_points, cfg["seed"])]
     return _write_rows("stats", (header + ["mc_samples", "seed"], columns, record),
                        args, parameters={key: cfg[key] for key in STATS_FIELDS},
@@ -310,12 +312,12 @@ def cmd_stats(cfg, args):
 
 
 def cmd_figure(cfg, args):
-    fig_id = args.id
-    if fig_id not in FIGURE_IDS:
-        raise UsageError(f"unknown figure id {fig_id!r}; choose from {FIGURE_IDS}")
+    fig_id, ids = args.id, figures.FIGURE_IDS
+    if fig_id not in ids:
+        raise UsageError(f"unknown figure id {fig_id!r}; choose from {ids}")
     # the recipe's bindings and the seed are all that a figure reads
-    return _write_rows(f"figure {fig_id}", figure_rows(fig_id, seed=cfg["seed"]),
-                       args, figure=fig_id, bindings=FIGURES[fig_id][1],
+    return _write_rows(f"figure {fig_id}", figures.figure_rows(fig_id, seed=cfg["seed"]),
+                       args, figure=fig_id, bindings=figures.FIGURES[fig_id][1],
                        seed=cfg["seed"])
 
 

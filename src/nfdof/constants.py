@@ -1,9 +1,17 @@
-"""Physical constants and unit helpers."""
+"""Physical constants, unit helpers and the constants the CLI reads at import."""
 
 # Propagation speed used throughout (m/s). The round value keeps the
 # textbook identity lambda = 1 cm at 30 GHz exact, which all reference
 # figures rely on.
 SPEED_OF_LIGHT = 3.0e8
+
+# the deployment scenarios of ``statistics``
+PARTIAL_R_PLUS, PARTIAL_R_MINUS = "partial-r-plus", "partial-r-minus"
+FULL_VISIBILITY, CONDITIONAL_ON_X0 = "full-visibility", "conditional-on-x0"
+SCENARIOS = (PARTIAL_R_PLUS, PARTIAL_R_MINUS, FULL_VISIBILITY, CONDITIONAL_ON_X0)
+MIN_MC_SAMPLES = 10_000  # fewest draws ``statistics.monte_carlo`` takes
+MIN_SCAN_SAMPLES = 64  # fewest samples a ``kernel.kernel_scan`` takes
+DEFAULT_SUM_RULE_FRACTION = 0.96  # the power share ``svd_oracle`` counts to
 
 
 def wavelength_from_frequency(frequency_hz):

@@ -19,12 +19,10 @@ import math
 
 import numpy as np
 
+from . import dof_core, geometry, kernel, svd_oracle
 from . import statistics as stats
-from .dof_core import dof_arrays
-from .geometry import link_arrays, make_link
-from .kernel import kernel_scan
-from .svd_oracle import (DEFAULT_SUM_RULE_FRACTION, _count, channel_matrix,
-                         grid_shapes, singular_spectrum)
+from .constants import (CONDITIONAL_ON_X0, DEFAULT_SUM_RULE_FRACTION, FULL_VISIBILITY,
+                        PARTIAL_R_PLUS)
 
 __all__ = [
     "FIGURES", "FIGURE_IDS", "figure_rows", "link_params",
@@ -46,8 +44,8 @@ def link_params(bindings):
 def _dof_sweep(link, **swept):
     """Links and their ``dof_arrays`` in one call, of ``link`` with the
     ``make_link`` keywords ``swept`` set to arrays."""
-    links = link_arrays(**{**link, **swept})
-    return links, dof_arrays(links)
+    links = geometry.link_arrays(**{**link, **swept})
+    return links, dof_core.dof_arrays(links)
 
 
 def sweep_rows(link, key, values):
@@ -69,10 +67,10 @@ def svd_compare_rows(link, key, values, spacing, threshold):
     m_int = res.m_int.tolist()
     counted, vis = [m != 0 for m in m_int], res.visibility
     wavelength = np.broadcast_to(links.wavelength, vis.l_T.shape)
-    shapes = grid_shapes(*(v[counted].tolist() for v in (
+    shapes = svd_oracle.grid_shapes(*(v[counted].tolist() for v in (
         vis.l_T, vis.l_R, wavelength)), spacing)
-    eds = [_count(make_link(**{**link, key: v}), spacing, threshold, m) if m else 0
-           for v, m in zip(steps, m_int)]
+    eds = [svd_oracle._count(geometry.make_link(**{**link, key: v}), spacing,
+                             threshold, m) if m else 0 for v, m in zip(steps, m_int)]
     rows, cols = max([(0, 0)] + shapes, key=math.prod)
     diffs = [abs(m - ed) for m, ed in zip(m_int, eds)]
     columns = [steps + ["max"], m_int + [""], eds + [""], diffs + [max(diffs)]]
@@ -84,7 +82,8 @@ def kernel_scan_rows(link, zeta_ref, n_samples):
     """(header, columns, record) of the exact and far-field kernel across
     the effective receive aperture, with its significant minima flagged;
     the record's ``kernel`` counts the samples and the sinc-limit ones."""
-    scan = kernel_scan(make_link(**link), zeta_ref=zeta_ref, n_samples=n_samples)
+    scan = kernel.kernel_scan(geometry.make_link(**link), zeta_ref=zeta_ref,
+                              n_samples=n_samples)
     is_min = np.zeros(scan.zeta.size, dtype=int)
     is_min[scan.minima] = 1
     v = scan.values
@@ -162,8 +161,9 @@ def _svd_rows(p, seed):
 
 
 def _spectrum_rows(p, seed):
-    cm = channel_matrix(make_link(**link_params(p)), spacing=p["spacing"])
-    rep, (rows, cols) = singular_spectrum(cm), cm.entries.shape
+    cm = svd_oracle.channel_matrix(geometry.make_link(**link_params(p)),
+                                   spacing=p["spacing"])
+    rep, (rows, cols) = svd_oracle.singular_spectrum(cm), cm.entries.shape
     index = np.arange(1, len(rep.singular_values) + 1)
     return (["index", "singular_value", "normalized_power", "cumulative_fraction"],
             [index, rep.singular_values, rep.normalized_powers,
@@ -252,11 +252,11 @@ FIGURES = {
                            "theta_T": 0.0, "y0_m": 0.0,
                            "x0_over_LR": [1.32, 2.0, 3.0, 5.0, 10.0],
                            "theta_R_sweep": _FULL_TURN}),
-    "fig9a": (_radius_curve_rows, _radius_curves(stats.PARTIAL_R_PLUS)),
-    "fig9b": (_radius_curve_rows, _radius_curves(stats.FULL_VISIBILITY)),
+    "fig9a": (_radius_curve_rows, _radius_curves(PARTIAL_R_PLUS)),
+    "fig9b": (_radius_curve_rows, _radius_curves(FULL_VISIBILITY)),
     "fig10": (_conditional_curve_rows, {
         "frequency_hz": _F, "L_T_m": 0.2, "R": 20.0,
-        "scenario": stats.CONDITIONAL_ON_X0,
+        "scenario": CONDITIONAL_ON_X0,
         "cases": [[x0, L_R] for x0 in (5.0, 10.0) for L_R in (2.0, 5.0)],
         "grid_points": 401, "mc_samples": 200_000}),
     "fig11": (_pov_rows, {"x0_grid": [1.0, 50.0, 50], "L_R_grid": [1.0, 10.0, 19]}),

@@ -51,6 +51,7 @@ from typing import List
 
 import numpy as np
 
+from .constants import MIN_SCAN_SAMPLES
 from .dof_core import taylor_coeffs, _require_visible
 from .geometry import LinkGeometry, VisibilityReport, classify_visibility
 from .numerics import faddeeva, gauss_legendre
@@ -72,8 +73,6 @@ _GL_NODES, _GL_WEIGHTS = gauss_legendre(24)
 # a local minimum must undercut its neighboring maxima by this factor to
 # count (the partial-visibility cases have non-zero minima)
 MINIMA_DEPTH_FACTOR = 0.5
-
-MIN_SCAN_SAMPLES = 64  # fewest samples a scan takes
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,9 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import wavelength_from_frequency
+from .constants import (CONDITIONAL_ON_X0, FULL_VISIBILITY, MIN_MC_SAMPLES,
+                        PARTIAL_R_MINUS, PARTIAL_R_PLUS, SCENARIOS,
+                        wavelength_from_frequency)
 from .numerics import gauss_legendre, sample_stream, usable_cpus
 
 __all__ = [
@@ -73,16 +75,6 @@ __all__ = [
     "pdf", "pov", "ccdf", "monte_carlo", "excess_dof_branches",
     "empirical_ccdf", "visibility_fraction", "branch_interval",
 ]
-
-PARTIAL_R_PLUS = "partial-r-plus"
-PARTIAL_R_MINUS = "partial-r-minus"
-FULL_VISIBILITY = "full-visibility"
-CONDITIONAL_ON_X0 = "conditional-on-x0"
-
-SCENARIOS = (PARTIAL_R_PLUS, PARTIAL_R_MINUS, FULL_VISIBILITY, CONDITIONAL_ON_X0)
-
-# fewest draws ``monte_carlo`` takes
-MIN_MC_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -507,7 +499,9 @@ def _chunked(cfgs, n, seed, each):
     order, it scales them to the config's x0 and theta_T.  Each chunk jumps
     to its own positions of the one stream, opened once, here: the draws
     are the same bits on any CPU count and in any family, and the threads
-    call no public function."""
+    call no public function.  Every module that a chunk uses (this one and
+    ``numerics``) has run in the calling thread before: a module that the
+    package loads lazily takes no lock on its first use."""
     if n < MIN_MC_SAMPLES:
         raise ValueError("need at least 1e4 samples")
     fixed = {cfg.scenario == CONDITIONAL_ON_X0 for cfg in cfgs}

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import DEFAULT_SUM_RULE_FRACTION
 from .dof_core import _require_visible
 from .geometry import LinkGeometry, classify_visibility, point_on
 from .numerics import gauss_legendre
@@ -38,7 +39,6 @@ __all__ = [
     "channel_matrix", "grid_shapes", "singular_spectrum", "effective_dof",
 ]
 
-DEFAULT_SUM_RULE_FRACTION = 0.96
 # the most entries a channel matrix may have: ``singular_spectrum``'s path
 # holds H, and building and decomposing a square one takes up to ~50 bytes
 # per entry, so one at the cap needs ~0.5 GB

@@ -400,8 +400,8 @@ class TestSvdCompareCommand:
         ``MAX_RUN_ENTRIES`` entries together is a numeric failure naming
         the step count and the total, before the first count starts; at
         the cap the run goes through."""
-        built, real = [], figures._count
-        monkeypatch.setattr(figures, "_count",
+        built, real = [], svd_oracle._count
+        monkeypatch.setattr(svd_oracle, "_count",
                             lambda *a, **k: built.append(a) or real(*a, **k))
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps(_THETA_R_SWEEP))
@@ -1045,3 +1045,41 @@ class TestImports:
         argv = [*command, *_config_args(tmp_path, config),
                 "--out", str(tmp_path / "out.csv")]
         assert _fresh_process(argv, entry) == (0, "0 [] False 1\n", "")
+
+    # ``{}`` runs in a fresh process that then prints the nfdof module
+    # bodies that ran, each seen by the audit event of its ``exec``
+    _BODIES = ("import os, sys; ran = set(); sys.addaudithook(lambda event, args: "
+               "event == 'exec' and ran.add(getattr(args[0], 'co_filename', ''))); "
+               "{}; print(sorted(os.path.basename(f)[:-3] for f in ran "
+               "if os.path.basename(os.path.dirname(f)) == 'nfdof'))")
+
+    @pytest.mark.parametrize("command, config", [
+        (["dof"], None),
+        (["sweep"], {"sweep": {"parameter": "x0", "start": -20, "stop": 20, "steps": 721}}),
+    ], ids=["dof", "sweep"])
+    def test_link_commands_run_only_the_link_core(self, tmp_path, command, config):
+        """``dof`` and ``sweep`` run the bodies of the CLI, the constants,
+        the link core and the figure loops, and none of ``statistics``,
+        ``kernel``, ``svd_oracle`` or ``numerics``."""
+        argv = [*command, *_config_args(tmp_path, config), "--out", str(tmp_path / "out")]
+        entry = self._BODIES.format("from nfdof.cli import main; assert main() == 0")
+        assert _fresh_process(argv, entry) == (
+            0, "['__init__', 'cli', 'constants', 'dof_core', 'figures', 'geometry']\n", "")
+
+    def test_stats_runs_no_link_module(self, tmp_path):
+        """``stats`` runs none of ``geometry``, ``dof_core``, ``kernel`` or
+        ``svd_oracle``."""
+        argv = ["stats", *_config_args(tmp_path, {"stats": _SMALL_STATS}),
+                "--out", str(tmp_path / "out")]
+        entry = self._BODIES.format("from nfdof.cli import main; assert main() == 0")
+        assert _fresh_process(argv, entry) == (
+            0, "['__init__', 'cli', 'constants', 'figures', 'numerics', 'statistics']\n", "")
+
+    def test_geometry_runs_alone(self):
+        """Classifying a link with ``nfdof.geometry`` runs no body of
+        ``statistics``, ``kernel`` or ``svd_oracle``: nor of any module
+        but the constants."""
+        entry = self._BODIES.format(
+            "from nfdof.geometry import classify_visibility, make_link; "
+            "classify_visibility(make_link(0.2, 5.0, 0.0, 3.14, 10.0, 0.0, 30e9))")
+        assert _fresh_process([], entry) == (0, "['__init__', 'constants', 'geometry']\n", "")

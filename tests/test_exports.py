@@ -4,8 +4,12 @@ traced benchmark run."""
 
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -31,3 +35,36 @@ def test_traced_functions_exist():
                if not callable(getattr(importlib.import_module(f"nfdof.{module}"),
                                        function, None))]
     assert not missing, f"the layer trace wraps what nfdof lacks: {missing}"
+
+
+# a sweep, then the same sweep with every traced function wrapped
+_TRACED_SWEEP = """
+import importlib.util, pathlib, sys
+from nfdof import cli
+spec = importlib.util.spec_from_file_location("layer_trace", sys.argv[1])
+layer_trace = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layer_trace)
+argv = ["sweep", "--config", sys.argv[2], "--out", sys.argv[3]]
+codes, out = [cli.main(argv)], pathlib.Path(sys.argv[3])
+untraced = out.read_bytes()
+with layer_trace.Tracer().installed() as tracer:
+    codes.append(cli.main(argv))
+print(codes, out.read_bytes() == untraced, len(tracer.spans))
+"""
+
+
+def test_traced_sweep_writes_the_same_bytes(tmp_path):
+    """The layer trace finds each traced module in ``sys.modules``, whether
+    its body has run or not: in a fresh process that has run nothing but a
+    sweep, the same sweep inside ``Tracer().installed()`` exits 0 and
+    writes the same bytes."""
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"sweep": {
+        "parameter": "theta_T", "start": -3.14, "stop": 3.14, "steps": 721}}))
+    src = str(pathlib.Path(nfdof.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_SWEEP, str(LAYER_TRACE), str(config),
+         str(tmp_path / "sweep.csv")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120, check=False)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[0, 0] True 1\n")

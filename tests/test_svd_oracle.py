@@ -11,7 +11,7 @@ import pytest
 from nfdof.dof_core import dof
 from nfdof.geometry import classify_visibility, make_link
 from nfdof.geometry import FULL, PARTIAL_RX, PARTIAL_TX
-from nfdof import cli, figures, svd_oracle
+from nfdof import cli, figures, geometry, svd_oracle
 from nfdof.svd_oracle import (
     MAX_MATRIX_ENTRIES, channel_matrix, effective_dof, singular_spectrum,
 )
@@ -380,7 +380,7 @@ class TestCounts:
         in step order, and no public function runs on another thread: a
         tracer may wrap them with a span stack that is not thread-safe."""
         calls = []
-        for module in (figures, svd_oracle):
+        for module in (geometry, svd_oracle):
             for name in ("make_link", "classify_visibility", "channel_matrix",
                          "singular_spectrum", "effective_dof"):
                 if hasattr(module, name):
@@ -399,7 +399,7 @@ class TestCounts:
         """Two steps fail: the earlier one's error is raised, on one CPU
         as on four, and no later step is counted."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        real, (link, key, values, _, _) = figures._count, _SWEEP
+        real, (link, key, values, _, _) = svd_oracle._count, _SWEEP
         # make_link wraps theta_R into (-pi, pi]
         failing = [make_link(**{**link, key: values[i]}).theta_R for i in (8, 12)]
         assert all(classify_visibility(make_link(**{**link, key: values[i]})).status
@@ -412,7 +412,7 @@ class TestCounts:
                 raise ValueError(f"step {failing.index(lk.theta_R)}")
             return real(lk, *args)
 
-        monkeypatch.setattr(figures, "_count", count)
+        monkeypatch.setattr(svd_oracle, "_count", count)
         with pytest.raises(ValueError, match="^step 0$"):
             figures.svd_compare_rows(*_SWEEP)
         assert counted[-1] == failing[0]
@@ -534,7 +534,7 @@ class TestScreen:
             out = tmp_path / f"{name}.csv"
             assert cli.main(["svd-compare", "--config", str(cfg), "--out", str(out)]) == 0
             written.append(out.read_bytes())
-            monkeypatch.setattr(figures, "_count", lambda lk, sp, f, m: effective_dof(
+            monkeypatch.setattr(svd_oracle, "_count", lambda lk, sp, f, m: effective_dof(
                 gram_powers(lk, sp), f))
         assert written[0] == written[1]
 
