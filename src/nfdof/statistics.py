@@ -49,6 +49,10 @@ A recipe's curves (several radii, or several fixed x0 and L_R, at one
 seed and draw count) open the same stream, so they share each chunk's
 draws: the chunk draws its uniforms once for all of them, and each curve
 is bitwise its own ``ccdf``.
+With x0 fixed, a chunk sorts its theta_T uniforms: each branch is then a
+slice, and mu is monotone up to rounding on at most five pieces, which
+``ccdf`` counts by binary search after a one-pass order check (a piece
+that fails is sorted), so its counts are those of one sort of the draws.
 Its vectorized branch evaluator runs each formula on its own branch's
 draws only; ``tests/test_statistics.py`` replays the draws through the
 link engine ``dof_arrays``: they agree except where x0 <= (L_T / 2)
@@ -436,6 +440,42 @@ def _excess_dof(a, theta_T, C, buf):
     return mu, b_plus, b_full, b_minus
 
 
+def _sorted_excess_dof(a, theta_T, C, buf):
+    """``_excess_dof`` of an ascending theta_T at a scalar a, in buf.mu: each
+    branch is the slice between its edges (ends as there), through the same
+    ufunc calls, and the gaps are zeros.  Returns mu and its non-empty
+    (slice, falling) pieces, on each of which mu is monotone up to rounding."""
+    k = theta_T.size
+    mu = buf.mu[:k]
+    # full runs from r-plus's hi edge to r-minus's lo edge
+    edges = [_edge(a, *e) for s in (PARTIAL_R_PLUS, PARTIAL_R_MINUS) for e in _BRANCHES[s]]
+    i1, i3 = np.searchsorted(theta_T, edges[0::2], "right")
+    i2, i4 = np.searchsorted(theta_T, edges[1::2], "left")
+    i1, i4 = min(i1, i2), max(i3, i4)    # an empty r-plus or r-minus leaves full whole
+    mu[:i1] = mu[i4:] = 0.0
+    v = np.add(theta_T[i1:i2], a, out=mu[i1:i2])          # C (1 + sin(theta_T + a))
+    np.multiply(C, np.add(1.0, np.sin(v, out=v), out=v), out=v)
+    v = np.cos(theta_T[i2:i3], out=mu[i2:i3])             # 2 C sin(a) cos(theta_T)
+    np.multiply(np.multiply(2.0 * C, np.sin(a)), v, out=v)
+    v = np.subtract(a, theta_T[i3:i4], out=mu[i3:i4])     # C (1 + sin(a - theta_T))
+    np.multiply(C, np.add(1.0, np.sin(v, out=v), out=v), out=v)
+    top = i2 + np.searchsorted(theta_T[i2:i3], 0.0)
+    return mu, tuple((slice(lo, hi), falling) for lo, hi, falling in (
+        (0, i1, False), (i4, k, False), (i1, i2, False), (i2, top, False),
+        (top, i3, True), (i3, i4, True)) if lo < hi)
+
+
+def _piece_counts(p, falling, grid, order):
+    """How many values of the piece p are <= each threshold of ``grid``: p
+    rises, or falls, up to rounding, which one pass checks into the bool
+    buffer ``order``; a piece out of order, or of none (None), is sorted."""
+    q = p[::-1] if falling else p
+    if falling is None or np.less(q[1:], q[:-1], out=order[:q.size - 1]).any():
+        p.sort()
+        q = p
+    return np.searchsorted(q, grid, "right")
+
+
 def _disk_x0(s, c, R, out):
     """Axis distances of disk placements of radius R from s = sqrt(u) of
     the radius uniforms and c = cos(2 pi v) of the angle uniforms:
@@ -478,30 +518,35 @@ _local = threading.local()
 
 
 def _chunked(cfgs, n, seed, each):
-    """Call ``each(i, start, mu)`` on every chunk of the n draws of every
-    config ``cfgs[i]``, mu a view of draws [start, start + 2^15) or the
-    rest that ``each`` may sort in place, on at most one thread per CPU
-    and per chunk; ``each`` runs on the thread that drew its chunk and
-    keeps its result in place.  A chunk's exception, the first in chunk
-    order, is raised here.  ``each`` must not call ``_chunked``: its
-    chunks would wait for the threads that wait for them.
+    """Call ``each(i, start, mu, pieces)`` on every chunk of the n draws of
+    every config ``cfgs[i]``, on at most one thread per CPU and per chunk:
+    mu views the chunk's draws (2^15 or the rest; with x0 fixed, in
+    ascending theta_T, not stream order), and its (slice, falling) pieces
+    cover it, mu rising on each, or falling, up to rounding (``falling``
+    None: no known order, the whole chunk with x0 drawn from the disk).
+    ``each`` may sort mu in place; it runs on the thread that drew its
+    chunk and keeps its result in place.  A chunk's exception, the first
+    in chunk order, is raised here.  ``each`` must not call ``_chunked``:
+    its chunks would wait for the threads that wait for them.
 
     The threads are those of the pool of one thread per CPU (``_pool``),
     kept for the process, each with one set of chunk buffers
     (``_Buffers``, 9 float and 4 bool arrays of 2^15, 2.5 MB) made on its
     first chunk: every chunk is written into them, so a call allocates no
-    chunk-sized array.
+    chunk-sized array; once mu is made, its bool arrays are free for ``each``.
 
     The configs are one family: they share the seed and n, and either all
     draw x0 from the disk or all fix it, so every config reads the same
     uniforms.  Each chunk draws them once, and with x0 drawn from the disk
     also takes sqrt(u) and cos(2 pi v) once; then, config by config in
-    order, it scales them to the config's x0 and theta_T.  Each chunk jumps
-    to its own positions of the one stream, opened once, here: the draws
-    are the same bits on any CPU count and in any family, and the threads
-    call no public function.  Every module that a chunk uses (this one and
-    ``numerics``) has run in the calling thread before: a module that the
-    package loads lazily takes no lock on its first use."""
+    order, it scales them to the config's x0 and theta_T.  With x0 fixed it
+    first sorts the theta_T uniforms, once for the family, so each branch
+    is one slice (``_sorted_excess_dof``): no masks, gathers or scatter.
+    Each chunk jumps to its own positions of the one stream, opened once,
+    here: the draws are the same bits on any CPU count and in any family,
+    and the threads call no public function.  Every module that a chunk
+    uses (this one and ``numerics``) has run in the calling thread before:
+    a module that the package loads lazily takes no lock on its first use."""
     if n < MIN_MC_SAMPLES:
         raise ValueError("need at least 1e4 samples")
     fixed = {cfg.scenario == CONDITIONAL_ON_X0 for cfg in cfgs}
@@ -525,6 +570,8 @@ def _chunked(cfgs, n, seed, each):
             c *= 2.0 * np.pi
             np.cos(c, out=c)
         u = _uniforms(state, (0 if fixed else 2 * n) + start, buf.u[:k])
+        if fixed:
+            u.sort()   # so every curve's theta_T ascends: rounding is monotone
         # with x0 drawn, x0 and then a are built in buf.a, lo in buf.edge,
         # and hi, then the width and theta_T in buf.theta
         spare = (None, None) if fixed else (buf.edge[:k], buf.theta[:k])
@@ -537,23 +584,34 @@ def _chunked(cfgs, n, seed, each):
             width = np.subtract(hi, lo, out=spare[1])
             theta_T = np.multiply(u, width, out=buf.theta[:k])
             theta_T += lo
-            each(i, start, _excess_dof(a, theta_T, cfg.C, buf)[0])
+            each(i, start, *(_sorted_excess_dof(a, theta_T, cfg.C, buf) if fixed else
+                             (_excess_dof(a, theta_T, cfg.C, buf)[0], ((slice(0, k), None),))))
 
     list(_pool(usable_cpus()).map(chunk, range(0, n, _CHUNK)))
 
 
 def monte_carlo(cfg: ScenarioConfig, n, seed=0):
-    """mu samples of the scenario, deterministic for a given seed.
+    """mu samples of the scenario, deterministic for a given seed: the
+    draws of ``ccdf``'s chunks in stream order, evaluated as whole arrays
+    in the calling thread, which holds them and a few arrays as long.
 
     The axis distance is drawn from the disk-placement density (or fixed
     for the conditional scenario, whose edges are then scalars) and
     theta_T uniformly over the scenario's branch interval, so every draw
     is accepted by construction; each branch formula runs only on its own
-    branch's draws, and each chunk writes its own slice of the result."""
-    out = np.empty(max(int(n), 0))
-    _chunked([cfg], n, seed,
-             lambda i, start, mu: np.copyto(out[start:start + mu.size], mu))
-    return out
+    branch's draws."""
+    if n < MIN_MC_SAMPLES:
+        raise ValueError("need at least 1e4 samples")
+    n, rng = int(n), sample_stream(seed, 0)
+    if cfg.scenario == CONDITIONAL_ON_X0:
+        x0 = float(cfg.x0)
+    else:   # the radius uniforms, then the angle uniforms
+        s = np.sqrt(rng.random(n))
+        x0 = _disk_x0(s, np.cos(rng.random(n) * (2.0 * np.pi)), cfg.R, s)
+    a = _half_angle(x0, cfg.L_R)
+    lo, hi = (_edge(a, *edge) for edge in _BRANCHES[cfg.scenario])
+    theta_T = rng.random(n) * (hi - lo) + lo
+    return _excess_dof(a, theta_T, cfg.C, _Buffers(n))[0]
 
 
 def empirical_ccdf(samples, grid):
@@ -595,6 +653,8 @@ def _ccdfs(cfgs, grid, mc_samples, seed):
     Monte Carlo overlays counted on the family's shared draws; curve i is
     bitwise ``ccdf(cfgs[i], grid, mc_samples, seed)``."""
     grid = _thresholds(grid)
+    if grid.ndim != 1:
+        raise ValueError(f"threshold grid must be one-dimensional, got shape {grid.shape}")
     if grid.size == 0:
         raise ValueError("empty threshold grid")
     if np.any(np.diff(grid) < 0):
@@ -611,9 +671,9 @@ def _ccdfs(cfgs, grid, mc_samples, seed):
     if mc_samples:
         le, lock = np.zeros((len(cfgs), grid.size), np.intp), threading.Lock()
 
-        def count(i, start, mu):
-            mu.sort()                  # the chunk's own draws, read by nothing else
-            c = np.searchsorted(mu, grid, "right")
+        def count(i, start, mu, pieces):
+            order = _local.buf.masks[0]   # the drawing thread's, free once mu is made
+            c = sum(_piece_counts(mu[s], falling, grid, order) for s, falling in pieces)
             with lock:
                 np.add(le[i], c, out=le[i])
         _chunked(cfgs, mc_samples, seed, count)

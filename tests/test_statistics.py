@@ -389,6 +389,14 @@ class TestBranchEvaluator:
                 assert np.array_equal(g, w), x0
         # every edge is exact: on it, each draw lies in one branch or none
         assert np.all(want[1].astype(int) + want[2] + want[3] <= 1)
+        # the sorted path: the same mu on the ascending theta_T, whose
+        # pieces cover it in order
+        theta = np.sort(theta)
+        mu, pieces = stats._sorted_excess_dof(a, theta, C, stats._Buffers(theta.size))
+        assert np.array_equal(mu, _where_branches(x0, theta, L_R, C)[0]), x0
+        ends = sorted((s.start, s.stop) for s, _ in pieces)
+        assert [e[0] for e in ends] == [0] + [e[1] for e in ends[:-1]], ends
+        assert ends[-1][1] == theta.size, ends
 
 
 class TestCcdfCurves:
@@ -432,6 +440,20 @@ class TestCcdfCurves:
             ccdf(c, np.array([]))
         with pytest.raises(ValueError):
             ccdf(c, np.array([1.0, 0.5]))
+
+    def test_grid_must_be_one_dimensional(self, monkeypatch):
+        """A 0-d grid and a 2-D grid, also one whose rows each ascend, are
+        refused by name, with and without draws, before any curve or draw
+        is made."""
+        def work(*args):
+            raise AssertionError("work before the grid was checked")
+        monkeypatch.setattr(stats, "_curve", work)
+        monkeypatch.setattr(stats, "_chunked", work)
+        c = cfg()
+        for grid in (1.0, [[2.0, 3.0], [0.0, 1.0]]):
+            for mc in (0, 10_000):
+                with pytest.raises(ValueError, match="threshold grid must be one-dimensional"):
+                    ccdf(c, grid, mc)
 
     def test_nan_threshold_refused(self):
         """A NaN threshold is refused by name, also where it hides a
@@ -517,9 +539,10 @@ def _traced_peak(f):
 
 
 class TestChunkedDraws:
-    """``monte_carlo`` draws fixed chunks, each from its own positions of
-    the one stream, on at most one thread per CPU, and ``ccdf`` counts
-    each chunk on the thread that drew it."""
+    """``ccdf`` draws fixed chunks, each from its own positions of the one
+    stream, on at most one thread per CPU, and counts each chunk on the
+    thread that drew it; ``monte_carlo`` returns the same draws in stream
+    order."""
 
     def _cpus(self, monkeypatch, cpus):
         """Patch the host to ``cpus`` CPUs; returns the list that records,
@@ -561,24 +584,28 @@ class TestChunkedDraws:
     @pytest.mark.parametrize("n", [10_000, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1,
                                    200_003])
     def test_one_and_four_cpus_agree(self, monkeypatch, n):
-        """Up to four threads, switching often, write disjoint slices of
-        one array: a slice written twice or not at all would differ from
-        the one-thread draws, and both are the whole-array reference's."""
+        """Up to four threads, switching often, add up the chunks' counts
+        of one ``ccdf``: a chunk counted twice or not at all would differ
+        from the one-thread bytes, and both are those of the whole-array
+        reference's draws, which ``monte_carlo`` returns."""
         chunks = -(-n // stats._CHUNK)
         interval = sys.getswitchinterval()
         for c in _scenarios():
-            draws = {}
+            reference = _reference_draws(c, n, 3)
+            assert np.array_equal(monte_carlo(c, n, seed=3), reference), c.scenario
+            grid = np.linspace(0.0, 2.0 * c.C, 201)
+            counted = {}
             for cpus in (1, 4):
                 drawn = self._cpus(monkeypatch, cpus)
                 sys.setswitchinterval(1e-6)
                 try:
-                    draws[cpus] = monte_carlo(c, n, seed=3)
+                    counted[cpus] = ccdf(c, grid, n, seed=3).mc_ccdf.tobytes()
                 finally:
                     sys.setswitchinterval(interval)
                 # no more threads than CPUs or than chunks
                 assert self._threads(drawn, min(cpus, chunks)), (c.scenario, cpus, drawn)
-            assert np.array_equal(draws[1], draws[4]), c.scenario
-            assert np.array_equal(draws[1], _reference_draws(c, n, 3)), c.scenario
+            assert counted[1] == counted[4], c.scenario
+            assert counted[1] == empirical_ccdf(reference, grid).tobytes(), c.scenario
 
     @pytest.mark.parametrize("n", [10_000, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1,
                                    200_003])
@@ -597,6 +624,59 @@ class TestChunkedDraws:
                 self._cpus(monkeypatch, cpus)
                 assert ccdf(c, grid, n, seed=3).mc_ccdf.tobytes() == expected, (
                     c.scenario, cpus)
+
+    @pytest.mark.parametrize("n", [10_000, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1,
+                                   200_003])
+    def test_sorted_chunks_count_as_one_sort_of_the_draws(self, monkeypatch, n):
+        """Random fixed-x0 families of 1-4 curves, x0 from 1e-9 R to R,
+        counted on sorted chunks by up to four threads switching often:
+        every curve is the bytes of ``empirical_ccdf`` of its
+        ``monte_carlo`` draws, at thresholds that tie draws, 0, 2C and the
+        next float above 2C."""
+        rng = np.random.default_rng(n)
+        interval = sys.getswitchinterval()
+        for family in range(3):
+            R, curves = float(rng.choice([5.0, 20.0, 200.0])), int(rng.integers(1, 5))
+            x0 = R * 10.0 ** rng.uniform(-9.0, 0.0, curves)
+            if family == 0:
+                x0[:2] = 1e-9 * R, R
+            cfgs = [cfg(R=R, L_R=float(rng.choice([0.5, 2.0, 5.0])), x0=float(x),
+                        scenario=CONDITIONAL_ON_X0) for x in x0]
+            seed, C = int(rng.integers(1000)), cfgs[0].C
+            draws = [monte_carlo(c, n, seed) for c in cfgs]
+            grid = np.sort(np.concatenate(
+                [[-1.0, 0.0, 2.0 * C, np.nextafter(2.0 * C, np.inf)],
+                 np.linspace(0.0, 2.0 * C, 51)] + [d[::997] for d in draws]))
+            want = [empirical_ccdf(d, grid).tobytes() for d in draws]
+            for cpus in (1, 4):
+                self._cpus(monkeypatch, cpus)
+                sys.setswitchinterval(1e-6)
+                try:
+                    got = stats._ccdfs(cfgs, grid, n, seed)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert [g.mc_ccdf.tobytes() for g in got] == want, (cfgs, cpus)
+
+    def test_piece_out_of_order_is_sorted(self):
+        """A rising or falling piece with one swapped pair fails the order
+        check and is sorted in place, and a piece of no known order is
+        sorted; each counts as one sort of its values.  A piece in order is
+        counted where it lies."""
+        grid = np.array([-1.0, 0.0, 2.5, 3.0, 4.0, 9.0, 10.0])
+        values = np.arange(10.0)
+        want = np.searchsorted(values, grid, "right")
+        order = np.empty(values.size, bool)
+        for falling in (False, True):
+            piece = values[::-1].copy() if falling else values.copy()
+            kept = piece.copy()
+            assert np.array_equal(stats._piece_counts(piece, falling, grid, order), want)
+            assert np.array_equal(piece, kept), falling
+            piece[[3, 4]] = piece[[4, 3]]
+            assert np.array_equal(stats._piece_counts(piece, falling, grid, order), want)
+            assert np.array_equal(piece, values), falling
+        piece = np.random.default_rng(0).permutation(values)
+        assert np.array_equal(stats._piece_counts(piece, None, grid, order), want)
+        assert np.array_equal(piece, values)
 
     def test_ccdf_holds_no_draw_array(self, monkeypatch):
         """On two CPUs the traced peak of a 10^6-draw ``ccdf`` stays below
@@ -671,7 +751,7 @@ class TestChunkedDraws:
         with pytest.raises(ValueError, match="a family of curves"):
             stats._ccdfs(mixed, np.linspace(0.0, 1.0, 5), 10_000, 0)
         with pytest.raises(ValueError, match="a family of curves"):
-            stats._chunked(mixed, 10_000, 0, lambda i, start, mu: None)
+            stats._chunked(mixed, 10_000, 0, lambda i, start, mu, pieces: None)
 
     @pytest.mark.parametrize("family", sorted(_FAMILIES))
     def test_family_holds_no_draw_array(self, monkeypatch, family):
@@ -716,7 +796,7 @@ class TestWorkers:
             print(json.dumps({
                 "ccdf": faults(lambda: stats.ccdf(fixed, grid, 200_000, seed=1)),
                 "chunked": faults(lambda: stats._chunked(
-                    [full], 200_000, 1, lambda i, start, mu: None))}))
+                    [full], 200_000, 1, lambda i, start, mu, pieces: None))}))
         """
         src = str(Path(stats.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -733,7 +813,7 @@ class TestWorkers:
         c = cfg(scenario=FULL_VISIBILITY)
         grid = np.linspace(0.0, 2.0 * c.C, 201)
 
-        def each(i, start, mu):
+        def each(i, start, mu, pieces):
             if start == 2 ** 15:
                 raise ZeroDivisionError(f"chunk {start} on {threading.current_thread().name}")
         with pytest.raises(ZeroDivisionError, match="^chunk 32768 on nfdof-monte-carlo"):
