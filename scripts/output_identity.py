@@ -7,7 +7,10 @@ list covers every ``figure`` recipe, ``dof`` on the default, a warning,
 a touching and an exponent-flag link, sweeps of all seven sweepable
 parameters at 721 steps, ``svd-compare`` over theta_R and over L_T,
 ``kernel-scan`` plain, rotated and with ``--deg``, and ``stats`` in all
-four scenarios, each in CSV and in JSON; the caps of ``stats``, ``kernel-scan`` and ``sweep``
+four scenarios, each in CSV and in JSON; ``svd-compare`` over 181 theta_R
+steps about facing at fractions 0.9, 0.99 and at a tie with a running
+share, and at lambda/2 (CSV), which cross the screen, the float32 grid
+and the double grid; the caps of ``stats``, ``kernel-scan`` and ``sweep``
 (CSV); the refusals of CI's console-script step; and the Monte Carlo
 commands (the 10^7-draw ``stats`` caps, fig9a, fig9b, fig10) on one CPU
 and on all.  Each command is a fresh ``python -m nfdof.cli`` process that
@@ -27,6 +30,7 @@ that differs or exists on one side only, and exits 1 if there is any.
 import argparse
 import filecmp
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -42,6 +46,13 @@ SCENARIOS = {"partial_r_plus": {"scenario": "partial-r-plus"},
              "partial_r_minus": {"scenario": "partial-r-minus"},
              "full": {"scenario": "full-visibility"},
              "conditional": {"scenario": "conditional-on-x0", "x0": 10.0}}
+# svd-compare of the default link over theta_R about facing; the tie is
+# the share of its 10 leading modes on the lambda/4 grid at facing, where
+# the double grid decides the count
+FACING = {"parameter": "theta_R", "start": math.pi / 2, "stop": 1.5 * math.pi, "steps": 181}
+SVD_FACING = {"0.9": {"svd_threshold": 0.9}, "0.99": {"svd_threshold": 0.99},
+              "tie": {"svd_threshold": 0.9685443605213178},
+              "half_wavelength": {"svd_spacing": 0.005}}
 MC_CAPS = {"mc_full": {"scenario": "full-visibility", "mc_samples": 10 ** 7},
            "mc_conditional": {"scenario": "conditional-on-x0", "x0": 10.0,
                               "mc_samples": 10 ** 7}}
@@ -74,6 +85,8 @@ def commands():
         add(f"kernel_deg.{fmt}", ["kernel-scan", "--deg", "--theta-t", "10"], fmt=fmt)
         for name, section in SCENARIOS.items():
             add(f"stats_{name}.{fmt}", ["stats"], {"stats": section}, fmt=fmt)
+    for name, fields in SVD_FACING.items():
+        add(f"svd_facing_{name}.csv", ["svd-compare"], {**fields, "sweep": FACING})
     add("cap_stats_grid.csv", ["stats"], {"stats": {
         "scenario": "full-visibility", "grid_points": 10 ** 5, "mc_samples": 0}})
     add("cap_kernel_scan.csv", ["kernel-scan"], {"n_samples": 10 ** 6})

@@ -22,6 +22,12 @@ the count.  ``_count`` decides each ``svd-compare`` count: it grids the
 step once, screens it on a Gauss rule over the longer side's cells, and
 hands the same grid to ``_gram_powers`` where the screen cannot decide.
 Like ``channel_matrix``, it takes a link alone: ``_grids`` classifies it.
+
+The screen and the grid's first count take the cos and sin of
+single-precision phases, which leave every running share within 1e-6 of
+the exact channel's; only where the grid's share comes within
+``_EXACT_MARGIN`` of the fraction does the grid with double phases, bit
+for bit the entries of ``channel_matrix``, decide.
 """
 
 import math
@@ -50,6 +56,10 @@ _BLOCK_ROWS = 256
 # how near the fraction a screened running share may come and still stand
 # (on random links the screen's shares sit ~1e-6 from the grid's, 5e-4 at worst)
 _SCREEN_MARGIN = 1e-3
+# how near the fraction a running share of the grid with float32 phases may
+# come and still stand: it is within 4 eps < 1e-6 of the exact grid's
+# (see ``_count``)
+_EXACT_MARGIN = 1e-5
 
 
 @dataclass(frozen=True)
@@ -92,14 +102,24 @@ def _grids(link, spacing):
             (rx_s, point_on(link.theta_R, rx_s, (link.x0, link.y0))))
 
 
-def _green(k, rows, cols, re, im):
+def _green(k, rows, cols, re, im, dtype=np.float64):
     """Write the real and imaginary parts of exp(-j k r) / (4 pi r), from
     the (x, y) points ``cols`` to the points ``rows``, into ``re`` and
     ``im`` (rows x cols).  These are the roundings of the complex
     expression: numpy's complex exp of 0 - j k r is cos and sin of the
     phase fl(-k r), and its complex-by-real division multiplies by the
     reciprocal fl(1 / fl(4 pi r)).  Swapping ``rows`` and ``cols`` gives
-    the transpose, bit for bit."""
+    the transpose, bit for bit.
+
+    ``dtype`` float32 takes the cos and sin in single precision, which
+    numpy runs ~20x faster than double's scalar libm: the phase is reduced
+    to [-pi, pi] in double, as phi - 2 pi rint(phi / 2 pi), rounded to
+    float32 in a buffer of its own, and its float32 cos and sin are
+    multiplied by the same double reciprocal.  Each entry is then off by a
+    relative eps < 2.5e-7: 2^-23 (1.2e-7) from rounding the phase, and
+    1.5 float32 ulps below 1 (1.5 2^-24) in each of cos and sin, 1.3e-7
+    together (on [-pi, pi], numpy 2.4's AVX-512 float32 pair is off by 1.2
+    ulps at worst, its baseline build by 0.6)."""
     r = rows[0][:, None] - cols[0]
     dy = rows[1][:, None] - cols[1]
     r *= r
@@ -111,9 +131,15 @@ def _green(k, rows, cols, re, im):
     phase = np.multiply(r, -k, out=dy)
     r *= 4.0 * np.pi
     np.reciprocal(r, out=r)
-    np.cos(phase, out=re)
+    if dtype == np.float32:
+        np.divide(phase, 2.0 * np.pi, out=re)
+        np.rint(re, out=re)
+        re *= 2.0 * np.pi
+        phase -= re
+        phase = phase.astype(np.float32)
+    np.cos(phase, out=re, dtype=dtype)
     re *= r
-    np.sin(phase, out=im)
+    np.sin(phase, out=im, dtype=dtype)
     im *= r
 
 
@@ -158,13 +184,14 @@ def singular_spectrum(matrix: ChannelMatrix) -> SvdReport:
     )
 
 
-def _gram_powers(k, grid, cols):
+def _gram_powers(k, grid, cols, dtype=np.float64):
     """The spectrum of the channel matrix at wavenumber ``k`` between the
     (x, y) samples ``grid``, its longer side, and ``cols``, from the
     eigenvalues of its smaller Gram matrix, without building H: enough
     for the sum-rule count, not for the tail (see the module docstring).
-    H = A + jB is evaluated ``_BLOCK_ROWS`` rows of ``grid`` at a time;
-    a wide grid's H is transposed, with the same powers."""
+    H = A + jB is evaluated ``_BLOCK_ROWS`` rows of ``grid`` at a time,
+    with ``_green``'s phases in ``dtype``; a wide grid's H is transposed,
+    with the same powers."""
     (x, y), n = grid, cols[0].size
     re, im = np.empty((_BLOCK_ROWS, n)), np.empty((_BLOCK_ROWS, n))
 
@@ -172,7 +199,7 @@ def _gram_powers(k, grid, cols):
         for start in range(0, x.size, _BLOCK_ROWS):
             rows = x[start:start + _BLOCK_ROWS], y[start:start + _BLOCK_ROWS]
             a, b = re[:rows[0].size], im[:rows[0].size]
-            _green(k, rows, cols, a, b)
+            _green(k, rows, cols, a, b, dtype)
             yield a, b
     return _powers(blocks(), n)
 
@@ -207,7 +234,17 @@ def _count(link, spacing, fraction, m_int):
     where it has no more than 2p rows, the other side comes within a
     quarter of its length (too near for the rule), the screened count
     exceeds (p - 32) / 2 or a running share is within ``_SCREEN_MARGIN``
-    of the fraction."""
+    of the fraction.
+
+    The screen and the grid's first count take ``_green``'s float32
+    phases, each entry off by a relative eps < 2.5e-7, so H moves by E
+    with ||E||_F <= eps ||H||_F.  H^H H then moves by at most (2 eps +
+    eps^2) ||H||_F^2 in nuclear norm, so by Ky Fan's inequality the sum of
+    its top k eigenvalues moves by no more, and so does its trace: each
+    running share moves by at most ~4 eps < 1e-6.  The grid's count
+    stands unless a running share is within ``_EXACT_MARGIN`` of the
+    fraction; then the grid is counted again with double phases, the
+    count that ``channel_matrix`` and ``singular_spectrum`` give."""
     _, (_, tx), (_, rx) = _grids(link, spacing)
     grid, cols = (rx, tx) if rx[0].size >= tx[0].size else (tx, rx)
     (x, y), n, k = grid, cols[0].size, 2.0 * np.pi / link.wavelength
@@ -224,15 +261,25 @@ def _count(link, spacing, fraction, m_int):
             nodes, weights = gauss_legendre(p)
             along = 0.5 + nodes * x.size / (2.0 * (x.size - 1))  # 0, 1 at the end samples
             re, im = np.empty((p, n)), np.empty((p, n))
-            _green(k, (x[0] + along * ex, y[0] + along * ey), cols, re, im)
-            re, im = (v * np.sqrt(weights * (x.size / 2.0))[:, None] for v in (re, im))
+            _green(k, (x[0] + along * ex, y[0] + along * ey), cols, re, im, np.float32)
+            w = np.sqrt(weights * (x.size / 2.0))[:, None]
+            re *= w
+            im *= w
             powers = _powers([(re, im) if p >= n else (re.T, im.T)], min(p, n))
             del re, im   # freed before a fallback builds the grid's Gram matrix
             count = effective_dof(powers, fraction)
-            if 2 * count <= p - 32 and not np.any(
-                    np.abs(powers.cumulative_fraction - fraction) < _SCREEN_MARGIN):
+            if 2 * count <= p - 32 and not _near(powers, fraction, _SCREEN_MARGIN):
                 return count
-    return effective_dof(_gram_powers(k, grid, cols), fraction)
+    powers = _gram_powers(k, grid, cols, np.float32)
+    if _near(powers, fraction, _EXACT_MARGIN):
+        powers = _gram_powers(k, grid, cols)
+    return effective_dof(powers, fraction)
+
+
+def _near(powers, fraction, margin):
+    """Whether a running share of ``powers`` lies within ``margin`` of
+    ``fraction``."""
+    return bool(np.any(np.abs(powers.cumulative_fraction - fraction) < margin))
 
 
 def effective_dof(report, fraction=DEFAULT_SUM_RULE_FRACTION):

@@ -294,12 +294,13 @@ def count_link(n_rows, n_cols):
     return lk
 
 
-def gram_powers(lk, spacing=None):
+def gram_powers(lk, spacing=None, *dtype):
     """The whole grid's spectrum of ``lk`` at ``spacing``: ``_gram_powers``
-    on the grids that ``_count`` builds, the longer side along the rows."""
+    on the grids that ``_count`` builds, the longer side along the rows,
+    with the phases in ``dtype`` if given."""
     _, (_, tx), (_, rx) = svd_oracle._grids(lk, spacing)
     grid, cols = (rx, tx) if rx[0].size >= tx[0].size else (tx, rx)
-    return svd_oracle._gram_powers(2.0 * np.pi / lk.wavelength, grid, cols)
+    return svd_oracle._gram_powers(2.0 * np.pi / lk.wavelength, grid, cols, *dtype)
 
 
 def assert_count_matches_svd(lk, spacing=None):
@@ -418,6 +419,24 @@ class TestCounts:
         assert counted[-1] == failing[0]
 
 
+def assert_writes_the_full_grid_count(monkeypatch, tmp_path, fraction):
+    """``svd-compare`` on ``link()`` at ``fraction`` writes the file that
+    the full grid's count writes."""
+    sweep = {"parameter": "theta_R", "start": np.pi, "stop": np.pi, "steps": 1}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "L_T_m": 0.2, "L_R_m": 5.0, "theta_T": 0.0, "x0_m": 10.0, "y0_m": 0.0,
+        "frequency_hz": F, "svd_threshold": fraction, "sweep": sweep}))
+    written = []
+    for name in ("screened", "full"):
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["svd-compare", "--config", str(cfg), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+        monkeypatch.setattr(svd_oracle, "_count", lambda lk, sp, f, m: effective_dof(
+            gram_powers(lk, sp), f))
+    assert written[0] == written[1]
+
+
 def stress_links(n, seed=7):
     """Links with a mode count, uniform rotations (partial links among
     them), L_T from 0.1 to 1 m and centre distances 0.51 to 20 times L_T
@@ -458,13 +477,25 @@ class TestScreen:
         return count, built[0] if len(built) > len(fell_back) else None, bool(fell_back)
 
     def test_counts_match_the_full_grid(self):
-        links, stood = stress_links(96), 0
+        self._assert_counts_match_the_full_grid(stress_links(96), 0.96, near=10)
+
+    @pytest.mark.parametrize("fraction", [0.9, 0.99])
+    def test_counts_match_the_full_grid_at(self, fraction):
+        """Each fraction hands other links on from the screen to the
+        float32 grid (4 of these 48 at 0.9, 5 at 0.99)."""
+        self._assert_counts_match_the_full_grid(stress_links(48, seed=9), fraction, near=5)
+
+    def _assert_counts_match_the_full_grid(self, links, fraction, near):
+        """``_count`` counts as the double grid on every link of ``links``,
+        ``near`` or more of them with centres closer than L_T + L_R, and
+        the screen stands on three quarters of them."""
+        stood = 0
         statuses = {classify_visibility(lk).status for lk, _ in links}
         assert {FULL, PARTIAL_RX, PARTIAL_TX} <= statuses
-        assert sum(lk.d0 < lk.L_T + lk.L_R for lk, _ in links) >= 10
+        assert sum(lk.d0 < lk.L_T + lk.L_R for lk, _ in links) >= near
         for lk, spacing in links:
-            full = effective_dof(gram_powers(lk, spacing))
-            count, _, fell_back = self._screen(lk, spacing)
+            full = effective_dof(gram_powers(lk, spacing), fraction)
+            count, _, fell_back = self._screen(lk, spacing, fraction)
             assert count == full, (lk, spacing)
             stood += not fell_back
         assert stood >= 0.75 * len(links)
@@ -524,19 +555,7 @@ class TestScreen:
         fraction = float(full.cumulative_fraction[effective_dof(full) - 1])
         count, screened, fell_back = self._screen(lk, spacing, fraction)
         assert screened is not None and fell_back and count == effective_dof(full, fraction)
-        sweep = {"parameter": "theta_R", "start": np.pi, "stop": np.pi, "steps": 1}
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({
-            "L_T_m": 0.2, "L_R_m": 5.0, "theta_T": 0.0, "x0_m": 10.0, "y0_m": 0.0,
-            "frequency_hz": F, "svd_threshold": fraction, "sweep": sweep}))
-        written = []
-        for name in ("screened", "full"):
-            out = tmp_path / f"{name}.csv"
-            assert cli.main(["svd-compare", "--config", str(cfg), "--out", str(out)]) == 0
-            written.append(out.read_bytes())
-            monkeypatch.setattr(svd_oracle, "_count", lambda lk, sp, f, m: effective_dof(
-                gram_powers(lk, sp), f))
-        assert written[0] == written[1]
+        assert_writes_the_full_grid_count(monkeypatch, tmp_path, fraction)
 
     def test_one_gridding_per_counted_step(self, monkeypatch):
         """A sweep through a near-tie step, which falls back to the whole
@@ -580,3 +599,73 @@ class TestScreen:
             svd_oracle._count(link(), 0.6 * LAMBDA, 0.96, 10)
         with pytest.raises(ValueError, match="a 5000000001 x 200000001 channel matrix"):
             svd_oracle._count(link(), 1e-9, 0.96, 10)
+
+
+# the relative error of an entry with float32 phases, at most: 2^-23 from
+# rounding a phase in [-pi, pi] to float32, and 1.5 float32 ulps below 1
+# (1.5 2^-24) in each of its cos and sin
+EPS = 2.0 ** -23 + np.hypot(1.5, 1.5) * 2.0 ** -24
+
+
+def tiers(lk, spacing, fraction):
+    """(count, the phase dtypes of the whole-grid counts in call order) of
+    ``_count`` on ``lk``: [] where the screen stood."""
+    called, real = [], svd_oracle._gram_powers
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svd_oracle, "_gram_powers", lambda *a: called.append(
+            a[3] if len(a) > 3 else np.float64) or real(*a))
+        count = svd_oracle._count(lk, spacing, fraction, dof(lk).m_int)
+    return count, called
+
+
+class TestPrecisionTiers:
+    """``_count`` screens and first counts the grid with float32 phases;
+    the grid with double phases decides only near a tie."""
+
+    def test_entries_within_the_bound(self):
+        """Each entry with float32 phases is within a relative ``EPS`` of
+        the double one, over phases of up to 4e4 rad."""
+        worst = 0.0
+        for lk, spacing in stress_links(12, seed=5):
+            _, (_, tx), (_, rx) = svd_oracle._grids(lk, spacing)
+            single, double = (np.empty((2, rx[0].size, tx[0].size)) for _ in range(2))
+            k = 2.0 * np.pi / lk.wavelength
+            svd_oracle._green(k, rx, tx, *single, np.float32)
+            svd_oracle._green(k, rx, tx, *double)
+            error = np.hypot(*(single - double)) / np.hypot(*double)
+            worst = max(worst, error.max())
+        assert 1e-8 < worst <= EPS
+
+    def test_fallback_shares_agree(self):
+        """On the grids the screen hands on, the running shares with float32
+        and with double phases agree within 1e-7; the margin is at least
+        ten times the bound 4 eps on their gap (``_count``'s docstring)."""
+        assert svd_oracle._EXACT_MARGIN >= 10 * 4 * EPS
+        fallbacks = 0
+        for lk, spacing in stress_links(96):
+            _, called = tiers(lk, spacing, 0.96)
+            if called:
+                fallbacks += 1
+                single = gram_powers(lk, spacing, np.float32).cumulative_fraction
+                double = gram_powers(lk, spacing).cumulative_fraction
+                assert np.abs(single - double).max() < 1e-7
+        assert fallbacks >= 5
+
+    def test_single_grid_stands_clear_of_the_fraction(self):
+        """Arrays too near for the screen count on the float32 grid alone
+        where no running share comes near the fraction."""
+        lk, spacing = make_link(0.2, 2.0, 0.0, -np.pi / 2, 0.5, 0.101, frequency=F), LAMBDA / 2
+        count, called = tiers(lk, spacing, 0.96)
+        assert (count, called) == (effective_dof(gram_powers(lk, spacing), 0.96), [np.float32])
+
+    def test_near_tie_goes_to_the_double_grid(self, monkeypatch, tmp_path):
+        """A fraction at a running share of the float32 grid: the screen
+        and the float32 grid hand the count on, the double grid counts, and
+        ``svd-compare`` writes that count's file."""
+        lk, spacing = link(), LAMBDA / 4
+        single = gram_powers(lk, spacing, np.float32)
+        fraction = float(single.cumulative_fraction[effective_dof(single) - 1])
+        count, called = tiers(lk, spacing, fraction)
+        assert called == [np.float32, np.float64]
+        assert count == effective_dof(gram_powers(lk, spacing), fraction)
+        assert_writes_the_full_grid_count(monkeypatch, tmp_path, fraction)
