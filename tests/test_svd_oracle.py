@@ -294,13 +294,13 @@ def count_link(n_rows, n_cols):
     return lk
 
 
-def gram_powers(lk, spacing=None, *dtype):
+def gram_powers(lk, spacing=None, dtype=np.float64):
     """The whole grid's spectrum of ``lk`` at ``spacing``: ``_gram_powers``
     on the grids that ``_count`` builds, the longer side along the rows,
-    with the phases in ``dtype`` if given."""
+    with the phases in ``dtype``."""
     _, (_, tx), (_, rx) = svd_oracle._grids(lk, spacing)
     grid, cols = (rx, tx) if rx[0].size >= tx[0].size else (tx, rx)
-    return svd_oracle._gram_powers(2.0 * np.pi / lk.wavelength, grid, cols, *dtype)
+    return svd_oracle._gram_powers(2.0 * np.pi / lk.wavelength, grid, cols, dtype)
 
 
 def assert_count_matches_svd(lk, spacing=None):
