@@ -11,6 +11,8 @@ four scenarios, each in CSV and in JSON; ``svd-compare`` over 181 theta_R
 steps about facing at fractions 0.9, 0.99 and at a tie with a running
 share, and at lambda/2 (CSV), which cross the screen, the float32 grid
 and the double grid; the caps of ``stats``, ``kernel-scan`` and ``sweep``
+(CSV); ``stats`` in the full-visibility and conditional scenarios at
+draw counts about the Monte Carlo chunk of 2^15 and at both of its caps
 (CSV); the refusals of CI's console-script step; and the Monte Carlo
 commands (the 10^7-draw ``stats`` caps, fig9a, fig9b, fig10) on one CPU
 and on all.  Each command is a fresh ``python -m nfdof.cli`` process that
@@ -56,6 +58,9 @@ SVD_FACING = {"0.9": {"svd_threshold": 0.9}, "0.99": {"svd_threshold": 0.99},
 MC_CAPS = {"mc_full": {"scenario": "full-visibility", "mc_samples": 10 ** 7},
            "mc_conditional": {"scenario": "conditional-on-x0", "x0": 10.0,
                               "mc_samples": 10 ** 7}}
+# Monte Carlo draw counts: below one chunk of 2^15, either side of it, and
+# a last chunk of 3,139 draws
+MC_DRAWS = (10_000, 32_767, 32_769, 200_003)
 
 
 def commands():
@@ -92,6 +97,11 @@ def commands():
     add("cap_kernel_scan.csv", ["kernel-scan"], {"n_samples": 10 ** 6})
     add("cap_sweep.csv", ["sweep"], {"sweep": {
         "parameter": "theta_T", "start": -3.14, "stop": 3.14, "steps": 10 ** 6}})
+    for name in ("full", "conditional"):
+        for n in MC_DRAWS:
+            add(f"mc_{name}_{n}.csv", ["stats"], {"stats": {**SCENARIOS[name], "mc_samples": n}})
+        add(f"cap_mc_{name}_both.csv", ["stats"], {"stats": {
+            **SCENARIOS[name], "grid_points": 10 ** 5, "mc_samples": 10 ** 7}})
     for cpus in ("one", "all"):
         for name, section in MC_CAPS.items():
             add(f"{name}_{cpus}.csv", ["stats"], {"stats": section}, cpus)

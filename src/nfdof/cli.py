@@ -23,8 +23,8 @@ and lists joined by ``;``.  JSON output is a list of records, NaN as null.
 
 ``main`` builds its argument parser once per process and may be called
 repeatedly in one process.  A command runs only the module bodies it uses
-(see ``nfdof``): ``dof`` and ``sweep`` run ``geometry``, ``dof_core`` and
-``figures``; ``kernel-scan`` and ``svd-compare`` add ``numerics`` and
+(see ``nfdof``): ``dof`` runs ``geometry`` and ``dof_core``, and ``sweep``
+adds ``figures``; ``kernel-scan`` and ``svd-compare`` add ``numerics`` and
 ``kernel`` or ``svd_oracle``; ``stats`` runs ``figures``, ``statistics``
 and ``numerics``; ``figure`` runs what its recipe's loop uses.
 
@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__, dof_core, figures, geometry
 from . import statistics as stats
 from .constants import (DEFAULT_SUM_RULE_FRACTION, FULL_VISIBILITY, MIN_MC_SAMPLES,
-                        MIN_SCAN_SAMPLES, SCENARIOS)
+                        MIN_SCAN_SAMPLES, SCENARIOS, link_params)
 
 SWEEPABLE = ("theta_T", "theta_R", "x0", "y0", "L_T", "L_R", "frequency")
 # the config fields that ``stats`` reads and its manifest records, so that
@@ -239,7 +239,7 @@ def _manifest(command, **record):
 
 
 def cmd_dof(cfg, args):
-    res = dof_core.dof(geometry.make_link(**figures.link_params(cfg)))
+    res = dof_core.dof(geometry.make_link(**link_params(cfg)))
     report = {
         **asdict(res.visibility),
         "a_plus": res.a_plus, "a_minus": res.a_minus, "a_zero": res.a_zero,
@@ -278,18 +278,18 @@ def _write_rows(command, rows, args, **fields):
 
 def cmd_sweep(cfg, args):
     return _write_rows("sweep", figures.sweep_rows(
-        figures.link_params(cfg), *_sweep_values(cfg)), args, parameters=cfg)
+        link_params(cfg), *_sweep_values(cfg)), args, parameters=cfg)
 
 
 def cmd_svd_compare(cfg, args):
     return _write_rows("svd-compare", figures.svd_compare_rows(
-        figures.link_params(cfg), *_sweep_values(cfg), cfg["svd_spacing"],
+        link_params(cfg), *_sweep_values(cfg), cfg["svd_spacing"],
         cfg["svd_threshold"]), args, parameters=cfg, threshold=cfg["svd_threshold"])
 
 
 def cmd_kernel_scan(cfg, args):
     return _write_rows("kernel-scan", figures.kernel_scan_rows(
-        figures.link_params(cfg), cfg["zeta_ref"], cfg["n_samples"]), args,
+        link_params(cfg), cfg["zeta_ref"], cfg["n_samples"]), args,
         parameters=cfg)
 
 

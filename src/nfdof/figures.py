@@ -22,24 +22,12 @@ import numpy as np
 from . import dof_core, geometry, kernel, svd_oracle
 from . import statistics as stats
 from .constants import (CONDITIONAL_ON_X0, DEFAULT_SUM_RULE_FRACTION, FULL_VISIBILITY,
-                        PARTIAL_R_PLUS)
+                        PARTIAL_R_PLUS, link_params)
 
 __all__ = [
-    "FIGURES", "FIGURE_IDS", "figure_rows", "link_params",
+    "FIGURES", "FIGURE_IDS", "figure_rows",
     "sweep_rows", "svd_compare_rows", "kernel_scan_rows", "curve_rows",
 ]
-
-# (binding name as in the CLI's DOMAINS, make_link keyword)
-_LINK_KEYS = (("L_T_m", "L_T"), ("L_R_m", "L_R"), ("theta_T", "theta_T"),
-              ("theta_R", "theta_R"), ("x0_m", "x0"), ("y0_m", "y0"),
-              ("frequency_hz", "frequency"))
-
-
-def link_params(bindings):
-    """``make_link`` keywords from bindings named like the CLI's
-    ``DOMAINS`` fields; absent bindings (a swept one) are left out."""
-    return {kw: bindings[name] for name, kw in _LINK_KEYS if name in bindings}
-
 
 def _dof_sweep(link, **swept):
     """Links and their ``dof_arrays`` in one call, of ``link`` with the

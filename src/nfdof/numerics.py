@@ -195,9 +195,9 @@ def sample_stream(seed, substream=0):
 
 def usable_cpus():
     """CPUs this process may run on: its affinity set where the platform
-    has one, else every CPU of the machine.  The Monte Carlo chunks of
-    ``statistics.monte_carlo`` and ``statistics.ccdf`` run on one thread
-    per CPU counted here."""
+    has one, else every CPU of the machine.  The Monte Carlo runner
+    ``statistics._chunked`` draws its chunks on one thread per CPU
+    counted here."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

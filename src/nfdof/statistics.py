@@ -43,15 +43,15 @@ process (a forked child makes its own).  Each pool thread writes every
 chunk into one set of chunk-sized buffers that it keeps, about 2.5 MB,
 so a call allocates no chunk-sized array and faults no pages in.  Each chunk
 jumps straight to its own positions of the one counter-based Philox
-stream, so the draws are the same bits on any CPU count, and ``ccdf``
-counts each chunk on the thread that drew it.
+stream, so the draws are the same bits on any CPU count, and the runner
+counts each chunk on the thread that drew it, into the counts it returns.
 A recipe's curves (several radii, or several fixed x0 and L_R, at one
 seed and draw count) open the same stream, so they share each chunk's
 draws: the chunk draws its uniforms once for all of them, and each curve
 is bitwise its own ``ccdf``.
 With x0 fixed, a chunk sorts its theta_T uniforms: each branch is then a
 slice, and mu is monotone up to rounding on at most five pieces, which
-``ccdf`` counts by binary search after a one-pass order check (a piece
+the runner counts by binary search after a one-pass order check (a piece
 that fails is sorted), so its counts are those of one sort of the draws.
 Its vectorized branch evaluator runs each formula on its own branch's
 draws only; ``tests/test_statistics.py`` replays the draws through the
@@ -77,7 +77,7 @@ __all__ = [
     "PARTIAL_R_PLUS", "PARTIAL_R_MINUS", "FULL_VISIBILITY", "CONDITIONAL_ON_X0",
     "SCENARIOS", "MIN_MC_SAMPLES", "ScenarioConfig", "DistributionCurve",
     "pdf", "pov", "ccdf", "monte_carlo", "excess_dof_branches",
-    "empirical_ccdf", "visibility_fraction", "branch_interval",
+    "empirical_ccdf",
 ]
 
 
@@ -316,19 +316,14 @@ def _thresholds(mu):
 def pov(x0, L_R):
     """Probability that the receive array is at least partially visible:
     1/2 + arctan(L_R / 2 x0) / pi; a float for scalars, an array of the
-    broadcast shape for arrays."""
-    _check_placement(x0, L_R)
-    v_total = _mixture_weights(x0, L_R)[2]
-    return float(v_total) if np.ndim(v_total) == 0 else v_total
-
-
-def _check_placement(x0, L_R):
-    """Refuse an axis distance, then a receive length, that is not
-    positive and finite."""
+    broadcast shape for arrays.  An axis distance, then a receive length,
+    that is not positive and finite is refused."""
     if not np.all(np.isfinite(x0) & np.greater(x0, 0.0)):
         raise ValueError("x0 must be positive")
     if not np.all(np.isfinite(L_R) & np.greater(L_R, 0.0)):
         raise ValueError("L_R must be positive and finite")
+    v_total = _mixture_weights(x0, L_R)[2]
+    return float(v_total) if np.ndim(v_total) == 0 else v_total
 
 
 def _mixture_weights(x0, L_R):
@@ -355,26 +350,15 @@ def _edge(a, sign, offset, out=None):
     return np.add(np.negative(a, out=out) if sign < 0 else a, offset, out=out)
 
 
-def branch_interval(x0, L_R, scenario):
-    """theta_T interval (lo, hi) of the scenario's visibility branch."""
-    if scenario not in _BRANCHES:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    _check_placement(x0, L_R)
-    a = _half_angle(x0, L_R)
-    return tuple(_edge(a, *edge) for edge in _BRANCHES[scenario])
-
-
 def excess_dof_branches(x0, theta_T, L_R, C):
     """Vectorized mu over the three visibility branches (axis-aligned
     deployment family), the endpoint ones open and the full one closed.
     Returns (mu, in_rplus, in_full, in_rminus); mu = 0 outside them."""
     x0, theta_T = np.asarray(x0, dtype=float), np.asarray(theta_T, dtype=float)
     shape = np.broadcast_shapes(x0.shape, theta_T.shape)
-    a = _half_angle(x0, L_R)
-    if np.ndim(a):
-        a = np.broadcast_to(a, shape).ravel()
     buf = _Buffers(shape)
-    _excess_dof(a, np.broadcast_to(theta_T, shape).ravel(), C, buf)
+    _excess_dof(np.broadcast_to(_half_angle(x0, L_R), shape).reshape(-1),
+                np.broadcast_to(theta_T, shape).reshape(-1), C, buf)
     if not shape:                     # scalars: a 0-d mu and numpy-bool masks
         return (buf.mu,) + tuple(b[()] for b in buf.masks[:3])
     return (buf.mu,) + buf.masks[:3]
@@ -399,31 +383,31 @@ _WRITTEN = ((PARTIAL_R_PLUS, False), (FULL_VISIBILITY, True), (PARTIAL_R_MINUS, 
 
 
 def _excess_dof(a, theta_T, C, buf):
-    """``excess_dof_branches`` of the k flat theta_T at the half angle a,
-    an array as long or a scalar (whose edges and sin(a) are then taken
-    once), written into the first k of each of ``buf``'s arrays; returns
-    the views of mu and the three masks.  Each formula runs on its own
-    branch's draws, gathered into ``buf``, written r-plus, full, r-minus,
-    so a later branch wins where two meet."""
-    k, scalar = theta_T.size, np.ndim(a) == 0
+    """``excess_dof_branches`` of the k flat theta_T at the k flat half
+    angles a (a broadcast one for a fixed x0, whose sines and edges are
+    then the scalar's bits), written into the first k of each of
+    ``buf``'s arrays; returns the views of mu and the three masks.  Each
+    formula runs on its own branch's draws, gathered into ``buf``,
+    written r-plus, full, r-minus, so a later branch wins where two meet."""
+    k = theta_T.size
     mu, edge, cut = (v.reshape(-1)[:k] for v in (buf.mu, buf.edge, buf.masks[3]))
     masks = []
     for (scenario, closed), b in zip(_WRITTEN, buf.masks):
         b = b.reshape(-1)[:k]
         lo, hi = _BRANCHES[scenario]
         above, below = (np.greater_equal, np.less_equal) if closed else (np.greater, np.less)
-        above(theta_T, _edge(a, *lo, out=None if scalar else edge), out=b)
-        below(theta_T, _edge(a, *hi, out=None if scalar else edge), out=cut)
+        above(theta_T, _edge(a, *lo, out=edge), out=b)
+        below(theta_T, _edge(a, *hi, out=edge), out=cut)
         masks.append(np.logical_and(b, cut, out=b))
     b_plus, b_full, b_minus = masks
 
     def gather(b):
-        """The indices of branch b, and theta_T and a on it, a left whole
-        if scalar (``clip`` only keeps ``take`` from buffering its output:
-        every index is in range)."""
+        """The indices of branch b, and theta_T and a on it (``clip`` only
+        keeps ``take`` from buffering its output: every index is in
+        range)."""
         at = np.flatnonzero(b)
         t = np.take(theta_T, at, out=buf.t.reshape(-1)[:at.size], mode="clip")
-        x = a if scalar else np.take(a, at, out=buf.x.reshape(-1)[:at.size], mode="clip")
+        x = np.take(a, at, out=buf.x.reshape(-1)[:at.size], mode="clip")
         return at, t, x
 
     mu.fill(0.0)
@@ -431,8 +415,7 @@ def _excess_dof(a, theta_T, C, buf):
     v = np.add(t, x, out=t)
     mu[at] = np.multiply(C, np.add(1.0, np.sin(v, out=v), out=v), out=v)
     at, t, x = gather(b_full)                    # 2 C sin(a) cos(theta_T)
-    keep = None if scalar else x
-    x = np.multiply(2.0 * C, np.sin(x, out=keep), out=keep)
+    x = np.multiply(2.0 * C, np.sin(x, out=x), out=x)
     mu[at] = np.multiply(x, np.cos(t, out=t), out=t)
     at, t, x = gather(b_minus)                   # C (1 + sin(a - theta_T))
     v = np.subtract(x, t, out=t)
@@ -517,23 +500,20 @@ if hasattr(os, "register_at_fork"):
 _local = threading.local()
 
 
-def _chunked(cfgs, n, seed, each):
-    """Call ``each(i, start, mu, pieces)`` on every chunk of the n draws of
-    every config ``cfgs[i]``, on at most one thread per CPU and per chunk:
-    mu views the chunk's draws (2^15 or the rest; with x0 fixed, in
-    ascending theta_T, not stream order), and its (slice, falling) pieces
-    cover it, mu rising on each, or falling, up to rounding (``falling``
-    None: no known order, the whole chunk with x0 drawn from the disk).
-    ``each`` may sort mu in place; it runs on the thread that drew its
-    chunk and keeps its result in place.  A chunk's exception, the first
-    in chunk order, is raised here.  ``each`` must not call ``_chunked``:
-    its chunks would wait for the threads that wait for them.
+def _chunked(cfgs, n, seed, grid):
+    """How many of the n draws of every config ``cfgs[i]`` are <= each
+    threshold of the ascending ``grid``, as counts of shape (configs,
+    thresholds).  The draws come in chunks of 2^15 (or the rest), on at
+    most one thread per CPU and per chunk; each chunk is counted on the
+    thread that drew it and added, under a lock, into the one array
+    returned, which does not grow with the chunks.  A chunk's exception,
+    the first in chunk order, is raised here.
 
     The threads are those of the pool of one thread per CPU (``_pool``),
     kept for the process, each with one set of chunk buffers
     (``_Buffers``, 9 float and 4 bool arrays of 2^15, 2.5 MB) made on its
     first chunk: every chunk is written into them, so a call allocates no
-    chunk-sized array; once mu is made, its bool arrays are free for ``each``.
+    chunk-sized array; once mu is made, a bool array holds the order check.
 
     The configs are one family: they share the seed and n, and either all
     draw x0 from the disk or all fix it, so every config reads the same
@@ -541,7 +521,9 @@ def _chunked(cfgs, n, seed, each):
     also takes sqrt(u) and cos(2 pi v) once; then, config by config in
     order, it scales them to the config's x0 and theta_T.  With x0 fixed it
     first sorts the theta_T uniforms, once for the family, so each branch
-    is one slice (``_sorted_excess_dof``): no masks, gathers or scatter.
+    is one slice (``_sorted_excess_dof``): no masks, gathers or scatter,
+    and mu is monotone up to rounding on each piece; with x0 drawn, mu is
+    one piece of no known order, which is sorted (``_piece_counts``).
     Each chunk jumps to its own positions of the one stream, opened once,
     here: the draws are the same bits on any CPU count and in any family,
     and the threads call no public function.  Every module that a chunk
@@ -555,6 +537,7 @@ def _chunked(cfgs, n, seed, each):
                          "for every curve or fixes it for every curve")
     fixed, n = fixed.pop(), int(n)
     state = sample_stream(seed, 0).bit_generator.state["state"]
+    le, lock = np.zeros((len(cfgs), grid.size), np.intp), threading.Lock()
 
     def chunk(start):
         """Draws [start, start + k): the radius, angle and theta_T
@@ -584,10 +567,15 @@ def _chunked(cfgs, n, seed, each):
             width = np.subtract(hi, lo, out=spare[1])
             theta_T = np.multiply(u, width, out=buf.theta[:k])
             theta_T += lo
-            each(i, start, *(_sorted_excess_dof(a, theta_T, cfg.C, buf) if fixed else
-                             (_excess_dof(a, theta_T, cfg.C, buf)[0], ((slice(0, k), None),))))
+            mu, pieces = (_sorted_excess_dof(a, theta_T, cfg.C, buf) if fixed else
+                          (_excess_dof(a, theta_T, cfg.C, buf)[0], ((slice(0, k), None),)))
+            counts = sum(_piece_counts(mu[s], falling, grid, buf.masks[0])
+                         for s, falling in pieces)
+            with lock:
+                np.add(le[i], counts, out=le[i])
 
     list(_pool(usable_cpus()).map(chunk, range(0, n, _CHUNK)))
+    return le
 
 
 def monte_carlo(cfg: ScenarioConfig, n, seed=0):
@@ -611,7 +599,7 @@ def monte_carlo(cfg: ScenarioConfig, n, seed=0):
     a = _half_angle(x0, cfg.L_R)
     lo, hi = (_edge(a, *edge) for edge in _BRANCHES[cfg.scenario])
     theta_T = rng.random(n) * (hi - lo) + lo
-    return _excess_dof(a, theta_T, cfg.C, _Buffers(n))[0]
+    return _excess_dof(np.broadcast_to(a, n), theta_T, cfg.C, _Buffers(n))[0]
 
 
 def empirical_ccdf(samples, grid):
@@ -622,18 +610,6 @@ def empirical_ccdf(samples, grid):
         raise ValueError("samples must not be empty")
     grid = np.asarray(grid, dtype=float)
     return 1.0 - np.searchsorted(s, grid, side="right") / len(s)
-
-
-def visibility_fraction(x0, L_R, n, seed=0):
-    """Monte Carlo estimate of the visibility probability at fixed x0
-    with a globally uniform theta_T (cross-check for ``pov``) from ``n``
-    >= 1 draws."""
-    if not n >= 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    rng = sample_stream(seed, 1)
-    theta_T = -np.pi + 2.0 * np.pi * rng.random(int(n))
-    lo, hi = branch_interval(x0, L_R, CONDITIONAL_ON_X0)
-    return float(np.mean((theta_T > lo) & (theta_T < hi)))
 
 
 def ccdf(cfg: ScenarioConfig, grid, mc_samples=0, seed=0) -> DistributionCurve:
@@ -650,8 +626,8 @@ def ccdf(cfg: ScenarioConfig, grid, mc_samples=0, seed=0) -> DistributionCurve:
 
 def _ccdfs(cfgs, grid, mc_samples, seed):
     """``ccdf`` of every config of one ``_chunked`` family on one grid, the
-    Monte Carlo overlays counted on the family's shared draws; curve i is
-    bitwise ``ccdf(cfgs[i], grid, mc_samples, seed)``."""
+    Monte Carlo overlays made of the runner's counts on the family's shared
+    draws; curve i is bitwise ``ccdf(cfgs[i], grid, mc_samples, seed)``."""
     grid = _thresholds(grid)
     if grid.ndim != 1:
         raise ValueError(f"threshold grid must be one-dimensional, got shape {grid.shape}")
@@ -669,15 +645,7 @@ def _ccdfs(cfgs, grid, mc_samples, seed):
         analytic.append((pdf_, cc, nodes, err))
     mc = [None] * len(cfgs)
     if mc_samples:
-        le, lock = np.zeros((len(cfgs), grid.size), np.intp), threading.Lock()
-
-        def count(i, start, mu, pieces):
-            order = _local.buf.masks[0]   # the drawing thread's, free once mu is made
-            c = sum(_piece_counts(mu[s], falling, grid, order) for s, falling in pieces)
-            with lock:
-                np.add(le[i], c, out=le[i])
-        _chunked(cfgs, mc_samples, seed, count)
-        mc = 1.0 - le / int(mc_samples)
+        mc = 1.0 - _chunked(cfgs, mc_samples, seed, grid) / int(mc_samples)
     return [DistributionCurve(grid=grid, pdf=pdf_, ccdf=cc, mc_ccdf=overlay,
                               quadrature_nodes=nodes, abs_error_estimate=err)
             for (pdf_, cc, nodes, err), overlay in zip(analytic, mc)]

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from branch_oracle import visibility_fraction
 from nfdof import statistics as stats
 from nfdof.cli import main
 from nfdof.dof_core import (
@@ -259,7 +260,7 @@ def test_criterion_9_visibility_probability():
             analytic = stats.pov(x0, L_R)
             # pinned stream; the bound is ~2 binomial standard deviations,
             # so it holds for this seed, not for every seed
-            mc = stats.visibility_fraction(x0, L_R, 1_000_000, seed=0)
+            mc = visibility_fraction(x0, L_R, 1_000_000, seed=0)
             worst = max(worst, abs(analytic - mc))
     xs = np.linspace(1.0, 50.0, 25)
     mono_x = all(stats.pov(a, 5.0) > stats.pov(b, 5.0)

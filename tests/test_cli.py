@@ -17,7 +17,7 @@ from nfdof import cli, figures, svd_oracle
 from nfdof import statistics as stats
 from nfdof.cli import (DOMAINS, MAX_GRID_POINTS, MAX_MC_SAMPLES, MAX_SCAN_SAMPLES,
                        MAX_SWEEP_STEPS, REQUIRED, main)
-from nfdof.constants import wavelength_from_frequency
+from nfdof.constants import link_params, wavelength_from_frequency
 from nfdof.figures import FIGURES, curve_rows
 
 
@@ -741,7 +741,7 @@ class TestFigureParity:
         bitwise on every column, and as CSV text."""
         p = FIGURES["fig8"][1]
         header, columns, record = figures.figure_rows("fig8")
-        blocks = [figures.sweep_rows(figures.link_params({**p, "x0_m": ratio * p["L_R_m"]}),
+        blocks = [figures.sweep_rows(link_params({**p, "x0_m": ratio * p["L_R_m"]}),
                                      "theta_R", figures._grid(p["theta_R_sweep"]))
                   for ratio in p["x0_over_LR"]]
         assert header == ["x0_over_LR"] + blocks[0][0] and record == {}
@@ -1053,18 +1053,18 @@ class TestImports:
                "{}; print(sorted(os.path.basename(f)[:-3] for f in ran "
                "if os.path.basename(os.path.dirname(f)) == 'nfdof'))")
 
-    @pytest.mark.parametrize("command, config", [
-        (["dof"], None),
-        (["sweep"], {"sweep": {"parameter": "x0", "start": -20, "stop": 20, "steps": 721}}),
+    @pytest.mark.parametrize("command, config, bodies", [
+        (["dof"], None, ['__init__', 'cli', 'constants', 'dof_core', 'geometry']),
+        (["sweep"], {"sweep": {"parameter": "x0", "start": -20, "stop": 20, "steps": 721}},
+         ['__init__', 'cli', 'constants', 'dof_core', 'figures', 'geometry']),
     ], ids=["dof", "sweep"])
-    def test_link_commands_run_only_the_link_core(self, tmp_path, command, config):
-        """``dof`` and ``sweep`` run the bodies of the CLI, the constants,
-        the link core and the figure loops, and none of ``statistics``,
-        ``kernel``, ``svd_oracle`` or ``numerics``."""
+    def test_link_commands_run_only_the_link_core(self, tmp_path, command, config, bodies):
+        """``dof`` and ``sweep`` run the bodies of the CLI, the constants
+        and the link core, ``sweep`` also the figure loops, and neither
+        runs ``statistics``, ``kernel``, ``svd_oracle`` or ``numerics``."""
         argv = [*command, *_config_args(tmp_path, config), "--out", str(tmp_path / "out")]
         entry = self._BODIES.format("from nfdof.cli import main; assert main() == 0")
-        assert _fresh_process(argv, entry) == (
-            0, "['__init__', 'cli', 'constants', 'dof_core', 'figures', 'geometry']\n", "")
+        assert _fresh_process(argv, entry) == (0, f"{bodies}\n", "")
 
     def test_stats_runs_no_link_module(self, tmp_path):
         """``stats`` runs none of ``geometry``, ``dof_core``, ``kernel`` or
