@@ -11,13 +11,13 @@ four scenarios, each in CSV and in JSON; ``svd-compare`` over 181 theta_R
 steps about facing at fractions 0.9, 0.99 and at a tie with a running
 share, and at lambda/2 (CSV), which cross the screen, the float32 grid
 and the double grid; the caps of ``stats``, ``kernel-scan`` and ``sweep``
-(CSV); ``stats`` in the full-visibility and conditional scenarios at
-draw counts about the Monte Carlo chunk of 2^15 and at both of its caps
-(CSV); the refusals of CI's console-script step; and the Monte Carlo
-commands (the 10^7-draw ``stats`` caps, fig9a, fig9b, fig10) on one CPU
-and on all.  Each command is a fresh ``python -m nfdof.cli`` process that
-imports ``nfdof`` from the checkout's ``src``, with one BLAS thread.  It
-leaves its output file and manifest, if any, and ``<name>.stdout``,
+(CSV); ``stats`` in all four scenarios at draw counts about the Monte
+Carlo chunk of 2^15 and at both of its caps (CSV); the refusals of CI's
+console-script step; and the Monte Carlo commands (the 10^7-draw
+``stats`` caps, fig9a, fig9b, fig10) on one CPU and on all.  Each
+command is a fresh ``python -m nfdof.cli`` process that imports
+``nfdof`` from the checkout's ``src``, with one BLAS thread.  It leaves
+its output file and manifest, if any, and ``<name>.stdout``,
 ``<name>.stderr`` and ``<name>.exit``.
 
 Usage:
@@ -97,7 +97,7 @@ def commands():
     add("cap_kernel_scan.csv", ["kernel-scan"], {"n_samples": 10 ** 6})
     add("cap_sweep.csv", ["sweep"], {"sweep": {
         "parameter": "theta_T", "start": -3.14, "stop": 3.14, "steps": 10 ** 6}})
-    for name in ("full", "conditional"):
+    for name in SCENARIOS:
         for n in MC_DRAWS:
             add(f"mc_{name}_{n}.csv", ["stats"], {"stats": {**SCENARIOS[name], "mc_samples": n}})
         add(f"cap_mc_{name}_both.csv", ["stats"], {"stats": {

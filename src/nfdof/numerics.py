@@ -183,11 +183,12 @@ def sample_stream(seed, substream=0):
     Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
     distinct substreams are independent and any position of a stream
     can be reached directly: ``bit_generator.advance(k)`` skips k blocks
-    of four doubles.  The Monte Carlo chunks of ``statistics.monte_carlo``
-    and ``statistics.ccdf`` are drawn that way, and
-    ``tests/test_statistics.py`` checks that the draws do not depend on
-    how the work is split across threads: the chunks reproduce the
-    serial stream bit for bit, on one CPU and on four.
+    of four doubles.  The Monte Carlo chunks of ``statistics.ccdf`` each
+    jump to their own positions that way, while ``statistics.monte_carlo``
+    draws the stream in order, and ``tests/test_statistics.py`` checks
+    that the draws do not depend on how the work is split across threads:
+    the chunks reproduce the serial stream bit for bit, on one CPU and on
+    four.
     """
     ss = np.random.SeedSequence((int(seed), int(substream)))
     return np.random.Generator(np.random.Philox(ss))

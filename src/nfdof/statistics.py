@@ -40,7 +40,7 @@ Monte Carlo driven by the same branch structure cross-validates the
 analytic curves.  It draws in fixed chunks of 2^15 on one stock thread
 pool per CPU count, made on the first Monte Carlo call and kept for the
 process (a forked child makes its own).  Each pool thread writes every
-chunk into one set of chunk-sized buffers that it keeps, about 2.5 MB,
+chunk into one set of chunk-sized buffers that it keeps, about 1.9 MB,
 so a call allocates no chunk-sized array and faults no pages in.  Each chunk
 jumps straight to its own positions of the one counter-based Philox
 stream, so the draws are the same bits on any CPU count, and the runner
@@ -49,14 +49,17 @@ A recipe's curves (several radii, or several fixed x0 and L_R, at one
 seed and draw count) open the same stream, so they share each chunk's
 draws: the chunk draws its uniforms once for all of them, and each curve
 is bitwise its own ``ccdf``.
-With x0 fixed, a chunk sorts its theta_T uniforms: each branch is then a
-slice, and mu is monotone up to rounding on at most five pieces, which
-the runner counts by binary search after a one-pass order check (a piece
-that fails is sorted), so its counts are those of one sort of the draws.
-Its vectorized branch evaluator runs each formula on its own branch's
-draws only; ``tests/test_statistics.py`` replays the draws through the
-link engine ``dof_arrays``: they agree except where x0 <= (L_T / 2)
-|sin(theta_T)|, whose segments intersect, which the engine calls touching.
+Each branch formula is written once (``_branch_mu``) and runs on its own
+branch's draws only.  With x0 drawn from the disk, a chunk's theta_T sits
+on the scenario's own branch by construction, so the whole chunk is one
+formula, with no branch masks, gathers or scatter.  With x0 fixed, a
+chunk sorts its theta_T uniforms: each branch is then a slice, and mu is
+monotone up to rounding on at most five pieces, which the runner counts
+by binary search after a one-pass order check (a piece that fails is
+sorted), so its counts are those of one sort of the draws.
+``tests/test_statistics.py`` replays the draws through the link engine
+``dof_arrays``: they agree except where x0 <= (L_T / 2) |sin(theta_T)|,
+whose segments intersect, which the engine calls touching.
 """
 
 import functools
@@ -355,93 +358,68 @@ def excess_dof_branches(x0, theta_T, L_R, C):
     deployment family), the endpoint ones open and the full one closed.
     Returns (mu, in_rplus, in_full, in_rminus); mu = 0 outside them."""
     x0, theta_T = np.asarray(x0, dtype=float), np.asarray(theta_T, dtype=float)
-    shape = np.broadcast_shapes(x0.shape, theta_T.shape)
-    buf = _Buffers(shape)
-    _excess_dof(np.broadcast_to(_half_angle(x0, L_R), shape).reshape(-1),
-                np.broadcast_to(theta_T, shape).reshape(-1), C, buf)
-    if not shape:                     # scalars: a 0-d mu and numpy-bool masks
-        return (buf.mu,) + tuple(b[()] for b in buf.masks[:3])
-    return (buf.mu,) + buf.masks[:3]
+    a = _half_angle(x0, L_R)
+    a_all, t_all = np.broadcast_arrays(a, theta_T)
+    mu, masks = np.zeros(t_all.shape), []
+    for branch, closed in _WRITTEN:
+        lo, hi = (_edge(a, *e) for e in _BRANCHES[branch])
+        above, below = (np.greater_equal, np.less_equal) if closed else (np.greater, np.less)
+        b = above(theta_T, lo) & below(theta_T, hi)
+        t = t_all[b]
+        mu[b] = _branch_mu(branch, t, a_all[b], C, t)
+        masks.append(b)
+    return (mu, *masks)
 
 
-class _Buffers:
-    """Arrays of one shape: those ``_excess_dof`` writes (mu, one theta_T
-    edge, two branch gathers, the three branch masks and one more), and
-    those a Monte Carlo chunk draws into (its radius, angle and theta_T
-    uniforms, or sqrt(u) and cos(2 pi v) made of them, its half angle and
-    its theta_T)."""
-
-    def __init__(self, shape):
-        self.mu, self.edge, self.t, self.x = (np.empty(shape) for _ in range(4))
-        self.masks = tuple(np.empty(shape, bool) for _ in range(4))
-        self.s, self.c, self.u, self.a, self.theta = (np.empty(shape) for _ in range(5))
-
-
-# the branches in the order _excess_dof writes them, and whether their
-# edges belong to them
+# the branches in the order excess_dof_branches writes them, and whether
+# their edges belong to them
 _WRITTEN = ((PARTIAL_R_PLUS, False), (FULL_VISIBILITY, True), (PARTIAL_R_MINUS, False))
 
 
-def _excess_dof(a, theta_T, C, buf):
-    """``excess_dof_branches`` of the k flat theta_T at the k flat half
-    angles a (a broadcast one for a fixed x0, whose sines and edges are
-    then the scalar's bits), written into the first k of each of
-    ``buf``'s arrays; returns the views of mu and the three masks.  Each
-    formula runs on its own branch's draws, gathered into ``buf``,
-    written r-plus, full, r-minus, so a later branch wins where two meet."""
+def _branch_mu(branch, theta_T, a, C, out):
+    """mu on ``branch`` of the draws theta_T at the half angles a (a scalar
+    or an array like theta_T), built in ``out``, which may be theta_T: the
+    only place each branch's formula is written.  On full visibility an
+    array a is overwritten with 2 C sin(a).  Returns ``out``."""
+    if branch == FULL_VISIBILITY:                 # 2 C sin(a) cos(theta_T)
+        into = a if isinstance(a, np.ndarray) else None
+        scale = np.multiply(2.0 * C, np.sin(a, out=into), out=into)
+        return np.multiply(scale, np.cos(theta_T, out=out), out=out)
+    if branch == PARTIAL_R_PLUS:                  # C (1 + sin(theta_T + a))
+        v = np.add(theta_T, a, out=out)
+    else:                                         # C (1 + sin(a - theta_T))
+        v = np.subtract(a, theta_T, out=out)
+    return np.multiply(C, np.add(1.0, np.sin(v, out=v), out=v), out=v)
+
+
+class _Buffers:
+    """The arrays of one shape that a Monte Carlo chunk is written into:
+    its radius, angle and theta_T uniforms, or sqrt(u) and cos(2 pi v) made
+    of them, its half angle, one theta_T edge, its theta_T and mu, and the
+    bool order check of its counted pieces."""
+
+    def __init__(self, shape):
+        self.s, self.c, self.u, self.a, self.edge, self.theta, self.mu = (
+            np.empty(shape) for _ in range(7))
+        self.order = np.empty(shape, bool)
+
+
+def _sorted_excess_dof(a, theta_T, C, mu):
+    """``excess_dof_branches`` of an ascending theta_T at a scalar a, built
+    in ``mu``: each branch is the slice between its edges (ends as there),
+    evaluated by ``_branch_mu``, and the gaps are zeros.  Returns mu and its
+    non-empty (slice, falling) pieces, on each of which mu is monotone up
+    to rounding."""
     k = theta_T.size
-    mu, edge, cut = (v.reshape(-1)[:k] for v in (buf.mu, buf.edge, buf.masks[3]))
-    masks = []
-    for (scenario, closed), b in zip(_WRITTEN, buf.masks):
-        b = b.reshape(-1)[:k]
-        lo, hi = _BRANCHES[scenario]
-        above, below = (np.greater_equal, np.less_equal) if closed else (np.greater, np.less)
-        above(theta_T, _edge(a, *lo, out=edge), out=b)
-        below(theta_T, _edge(a, *hi, out=edge), out=cut)
-        masks.append(np.logical_and(b, cut, out=b))
-    b_plus, b_full, b_minus = masks
-
-    def gather(b):
-        """The indices of branch b, and theta_T and a on it (``clip`` only
-        keeps ``take`` from buffering its output: every index is in
-        range)."""
-        at = np.flatnonzero(b)
-        t = np.take(theta_T, at, out=buf.t.reshape(-1)[:at.size], mode="clip")
-        x = np.take(a, at, out=buf.x.reshape(-1)[:at.size], mode="clip")
-        return at, t, x
-
-    mu.fill(0.0)
-    at, t, x = gather(b_plus)                    # C (1 + sin(theta_T + a))
-    v = np.add(t, x, out=t)
-    mu[at] = np.multiply(C, np.add(1.0, np.sin(v, out=v), out=v), out=v)
-    at, t, x = gather(b_full)                    # 2 C sin(a) cos(theta_T)
-    x = np.multiply(2.0 * C, np.sin(x, out=x), out=x)
-    mu[at] = np.multiply(x, np.cos(t, out=t), out=t)
-    at, t, x = gather(b_minus)                   # C (1 + sin(a - theta_T))
-    v = np.subtract(x, t, out=t)
-    mu[at] = np.multiply(C, np.add(1.0, np.sin(v, out=v), out=v), out=v)
-    return mu, b_plus, b_full, b_minus
-
-
-def _sorted_excess_dof(a, theta_T, C, buf):
-    """``_excess_dof`` of an ascending theta_T at a scalar a, in buf.mu: each
-    branch is the slice between its edges (ends as there), through the same
-    ufunc calls, and the gaps are zeros.  Returns mu and its non-empty
-    (slice, falling) pieces, on each of which mu is monotone up to rounding."""
-    k = theta_T.size
-    mu = buf.mu[:k]
     # full runs from r-plus's hi edge to r-minus's lo edge
     edges = [_edge(a, *e) for s in (PARTIAL_R_PLUS, PARTIAL_R_MINUS) for e in _BRANCHES[s]]
     i1, i3 = np.searchsorted(theta_T, edges[0::2], "right")
     i2, i4 = np.searchsorted(theta_T, edges[1::2], "left")
     i1, i4 = min(i1, i2), max(i3, i4)    # an empty r-plus or r-minus leaves full whole
     mu[:i1] = mu[i4:] = 0.0
-    v = np.add(theta_T[i1:i2], a, out=mu[i1:i2])          # C (1 + sin(theta_T + a))
-    np.multiply(C, np.add(1.0, np.sin(v, out=v), out=v), out=v)
-    v = np.cos(theta_T[i2:i3], out=mu[i2:i3])             # 2 C sin(a) cos(theta_T)
-    np.multiply(np.multiply(2.0 * C, np.sin(a)), v, out=v)
-    v = np.subtract(a, theta_T[i3:i4], out=mu[i3:i4])     # C (1 + sin(a - theta_T))
-    np.multiply(C, np.add(1.0, np.sin(v, out=v), out=v), out=v)
+    for branch, lo, hi in ((PARTIAL_R_PLUS, i1, i2), (FULL_VISIBILITY, i2, i3),
+                           (PARTIAL_R_MINUS, i3, i4)):
+        _branch_mu(branch, theta_T[lo:hi], a, C, mu[lo:hi])
     top = i2 + np.searchsorted(theta_T[i2:i3], 0.0)
     return mu, tuple((slice(lo, hi), falling) for lo, hi, falling in (
         (0, i1, False), (i4, k, False), (i1, i2, False), (i2, top, False),
@@ -511,9 +489,9 @@ def _chunked(cfgs, n, seed, grid):
 
     The threads are those of the pool of one thread per CPU (``_pool``),
     kept for the process, each with one set of chunk buffers
-    (``_Buffers``, 9 float and 4 bool arrays of 2^15, 2.5 MB) made on its
+    (``_Buffers``, 7 float and 1 bool arrays of 2^15, 1.9 MB) made on its
     first chunk: every chunk is written into them, so a call allocates no
-    chunk-sized array; once mu is made, a bool array holds the order check.
+    chunk-sized array; the bool array holds the order check.
 
     The configs are one family: they share the seed and n, and either all
     draw x0 from the disk or all fix it, so every config reads the same
@@ -521,9 +499,12 @@ def _chunked(cfgs, n, seed, grid):
     also takes sqrt(u) and cos(2 pi v) once; then, config by config in
     order, it scales them to the config's x0 and theta_T.  With x0 fixed it
     first sorts the theta_T uniforms, once for the family, so each branch
-    is one slice (``_sorted_excess_dof``): no masks, gathers or scatter,
-    and mu is monotone up to rounding on each piece; with x0 drawn, mu is
-    one piece of no known order, which is sorted (``_piece_counts``).
+    is one slice (``_sorted_excess_dof``), and mu is monotone up to
+    rounding on each piece.  With x0 drawn, theta_T = lo + u (hi - lo) sits
+    on the config's own branch, so mu is that branch's formula over the
+    whole chunk (``_branch_mu``), one piece of no known order, which is
+    sorted (``_piece_counts``).  Neither path builds a branch mask, a
+    gather or a scatter.
     Each chunk jumps to its own positions of the one stream, opened once,
     here: the draws are the same bits on any CPU count and in any family,
     and the threads call no public function.  Every module that a chunk
@@ -567,9 +548,11 @@ def _chunked(cfgs, n, seed, grid):
             width = np.subtract(hi, lo, out=spare[1])
             theta_T = np.multiply(u, width, out=buf.theta[:k])
             theta_T += lo
-            mu, pieces = (_sorted_excess_dof(a, theta_T, cfg.C, buf) if fixed else
-                          (_excess_dof(a, theta_T, cfg.C, buf)[0], ((slice(0, k), None),)))
-            counts = sum(_piece_counts(mu[s], falling, grid, buf.masks[0])
+            # with x0 drawn, every theta_T lies on the config's own branch
+            mu, pieces = (_sorted_excess_dof(a, theta_T, cfg.C, buf.mu[:k]) if fixed else
+                          (_branch_mu(cfg.scenario, theta_T, a, cfg.C, buf.mu[:k]),
+                           ((slice(0, k), None),)))
+            counts = sum(_piece_counts(mu[s], falling, grid, buf.order)
                          for s, falling in pieces)
             with lock:
                 np.add(le[i], counts, out=le[i])
@@ -599,7 +582,7 @@ def monte_carlo(cfg: ScenarioConfig, n, seed=0):
     a = _half_angle(x0, cfg.L_R)
     lo, hi = (_edge(a, *edge) for edge in _BRANCHES[cfg.scenario])
     theta_T = rng.random(n) * (hi - lo) + lo
-    return _excess_dof(np.broadcast_to(a, n), theta_T, cfg.C, _Buffers(n))[0]
+    return excess_dof_branches(x0, theta_T, cfg.L_R, cfg.C)[0]
 
 
 def empirical_ccdf(samples, grid):

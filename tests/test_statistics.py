@@ -377,11 +377,71 @@ class TestBranchEvaluator:
         # the sorted path: the same mu on the ascending theta_T, whose
         # pieces cover it in order
         theta = np.sort(theta)
-        mu, pieces = stats._sorted_excess_dof(a, theta, C, stats._Buffers(theta.size))
+        mu, pieces = stats._sorted_excess_dof(a, theta, C, np.empty(theta.size))
         assert np.array_equal(mu, _where_branches(x0, theta, L_R, C)[0]), x0
         ends = sorted((s.start, s.stop) for s, _ in pieces)
         assert [e[0] for e in ends] == [0] + [e[1] for e in ends[:-1]], ends
         assert ends[-1][1] == theta.size, ends
+
+
+_BRANCH_ORDER = (PARTIAL_R_PLUS, FULL_VISIBILITY, PARTIAL_R_MINUS)
+
+
+class TestBranchMu:
+    """``_branch_mu``, the one place each branch's formula is written."""
+
+    @pytest.mark.parametrize("branch", _BRANCH_ORDER)
+    @pytest.mark.parametrize("x0", [0.3, 10.0, None])   # None: an array of x0
+    def test_matches_reference_inside_the_branch(self, branch, x0):
+        """Bit for bit ``_where_branches`` on draws strictly inside the
+        branch, with a scalar and with an array half angle: written into a
+        slice of a larger buffer, whose other entries and theta_T stay as
+        they were, and written over theta_T itself."""
+        rng = np.random.default_rng(5)
+        n, L_R, C = 10_000, 5.0, 20.0
+        x = rng.uniform(0.01, 100.0, n) if x0 is None else x0
+        a = np.arctan(L_R / (2.0 * x))
+        lo, hi = {PARTIAL_R_PLUS: (-a - np.pi / 2.0, a - np.pi / 2.0),
+                  FULL_VISIBILITY: (a - np.pi / 2.0, np.pi / 2.0 - a),
+                  PARTIAL_R_MINUS: (np.pi / 2.0 - a, np.pi / 2.0 + a)}[branch]
+        theta = lo + rng.uniform(0.01, 0.99, n) * (hi - lo)
+        want = _where_branches(x, theta, L_R, C)
+        assert want[1 + _BRANCH_ORDER.index(branch)].all()
+        kept, buf = theta.copy(), np.full(n + 10, np.nan)
+        stats._branch_mu(branch, theta, np.copy(a), C, buf[3:3 + n])
+        assert np.array_equal(buf[3:3 + n], want[0])
+        assert np.isnan(buf[:3]).all() and np.isnan(buf[3 + n:]).all()
+        assert np.array_equal(theta, kept)
+        assert stats._branch_mu(branch, theta, np.copy(a), C, theta) is theta
+        assert np.array_equal(theta, want[0])
+
+    @pytest.mark.parametrize("x0", [20.0 * 1e-12, 0.3, 10.0, 20.0, 1e6])
+    def test_edges(self, x0):
+        """A disk-drawn chunk takes its scenario's formula also on a draw
+        that rounds onto a branch edge or past it.  On each shared edge and
+        one ulp either side, the formulas that meet there agree with each
+        other and with 2C sin^2(a) to a few ulps of C; on the outer edges,
+        -a - pi/2 (r-plus) and pi/2 + a (r-minus), the formula is 0 up to
+        eps C."""
+        L_R, C = 5.0, 20.0
+        a = stats._half_angle(x0, L_R)
+        tol = 4 * np.spacing(C)
+
+        def mu(branch, edge):
+            e = stats._edge(a, *edge)
+            theta = np.array([np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)])
+            return stats._branch_mu(branch, theta, np.full(3, a), C, np.empty(3))
+
+        plus, full, minus = (stats._BRANCHES[b] for b in _BRANCH_ORDER)
+        assert plus[1] == full[0] and full[1] == minus[0]   # the shared edges
+        for (below, above), edge in (((PARTIAL_R_PLUS, FULL_VISIBILITY), plus[1]),
+                                     ((FULL_VISIBILITY, PARTIAL_R_MINUS), minus[0])):
+            low, high = mu(below, edge), mu(above, edge)
+            assert np.max(np.abs(low - high)) <= tol, (x0, low, high)
+            assert np.max(np.abs(low - 2.0 * C * np.sin(a) ** 2)) <= tol, (x0, low)
+        for branch, edge in ((PARTIAL_R_PLUS, plus[0]), (PARTIAL_R_MINUS, minus[1])):
+            got = mu(branch, edge)
+            assert np.max(np.abs(got)) <= np.finfo(float).eps * C, (x0, branch, got)
 
 
 class TestCcdfCurves:
