@@ -9,11 +9,12 @@ parameters at 721 steps, ``svd-compare`` over theta_R and over L_T,
 ``kernel-scan`` plain, rotated and with ``--deg``, and ``stats`` in all
 four scenarios, each in CSV and in JSON; ``svd-compare`` over 181 theta_R
 steps about facing at fractions 0.9, 0.99 and at a tie with a running
-share, and at lambda/2 (CSV), which cross the screen, the float32 grid
-and the double grid; the caps of ``stats``, ``kernel-scan`` and ``sweep``
-(CSV); ``stats`` in all four scenarios at draw counts about the Monte
-Carlo chunk of 2^15 and at both of its caps (CSV); the refusals of CI's
-console-script step; and the Monte Carlo commands (the 10^7-draw
+share, and at lambda/2, and over 141 x0 steps from 1 to 8 m at 0.96
+and 0.99 (CSV), which cross the screen's two rules and its proximity
+cut, the float32 grid and the double grid; the caps of ``stats``,
+``kernel-scan`` and ``sweep`` (CSV); ``stats`` in all four scenarios at
+draw counts about the Monte Carlo chunk of 2^15 and at both of its caps
+(CSV); the refusals of CI's console-script step; and the Monte Carlo commands (the 10^7-draw
 ``stats`` caps, fig9a, fig9b, fig10) on one CPU and on all.  Each
 command is a fresh ``python -m nfdof.cli`` process that imports
 ``nfdof`` from the checkout's ``src``, with one BLAS thread.  It leaves
@@ -55,6 +56,9 @@ FACING = {"parameter": "theta_R", "start": math.pi / 2, "stop": 1.5 * math.pi, "
 SVD_FACING = {"0.9": {"svd_threshold": 0.9}, "0.99": {"svd_threshold": 0.99},
               "tie": {"svd_threshold": 0.9685443605213178},
               "half_wavelength": {"svd_spacing": 0.005}}
+# svd-compare of the default link over x0 from 1 to 8 m: its steps cross the
+# screen's quarter-length proximity cut and its change of rule at a length
+NEAR = {"parameter": "x0", "start": 1.0, "stop": 8.0, "steps": 141}
 MC_CAPS = {"mc_full": {"scenario": "full-visibility", "mc_samples": 10 ** 7},
            "mc_conditional": {"scenario": "conditional-on-x0", "x0": 10.0,
                               "mc_samples": 10 ** 7}}
@@ -92,6 +96,9 @@ def commands():
             add(f"stats_{name}.{fmt}", ["stats"], {"stats": section}, fmt=fmt)
     for name, fields in SVD_FACING.items():
         add(f"svd_facing_{name}.csv", ["svd-compare"], {**fields, "sweep": FACING})
+    for fraction in (0.96, 0.99):
+        add(f"svd_near_{fraction}.csv", ["svd-compare"],
+            {"svd_threshold": fraction, "sweep": NEAR})
     add("cap_stats_grid.csv", ["stats"], {"stats": {
         "scenario": "full-visibility", "grid_points": 10 ** 5, "mc_samples": 0}})
     add("cap_kernel_scan.csv", ["kernel-scan"], {"n_samples": 10 ** 6})

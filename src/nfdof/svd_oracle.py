@@ -19,8 +19,9 @@ they may be off by orders of magnitude), so every caller that reports
 the spectrum itself builds H with ``channel_matrix`` and decomposes it
 with ``singular_spectrum``, the SVD, which is also the tests' oracle for
 the count.  ``_count`` decides each ``svd-compare`` count: it grids the
-step once, screens it on a Gauss rule over the longer side's cells, and
-hands the same grid to ``_gram_powers`` where the screen cannot decide.
+step once, screens it on a Gauss rule over the longer side's cells (two
+nodes per mode, four on arrays nearer than a length), and hands the same
+grid to ``_gram_powers`` where the screen cannot decide.
 Like ``channel_matrix``, it takes a link alone: ``_grids`` classifies it.
 
 The screen and the grid's first count take the cos and sin of
@@ -54,7 +55,7 @@ MAX_RUN_ENTRIES = 10 ** 8
 # rows of the channel matrix that the count evaluates at a time
 _BLOCK_ROWS = 256
 # how near the fraction a screened running share may come and still stand
-# (on random links the screen's shares sit ~1e-6 from the grid's, 5e-4 at worst)
+# (on random links the screen's shares sit ~6e-7 from the grid's, 2e-4 at worst)
 _SCREEN_MARGIN = 1e-3
 # how near the fraction a running share of the grid with float32 phases may
 # come and still stand: it is within 4 eps < 1e-6 of the exact grid's
@@ -228,13 +229,16 @@ def _count(link, spacing, fraction, m_int):
     """The sum-rule count at ``fraction`` of ``channel_matrix(link,
     spacing)`` (``link`` classified by ``_grids``), screened on a p-node
     Gauss-Legendre rule, weights over h, over the cells of the longer
-    side's rows (first sample - h/2 to last + h/2, h the grid's step), p =
-    4 ceil(max(N, ``m_int``)) + 32 with N - 1 = |d(T+, R-) + d(T-, R+) -
-    d(T+, R+) - d(T-, R-)| / lambda.  ``_gram_powers`` counts the grid
-    where it has no more than 2p rows, the other side comes within a
-    quarter of its length (too near for the rule), the screened count
-    exceeds (p - 32) / 2 or a running share is within ``_SCREEN_MARGIN``
-    of the fraction.
+    side's rows (first sample - h/2 to last + h/2, h the grid's step).
+    With c = ceil(max(N, ``m_int``)), N - 1 = |d(T+, R-) + d(T-, R+) -
+    d(T+, R+) - d(T-, R-)| / lambda, and g the shorter side's nearest
+    sample to the longer segment over that segment's length, p = 2c + 16
+    where g >= 1: about two nodes per mode resolve a plateau of c modes
+    and its O(log c) transition band.  Nearer arrays take p = 4c + 32:
+    there 2c + 16 nodes counted too few modes, up to g ~ 0.75.
+    ``_gram_powers`` counts the grid where it has no more than 2p rows,
+    g < 1/4 (too near for any rule), the screened count exceeds c + 2 or
+    a running share is within ``_SCREEN_MARGIN`` of the fraction.
 
     The screen and the grid's first count take ``_green``'s float32
     phases, each entry off by a relative eps < 2.5e-7, so H moves by E
@@ -251,25 +255,26 @@ def _count(link, spacing, fraction, m_int):
     t0, t1, r0, r1 = ((q[0][i], q[1][i]) for q in (tx, rx) for i in (0, -1))
     N = 1.0 + abs(math.dist(t1, r0) + math.dist(t0, r1) - math.dist(t1, r1)
                   - math.dist(t0, r0)) / link.wavelength
-    p = 4 * math.ceil(max(N, m_int)) + 32
-    # rows first: the proximity test divides by the squared length, 0 on one row
-    if 2 * p < x.size:
-        ex, ey = x[-1] - x[0], y[-1] - y[0]
+    c, ex, ey = math.ceil(max(N, m_int)), x[-1] - x[0], y[-1] - y[0]
+    length, gap = math.hypot(ex, ey), -1.0
+    if x.size > 1:   # the projection divides by the squared length, 0 on one row
         dx, dy = cols[0] - x[0], cols[1] - y[0]
         t = np.clip((dx * ex + dy * ey) / (ex * ex + ey * ey), 0.0, 1.0)
-        if np.hypot(dx - t * ex, dy - t * ey).min() >= math.hypot(ex, ey) / 4:
-            nodes, weights = gauss_legendre(p)
-            along = 0.5 + nodes * x.size / (2.0 * (x.size - 1))  # 0, 1 at the end samples
-            re, im = np.empty((p, n)), np.empty((p, n))
-            _green(k, (x[0] + along * ex, y[0] + along * ey), cols, re, im, np.float32)
-            w = np.sqrt(weights * (x.size / 2.0))[:, None]
-            re *= w
-            im *= w
-            powers = _powers([(re, im) if p >= n else (re.T, im.T)], min(p, n))
-            del re, im   # freed before a fallback builds the grid's Gram matrix
-            count = effective_dof(powers, fraction)
-            if 2 * count <= p - 32 and not _near(powers, fraction, _SCREEN_MARGIN):
-                return count
+        gap = np.hypot(dx - t * ex, dy - t * ey).min()   # g = gap / length
+    p = 2 * c + 16 if gap >= length else 4 * c + 32
+    if 2 * p < x.size and gap >= length / 4:
+        nodes, weights = gauss_legendre(p)
+        along = 0.5 + nodes * x.size / (2.0 * (x.size - 1))  # 0, 1 at the end samples
+        re, im = np.empty((p, n)), np.empty((p, n))
+        _green(k, (x[0] + along * ex, y[0] + along * ey), cols, re, im, np.float32)
+        w = np.sqrt(weights * (x.size / 2.0))[:, None]
+        re *= w
+        im *= w
+        powers = _powers([(re, im) if p >= n else (re.T, im.T)], min(p, n))
+        del re, im   # freed before a fallback builds the grid's Gram matrix
+        count = effective_dof(powers, fraction)
+        if count <= c + 2 and not _near(powers, fraction, _SCREEN_MARGIN):
+            return count
     powers = _gram_powers(k, grid, cols, np.float32)
     if _near(powers, fraction, _EXACT_MARGIN):
         powers = _gram_powers(k, grid, cols)

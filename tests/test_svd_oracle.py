@@ -455,6 +455,25 @@ def stress_links(n, seed=7):
     return links
 
 
+def parallel_links(n, seed=13):
+    """Nearly parallel near links with a mode count: L_T from 0.1 to 1 m,
+    centres 0.15 to 0.55 times L_T + L_R apart in any direction, theta_R
+    within 0.05 rad of theta_T or theta_T + pi, each paired with a
+    spacing: lambda/4 and lambda/2 in turn."""
+    rng = np.random.default_rng(seed)
+    links = []
+    while len(links) < n:
+        L_T, L_R = rng.choice([0.1, 0.2, 0.5, 1.0]), rng.uniform(0.5, 5.0)
+        d, phi = (L_T + L_R) * rng.uniform(0.15, 0.55), rng.uniform(-np.pi, np.pi)
+        theta_T = rng.uniform(-np.pi, np.pi)
+        theta_R = theta_T + rng.choice([0.0, np.pi]) + rng.uniform(-0.05, 0.05)
+        lk = make_link(L_T, L_R, theta_T, theta_R, d * np.cos(phi), d * np.sin(phi),
+                       frequency=F)
+        if dof(lk).m_int:
+            links.append((lk, LAMBDA / (4, 2)[len(links) % 2]))
+    return links
+
+
 class TestScreen:
     """``svd_oracle._count``: the full grid's count, screened on a Gauss
     rule over the longer side's cells."""
@@ -500,6 +519,33 @@ class TestScreen:
             stood += not fell_back
         assert stood >= 0.75 * len(links)
 
+    @pytest.mark.parametrize("fraction", [0.9, 0.96, 0.99])
+    def test_near_parallel_counts_match_the_full_grid(self, fraction):
+        """Arrays nearer than a length (g < 1) screen on 4c + 32 nodes, and
+        count as the double grid does: on 2c + 16 nodes, several of these
+        links read a few modes too few.  Half of them are too near for any
+        rule (g < 1/4); the screen stands on a sixth or more."""
+        stood = 0
+        for lk, spacing in parallel_links(48):
+            full = effective_dof(gram_powers(lk, spacing), fraction)
+            count, _, fell_back = self._screen(lk, spacing, fraction)
+            assert count == full, (lk, spacing)
+            stood += not fell_back
+        assert stood >= 48 / 6
+
+    @pytest.mark.parametrize("x0, nodes", [(10.0, 38), (3.0, 140)])
+    def test_rule_tier_by_proximity(self, monkeypatch, x0, nodes):
+        """c = 11 at x0 = 10 m, where the receiver's nearest sample is g ~ 2
+        of its length from the transmitter: 2c + 16 nodes.  c = 27 at x0 =
+        3 m, g ~ 0.6: 4c + 32 nodes."""
+        sizes, real = [], svd_oracle.gauss_legendre
+        monkeypatch.setattr(svd_oracle, "gauss_legendre",
+                            lambda p: sizes.append(p) or real(p))
+        lk = make_link(0.2, 5.0, 0.0, np.pi, x0, 0.0, frequency=F)
+        count, screened, _ = self._screen(lk, LAMBDA / 4)
+        assert screened is not None and sizes == [nodes]
+        assert count == effective_dof(gram_powers(lk, LAMBDA / 4))
+
     def test_shares_near_the_full_grid_at_the_crossing(self):
         for lk, spacing in stress_links(48, seed=8):
             full = gram_powers(lk, spacing)
@@ -534,8 +580,8 @@ class TestScreen:
         assert count == 10
 
     def test_count_past_the_rule_falls_back(self, monkeypatch):
-        """A screened count above (p - 32) / 2 is past what the rule is
-        sized for, and the grid counts.  On a link of N = 1.5 (p = 40) the
+        """A screened count above c + 2 is past what the rule is sized for,
+        and the grid counts.  On a link of N = 1.5 (c = 2, p = 20) the
         fraction 1 - 1e-9 screens 5 modes; the margin is set aside, so
         that it alone does not send the count to the grid."""
         monkeypatch.setattr(svd_oracle, "_SCREEN_MARGIN", 0.0)
@@ -543,7 +589,8 @@ class TestScreen:
         full = effective_dof(
             gram_powers(lk, spacing), fraction)
         count, screened, fell_back = self._screen(lk, spacing, fraction)
-        assert effective_dof(screened, fraction) == 5 > (40 - 32) / 2
+        assert effective_dof(screened, fraction) == 5 > 2 + 2
+        assert screened.normalized_powers.size == 20   # min(p, 41 columns)
         assert (count, fell_back) == (full, True)
 
     def test_near_tie_falls_back(self, monkeypatch, tmp_path):
@@ -580,9 +627,9 @@ class TestScreen:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n_rows", [1, 2, 3])
     def test_short_grids(self, n_rows):
-        """Grids of no more than 2p rows count on the grid, and the rows
-        are tested before the proximity test, which divides by the grid's
-        squared length: 0 on one row, a RuntimeWarning here."""
+        """Grids of no more than 2p rows count on the grid, and one row
+        takes no proximity, which divides by the grid's squared length: 0
+        on one row, a RuntimeWarning here."""
         lk = count_link(n_rows, n_rows)
         count, screened, fell_back = self._screen(lk, None)
         assert (count, screened, fell_back) == (effective_dof(gram_powers(lk)), None, True)
